@@ -1,10 +1,11 @@
 // reo_server: the Reo cache target as a real network service.
 //
-// Stands up the production stack — flash array, stripe manager,
-// differentiated-redundancy data plane, OSD target — behind the epoll
-// OsdServer, and serves the OSD wire protocol over TCP until SIGTERM /
-// SIGINT, which triggers a graceful drain (stop accepting, finish
-// in-flight requests, flush, exit). Examples:
+// Builds the production stack — flash array, stripe manager,
+// differentiated-redundancy data plane, OSD target (NodeStack) — once per
+// serving shard, serves the OSD wire protocol over TCP through
+// ShardedServer, and on SIGTERM / SIGINT drains gracefully (stop
+// accepting, finish in-flight requests, flush, checkpoint, exit).
+// Examples:
 //
 //   reo_server --port 9555
 //   reo_server --port 0 --port-file port.txt --stats-out stats.json
@@ -12,35 +13,25 @@
 //   reo_server --port 9555 --data-dir /var/lib/reo     # durable, restartable
 //   reo_server --port 9555 --shards 4                  # multi-threaded
 //
-// With --shards N > 1 the object space is hash-partitioned across N
-// independent serving stacks, each on its own event-loop thread with its
-// own flash array, cache state, and (under --data-dir) its own journal
-// in data-dir/shardK. One listening port serves all of them; commands
+// With --shards N the object space is hash-partitioned across N
+// independent stacks, each on its own event-loop thread with its own flash
+// array, cache state, and (under --data-dir) its own journal in
+// data-dir/shardK. One listening port serves all of them; commands
 // landing on the "wrong" shard's connection are forwarded between loops
-// (see src/shard/sharded_server.h). --shards 1 (the default) uses the
-// original single-threaded OsdServer path, byte-for-byte unchanged.
+// (see src/shard/sharded_server.h). --shards 1 (the default) is one loop
+// on the main thread that executes every command inline.
 #include <signal.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "admit/admission_tier.h"
 #include "common/file_util.h"
 #include "common/units.h"
-#include "core/data_plane.h"
-#include "core/policy.h"
-#include "fault/failslow.h"
-#include "fault/fault_injector.h"
-#include "fault/fault_spec.h"
-#include "flash/flash_array.h"
-#include "osd/osd_target.h"
-#include "persist/persistence.h"
+#include "core/node_stack.h"
 #include "persist/restore.h"
-#include "server/osd_server.h"
 #include "shard/sharded_server.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/time_series.h"
@@ -51,13 +42,11 @@ using namespace reo;
 
 namespace {
 
-OsdServer* g_server = nullptr;
-ShardedServer* g_sharded = nullptr;
+ShardedServer* g_server = nullptr;
 
 void HandleShutdownSignal(int) {
   // RequestDrain is async-signal-safe: a flag store plus an eventfd write.
   if (g_server != nullptr) g_server->RequestDrain();
-  if (g_sharded != nullptr) g_sharded->RequestDrain();
 }
 
 void Usage(const char* argv0) {
@@ -116,41 +105,19 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-/// One shard's full serving stack. With --shards 1 there is exactly one
-/// of these and it sits behind the classic OsdServer.
-struct ShardStack {
-  std::unique_ptr<FlashArray> array;
-  std::unique_ptr<StripeManager> stripes;
-  std::unique_ptr<ReoDataPlane> plane;
-  std::unique_ptr<AdmissionTier> admit;
-  std::unique_ptr<OsdTarget> target;
-  std::unique_ptr<MetricRegistry> telemetry;
-  std::unique_ptr<FaultInjector> injector;
-  std::unique_ptr<FailSlowDetector> failslow;
-  std::unique_ptr<PersistenceManager> persist;
-  std::unique_ptr<ClusterDirectory> cluster;  ///< --node-id only
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  OsdServerConfig server_cfg;
-  PolicyConfig policy{.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.2};
+  ShardedServerConfig server_cfg;
+  NodeStackConfig stack_cfg;
+  stack_cfg.policy = {.mode = ProtectionMode::kReo,
+                      .reo_reserve_fraction = 0.2};
   size_t num_shards = 1;
-  size_t num_devices = 5;
-  uint64_t capacity_bytes = 256ull << 20;
-  uint64_t chunk_bytes = 64 * 1024;
-  uint32_t scale_shift = 0;
   std::string port_file, stats_out, events_out;
-  PersistenceConfig persist_cfg;
-  FaultSpec fault_spec;
   bool telemetry_on = true;
-  bool cluster_on = false;
-  uint32_t node_id = 0;
   uint64_t trace_sample = 64;
   uint64_t series_window_ms = 1000;
   size_t series_windows = 300;
-  AdmissionConfig admit_cfg;
 
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* {
@@ -167,32 +134,34 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--port-file")) {
       port_file = next();
     } else if (!std::strcmp(argv[i], "--node-id")) {
-      node_id = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
-      cluster_on = true;
+      stack_cfg.node_id =
+          static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
     } else if (!std::strcmp(argv[i], "--shards")) {
       num_shards = std::strtoull(next(), nullptr, 10);
       if (num_shards == 0) num_shards = 1;
     } else if (!std::strcmp(argv[i], "--policy")) {
       std::string p = next();
-      if (p == "reo") policy.mode = ProtectionMode::kReo;
-      else if (p == "0-parity") policy.mode = ProtectionMode::kUniform0;
-      else if (p == "1-parity") policy.mode = ProtectionMode::kUniform1;
-      else if (p == "2-parity") policy.mode = ProtectionMode::kUniform2;
-      else if (p == "full-repl") policy.mode = ProtectionMode::kFullReplication;
+      ProtectionMode& mode = stack_cfg.policy.mode;
+      if (p == "reo") mode = ProtectionMode::kReo;
+      else if (p == "0-parity") mode = ProtectionMode::kUniform0;
+      else if (p == "1-parity") mode = ProtectionMode::kUniform1;
+      else if (p == "2-parity") mode = ProtectionMode::kUniform2;
+      else if (p == "full-repl") mode = ProtectionMode::kFullReplication;
       else {
         std::fprintf(stderr, "unknown policy %s\n", p.c_str());
         return 2;
       }
     } else if (!std::strcmp(argv[i], "--reserve")) {
-      policy.reo_reserve_fraction = std::atof(next());
+      stack_cfg.policy.reo_reserve_fraction = std::atof(next());
     } else if (!std::strcmp(argv[i], "--devices")) {
-      num_devices = std::strtoull(next(), nullptr, 10);
+      stack_cfg.num_devices = std::strtoull(next(), nullptr, 10);
     } else if (!std::strcmp(argv[i], "--capacity-mb")) {
-      capacity_bytes = std::strtoull(next(), nullptr, 10) << 20;
+      stack_cfg.capacity_bytes = std::strtoull(next(), nullptr, 10) << 20;
     } else if (!std::strcmp(argv[i], "--chunk-kb")) {
-      chunk_bytes = std::strtoull(next(), nullptr, 10) * 1024;
+      stack_cfg.chunk_logical_bytes = std::strtoull(next(), nullptr, 10) * 1024;
     } else if (!std::strcmp(argv[i], "--scale-shift")) {
-      scale_shift = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      stack_cfg.scale_shift =
+          static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
     } else if (!std::strcmp(argv[i], "--max-connections")) {
       server_cfg.max_connections = std::strtoull(next(), nullptr, 10);
     } else if (!std::strcmp(argv[i], "--idle-timeout-ms")) {
@@ -218,22 +187,24 @@ int main(int argc, char** argv) {
       series_windows = std::strtoull(next(), nullptr, 10);
       if (series_windows == 0) series_windows = 1;
     } else if (!std::strcmp(argv[i], "--data-dir")) {
-      persist_cfg.data_dir = next();
+      stack_cfg.persistence.data_dir = next();
     } else if (!std::strcmp(argv[i], "--fsync-batch")) {
-      persist_cfg.fsync_batch_records = std::strtoull(next(), nullptr, 10);
+      stack_cfg.persistence.fsync_batch_records =
+          std::strtoull(next(), nullptr, 10);
     } else if (!std::strcmp(argv[i], "--checkpoint-interval")) {
-      persist_cfg.checkpoint_interval_records =
+      stack_cfg.persistence.checkpoint_interval_records =
           std::strtoull(next(), nullptr, 10);
     } else if (!std::strcmp(argv[i], "--dram-mb")) {
-      admit_cfg.dram_bytes = std::strtoull(next(), nullptr, 10) * kMiB;
+      stack_cfg.admission.dram_bytes =
+          std::strtoull(next(), nullptr, 10) * kMiB;
     } else if (!std::strcmp(argv[i], "--admission")) {
       const char* p = next();
-      if (!ParseAdmissionPolicy(p, &admit_cfg.policy)) {
+      if (!ParseAdmissionPolicy(p, &stack_cfg.admission.policy)) {
         std::fprintf(stderr, "unknown admission policy %s\n", p);
         return 2;
       }
     } else if (!std::strcmp(argv[i], "--flash-write-budget")) {
-      admit_cfg.flash_write_budget_bps =
+      stack_cfg.admission.flash_write_budget_bps =
           std::strtoull(next(), nullptr, 10) * kMiB;
     } else if (!std::strcmp(argv[i], "--fault-spec")) {
       auto spec = LoadFaultSpecFile(next());
@@ -242,7 +213,7 @@ int main(int argc, char** argv) {
                      spec.status().to_string().c_str());
         return 2;
       }
-      fault_spec = std::move(*spec);
+      stack_cfg.faults = std::move(*spec);
     } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
       Usage(argv[0]);
       return 0;
@@ -262,323 +233,162 @@ int main(int argc, char** argv) {
       .window_ns = series_window_ms * 1'000'000, .capacity = series_windows});
   Tracer tracer(TracerConfig{.sample_every = trace_sample});
 
-  // Budgets split evenly across shards (each shard is an independent
-  // stack over its hash slice of the object space).
-  uint64_t shard_capacity = capacity_bytes / num_shards;
-  AdmissionConfig shard_admit_cfg = admit_cfg;
-  shard_admit_cfg.dram_bytes = admit_cfg.dram_bytes / num_shards;
+  // One registry per shard; --telemetry off registers nothing in them.
+  std::vector<MetricRegistry> telemetry(num_shards);
+  std::vector<MetricRegistry*> registries;
+  for (MetricRegistry& r : telemetry) registries.push_back(&r);
 
-  // The production stack(s), same wiring as the simulator minus the
-  // replay harness: every byte a client writes lands in a striped flash
-  // array under the selected protection policy.
-  std::vector<ShardStack> stacks(num_shards);
+  // The production stacks: every byte a client writes lands in a striped
+  // flash array under the selected protection policy. Each shard is an
+  // independent stack over its hash slice of the object space.
+  std::vector<NodeStack> stacks;
+  stacks.reserve(num_shards);
   for (size_t k = 0; k < num_shards; ++k) {
-    ShardStack& s = stacks[k];
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = std::max<uint64_t>(shard_capacity, 4 * chunk_bytes);
-    s.array = std::make_unique<FlashArray>(num_devices, dev);
-    StripeManagerConfig smc;
-    smc.chunk_logical_bytes = chunk_bytes;
-    smc.scale_shift = scale_shift;
-    smc.capacity_limit_bytes = shard_capacity;
-    s.stripes = std::make_unique<StripeManager>(*s.array, smc);
-    s.plane = std::make_unique<ReoDataPlane>(*s.stripes,
-                                             RedundancyPolicy(policy));
-    // DRAM admission tier: clean writes stage in DRAM and only graduate
-    // to flash when the admission policy says the eviction earned a
-    // flash write. Disabled (--dram-mb 0) the stack is byte-identical to
-    // the pre-tier one.
-    s.admit = std::make_unique<AdmissionTier>(shard_admit_cfg);
-    if (s.admit->enabled()) s.plane->AttachAdmission(*s.admit);
-    s.target = std::make_unique<OsdTarget>(*s.plane);
-
-    s.telemetry = std::make_unique<MetricRegistry>();
-    if (telemetry_on) {
-      s.array->AttachTelemetry(*s.telemetry);
-      s.plane->AttachTelemetry(*s.telemetry);
-      s.target->AttachTelemetry(*s.telemetry);
-      if (s.admit->enabled()) s.admit->AttachTelemetry(*s.telemetry);
-    }
-    s.plane->AttachEvents(events);
-    if (s.admit->enabled()) s.admit->AttachEvents(events);
-
-    // Cluster mode: the per-shard directory holds this node's slice of
-    // the cluster's owner hints and recognizes refetch arrivals.
-    if (cluster_on) {
-      s.cluster = std::make_unique<ClusterDirectory>(node_id);
-      if (telemetry_on) s.cluster->AttachTelemetry(*s.telemetry);
-      s.cluster->AttachEvents(events);
-      s.target->AttachCluster(*s.cluster);
-    }
-
-    // Per-stage latency attribution: sampled request traces feed
-    // stage.<component>.span_us histograms. --trace-sample 0 turns it off.
-    if (tracing_on) {
-      tracer.AttachStageMetrics(*s.telemetry);
-      s.array->AttachTracing(tracer);
-      s.stripes->AttachTracing(tracer);
-      s.plane->AttachTracing(tracer);
-      s.target->AttachTracing(tracer);
-    }
-
-    // Chaos testing: deterministic fault injection into the device layer.
-    // The data plane's retry + in-place CRC repair is what keeps injected
-    // latent/transient faults invisible to wire clients. Each shard's
-    // injector reseeds so shards do not fail in lockstep.
-    if (!fault_spec.empty()) {
-      FaultSpec shard_spec = fault_spec;
-      shard_spec.seed += k;
-      s.injector = std::make_unique<FaultInjector>(shard_spec);
-      s.failslow = std::make_unique<FailSlowDetector>(
-          static_cast<uint32_t>(num_devices), FailSlowConfig{});
-      s.array->AttachFaults(s.injector.get(), s.failslow.get());
-      s.injector->AttachTelemetry(*s.telemetry);
-      s.injector->AttachEvents(events);
-      s.failslow->AttachTelemetry(*s.telemetry);
-      s.failslow->AttachEvents(events);
-      s.plane->ConfigureRetry(s.plane->retry_policy(), shard_spec.seed);
-    }
-
-    // Durable state: open (running crash recovery), replay any recovered
-    // objects back through the stack in class order, then checkpoint so
-    // the next restart starts from a compact image. Each shard owns an
-    // independent journal directory; restores run shard-by-shard, class-
-    // ordered within each shard.
-    if (persist_cfg.enabled()) {
-      PersistenceConfig shard_persist_cfg = persist_cfg;
-      if (num_shards > 1) {
-        shard_persist_cfg.data_dir =
-            persist_cfg.data_dir + "/shard" + std::to_string(k);
+    NodeStackSinks sinks{.registry = telemetry_on ? registries[k] : nullptr,
+                         .events = &events,
+                         .tracer = tracing_on ? &tracer : nullptr};
+    auto built = NodeStack::Build(stack_cfg, k, num_shards, sinks);
+    if (!built.ok()) {
+      if (built.status().code() == ErrorCode::kCorrupted) {
+        // Fail-stop on corrupt durable state: refuse to serve from a state
+        // image we cannot trust, and name the offending file so the
+        // operator can remove or restore it. Distinct exit code for CI.
+        std::fprintf(stderr, "reo_server: corrupt durable state: %s\n",
+                     built.status().to_string().c_str());
+        return 3;
       }
-      auto opened = PersistenceManager::Open(shard_persist_cfg);
-      if (!opened.ok()) {
-        if (opened.status().code() == ErrorCode::kCorrupted) {
-          // Fail-stop on corrupt durable state: refuse to serve from a
-          // state image we cannot trust, and name the offending file so
-          // the operator can remove or restore it. Distinct exit code
-          // for CI.
-          std::fprintf(stderr, "reo_server: corrupt durable state: %s\n",
-                       opened.status().to_string().c_str());
-          return 3;
-        }
-        std::fprintf(stderr, "persistence open failed: %s\n",
-                     opened.status().to_string().c_str());
-        return 1;
-      }
-      s.persist = std::move(*opened);
-      if (s.injector) s.persist->AttachFaults(s.injector.get());
-      s.persist->AttachTelemetry(*s.telemetry);
-      s.persist->AttachEvents(events);
-      s.plane->AttachPersistence(s.persist.get());
-      if (s.persist->live_objects() > 0) {
-        RestoreReport rr =
-            RestoreToTarget(*s.persist, *s.target, shard_capacity, 0, &events);
-        std::printf(
-            "shard %zu: restored %llu objects (class0=%llu class1=%llu"
-            " class2=%llu class3=%llu, dirty_lost=%llu, verify_failures=%llu)"
-            " in %llu us\n",
-            k, static_cast<unsigned long long>(rr.total_restored()),
-            static_cast<unsigned long long>(rr.restored_per_class[0]),
-            static_cast<unsigned long long>(rr.restored_per_class[1]),
-            static_cast<unsigned long long>(rr.restored_per_class[2]),
-            static_cast<unsigned long long>(rr.restored_per_class[3]),
-            static_cast<unsigned long long>(rr.dirty_lost),
-            static_cast<unsigned long long>(rr.payload_verify_failures),
-            static_cast<unsigned long long>(rr.duration_us));
-      }
-      Status cp = s.persist->Checkpoint(0);
-      if (!cp.ok()) {
-        std::fprintf(stderr, "startup checkpoint failed: %s\n",
-                     cp.to_string().c_str());
-        return 1;
-      }
+      std::fprintf(stderr, "persistence open failed: %s\n",
+                   built.status().to_string().c_str());
+      return 1;
+    }
+    stacks.push_back(std::move(*built));
+    NodeStack& s = stacks.back();
+    if (!s.persist) continue;
+    // Durable state: replay any recovered objects back through the stack
+    // in class order, then checkpoint so the next restart starts from a
+    // compact image.
+    if (s.persist->live_objects() > 0) {
+      RestoreReport rr =
+          RestoreToTarget(*s.persist, *s.target, s.capacity_bytes, 0, &events);
+      std::printf(
+          "shard %zu: restored %llu objects (class0=%llu class1=%llu"
+          " class2=%llu class3=%llu, dirty_lost=%llu, verify_failures=%llu)"
+          " in %llu us\n",
+          k, static_cast<unsigned long long>(rr.total_restored()),
+          static_cast<unsigned long long>(rr.restored_per_class[0]),
+          static_cast<unsigned long long>(rr.restored_per_class[1]),
+          static_cast<unsigned long long>(rr.restored_per_class[2]),
+          static_cast<unsigned long long>(rr.restored_per_class[3]),
+          static_cast<unsigned long long>(rr.dirty_lost),
+          static_cast<unsigned long long>(rr.payload_verify_failures),
+          static_cast<unsigned long long>(rr.duration_us));
+    }
+    Status cp = s.persist->Checkpoint(0);
+    if (!cp.ok()) {
+      std::fprintf(stderr, "startup checkpoint failed: %s\n",
+                   cp.to_string().c_str());
+      return 1;
     }
   }
 
+  if (stack_cfg.persistence.enabled()) {
+    // Clean shutdown: once every in-flight request everywhere has been
+    // answered, each shard checkpoints its own journal on its own loop
+    // thread, so restart replays a checkpoint instead of a long journal.
+    server_cfg.on_shard_drained = [&stacks, &events](size_t k) {
+      Status st = stacks[k].persist->Checkpoint(0);
+      if (!st.ok()) {
+        Emit(&events, 0, EventSeverity::kError, "persist.checkpoint",
+             "shutdown checkpoint failed",
+             {{"error", st.to_string()}, {"shard", std::to_string(k)}});
+      }
+    };
+  }
+  std::vector<OsdTarget*> targets;
+  std::vector<const ClusterDirectory*> directories;
+  for (NodeStack& s : stacks) {
+    targets.push_back(s.target.get());
+    if (s.cluster) directories.push_back(s.cluster.get());
+  }
+  ShardedServer server(targets, server_cfg);
+  server.AttachEvents(events);
+  // Live observability: per-window time series over the serving metrics,
+  // plus the in-band STATS/SERIES admin plane. HEALTH and EVENTS answer
+  // even with --telemetry off (dispatch does not depend on AttachAdmin).
+  if (telemetry_on) {
+    for (size_t k = 0; k < num_shards; ++k) {
+      server.AttachShardTelemetry(k, telemetry[k]);
+    }
+    // One whole-process ring: every column sums the same-named metric
+    // across shard registries, so reo_top's ratios stay correct.
+    TrackServingDefaults(std::span<MetricRegistry* const>(registries), series,
+                         stack_cfg.num_devices);
+    server.AttachAdmin(registries, &series);
+  }
+  // Per-stage latency attribution: sampled request traces feed
+  // stage.<component>.span_us histograms. --trace-sample 0 turns it off.
+  if (tracing_on) {
+    tracer.AttachStageMetrics(telemetry[0]);
+    server.AttachTracing(tracer);
+  }
+  if (!directories.empty()) server.AttachCluster(std::move(directories));
+  Status st = server.Listen();
+  if (!st.ok()) {
+    std::fprintf(stderr, "listen failed: %s\n", st.to_string().c_str());
+    return 1;
+  }
+  if (!port_file.empty()) {
+    Status wf =
+        WriteFileAtomic(port_file, std::to_string(server.port()) + "\n");
+    if (!wf.ok()) {
+      std::fprintf(stderr, "port file: %s\n", wf.to_string().c_str());
+      return 1;
+    }
+  }
+  std::printf("reo_server listening on %s:%u (%zu shards, policy %s,"
+              " %zu devices/shard, %llu MiB budget)\n",
+              server_cfg.bind_address.c_str(), server.port(), num_shards,
+              std::string(to_string(stack_cfg.policy.mode)).c_str(),
+              stack_cfg.num_devices,
+              static_cast<unsigned long long>(stack_cfg.capacity_bytes >> 20));
+  if (stacks[0].admission) {
+    std::printf(
+        "dram admission tier: %llu MiB, policy %s\n",
+        static_cast<unsigned long long>(stack_cfg.admission.dram_bytes >> 20),
+        std::string(to_string(stack_cfg.admission.policy)).c_str());
+  }
+  std::fflush(stdout);
+
+  g_server = &server;
   struct sigaction sa{};
   sa.sa_handler = HandleShutdownSignal;
+  sigaction(SIGTERM, &sa, nullptr);
+  sigaction(SIGINT, &sa, nullptr);
+  signal(SIGPIPE, SIG_IGN);
 
-  if (num_shards == 1) {
-    // --- Single-threaded path: the classic OsdServer, unchanged. ------
-    ShardStack& s = stacks[0];
-    if (s.persist) {
-      // Clean shutdown: checkpoint after the last in-flight request is
-      // answered, so restart replays a checkpoint instead of a long
-      // journal.
-      PersistenceManager* persist = s.persist.get();
-      server_cfg.on_drained = [persist, &events]() {
-        Status st = persist->Checkpoint(0);
-        if (!st.ok()) {
-          Emit(&events, 0, EventSeverity::kError, "persist.checkpoint",
-               "shutdown checkpoint failed", {{"error", st.to_string()}});
-        }
-      };
-    }
-    OsdServer server(*s.target, server_cfg);
-    server.AttachEvents(events);
-    // Live observability: per-window time series over the serving
-    // metrics, plus the in-band STATS/SERIES admin plane. HEALTH and
-    // EVENTS answer even with --telemetry off (dispatch does not depend
-    // on AttachAdmin).
-    if (telemetry_on) {
-      server.AttachTelemetry(*s.telemetry);
-      TrackServingDefaults(*s.telemetry, series, num_devices);
-      server.AttachAdmin(s.telemetry.get(), &series);
-    }
-    if (tracing_on) server.AttachTracing(tracer);
-    if (cluster_on) server.AttachCluster(*s.cluster);
-    Status st = server.Listen();
-    if (!st.ok()) {
-      std::fprintf(stderr, "listen failed: %s\n", st.to_string().c_str());
-      return 1;
-    }
-    if (!port_file.empty()) {
-      Status wf =
-          WriteFileAtomic(port_file, std::to_string(server.port()) + "\n");
-      if (!wf.ok()) {
-        std::fprintf(stderr, "port file: %s\n", wf.to_string().c_str());
-        return 1;
-      }
-    }
-    std::printf("reo_server listening on %s:%u (policy %s, %zu devices,"
-                " %llu MiB budget)\n",
-                server_cfg.bind_address.c_str(), server.port(),
-                std::string(to_string(policy.mode)).c_str(), num_devices,
-                static_cast<unsigned long long>(capacity_bytes >> 20));
-    if (s.admit->enabled()) {
-      std::printf("dram admission tier: %llu MiB, policy %s\n",
-                  static_cast<unsigned long long>(admit_cfg.dram_bytes >> 20),
-                  std::string(to_string(admit_cfg.policy)).c_str());
-    }
-    std::fflush(stdout);
+  server.Run();
+  g_server = nullptr;
 
-    g_server = &server;
-    sigaction(SIGTERM, &sa, nullptr);
-    sigaction(SIGINT, &sa, nullptr);
-    signal(SIGPIPE, SIG_IGN);
-
-    server.Run();
-    g_server = nullptr;
-
-    const OsdServerStats& st2 = server.stats();
-    std::printf("drained: %llu connections served, %llu requests,"
-                " %llu bytes in / %llu out\n",
-                static_cast<unsigned long long>(st2.accepted),
-                static_cast<unsigned long long>(st2.requests),
-                static_cast<unsigned long long>(st2.bytes_in),
-                static_cast<unsigned long long>(st2.bytes_out));
-    std::printf("wire errors: %llu frame, %llu crc, %llu decode\n",
-                static_cast<unsigned long long>(st2.frame_errors),
-                static_cast<unsigned long long>(st2.crc_errors),
-                static_cast<unsigned long long>(st2.decode_errors));
-  } else {
-    // --- Sharded path: N loops behind one port. -----------------------
-    ShardedServerConfig shard_cfg;
-    shard_cfg.bind_address = server_cfg.bind_address;
-    shard_cfg.port = server_cfg.port;
-    shard_cfg.backlog = server_cfg.backlog;
-    shard_cfg.max_connections = server_cfg.max_connections;
-    shard_cfg.idle_timeout_ms = server_cfg.idle_timeout_ms;
-    shard_cfg.drain_timeout_ms = server_cfg.drain_timeout_ms;
-    shard_cfg.connection = server_cfg.connection;
-    if (persist_cfg.enabled()) {
-      // Phase-2 drain: every shard checkpoints its own journal on its
-      // own loop thread once all in-flight work everywhere completed.
-      shard_cfg.on_shard_drained = [&stacks, &events](size_t k) {
-        Status st = stacks[k].persist->Checkpoint(0);
-        if (!st.ok()) {
-          Emit(&events, 0, EventSeverity::kError, "persist.checkpoint",
-               "shutdown checkpoint failed",
-               {{"error", st.to_string()}, {"shard", std::to_string(k)}});
-        }
-      };
-    }
-    std::vector<OsdTarget*> targets;
-    std::vector<MetricRegistry*> registries;
-    targets.reserve(num_shards);
-    registries.reserve(num_shards);
-    for (ShardStack& s : stacks) {
-      targets.push_back(s.target.get());
-      registries.push_back(s.telemetry.get());
-    }
-    ShardedServer server(targets, shard_cfg);
-    server.AttachEvents(events);
-    if (telemetry_on) {
-      for (size_t k = 0; k < num_shards; ++k) {
-        server.AttachShardTelemetry(k, *stacks[k].telemetry);
-      }
-      // One whole-process ring: every column sums the same-named metric
-      // across shard registries, so reo_top's ratios stay correct.
-      TrackServingDefaults(std::span<MetricRegistry* const>(registries),
-                           series, num_devices);
-      server.AttachAdmin(registries, &series);
-    }
-    if (cluster_on) {
-      std::vector<const ClusterDirectory*> dirs;
-      dirs.reserve(num_shards);
-      for (ShardStack& s : stacks) dirs.push_back(s.cluster.get());
-      server.AttachCluster(std::move(dirs));
-    }
-    Status st = server.Listen();
-    if (!st.ok()) {
-      std::fprintf(stderr, "listen failed: %s\n", st.to_string().c_str());
-      return 1;
-    }
-    if (!port_file.empty()) {
-      Status wf =
-          WriteFileAtomic(port_file, std::to_string(server.port()) + "\n");
-      if (!wf.ok()) {
-        std::fprintf(stderr, "port file: %s\n", wf.to_string().c_str());
-        return 1;
-      }
-    }
-    std::printf("reo_server listening on %s:%u (%zu shards, policy %s,"
-                " %zu devices/shard, %llu MiB budget)\n",
-                shard_cfg.bind_address.c_str(), server.port(), num_shards,
-                std::string(to_string(policy.mode)).c_str(), num_devices,
-                static_cast<unsigned long long>(capacity_bytes >> 20));
-    if (stacks[0].admit->enabled()) {
-      std::printf("dram admission tier: %llu MiB, policy %s\n",
-                  static_cast<unsigned long long>(admit_cfg.dram_bytes >> 20),
-                  std::string(to_string(admit_cfg.policy)).c_str());
-    }
-    std::fflush(stdout);
-
-    g_sharded = &server;
-    sigaction(SIGTERM, &sa, nullptr);
-    sigaction(SIGINT, &sa, nullptr);
-    signal(SIGPIPE, SIG_IGN);
-
-    server.Run();
-    g_sharded = nullptr;
-
-    ShardedServerStats st2 = server.stats();
-    std::printf("drained: %llu connections served, %llu requests,"
-                " %llu bytes in / %llu out\n",
-                static_cast<unsigned long long>(st2.accepted),
-                static_cast<unsigned long long>(st2.requests),
-                static_cast<unsigned long long>(st2.bytes_in),
-                static_cast<unsigned long long>(st2.bytes_out));
-    std::printf("wire errors: %llu frame, %llu crc, %llu decode;"
-                " cross-shard: %llu forwarded, %llu executed\n",
-                static_cast<unsigned long long>(st2.frame_errors),
-                static_cast<unsigned long long>(st2.crc_errors),
-                static_cast<unsigned long long>(st2.decode_errors),
-                static_cast<unsigned long long>(st2.forwarded),
-                static_cast<unsigned long long>(st2.forward_executed));
-  }
+  ShardedServerStats served = server.stats();
+  std::printf("drained: %llu connections served, %llu requests,"
+              " %llu bytes in / %llu out\n",
+              static_cast<unsigned long long>(served.accepted),
+              static_cast<unsigned long long>(served.requests),
+              static_cast<unsigned long long>(served.bytes_in),
+              static_cast<unsigned long long>(served.bytes_out));
+  std::printf("wire errors: %llu frame, %llu crc, %llu decode;"
+              " cross-shard: %llu forwarded, %llu executed\n",
+              static_cast<unsigned long long>(served.frame_errors),
+              static_cast<unsigned long long>(served.crc_errors),
+              static_cast<unsigned long long>(served.decode_errors),
+              static_cast<unsigned long long>(served.forwarded),
+              static_cast<unsigned long long>(served.forward_executed));
 
   if (!stats_out.empty()) {
-    std::string json;
-    if (num_shards == 1) {
-      json = stacks[0].telemetry->Snapshot().ToJson();
-    } else {
-      std::vector<const MetricRegistry*> regs;
-      regs.reserve(num_shards);
-      for (ShardStack& s : stacks) regs.push_back(s.telemetry.get());
-      json = MetricRegistry::Merged(regs).ToJson();
-    }
-    Status wf = WriteFileAtomic(stats_out, json);
+    std::vector<const MetricRegistry*> regs(registries.begin(),
+                                            registries.end());
+    Status wf =
+        WriteFileAtomic(stats_out, MetricRegistry::Merged(regs).ToJson());
     if (!wf.ok()) {
       std::fprintf(stderr, "stats write failed: %s\n", wf.to_string().c_str());
       return 1;

@@ -8,31 +8,6 @@
 
 namespace reo {
 
-void StatAccumulator::Add(double v) {
-  if (count_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++count_;
-  sum_ += v;
-}
-
-void StatAccumulator::Merge(const StatAccumulator& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-void StatAccumulator::Reset() { *this = StatAccumulator{}; }
-
 Histogram::Histogram() : buckets_(kBuckets, 0) {}
 
 int Histogram::BucketForReference(double v) {

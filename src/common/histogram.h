@@ -1,6 +1,5 @@
-// Streaming statistics used by the simulator's metrics plane: a running
-// mean/min/max accumulator and a log-bucketed latency histogram with
-// percentile queries.
+// Log-bucketed latency histogram with percentile queries: the fixed
+// bucket layout the telemetry plane's sharded histograms share.
 #pragma once
 
 #include <cstdint>
@@ -8,26 +7,6 @@
 #include <vector>
 
 namespace reo {
-
-/// Running summary of a stream of doubles (count/mean/min/max/sum).
-class StatAccumulator {
- public:
-  void Add(double v);
-  void Merge(const StatAccumulator& other);
-  void Reset();
-
-  uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-
- private:
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Log-bucketed histogram for non-negative values (e.g. latencies in µs).
 /// Buckets grow geometrically (8 per factor of 2); percentile queries

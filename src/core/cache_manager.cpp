@@ -86,7 +86,6 @@ void CacheManager::AttachTracing(Tracer& tracer) {
   tracer_ = &tracer;
   trace_root_ = &tracer.RecorderFor(TraceComponent::kCacheManager);
   ev_ = &tracer.events();
-  plane_.AttachTracing(tracer);
   backend_.AttachTracing(tracer);
 }
 

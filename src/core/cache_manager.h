@@ -197,9 +197,9 @@ class CacheManager {
   /// Resolves tracing sinks: the manager opens the root span of every
   /// client request (Get/Put) and of every failure-plane entry point, and
   /// emits the structured events (device failures, rebuilds, eviction
-  /// storms, reclassification refreshes). Fans out to the data plane and
-  /// backend it owns references to; the simulator attaches the target and
-  /// transport separately.
+  /// storms, reclassification refreshes). Fans out to the backend; the
+  /// stack below (data plane, target) attaches through NodeStack, and the
+  /// simulator attaches the wire transport separately.
   void AttachTracing(Tracer& tracer);
 
   /// Streams classification knowledge into the durable journal — per-object

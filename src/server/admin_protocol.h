@@ -62,7 +62,7 @@ struct AdminResponse {
 };
 
 /// True when a framed payload is an admin request (vs an OSD command):
-/// the one-u32 dispatch peek OsdServer::OnFrame uses.
+/// the one-u32 dispatch peek the server's frame handler uses.
 bool IsAdminFrame(std::span<const uint8_t> payload);
 
 std::vector<uint8_t> EncodeAdminCommand(const AdminCommand& cmd);

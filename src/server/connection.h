@@ -2,7 +2,7 @@
 // reassembly, pipelined request dispatch, and a bounded write queue with
 // read backpressure.
 //
-// Lifecycle: OsdServer accepts the socket and owns the Connection; the
+// Lifecycle: the server's shard loop owns the Connection; the
 // Connection registers itself with the EventLoop and calls back into its
 // ConnectionHost for every decoded frame. All entry points run on the
 // loop thread. Close is single-shot: the connection reports its reason to

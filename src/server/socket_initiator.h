@@ -2,7 +2,7 @@
 //
 // Mirrors OsdTransport's interface shape — Roundtrip(command) ->
 // response, stats(), AttachTelemetry() — but ships the same encoded
-// bytes over a TCP socket to an OsdServer instead of a simulated
+// bytes over a TCP socket to a ShardedServer instead of a simulated
 // NetworkLink. Blocking IO: the load generator and tests run one
 // initiator per closed-loop worker. Send()/Receive() are exposed
 // separately so callers can pipeline several commands onto the wire

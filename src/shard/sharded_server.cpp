@@ -20,6 +20,13 @@
 namespace reo {
 namespace {
 
+/// Cadence of the drain-request poll on shard 0's loop.
+constexpr uint64_t kDrainPollMs = 20;
+
+/// How long the listener stays unwatched after accept ran out of
+/// descriptors or kernel memory.
+constexpr uint64_t kAcceptPauseMs = 100;
+
 std::string PeerName(const sockaddr_in& addr) {
   char ip[INET_ADDRSTRLEN] = {};
   inet_ntop(AF_INET, &addr.sin_addr, ip, sizeof(ip));
@@ -33,44 +40,28 @@ FramePayload EncodeResponsePayload(OsdResponse&& resp) {
 
 }  // namespace
 
-/// Per-shard serving counters. Updated by the owning loop thread with
-/// relaxed atomics so HEALTH aggregation (which runs on whichever shard
-/// answers the probe) reads them without locks or races.
-struct ShardWorkerStats {
-  std::atomic<uint64_t> accepted{0};
-  std::atomic<uint64_t> closed{0};
-  std::atomic<uint64_t> requests{0};
-  std::atomic<uint64_t> responses{0};
-  std::atomic<uint64_t> bytes_in{0};
-  std::atomic<uint64_t> bytes_out{0};
-  std::atomic<uint64_t> frame_errors{0};
-  std::atomic<uint64_t> crc_errors{0};
-  std::atomic<uint64_t> decode_errors{0};
-  std::atomic<uint64_t> admin_requests{0};
-  std::atomic<uint64_t> admin_errors{0};
-  std::atomic<uint64_t> forwarded{0};
-  std::atomic<uint64_t> forward_executed{0};
-  std::atomic<size_t> active{0};
-};
-
 /// One shard: an EventLoop thread owning its connections and OsdTarget.
-/// Everything except the stats atomics and loop().Post() is confined to
-/// the shard's loop thread.
+/// Everything except the counters (relaxed atomics, so HEALTH on any
+/// shard can sum them) and loop().Post() is confined to the shard's loop
+/// thread.
 class ShardWorker final : private ConnectionHost {
  public:
   ShardWorker(ShardedServer& owner, size_t index, OsdTarget& target)
-      : owner_(owner), index_(index), target_(target) {}
+      : owner_(owner), index_(index), target_(target) {
+    AttachTelemetry(own_counters_);
+  }
 
   EventLoop& loop() { return loop_; }
   size_t index() const { return index_; }
   OsdTarget& target() { return target_; }
-  ShardWorkerStats& stats() { return stats_; }
-  const ShardWorkerStats& stats() const { return stats_; }
 
+  /// Counts into `registry` from now on (before Run(): nothing is lost).
   void AttachTelemetry(MetricRegistry& registry) {
     tel_accepted_ = &registry.GetCounter("server.connections.accepted");
     tel_closed_ = &registry.GetCounter("server.connections.closed");
+    tel_rejected_ = &registry.GetCounter("server.connections.rejected");
     tel_requests_ = &registry.GetCounter("server.requests");
+    tel_responses_ = &registry.GetCounter("server.responses");
     tel_bytes_in_ = &registry.GetCounter("server.bytes_in");
     tel_bytes_out_ = &registry.GetCounter("server.bytes_out");
     tel_frame_errors_ = &registry.GetCounter("server.frame_errors");
@@ -86,7 +77,7 @@ class ShardWorker final : private ConnectionHost {
     tel_lat_other_ = &registry.GetHistogram("server.latency.other_us");
   }
 
-  // --- Loop-thread entry points (Posted by the acceptor / coordinator).
+  // --- Loop-thread entry points (Posted from shard 0's acceptor and drain).
 
   /// Adopts an accepted socket: constructs the Connection here so its
   /// EventLoop registration happens on the owning thread.
@@ -94,16 +85,14 @@ class ShardWorker final : private ConnectionHost {
     ConnectionHost& host = *this;
     connections_.emplace(id, std::make_unique<Connection>(
                                  fd, id, loop_, host, cfg, peer, pool_));
-    stats_.accepted.fetch_add(1, std::memory_order_relaxed);
-    stats_.active.store(connections_.size(), std::memory_order_relaxed);
-    Inc(tel_accepted_);
-    Set(tel_active_, static_cast<double>(connections_.size()));
+    tel_accepted_->Inc();
+    tel_active_->Set(static_cast<double>(connections_.size()));
     Emit(owner_.events_, ShardedServer::NowNs(), EventSeverity::kDebug,
          "server.accept", "connection accepted",
          {{"peer", peer}, {"conn", std::to_string(id)},
           {"shard", std::to_string(index_)}});
-    // Safety net: the acceptor's per-loop FIFO means BeginDrain always
-    // lands after every adoption it raced with, but be defensive.
+    // Safety net: per-loop FIFO means BeginDrain always lands after every
+    // adoption it raced with, but be defensive.
     if (draining_) connections_[id]->BeginDrain();
   }
 
@@ -133,19 +122,13 @@ class ShardWorker final : private ConnectionHost {
   void ForceCloseAll() {
     size_t n = connections_.size();
     if (n == 0) return;
-    stats_.closed.fetch_add(n, std::memory_order_relaxed);
-    Inc(tel_closed_, n);
+    tel_closed_->Inc(n);
     connections_.clear();
     owner_.active_conns_.fetch_sub(n, std::memory_order_relaxed);
-    stats_.active.store(0, std::memory_order_relaxed);
-    Set(tel_active_, 0);
+    tel_active_->Set(0);
     ReportIfEmpty();
   }
 
-  void CountForwardExecuted() {
-    stats_.forward_executed.fetch_add(1, std::memory_order_relaxed);
-    Inc(tel_forward_executed_);
-  }
 
   /// Delivers a cross-shard response to the connection that deferred the
   /// frame. The connection may have died meanwhile (peer reset): a miss
@@ -153,7 +136,7 @@ class ShardWorker final : private ConnectionHost {
   void DeliverCompletion(uint64_t conn_id, uint64_t token,
                          FramePayload payload, SimTime start_ns, OsdOp op) {
     ObserveLatency(op, start_ns, ShardedServer::NowNs());
-    stats_.responses.fetch_add(1, std::memory_order_relaxed);
+    tel_responses_->Inc();
     auto it = connections_.find(conn_id);
     if (it == connections_.end()) return;
     it->second->Complete(token, std::move(payload));  // may destroy conn
@@ -166,12 +149,10 @@ class ShardWorker final : private ConnectionHost {
     if (IsAdminFrame(payload)) {
       return FrameResult{owner_.HandleAdminFrame(*this, conn, payload)};
     }
-    stats_.requests.fetch_add(1, std::memory_order_relaxed);
-    Inc(tel_requests_);
+    tel_requests_->Inc();
     auto decoded = DecodeCommand(payload);
     if (!decoded.ok()) {
-      stats_.decode_errors.fetch_add(1, std::memory_order_relaxed);
-      Inc(tel_decode_errors_);
+      tel_decode_errors_->Inc();
       Emit(owner_.events_, ShardedServer::NowNs(), EventSeverity::kWarn,
            "server.decode_error", "framed payload is not a valid OSD command",
            {{"peer", conn.peer()},
@@ -179,7 +160,7 @@ class ShardWorker final : private ConnectionHost {
             {"error", std::string(decoded.status().message())}});
       OsdResponse err;
       err.sense = SenseCode::kFail;
-      stats_.responses.fetch_add(1, std::memory_order_relaxed);
+      tel_responses_->Inc();
       return FrameResult{EncodeResponsePayload(std::move(err))};
     }
     SimTime start = ShardedServer::NowNs();
@@ -193,23 +174,32 @@ class ShardWorker final : private ConnectionHost {
       owner_.Forward(*this, conn, std::move(*decoded), route.shard, start);
       return FrameResult{{}, /*deferred=*/true, /*barrier=*/false};
     }
-    // Home shard (or single-shard fan-out): execute synchronously, the
-    // unchanged OsdServer path.
+    // Home shard (or a fan-out with one shard): execute here. The root
+    // span and the latency histogram share the same two clock stamps, so
+    // stage.transport sums equal server.latency sums under sample_every=1.
+    TraceOp root_op = decoded->op == OsdOp::kRead    ? TraceOp::kGet
+                      : decoded->op == OsdOp::kWrite ? TraceOp::kPut
+                                                     : TraceOp::kOsdCommand;
+    RequestTrace root(owner_.tracer_, owner_.trace_root_, root_op, start,
+                      decoded->id.oid);
     OsdResponse resp = target_.Execute(*decoded);
-    ObserveLatency(decoded->op, start, ShardedServer::NowNs());
-    stats_.responses.fetch_add(1, std::memory_order_relaxed);
+    SimTime end = ShardedServer::NowNs();
+    root.set_end(end);
+    root.Finish();
+    ObserveLatency(decoded->op, start, end);
+    tel_responses_->Inc();
+    // The bulk data buffer is moved through EncodeResponseParts into the
+    // frame queue's body span — no payload copy between cache and kernel.
     return FrameResult{EncodeResponsePayload(std::move(resp))};
   }
 
   void OnCorruptFrame(Connection& conn, FrameStatus status) override {
     const char* kind = "bad_magic";
     if (status == FrameStatus::kCrcMismatch) {
-      stats_.crc_errors.fetch_add(1, std::memory_order_relaxed);
-      Inc(tel_crc_errors_);
+      tel_crc_errors_->Inc();
       kind = "crc_mismatch";
     } else {
-      stats_.frame_errors.fetch_add(1, std::memory_order_relaxed);
-      Inc(tel_frame_errors_);
+      tel_frame_errors_->Inc();
       if (status == FrameStatus::kOversized) kind = "oversized_length";
     }
     Emit(owner_.events_, ShardedServer::NowNs(), EventSeverity::kWarn,
@@ -222,10 +212,8 @@ class ShardWorker final : private ConnectionHost {
   }
 
   void OnBytes(uint64_t bytes_in, uint64_t bytes_out) override {
-    stats_.bytes_in.fetch_add(bytes_in, std::memory_order_relaxed);
-    stats_.bytes_out.fetch_add(bytes_out, std::memory_order_relaxed);
-    Inc(tel_bytes_in_, bytes_in);
-    Inc(tel_bytes_out_, bytes_out);
+    tel_bytes_in_->Inc(bytes_in);
+    tel_bytes_out_->Inc(bytes_out);
   }
 
   void OnClose(Connection& conn, std::string_view reason) override {
@@ -236,12 +224,10 @@ class ShardWorker final : private ConnectionHost {
           {"shard", std::to_string(index_)},
           {"reason", std::string(reason)},
           {"frames", std::to_string(conn.frames_handled())}});
-    stats_.closed.fetch_add(1, std::memory_order_relaxed);
-    Inc(tel_closed_);
+    tel_closed_->Inc();
     connections_.erase(conn.id());  // destroys conn
     owner_.active_conns_.fetch_sub(1, std::memory_order_relaxed);
-    stats_.active.store(connections_.size(), std::memory_order_relaxed);
-    Set(tel_active_, static_cast<double>(connections_.size()));
+    tel_active_->Set(static_cast<double>(connections_.size()));
     if (draining_) ReportIfEmpty();
   }
 
@@ -270,12 +256,14 @@ class ShardWorker final : private ConnectionHost {
   std::map<uint64_t, std::unique_ptr<Connection>> connections_;
   bool draining_ = false;
   bool reported_empty_ = false;
-  ShardWorkerStats stats_;
 
-  // Telemetry (null when un-attached).
+  /// Serving counters: in the attached registry, else in own_counters_.
+  MetricRegistry own_counters_;
   Counter* tel_accepted_ = nullptr;
   Counter* tel_closed_ = nullptr;
+  Counter* tel_rejected_ = nullptr;  ///< counted on shard 0 (the acceptor)
   Counter* tel_requests_ = nullptr;
+  Counter* tel_responses_ = nullptr;
   Counter* tel_bytes_in_ = nullptr;
   Counter* tel_bytes_out_ = nullptr;
   Counter* tel_frame_errors_ = nullptr;
@@ -376,9 +364,6 @@ void ShardedServer::AttachShardTelemetry(size_t shard,
                                          MetricRegistry& registry) {
   REO_CHECK(shard < workers_.size());
   workers_[shard]->AttachTelemetry(registry);
-  if (shard == 0) {
-    tel_rejected_ = &registry.GetCounter("server.connections.rejected");
-  }
 }
 
 void ShardedServer::AttachAdmin(std::vector<MetricRegistry*> registries,
@@ -387,70 +372,82 @@ void ShardedServer::AttachAdmin(std::vector<MetricRegistry*> registries,
   series_ = series;
 }
 
+void ShardedServer::AttachTracing(Tracer& tracer) {
+  REO_CHECK(workers_.size() == 1);
+  tracer_ = &tracer;
+  trace_root_ = &tracer.RecorderFor(TraceComponent::kTransport);
+}
+
+EventLoop& ShardedServer::main_loop() { return workers_[0]->loop(); }
+
 void ShardedServer::Run() {
   REO_CHECK(listen_fd_ >= 0);  // Listen() first
   started_ns_ = NowNs();
-  threads_.reserve(workers_.size());
-  for (auto& w : workers_) {
-    threads_.emplace_back([worker = w.get()] { worker->loop().Run(); });
-  }
-  Status st = accept_loop_.Add(listen_fd_, EPOLLIN, [this](uint32_t) {
-    OnAcceptReady();
-  });
-  REO_CHECK(st.ok());
-  accept_loop_.AddTimer(20, [this] { PollDrain(); });
+  WatchListener();
+  // Latch drain requests (RequestDrain may fire from a signal handler:
+  // it only sets the flag and wakes the loop) via a cheap poll timer.
+  main_loop().AddTimer(kDrainPollMs, [this] { PollDrain(); });
   if (series_ != nullptr) {
     series_->Advance(started_ns_);  // pin the ring's epoch to serving start
     RollSeries();
   }
-  accept_loop_.Run();
+  threads_.reserve(workers_.size() - 1);
+  for (size_t k = 1; k < workers_.size(); ++k) {
+    threads_.emplace_back([worker = workers_[k].get()] {
+      worker->loop().Run();
+    });
+  }
+  main_loop().Run();
   for (std::thread& t : threads_) t.join();
   threads_.clear();
 }
 
 void ShardedServer::RollSeries() {
+  // Re-armed one-shot, like PollDrain: close due windows at the ring's
+  // own cadence so SERIES answers stay fresh even with no pollers.
   uint64_t ms = series_->window_ns() / 1'000'000;
   if (ms == 0) ms = 1;
-  accept_loop_.AddTimer(ms, [this] {
+  main_loop().AddTimer(ms, [this] {
     series_->Advance(NowNs());
-    if (!accept_loop_.stopped()) RollSeries();
+    if (!main_loop().stopped()) RollSeries();
   });
 }
 
 void ShardedServer::RequestDrain() {
   drain_requested_.store(true, std::memory_order_relaxed);
-  accept_loop_.Wake();
+  main_loop().Wake();
 }
 
 void ShardedServer::PollDrain() {
-  if (drain_requested_.load(std::memory_order_relaxed) && !drain_begun_) {
-    BeginDrainOnAcceptor();
+  if (drain_requested_.load(std::memory_order_relaxed)) {
+    BeginDrain();
     return;
   }
-  if (!accept_loop_.stopped()) {
-    accept_loop_.AddTimer(20, [this] { PollDrain(); });
+  if (!main_loop().stopped()) {
+    main_loop().AddTimer(kDrainPollMs, [this] { PollDrain(); });
   }
 }
 
-void ShardedServer::BeginDrainOnAcceptor() {
-  drain_begun_ = true;
+void ShardedServer::BeginDrain() {
   draining_.store(true, std::memory_order_relaxed);
   Emit(events_, NowNs(), EventSeverity::kInfo, "server.drain",
        "graceful shutdown requested",
        {{"active", std::to_string(active_conns_.load())},
         {"shards", std::to_string(workers_.size())}});
+  // Stop accepting: close the listening socket outright so clients see
+  // connection-refused instead of a hung handshake.
   if (listen_fd_ >= 0) {
-    accept_loop_.Remove(listen_fd_);
+    main_loop().Remove(listen_fd_);
     close(listen_fd_);
     listen_fd_ = -1;
   }
   // Phase 1 fan-out. Per-loop FIFO ordering guarantees every adoption
-  // this thread posted earlier is processed before its BeginDrain.
+  // posted earlier is processed before its BeginDrain.
   for (auto& w : workers_) {
     ShardWorker* worker = w.get();
     worker->loop().Post([worker] { worker->BeginDrain(); });
   }
-  accept_loop_.AddTimer(config_.drain_timeout_ms, [this] {
+  main_loop().AddTimer(config_.drain_timeout_ms, [this] {
     if (active_conns_.load(std::memory_order_relaxed) == 0) return;
     Emit(events_, NowNs(), EventSeverity::kWarn, "server.drain_timeout",
          "force-closing connections past the drain deadline",
@@ -477,9 +474,27 @@ void ShardedServer::OnWorkerEmpty() {
   for (auto& w : workers_) {
     ShardWorker* worker = w.get();
     worker->loop().Post([worker] { worker->FinishDrain(); });
-    worker->loop().Wake();
   }
-  accept_loop_.Stop();
+}
+
+void ShardedServer::WatchListener() {
+  if (listen_fd_ < 0) return;  // drain closed it during an accept pause
+  Status st = main_loop().Add(listen_fd_, EPOLLIN, [this](uint32_t) {
+    OnAcceptReady();
+  });
+  REO_CHECK(st.ok());
+}
+
+void ShardedServer::PauseAccepting(int error) {
+  // The refused connection stays queued, so the level-triggered listener
+  // would stay readable and spin the loop. Stop watching it for a fixed
+  // pause; served connections keep running and may free descriptors.
+  main_loop().Remove(listen_fd_);
+  Emit(events_, NowNs(), EventSeverity::kWarn, "server.accept_paused",
+       "accept failed for lack of resources; pausing the listener",
+       {{"error", std::strerror(error)},
+        {"pause_ms", std::to_string(kAcceptPauseMs)}});
+  main_loop().AddTimer(kAcceptPauseMs, [this] { WatchListener(); });
 }
 
 void ShardedServer::OnAcceptReady() {
@@ -488,11 +503,16 @@ void ShardedServer::OnAcceptReady() {
     socklen_t len = sizeof(addr);
     int fd = accept4(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len,
                      SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN / transient: try next wake
+    if (fd < 0) {
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        PauseAccepting(errno);
+      }
+      return;  // EAGAIN, or a transient error (ECONNABORTED...): next wake
+    }
     if (active_conns_.load(std::memory_order_relaxed) >=
         config_.max_connections) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      Inc(tel_rejected_);
+      workers_[0]->tel_rejected_->Inc();
       Emit(events_, NowNs(), EventSeverity::kWarn, "server.reject",
            "connection refused at max_connections",
            {{"peer", PeerName(addr)},
@@ -515,8 +535,7 @@ void ShardedServer::OnAcceptReady() {
 
 void ShardedServer::Forward(ShardWorker& home, Connection& conn,
                             OsdCommand&& cmd, size_t dest, SimTime start_ns) {
-  home.stats().forwarded.fetch_add(1, std::memory_order_relaxed);
-  Inc(home.tel_forwarded_);
+  home.tel_forwarded_->Inc();
   auto st = std::make_shared<ForwardState>();
   st->op = cmd.op;
   st->cmd = std::move(cmd);
@@ -526,7 +545,7 @@ void ShardedServer::Forward(ShardWorker& home, Connection& conn,
   st->start_ns = start_ns;
   ShardWorker* dw = workers_[dest].get();
   dw->loop().Post([this, st, dw] {
-    dw->CountForwardExecuted();
+    dw->tel_forward_executed_->Inc();
     OsdResponse resp = dw->target().Execute(st->cmd);
     auto payload = std::make_shared<FramePayload>(
         EncodeResponsePayload(std::move(resp)));
@@ -541,8 +560,7 @@ void ShardedServer::Forward(ShardWorker& home, Connection& conn,
 void ShardedServer::FanOut(ShardWorker& home, Connection& conn,
                            OsdCommand&& cmd, SimTime start_ns) {
   size_t n = workers_.size();
-  home.stats().forwarded.fetch_add(n, std::memory_order_relaxed);
-  Inc(home.tel_forwarded_, n);
+  home.tel_forwarded_->Inc(n);
   auto st = std::make_shared<BarrierState>();
   st->op = cmd.op;
   st->conn_id = conn.id();
@@ -564,7 +582,7 @@ void ShardedServer::FanOut(ShardWorker& home, Connection& conn,
   for (size_t k = 0; k < n; ++k) {
     ShardWorker* w = workers_[k].get();
     w->loop().Post([this, st, w, k] {
-      w->CountForwardExecuted();
+      w->tel_forward_executed_->Inc();
       st->parts[k] = w->target().Execute(st->cmds[k]);
       // acq_rel: the last decrementer observes every shard's part.
       if (st->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
@@ -582,23 +600,21 @@ void ShardedServer::FanOut(ShardWorker& home, Connection& conn,
 
 ShardedServerStats ShardedServer::stats() const {
   ShardedServerStats out;
-  out.rejected = rejected_.load(std::memory_order_relaxed);
   for (const auto& w : workers_) {
-    const ShardWorkerStats& s = w->stats();
-    out.accepted += s.accepted.load(std::memory_order_relaxed);
-    out.closed += s.closed.load(std::memory_order_relaxed);
-    out.requests += s.requests.load(std::memory_order_relaxed);
-    out.responses += s.responses.load(std::memory_order_relaxed);
-    out.bytes_in += s.bytes_in.load(std::memory_order_relaxed);
-    out.bytes_out += s.bytes_out.load(std::memory_order_relaxed);
-    out.frame_errors += s.frame_errors.load(std::memory_order_relaxed);
-    out.crc_errors += s.crc_errors.load(std::memory_order_relaxed);
-    out.decode_errors += s.decode_errors.load(std::memory_order_relaxed);
-    out.admin_requests += s.admin_requests.load(std::memory_order_relaxed);
-    out.admin_errors += s.admin_errors.load(std::memory_order_relaxed);
-    out.forwarded += s.forwarded.load(std::memory_order_relaxed);
-    out.forward_executed +=
-        s.forward_executed.load(std::memory_order_relaxed);
+    out.accepted += w->tel_accepted_->value();
+    out.closed += w->tel_closed_->value();
+    out.rejected += w->tel_rejected_->value();
+    out.requests += w->tel_requests_->value();
+    out.responses += w->tel_responses_->value();
+    out.bytes_in += w->tel_bytes_in_->value();
+    out.bytes_out += w->tel_bytes_out_->value();
+    out.frame_errors += w->tel_frame_errors_->value();
+    out.crc_errors += w->tel_crc_errors_->value();
+    out.decode_errors += w->tel_decode_errors_->value();
+    out.admin_requests += w->tel_admin_requests_->value();
+    out.admin_errors += w->tel_admin_errors_->value();
+    out.forwarded += w->tel_forwarded_->value();
+    out.forward_executed += w->tel_forward_executed_->value();
   }
   return out;
 }
@@ -639,8 +655,7 @@ std::string ShardedServer::HealthJson(const ShardWorker& home) const {
 
 FramePayload ShardedServer::HandleAdminFrame(
     ShardWorker& home, Connection& conn, std::span<const uint8_t> payload) {
-  home.stats().admin_requests.fetch_add(1, std::memory_order_relaxed);
-  Inc(home.tel_admin_requests_);
+  home.tel_admin_requests_->Inc();
   AdminResponse out;
   auto cmd = DecodeAdminCommand(payload);
   if (!cmd.ok()) {
@@ -700,8 +715,7 @@ FramePayload ShardedServer::HandleAdminFrame(
     }
   }
   if (out.status != 0) {
-    home.stats().admin_errors.fetch_add(1, std::memory_order_relaxed);
-    Inc(home.tel_admin_errors_);
+    home.tel_admin_errors_->Inc();
   }
   return FramePayload{EncodeAdminResponse(out), {}, {}};
 }

@@ -1,14 +1,16 @@
-// ShardedServer: N-shard multi-threaded serving over one TCP port.
+// ShardedServer: the network target, serving N shards over one TCP port.
 //
-// The object space is hash-partitioned across N shards (ShardRouter);
-// each shard owns a full serving stack — its own epoll EventLoop thread,
-// its own OsdTarget (and everything behind it: data plane, flash array,
-// persistence journal), and its own connections. Within a shard nothing
-// changed: socket IO and command execution stay single-threaded and
-// lock-free on the shard's loop, exactly the OsdServer model.
+// Exports the OSD wire protocol (osd/transport.h encodings) over TCP. The
+// object space is hash-partitioned across N shards (ShardRouter); each
+// shard owns a full serving stack — its own epoll EventLoop thread, its
+// own OsdTarget (and everything behind it: data plane, flash array,
+// persistence journal), and its own connections. Within a shard, socket
+// IO and command execution stay single-threaded and lock-free on the
+// shard's loop. N = 1 is the single-threaded server: one loop on the
+// calling thread, every command executed inline, nothing forwarded.
 //
 // Cross-shard work moves BETWEEN loops, never shares state:
-//   * An acceptor thread owns the listening socket and hands each new
+//   * Shard 0's loop also owns the listening socket and hands each new
 //     connection to a shard round-robin (connections are not pinned to
 //     the shard of any object — any connection may address any object).
 //   * A frame whose command routes to another shard is FORWARDED: the
@@ -25,22 +27,25 @@
 //     merges the per-shard responses (MergeFanOutResponses) and posts
 //     the reply home. A fan-out frame is a pipeline BARRIER on its
 //     connection: later frames do not dispatch until it completes, so a
-//     FORMAT-then-WRITE pipeline can never reorder.
+//     FORMAT-then-WRITE pipeline can never reorder. With one shard a
+//     fan-out command simply executes inline.
 //
 // The admin plane aggregates: STATS arg 0 answers the bucket-level merge
 // of every shard's registry (MetricRegistry::Merged), arg k >= 1 answers
 // shard k-1 alone; SERIES reads the single whole-process ring (columns
 // sum per-shard metrics by construction — time_series.h); HEALTH sums
 // every shard's counters and names the answering connection's home
-// shard. Existing admin clients (reo_top, admin_probe) work unchanged.
+// shard.
 //
 // Graceful drain is two-phase so forwarded work is never orphaned:
-// phase 1 stops accepting and drains every connection on every shard
-// (in-flight and already-buffered requests complete, including their
-// cross-shard hops); only when EVERY shard's connection map is empty —
-// no forwarded request can be outstanding anywhere — does phase 2 run
-// each shard's on_shard_drained checkpoint hook on its own loop thread
-// and stop the loops.
+// RequestDrain() (async-signal-safe, call it from a SIGTERM handler)
+// closes the listening socket, then phase 1 drains every connection on
+// every shard (in-flight and already-buffered requests complete,
+// including their cross-shard hops); only when EVERY shard's connection
+// map is empty — no forwarded request can be outstanding anywhere — does
+// phase 2 run each shard's on_shard_drained checkpoint hook on its own
+// loop thread and stop the loops. A drain deadline force-closes
+// stragglers so shutdown is bounded.
 #pragma once
 
 #include <atomic>
@@ -60,6 +65,7 @@
 #include "telemetry/metric_registry.h"
 #include "telemetry/time_series.h"
 #include "trace/event_log.h"
+#include "trace/tracer.h"
 
 namespace reo {
 
@@ -86,16 +92,16 @@ struct ShardedServerConfig {
 struct ShardedServerStats {
   uint64_t accepted = 0;
   uint64_t closed = 0;
-  uint64_t rejected = 0;
-  uint64_t requests = 0;
+  uint64_t rejected = 0;       ///< accepts refused at max_connections
+  uint64_t requests = 0;       ///< frames decoded into commands
   uint64_t responses = 0;
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
-  uint64_t frame_errors = 0;
-  uint64_t crc_errors = 0;
-  uint64_t decode_errors = 0;
-  uint64_t admin_requests = 0;
-  uint64_t admin_errors = 0;
+  uint64_t frame_errors = 0;   ///< lost framing: bad magic / oversized length
+  uint64_t crc_errors = 0;     ///< frame CRC32C mismatches
+  uint64_t decode_errors = 0;  ///< framed payloads DecodeCommand rejected
+  uint64_t admin_requests = 0; ///< in-band ADMIN frames served
+  uint64_t admin_errors = 0;   ///< malformed / unservable ADMIN frames
   /// Frames whose command was handed to another loop (each fan-out part
   /// counts once). Invariant: forwarded == forward_executed once idle.
   uint64_t forwarded = 0;
@@ -118,29 +124,33 @@ class ShardedServer {
   Status Listen();
   uint16_t port() const { return port_; }
 
-  /// Spawns one serving thread per shard, runs the acceptor on the
-  /// calling thread, and returns once drain completes everywhere.
+  /// Runs shard 0's loop (and with it the acceptor) on the calling
+  /// thread and one thread per further shard; returns once drain
+  /// completes everywhere.
   void Run();
 
   /// Initiates graceful shutdown. Thread- and async-signal-safe.
   void RequestDrain();
 
-  size_t num_shards() const { return workers_.size(); }
   const ShardRouter& router() const { return router_; }
 
-  /// Wires shard `shard`'s serving counters ("server.*", plus the
-  /// cross-shard "server.forwarded" / "server.forward_executed") into
-  /// its per-shard registry. Call before Run(), once per shard.
+  /// Moves shard `shard`'s serving counters ("server.*", plus the
+  /// cross-shard "server.forwarded" / "server.forward_executed") into its
+  /// per-shard registry; un-attached, a shard counts privately. Call
+  /// before Run(), once per shard.
   void AttachShardTelemetry(size_t shard, MetricRegistry& registry);
 
   /// Shared structured event sink (EventLog is thread-safe; events from
-  /// every shard interleave in global ticket order).
+  /// every shard interleave in global ticket order): accept/close at
+  /// debug, wire corruption and accept pauses at warn, drain milestones
+  /// at info.
   void AttachEvents(EventLog& events) { events_ = &events; }
 
   /// Enables in-band ADMIN on every connection. `registries[k]` is
   /// shard k's registry: STATS arg 0 answers their bucket-level merge,
   /// arg k >= 1 answers shard k-1, anything larger is an error.
-  /// `series` is the single whole-process ring (may be null).
+  /// `series` is the single whole-process ring (may be null); Run()
+  /// rolls its windows on a loop timer at the ring's own interval.
   void AttachAdmin(std::vector<MetricRegistry*> registries,
                    TimeSeriesRing* series);
 
@@ -152,14 +162,16 @@ class ShardedServer {
     cluster_dirs_ = std::move(directories);
   }
 
+  /// Opens a sampled root span (the transport track) around every data
+  /// command, with the same clock stamps the service-latency histograms
+  /// observe — so with sample_every == 1 the stage.transport totals match
+  /// server.latency.* exactly (the attribution invariant tests pin).
+  /// One shard only: a Tracer is single-threaded.
+  void AttachTracing(Tracer& tracer);
+
   /// Counters summed across every shard (safe to call after Run()
   /// returns, or concurrently — per-shard counters are relaxed atomics).
   ShardedServerStats stats() const;
-
-  /// Connections currently open, summed across shards.
-  size_t active_connections() const {
-    return active_conns_.load(std::memory_order_relaxed);
-  }
 
  private:
   friend class ShardWorker;
@@ -167,9 +179,13 @@ class ShardedServer {
   struct ForwardState;
   struct BarrierState;
 
+  /// Shard 0's loop: it also runs the acceptor, drain and series timers.
+  EventLoop& main_loop();
+  void WatchListener();
   void OnAcceptReady();
+  void PauseAccepting(int error);
   void PollDrain();
-  void BeginDrainOnAcceptor();
+  void BeginDrain();
   /// Worker -> coordinator: this shard's connection map went (and every
   /// subsequent map stays) empty. The last reporter triggers phase 2.
   void OnWorkerEmpty();
@@ -189,25 +205,25 @@ class ShardedServer {
   ShardedServerConfig config_;
   ShardRouter router_;
   std::vector<std::unique_ptr<ShardWorker>> workers_;
-  std::vector<std::thread> threads_;
-  EventLoop accept_loop_;
-  int listen_fd_ = -1;
+  std::vector<std::thread> threads_;  ///< shards 1..N-1
+  int listen_fd_ = -1;         ///< shard 0's loop only (after Listen())
   uint16_t port_ = 0;
-  uint64_t next_conn_id_ = 1;  ///< acceptor thread only
-  size_t next_shard_rr_ = 0;   ///< acceptor thread only
+  uint64_t next_conn_id_ = 1;  ///< shard 0's loop only
+  size_t next_shard_rr_ = 0;   ///< shard 0's loop only
   std::atomic<size_t> active_conns_{0};
-  std::atomic<uint64_t> rejected_{0};
+  /// Set by RequestDrain() (possibly from a signal handler — lock-free
+  /// relaxed atomics are async-signal-safe); latched on shard 0's loop.
   std::atomic<bool> drain_requested_{false};
-  bool drain_begun_ = false;  ///< acceptor thread only
   std::atomic<size_t> empty_workers_{0};
   std::atomic<bool> draining_{false};  ///< for HEALTH status
-  SimTime started_ns_ = 0;
+  SimTime started_ns_ = 0;  ///< Run() entry stamp, for health uptime
 
   EventLog* events_ = nullptr;
   std::vector<MetricRegistry*> registries_;
   TimeSeriesRing* series_ = nullptr;
   std::vector<const ClusterDirectory*> cluster_dirs_;
-  Counter* tel_rejected_ = nullptr;  ///< shard 0's registry (acceptor-side)
+  Tracer* tracer_ = nullptr;
+  SpanRecorder* trace_root_ = nullptr;
 };
 
 }  // namespace reo

@@ -5,113 +5,60 @@
 
 namespace reo {
 
-void CacheSimulator::BuildShard(size_t index, uint64_t shard_capacity) {
+void CacheSimulator::BuildShard(size_t index, uint64_t raw_capacity) {
   shards_[index] = std::make_unique<ShardInstance>();
   ShardInstance& s = *shards_[index];
 
-  // Devices are far larger than the cache budget (the paper's 5 x 120 GB
-  // array vs a ~1.7 GB configured cache): each simulated device could hold
-  // the whole budget, and the budget itself is enforced logically by the
-  // stripe manager. Failures therefore cost data, not allocatable space.
-  FlashDeviceConfig dev = config_.device;
-  dev.capacity_bytes = std::max<uint64_t>(shard_capacity,
-                                          4 * config_.chunk_logical_bytes);
-  s.array = std::make_unique<FlashArray>(config_.num_devices, dev);
+  NodeStackConfig sc;
+  sc.policy = config_.policy;
+  sc.num_devices = config_.num_devices;
+  sc.capacity_bytes = raw_capacity;
+  sc.chunk_logical_bytes = config_.chunk_logical_bytes;
+  sc.scale_shift = config_.scale_shift;
+  sc.device = config_.device;
+  sc.admission = config_.admission;
+  sc.faults = config_.faults;
+  sc.failslow = config_.failslow;
+  sc.persistence = config_.persistence;
+  NodeStackSinks sinks{.registry = &s.telemetry};
+  if (config_.enable_tracing) {
+    sinks.events = &tracer_.events();
+    sinks.tracer = &tracer_;
+  }
+  auto stack = NodeStack::Build(sc, index, shards_.size(), sinks);
+  // Simulator runs treat an unopenable data dir as a configuration error;
+  // the REO_CHECK keeps misconfigured benches from silently running
+  // without the durability they asked for.
+  REO_CHECK(stack.ok());
+  s.stack = std::move(*stack);
+  NodeStack& n = s.stack;
 
-  StripeManagerConfig smc;
-  smc.chunk_logical_bytes = config_.chunk_logical_bytes;
-  smc.scale_shift = config_.scale_shift;
-  smc.capacity_limit_bytes = shard_capacity;
-  s.stripes = std::make_unique<StripeManager>(*s.array, smc);
-
-  s.plane = std::make_unique<ReoDataPlane>(*s.stripes,
-                                           RedundancyPolicy(config_.policy));
-  s.target = std::make_unique<OsdTarget>(*s.plane);
   s.backend = std::make_unique<BackendStore>(config_.hdd, config_.net);
-
-  if (config_.persistence.enabled()) {
-    // Each shard journals independently (shard K under data_dir/shardK
-    // when sharded, flat when not — matching reo_server's layout).
-    PersistenceConfig pc = config_.persistence;
-    if (shards_.size() > 1) {
-      pc.data_dir += "/shard" + std::to_string(index);
-    }
-    auto persist = PersistenceManager::Open(pc);
-    // Simulator runs treat an unopenable data dir as a configuration
-    // error; the REO_CHECK keeps misconfigured benches from silently
-    // running without the durability they asked for.
-    REO_CHECK(persist.ok());
-    s.persist = std::move(*persist);
-    s.persist->AttachTelemetry(s.telemetry);
-    s.plane->AttachPersistence(s.persist.get());
-  }
-
-  if (!config_.faults.empty()) {
-    // Deterministic fault injection: per-site seeded streams, so the same
-    // spec + seed reproduces the exact same fault sequence (DESIGN.md
-    // "Fault model & partial-failure handling"). Shard K reseeds with
-    // seed + K so shards do not fault in lockstep.
-    FaultSpec spec = config_.faults;
-    spec.seed += index;
-    s.injector = std::make_unique<FaultInjector>(spec);
-    s.failslow = std::make_unique<FailSlowDetector>(
-        static_cast<uint32_t>(config_.num_devices), config_.failslow);
-    s.array->AttachFaults(s.injector.get(), s.failslow.get());
-    s.backend->AttachFaults(s.injector.get());
-    if (s.persist) s.persist->AttachFaults(s.injector.get());
-    s.injector->AttachTelemetry(s.telemetry);
-    s.failslow->AttachTelemetry(s.telemetry);
-    // Seed the retry backoff jitter from the fault seed so the whole
-    // failure/recovery interleaving is reproducible.
-    s.plane->ConfigureRetry(s.plane->retry_policy(), spec.seed);
-  }
+  if (n.injector) s.backend->AttachFaults(n.injector.get());
 
   CacheManagerConfig cmc = config_.cache;
   cmc.verify_hits = config_.verify_hits;
   cmc.failslow_demote = config_.failslow_demote;
-  s.cache = std::make_unique<CacheManager>(*s.target, *s.plane, *s.backend,
+  s.cache = std::make_unique<CacheManager>(*n.target, *n.plane, *s.backend,
                                            cmc);
-  if (s.persist) s.cache->AttachPersistence(s.persist.get());
-  if (s.failslow) s.cache->AttachFaultDetector(s.failslow.get());
-
-  if (config_.admission.dram_bytes > 0) {
-    AdmissionConfig ac = config_.admission;
-    ac.dram_bytes = config_.admission.dram_bytes / shards_.size();
-    s.admit = std::make_unique<AdmissionTier>(ac);
-    s.plane->AttachAdmission(*s.admit);
-    // Graduating objects classify from observed hotness, not the staged
-    // cold-start guess.
-    s.cache->AttachAdmission(*s.admit);
-  }
+  if (n.persist) s.cache->AttachPersistence(n.persist.get());
+  if (n.failslow) s.cache->AttachFaultDetector(n.failslow.get());
+  // Graduating objects classify from observed hotness, not the staged
+  // cold-start guess.
+  if (n.admission) s.cache->AttachAdmission(*n.admission);
 
   if (config_.wire_transport) {
-    s.transport = std::make_unique<OsdTransport>(*s.target, config_.net);
+    s.transport = std::make_unique<OsdTransport>(*n.target, config_.net);
     s.cache->initiator_mutable().UseTransport(s.transport.get());
   }
 
-  // Attach every layer to the shard's registry (the cache manager attaches
-  // its recovery scheduler itself).
-  s.array->AttachTelemetry(s.telemetry);
-  s.plane->AttachTelemetry(s.telemetry);
-  s.target->AttachTelemetry(s.telemetry);
+  // The cache manager attaches its recovery scheduler itself.
   s.cache->AttachTelemetry(s.telemetry);
   if (s.transport) s.transport->AttachTelemetry(s.telemetry);
-  if (s.admit) s.admit->AttachTelemetry(s.telemetry);
-
   if (config_.enable_tracing) {
-    // The cache manager fans out to the data plane (stripes + flash
-    // devices) and the backend; the target and wire transport attach here.
     // Replay is single-threaded, so every shard can share the one tracer.
-    s.cache->AttachTracing(tracer_);
-    s.target->AttachTracing(tracer_);
+    s.cache->AttachTracing(tracer_);  // and the backend's
     if (s.transport) s.transport->AttachTracing(tracer_);
-    if (s.persist) s.persist->AttachEvents(tracer_.events());
-    // Partial-failure milestones (retry exhaustion, CRC repairs, scrub
-    // findings, fail-slow flags) land in the same event log.
-    s.plane->AttachEvents(tracer_.events());
-    if (s.injector) s.injector->AttachEvents(tracer_.events());
-    if (s.failslow) s.failslow->AttachEvents(tracer_.events());
-    if (s.admit) s.admit->AttachEvents(tracer_.events());
   }
 }
 
@@ -127,8 +74,7 @@ CacheSimulator::CacheSimulator(const Trace& trace, SimulationConfig config)
   // Capacity splits evenly: each shard serves ~1/N of the dataset (hash
   // partition), so its slice keeps the configured cache fraction.
   shards_.resize(router_.num_shards());
-  uint64_t shard_capacity = raw_capacity / shards_.size();
-  for (size_t k = 0; k < shards_.size(); ++k) BuildShard(k, shard_capacity);
+  for (size_t k = 0; k < shards_.size(); ++k) BuildShard(k, raw_capacity);
 
   if (config_.enable_tracing) sim_ev_ = &tracer_.events();
 
@@ -137,7 +83,8 @@ CacheSimulator::CacheSimulator(const Trace& trace, SimulationConfig config)
     ObjectId id = ObjectCatalog::IdFor(i);
     uint64_t logical = trace_.catalog.sizes[i];
     ShardInstance& s = *shards_[router_.ShardOf(id)];
-    s.backend->RegisterObject(id, logical, s.stripes->PhysicalSize(logical));
+    s.backend->RegisterObject(id, logical,
+                              s.stack.stripes->PhysicalSize(logical));
   }
   for (auto& s : shards_) s->cache->Initialize(clock_.now());
 }
@@ -265,12 +212,12 @@ RunReport CacheSimulator::Run() {
     report.cache.reclassifications += cs.reclassifications;
     report.cache.verify_failures += cs.verify_failures;
     report.cache.uncacheable += cs.uncacheable;
-    SpaceStats ss = s.stripes->Space();
+    SpaceStats ss = s.stack.stripes->Space();
     report.space.user_bytes += ss.user_bytes;
     report.space.redundancy_bytes += ss.redundancy_bytes;
     report.space.capacity_bytes += ss.capacity_bytes;
     report.space.free_bytes += ss.free_bytes;
-    OsdTargetStats os = s.target->stats();
+    OsdTargetStats os = s.stack.target->stats();
     report.osd.commands += os.commands;
     report.osd.reads += os.reads;
     report.osd.read_misses += os.read_misses;
@@ -278,17 +225,14 @@ RunReport CacheSimulator::Run() {
     report.osd.control_messages += os.control_messages;
     report.osd.degraded_reads += os.degraded_reads;
     report.osd.sense_errors += os.sense_errors;
-    report.max_wear = std::max(report.max_wear, s.array->MaxWearFraction());
-    report.raw_capacity_bytes += s.array->total_capacity_bytes();
+    report.max_wear =
+        std::max(report.max_wear, s.stack.array->MaxWearFraction());
+    report.raw_capacity_bytes += s.stack.array->total_capacity_bytes();
   }
-  if (shards_.size() == 1) {
-    report.telemetry = shards_[0]->telemetry.Snapshot();
-  } else {
-    std::vector<const MetricRegistry*> regs;
-    regs.reserve(shards_.size());
-    for (auto& s : shards_) regs.push_back(&s->telemetry);
-    report.telemetry = MetricRegistry::Merged(regs);
-  }
+  std::vector<const MetricRegistry*> regs;
+  regs.reserve(shards_.size());
+  for (auto& s : shards_) regs.push_back(&s->telemetry);
+  report.telemetry = MetricRegistry::Merged(regs);
   report.trace = tracer_.Stats();
   return report;
 }

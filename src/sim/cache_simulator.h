@@ -1,10 +1,11 @@
 // End-to-end experiment driver.
 //
-// Wires the whole system together — client trace, cache manager, OSD
-// target, differentiated-redundancy data plane, flash array, backend store
-// — under the virtual clock, replays a trace closed-loop, injects device
-// failures / spare insertions at scripted request indices (paper §VI.C),
-// and reports the paper's metrics.
+// Runs the whole system under the virtual clock — the serving stack
+// (NodeStack: flash array, data plane, OSD target, and what hangs off
+// them) plus the backend store, the cache manager and, optionally, the
+// wire transport — replays a trace closed-loop, injects device failures /
+// spare insertions at scripted request indices (paper §VI.C), and reports
+// the paper's metrics.
 //
 // With `shards` > 1 the simulator models the sharded server: the object
 // space is hash-partitioned (ShardRouter) across N independent stacks —
@@ -19,13 +20,10 @@
 #include <string>
 #include <vector>
 
-#include "admit/admission_tier.h"
 #include "backend/backend_store.h"
 #include "core/cache_manager.h"
-#include "fault/failslow.h"
-#include "fault/fault_injector.h"
-#include "fault/fault_spec.h"
-#include "persist/persistence.h"
+#include "core/node_stack.h"
+#include "osd/transport.h"
 #include "shard/shard_router.h"
 #include "sim/metrics.h"
 #include "telemetry/metric_registry.h"
@@ -160,54 +158,30 @@ class CacheSimulator {
   /// Replays the trace (optionally after a warm-up pass) and reports.
   RunReport Run();
 
-  /// Component access for integration tests and examples; with shards > 1
-  /// these answer for shard 0 (use shard_count()/cache_of() to reach the
-  /// rest).
-  CacheManager& cache() { return *shards_[0]->cache; }
-  StripeManager& stripes() { return *shards_[0]->stripes; }
-  FlashArray& array() { return *shards_[0]->array; }
-  BackendStore& backend() { return *shards_[0]->backend; }
-  OsdTarget& target() { return *shards_[0]->target; }
-  /// Live metric registry (all layers attached); snapshot at any time.
-  /// Shard 0's registry with shards > 1 (RunReport carries the merge).
-  MetricRegistry& telemetry() { return shards_[0]->telemetry; }
+  /// Component access for integration tests and examples: shard `k`'s
+  /// cache manager and serving stack (faults, journal and admission tier
+  /// are null unless configured).
+  CacheManager& cache(size_t k = 0) { return *shards_[k]->cache; }
+  NodeStack& stack(size_t k = 0) { return shards_[k]->stack; }
+  size_t shard_count() const { return shards_.size(); }
   /// Tracing sink (spans + event log). Inert unless `enable_tracing`;
   /// export with ChromeTraceJson / TraceReportText after Run().
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
-  /// Durable-state manager; null unless `persistence.data_dir` was set.
-  PersistenceManager* persistence() { return shards_[0]->persist.get(); }
-  /// Fault injector; null unless `faults` had rules.
-  FaultInjector* fault_injector() { return shards_[0]->injector.get(); }
-  /// Fail-slow detector; null unless `faults` had rules.
-  FailSlowDetector* failslow_detector() { return shards_[0]->failslow.get(); }
-  /// DRAM admission tier; null unless `admission.dram_bytes` was set.
-  AdmissionTier* admission_tier() { return shards_[0]->admit.get(); }
-
-  size_t shard_count() const { return shards_.size(); }
-  const ShardRouter& router() const { return router_; }
-  CacheManager& cache_of(size_t shard) { return *shards_[shard]->cache; }
-  OsdTarget& target_of(size_t shard) { return *shards_[shard]->target; }
 
  private:
-  /// One shard's full stack; declaration order is destruction-safe
-  /// (registry before the components that cache pointers into it).
+  /// One shard: the serving stack plus what only the simulator adds.
+  /// Declaration order is destruction-safe (registry before the
+  /// components that cache pointers into it).
   struct ShardInstance {
     MetricRegistry telemetry;
-    std::unique_ptr<FlashArray> array;
-    std::unique_ptr<StripeManager> stripes;
-    std::unique_ptr<ReoDataPlane> plane;
-    std::unique_ptr<OsdTarget> target;
+    NodeStack stack;
     std::unique_ptr<OsdTransport> transport;  ///< only when wire_transport
     std::unique_ptr<BackendStore> backend;
-    std::unique_ptr<PersistenceManager> persist;  ///< only when data_dir set
-    std::unique_ptr<FaultInjector> injector;      ///< only when faults set
-    std::unique_ptr<FailSlowDetector> failslow;   ///< only when faults set
-    std::unique_ptr<AdmissionTier> admit;  ///< only when dram_bytes > 0
     std::unique_ptr<CacheManager> cache;
   };
 
-  void BuildShard(size_t index, uint64_t shard_capacity);
+  void BuildShard(size_t index, uint64_t raw_capacity);
   void ReplayUnmeasured();
   CacheManager& Route(ObjectId id) {
     return *shards_[router_.ShardOf(id)]->cache;

@@ -220,42 +220,8 @@ void MetricRegistry::Reset() {
 }
 
 MetricSnapshot MetricRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  MetricSnapshot snap;
-  snap.entries.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  for (const auto& [name, c] : counters_) {
-    MetricSnapshot::Entry e;
-    e.name = name;
-    e.kind = MetricSnapshot::Kind::kCounter;
-    e.value = static_cast<double>(c->value());
-    snap.entries.push_back(std::move(e));
-  }
-  for (const auto& [name, g] : gauges_) {
-    MetricSnapshot::Entry e;
-    e.name = name;
-    e.kind = MetricSnapshot::Kind::kGauge;
-    e.value = g->value();
-    snap.entries.push_back(std::move(e));
-  }
-  for (const auto& [name, h] : histograms_) {
-    Histogram merged = h->Merged();
-    MetricSnapshot::Entry e;
-    e.name = name;
-    e.kind = MetricSnapshot::Kind::kHistogram;
-    e.count = merged.count();
-    e.mean = merged.mean();
-    e.p50 = merged.Percentile(0.50);
-    e.p99 = merged.Percentile(0.99);
-    e.p999 = merged.Percentile(0.999);
-    e.max = merged.max();
-    e.sum = merged.sum();
-    snap.entries.push_back(std::move(e));
-  }
-  std::sort(snap.entries.begin(), snap.entries.end(),
-            [](const MetricSnapshot::Entry& a, const MetricSnapshot::Entry& b) {
-              return a.name < b.name;
-            });
-  return snap;
+  const MetricRegistry* self = this;
+  return Merged({&self, 1});
 }
 
 MetricSnapshot MetricRegistry::Merged(
@@ -273,7 +239,10 @@ MetricSnapshot MetricRegistry::Merged(
       counters[name] += static_cast<double>(c->value());
     }
     for (const auto& [name, g] : reg->gauges_) {
-      gauges[name] += g->value();
+      // The first registry's value is taken as is, so a one-registry
+      // merge reproduces even a -0.0 gauge exactly.
+      auto [it, fresh] = gauges.try_emplace(name, g->value());
+      if (!fresh) it->second += g->value();
     }
     for (const auto& [name, h] : reg->histograms_) {
       histograms[name].Merge(h->Merged());

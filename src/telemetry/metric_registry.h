@@ -217,6 +217,7 @@ class MetricRegistry {
   /// Zeroes every metric, keeping registrations (and addresses) intact.
   void Reset();
 
+  /// This registry alone: Merged({this}).
   MetricSnapshot Snapshot() const;
 
   /// One snapshot merged across several registries — the multi-shard

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster_initiator.h"
@@ -20,10 +19,11 @@
 #include "cluster/node_health.h"
 #include "cluster/recovery_driver.h"
 #include "common/rng.h"
+#include "map_data_plane.h"
 #include "osd/cluster_directory.h"
 #include "osd/control_protocol.h"
 #include "osd/osd_target.h"
-#include "server/osd_server.h"
+#include "shard/sharded_server.h"
 #include "trace/event_log.h"
 
 namespace reo {
@@ -279,40 +279,6 @@ TEST(ClusterDirectoryTest, MergedJsonOrdersClassThenHotness) {
 
 // --- Three-node kill drill --------------------------------------------------
 
-/// Payload-preserving data plane for the drill's node processes (same
-/// shape as server_test's, local copy to keep the test self-contained).
-class MapDataPlane final : public DataPlane {
- public:
-  Result<DataPlaneIo> WriteObject(ObjectId id, std::span<const uint8_t> payload,
-                                  uint64_t, uint8_t, SimTime now) override {
-    data_[id].assign(payload.begin(), payload.end());
-    return DataPlaneIo{.complete = now};
-  }
-  Result<DataPlaneIo> ReadObject(ObjectId id, SimTime now) override {
-    auto it = data_.find(id);
-    if (it == data_.end()) return Status{ErrorCode::kNotFound, "no data"};
-    DataPlaneIo io;
-    io.complete = now;
-    io.payload.assign(it->second.begin(), it->second.end());
-    return io;
-  }
-  Status RemoveObject(ObjectId id) override {
-    return data_.erase(id) ? Status::Ok()
-                           : Status{ErrorCode::kNotFound, "no data"};
-  }
-  Status SetObjectClass(ObjectId, uint8_t, SimTime) override {
-    return Status::Ok();
-  }
-  ObjectHealth Health(ObjectId id) const override {
-    return data_.contains(id) ? ObjectHealth::kIntact : ObjectHealth::kAbsent;
-  }
-  bool recovery_active() const override { return false; }
-  bool HasSpaceFor(uint64_t, uint8_t) const override { return true; }
-
- private:
-  std::unordered_map<ObjectId, std::vector<uint8_t>, ObjectIdHash> data_;
-};
-
 constexpr uint32_t kDrillObjects = 120;
 constexpr uint64_t kDrillBytes = 4096;
 
@@ -332,8 +298,9 @@ std::vector<uint8_t> DrillPayload(uint32_t rank) {
   OsdTarget target(plane);
   ClusterDirectory directory(node_id);
   target.AttachCluster(directory);
-  OsdServer server(target, OsdServerConfig{});
-  server.AttachCluster(directory);
+  OsdTarget* targets[] = {&target};
+  ShardedServer server(targets);
+  server.AttachCluster({&directory});
   if (!server.Listen().ok()) _exit(2);
   uint16_t port = static_cast<uint16_t>(server.port());
   if (write(port_fd, &port, sizeof(port)) != sizeof(port)) _exit(3);

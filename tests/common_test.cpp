@@ -271,30 +271,7 @@ TEST(ZipfTest, HigherSkewConcentratesMass) {
   EXPECT_GT(strong.Cdf(9), weak.Cdf(9));
 }
 
-// --- Histogram / stats -------------------------------------------------------
-
-TEST(StatAccumulatorTest, Basics) {
-  StatAccumulator s;
-  EXPECT_EQ(s.count(), 0u);
-  s.Add(2.0);
-  s.Add(4.0);
-  s.Add(6.0);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 6.0);
-}
-
-TEST(StatAccumulatorTest, Merge) {
-  StatAccumulator a, b;
-  a.Add(1.0);
-  b.Add(3.0);
-  b.Add(5.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(a.max(), 5.0);
-}
+// --- Histogram -------------------------------------------------------------
 
 // The bit-scan bucketing must agree with the original log2 formulation for
 // every double. Exhaustive over the sensitive inputs: the exact nominal

@@ -605,11 +605,13 @@ TEST(FaultSimulationTest, SameSpecAndSeedReproducesTheRun) {
   RunReport ra = a.Run();
   RunReport rb = b.Run();
 
-  ASSERT_NE(a.fault_injector(), nullptr);
-  ASSERT_NE(b.fault_injector(), nullptr);
-  EXPECT_GT(a.fault_injector()->injected_total(), 0u);
+  FaultInjector* fa = a.stack().injector.get();
+  FaultInjector* fb = b.stack().injector.get();
+  ASSERT_NE(fa, nullptr);
+  ASSERT_NE(fb, nullptr);
+  EXPECT_GT(fa->injected_total(), 0u);
   // Identical fault sequence, record for record...
-  EXPECT_EQ(a.fault_injector()->history(), b.fault_injector()->history());
+  EXPECT_EQ(fa->history(), fb->history());
   // ...and an identical run on top of it.
   EXPECT_EQ(ra.total.requests, rb.total.requests);
   EXPECT_EQ(ra.total.hits, rb.total.hits);

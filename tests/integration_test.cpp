@@ -168,7 +168,7 @@ TEST(IntegrationTest, SpareInsertionEnablesFullRecovery) {
   // With a spare and 1 parity everything recoverable is eventually rebuilt.
   CacheSimulator* s = &sim;
   s->cache().DrainRecovery(0);
-  EXPECT_TRUE(s->stripes().DamagedObjects().empty());
+  EXPECT_TRUE(s->stack().stripes->DamagedObjects().empty());
 }
 
 TEST(IntegrationTest, ReoSpaceEfficiencyTracksReserve) {

@@ -539,7 +539,7 @@ TEST(PersistParityTest, DisabledPersistenceMatchesInMemoryRun) {
   EXPECT_DOUBLE_EQ(a.total.AvgLatencyMs(), b.total.AvgLatencyMs());
 
   // And the durable run really did persist the cache's current contents.
-  EXPECT_GT(durable.persistence()->live_objects(), 0u);
+  EXPECT_GT(durable.stack().persist->live_objects(), 0u);
 }
 
 }  // namespace

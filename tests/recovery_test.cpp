@@ -110,6 +110,7 @@ TEST(RecoveryTimelineTest, EventLogShowsDifferentiatedOrder) {
       std::make_unique<CacheManager>(*target, *plane, *backend, cfg);
   Tracer tracer;
   cache->AttachTracing(tracer);
+  plane->AttachTracing(tracer);
   cache->Initialize(0);
 
   SimClock clock;

@@ -1,31 +1,37 @@
 // Loopback integration tests for the network serving layer: a real
-// OsdServer on an ephemeral port, a SocketInitiator doing OSD round
-// trips over TCP, graceful drain with pipelined in-flight requests, and
-// wire-corruption accounting. Plus unit coverage for the frame codec
-// and the timer wheel, which the sockets above exercise only indirectly.
+// one-shard ShardedServer on an ephemeral port, a SocketInitiator doing
+// OSD round trips over TCP, graceful drain with pipelined in-flight
+// requests, wire-corruption accounting, and the listener's back-off when
+// the process runs out of file descriptors. Plus unit coverage for the
+// frame codec and the timer wheel, which the sockets above exercise only
+// indirectly.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <thread>
-#include <unordered_map>
+#include <vector>
 
+#include "map_data_plane.h"
+#include "osd/control_protocol.h"
 #include "osd/osd_target.h"
 #include "osd/transport.h"
-#include <sys/uio.h>
-
 #include "server/admin_protocol.h"
 #include "server/event_loop.h"
 #include "server/frame.h"
 #include "server/frame_queue.h"
-#include "server/osd_server.h"
 #include "server/socket_initiator.h"
+#include "shard/sharded_server.h"
 #include "telemetry/json_scan.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/time_series.h"
@@ -34,40 +40,6 @@
 
 namespace reo {
 namespace {
-
-/// Payload-preserving data plane: enough storage semantics to verify
-/// byte-exact round trips without dragging in the flash stack.
-class MapDataPlane final : public DataPlane {
- public:
-  Result<DataPlaneIo> WriteObject(ObjectId id, std::span<const uint8_t> payload,
-                                  uint64_t, uint8_t, SimTime now) override {
-    data_[id].assign(payload.begin(), payload.end());
-    return DataPlaneIo{.complete = now};
-  }
-  Result<DataPlaneIo> ReadObject(ObjectId id, SimTime now) override {
-    auto it = data_.find(id);
-    if (it == data_.end()) return Status{ErrorCode::kNotFound, "no data"};
-    DataPlaneIo io;
-    io.complete = now;
-    io.payload.assign(it->second.begin(), it->second.end());
-    return io;
-  }
-  Status RemoveObject(ObjectId id) override {
-    return data_.erase(id) ? Status::Ok()
-                           : Status{ErrorCode::kNotFound, "no data"};
-  }
-  Status SetObjectClass(ObjectId, uint8_t, SimTime) override {
-    return Status::Ok();
-  }
-  ObjectHealth Health(ObjectId id) const override {
-    return data_.contains(id) ? ObjectHealth::kIntact : ObjectHealth::kAbsent;
-  }
-  bool recovery_active() const override { return false; }
-  bool HasSpaceFor(uint64_t, uint8_t) const override { return true; }
-
- private:
-  std::unordered_map<ObjectId, std::vector<uint8_t>, ObjectIdHash> data_;
-};
 
 constexpr ObjectId kTestObject{kFirstUserId, kFirstUserId + 0x2000};
 
@@ -78,12 +50,13 @@ OsdCommand FormatCmd() {
   return c;
 }
 
-/// Server + loop thread + client, torn down in order.
+/// One-shard server + loop thread + client, torn down in order.
 class ServerTest : public ::testing::Test {
  protected:
-  void StartServer(OsdServerConfig cfg = {}) {
-    server_ = std::make_unique<OsdServer>(target_, cfg);
-    server_->AttachTelemetry(telemetry_);
+  void StartServer(ShardedServerConfig cfg = {}) {
+    OsdTarget* targets[] = {&target_};
+    server_ = std::make_unique<ShardedServer>(targets, cfg);
+    server_->AttachShardTelemetry(0, telemetry_);
     server_->AttachEvents(events_);
     ASSERT_TRUE(server_->Listen().ok());
     ASSERT_GT(server_->port(), 0);
@@ -93,15 +66,16 @@ class ServerTest : public ::testing::Test {
   /// Full observability wiring: metrics + admin plane + every-request
   /// tracing into the per-stage histograms (sample_every = 1, so the
   /// attribution-equality assertions are exact, not statistical).
-  void StartAdminServer(OsdServerConfig cfg = {}) {
-    server_ = std::make_unique<OsdServer>(target_, cfg);
-    server_->AttachTelemetry(telemetry_);
+  void StartAdminServer() {
+    OsdTarget* targets[] = {&target_};
+    server_ = std::make_unique<ShardedServer>(targets);
+    server_->AttachShardTelemetry(0, telemetry_);
     server_->AttachEvents(events_);
     tracer_.AttachStageMetrics(telemetry_);
     target_.AttachTracing(tracer_);
     server_->AttachTracing(tracer_);
     TrackServingDefaults(telemetry_, series_, /*num_devices=*/0);
-    server_->AttachAdmin(&telemetry_, &series_);
+    server_->AttachAdmin({&telemetry_}, &series_);
     ASSERT_TRUE(server_->Listen().ok());
     ASSERT_GT(server_->port(), 0);
     loop_thread_ = std::thread([this] { server_->Run(); });
@@ -122,7 +96,7 @@ class ServerTest : public ::testing::Test {
   Tracer tracer_{TracerConfig{.sample_every = 1}};
   TimeSeriesRing series_{
       TimeSeriesConfig{.window_ns = 50'000'000, .capacity = 64}};
-  std::unique_ptr<OsdServer> server_;
+  std::unique_ptr<ShardedServer> server_;
   std::thread loop_thread_;
 };
 
@@ -520,8 +494,73 @@ TEST_F(ServerTest, StageLatencyAttributionMatchesEndToEnd) {
   EXPECT_EQ(target_stage->count, end_to_end_count);
 }
 
+// One shard never forwards: namespace commands (FORMAT, LIST) and control
+// writes, which fan out or route by their embedded target at N > 1, all
+// execute inline on the one loop, and the admin plane answers for shard 0.
+TEST_F(ServerTest, OneShardRunsEveryCommandInline) {
+  StartAdminServer();
+  SocketInitiator client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(client.Roundtrip(FormatCmd()).ok());
+
+  OsdCommand create;
+  create.op = OsdOp::kCreate;
+  create.id = kTestObject;
+  create.logical_size = 64;
+  ASSERT_TRUE(client.Roundtrip(create).ok());
+  OsdCommand setid;
+  setid.op = OsdOp::kWrite;
+  setid.id = kControlObject;
+  setid.data = EncodeControlMessage(
+      SetIdCommand{.target = kTestObject, .class_id = 2});
+  setid.logical_size = setid.data.size();
+  ASSERT_TRUE(client.Roundtrip(setid).ok());
+  OsdCommand list;
+  list.op = OsdOp::kList;
+  list.id = ObjectId{kTestObject.pid, 0};
+  OsdResponse listed = client.Roundtrip(list);
+  ASSERT_TRUE(listed.ok());
+  EXPECT_NE(std::find(listed.list.begin(), listed.list.end(), kTestObject.oid),
+            listed.list.end());
+  constexpr double kDataRequests = 4;
+
+  auto health = client.AdminRoundtrip(AdminOp::kHealth);
+  ASSERT_TRUE(health.ok());
+  auto hdoc = JsonDoc::Parse(health->json);
+  ASSERT_TRUE(hdoc.has_value());
+  EXPECT_EQ(hdoc->number(hdoc->member(hdoc->root(), "shards")), 1.0);
+  EXPECT_EQ(hdoc->number(hdoc->member(hdoc->root(), "shard")), 0.0);
+  EXPECT_EQ(hdoc->number(hdoc->member(hdoc->root(), "forwarded")), 0.0);
+  EXPECT_EQ(hdoc->number(hdoc->member(hdoc->root(), "forward_executed")), 0.0);
+  EXPECT_EQ(hdoc->number(hdoc->member(hdoc->root(), "requests")),
+            kDataRequests);
+
+  // STATS arg 1 is shard 0 alone, which at one shard is the whole process.
+  auto requests_in = [&](uint32_t arg) {
+    auto stats = client.AdminRoundtrip(AdminOp::kStats, arg);
+    EXPECT_TRUE(stats.ok());
+    EXPECT_EQ(stats->status, 0) << "arg " << arg;
+    auto doc = JsonDoc::Parse(stats->json);
+    EXPECT_TRUE(doc.has_value());
+    return doc->number(doc->Find({"counters", "server.requests"}));
+  };
+  EXPECT_EQ(requests_in(0), kDataRequests);
+  EXPECT_EQ(requests_in(1), kDataRequests);
+  auto out_of_range = client.AdminRoundtrip(AdminOp::kStats, 2);
+  ASSERT_TRUE(out_of_range.ok());
+  EXPECT_NE(out_of_range->status, 0);
+
+  client.Close();
+  DrainAndJoin();
+  ShardedServerStats stats = server_->stats();
+  EXPECT_EQ(stats.requests, 4u);
+  EXPECT_EQ(stats.forwarded, 0u);
+  EXPECT_EQ(stats.forward_executed, 0u);
+  EXPECT_EQ(stats.admin_errors, 1u);
+}
+
 TEST_F(ServerTest, IdleConnectionsAreReaped) {
-  OsdServerConfig cfg;
+  ShardedServerConfig cfg;
   cfg.idle_timeout_ms = 50;
   StartServer(cfg);
   SocketInitiator client;
@@ -532,6 +571,79 @@ TEST_F(ServerTest, IdleConnectionsAreReaped) {
   EXPECT_FALSE(resp.ok());
   DrainAndJoin();
   EXPECT_EQ(server_->stats().closed, 1u);
+}
+
+// --- Descriptor exhaustion ---------------------------------------------------
+
+// A server that runs out of file descriptors cannot accept the queued
+// connection, so its listener stays readable. The acceptor must stop
+// watching it for a while instead of spinning on accept4, and must pick
+// the queue up again once descriptors free up. The server runs in a forked
+// child so its descriptor limit and CPU time are its own.
+TEST(ServerFdExhaustionTest, AcceptPausesInsteadOfSpinning) {
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    close(fds[0]);
+    rlimit lim{32, 32};
+    if (setrlimit(RLIMIT_NOFILE, &lim) != 0) _exit(2);
+    MapDataPlane plane;
+    OsdTarget target(plane);
+    OsdTarget* targets[] = {&target};
+    ShardedServer server(targets);
+    if (!server.Listen().ok()) _exit(3);
+    uint16_t port = server.port();
+    if (write(fds[1], &port, sizeof(port)) != sizeof(port)) _exit(4);
+    close(fds[1]);
+    server.Run();
+    _exit(0);
+  }
+  /// Kills and reaps the child once; returns the CPU seconds it used.
+  struct Child {
+    pid_t pid;
+    double Reap() {
+      auto cpu = [] {
+        rusage r{};
+        getrusage(RUSAGE_CHILDREN, &r);
+        return static_cast<double>(r.ru_utime.tv_sec + r.ru_stime.tv_sec) +
+               static_cast<double>(r.ru_utime.tv_usec + r.ru_stime.tv_usec) /
+                   1e6;
+      };
+      double before = cpu();
+      if (pid > 0) {
+        kill(pid, SIGKILL);
+        waitpid(pid, nullptr, 0);
+        pid = -1;
+      }
+      return cpu() - before;
+    }
+    ~Child() { Reap(); }
+  } child{pid};
+  close(fds[1]);
+  uint16_t port = 0;
+  ASSERT_EQ(read(fds[0], &port, sizeof(port)),
+            static_cast<ssize_t>(sizeof(port)));
+  close(fds[0]);
+
+  // Twice as many clients as the child has descriptors: the rest wait in
+  // the listen backlog while the child sits idle for a second.
+  std::vector<SocketInitiator> clients(60);
+  for (SocketInitiator& c : clients) {
+    ASSERT_TRUE(c.Connect("127.0.0.1", port).ok());
+  }
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+
+  // Once the extra clients go away, a new connection is served.
+  clients.clear();
+  SocketInitiatorConfig cfg;
+  cfg.receive_timeout_ms = 5000;
+  SocketInitiator client(cfg);
+  ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+  EXPECT_TRUE(client.Roundtrip(FormatCmd()).ok());
+  // A spinning acceptor would have burnt that whole second.
+  EXPECT_LT(child.Reap(), 0.2) << "idle server spun on accept";
 }
 
 // --- Partial-failure tolerance (connect/receive timeouts, reconnect) ---------

@@ -11,9 +11,9 @@
 #include <memory>
 #include <set>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
+#include "map_data_plane.h"
 #include "osd/control_protocol.h"
 #include "osd/osd_target.h"
 #include "server/admin_protocol.h"
@@ -147,39 +147,6 @@ TEST(ShardRouterTest, MergeFanOutResponses) {
 
 // --- ShardedServer integration ----------------------------------------------
 
-/// Payload-preserving data plane (same stand-in server_test.cpp uses).
-class MapDataPlane final : public DataPlane {
- public:
-  Result<DataPlaneIo> WriteObject(ObjectId id, std::span<const uint8_t> payload,
-                                  uint64_t, uint8_t, SimTime now) override {
-    data_[id].assign(payload.begin(), payload.end());
-    return DataPlaneIo{.complete = now};
-  }
-  Result<DataPlaneIo> ReadObject(ObjectId id, SimTime now) override {
-    auto it = data_.find(id);
-    if (it == data_.end()) return Status{ErrorCode::kNotFound, "no data"};
-    DataPlaneIo io;
-    io.complete = now;
-    io.payload.assign(it->second.begin(), it->second.end());
-    return io;
-  }
-  Status RemoveObject(ObjectId id) override {
-    return data_.erase(id) ? Status::Ok()
-                           : Status{ErrorCode::kNotFound, "no data"};
-  }
-  Status SetObjectClass(ObjectId, uint8_t, SimTime) override {
-    return Status::Ok();
-  }
-  ObjectHealth Health(ObjectId id) const override {
-    return data_.contains(id) ? ObjectHealth::kIntact : ObjectHealth::kAbsent;
-  }
-  bool recovery_active() const override { return false; }
-  bool HasSpaceFor(uint64_t, uint8_t) const override { return true; }
-
- private:
-  std::unordered_map<ObjectId, std::vector<uint8_t>, ObjectIdHash> data_;
-};
-
 OsdCommand FormatCmd() {
   OsdCommand c;
   c.op = OsdOp::kFormat;
@@ -302,7 +269,8 @@ TEST_F(ShardedServerTest, CrossShardRoundTripsOnOneConnection) {
   EXPECT_EQ(stats.decode_errors, 0u);
   // Every shard actually executed work (its own registry counted it).
   for (size_t k = 0; k < kShards; ++k) {
-    const auto* cmds = registries_[k]->Snapshot().Find("osd.commands");
+    MetricSnapshot snap = registries_[k]->Snapshot();
+    const auto* cmds = snap.Find("osd.commands");
     ASSERT_NE(cmds, nullptr) << "shard " << k;
     EXPECT_GT(cmds->value, 0.0) << "shard " << k;
   }
@@ -466,7 +434,8 @@ TEST_F(ShardedServerTest, GracefulDrainCompletesInflightOnEveryShard) {
   EXPECT_EQ(stats.forwarded, stats.forward_executed);
   // Every shard saw its share of the interleaved creates.
   for (size_t k = 0; k < kShards; ++k) {
-    const auto* cmds = registries_[k]->Snapshot().Find("osd.commands");
+    MetricSnapshot snap = registries_[k]->Snapshot();
+    const auto* cmds = snap.Find("osd.commands");
     ASSERT_NE(cmds, nullptr);
     EXPECT_GT(cmds->value, 0.0) << "shard " << k;
   }
@@ -598,7 +567,8 @@ TEST_F(ShardedServerTest, ControlWritesExecuteOnTargetsShard) {
 
   // And only shard 3's registry saw a control message.
   for (size_t k = 0; k < kShards; ++k) {
-    const auto* ctl = registries_[k]->Snapshot().Find("osd.control_messages");
+    MetricSnapshot snap = registries_[k]->Snapshot();
+    const auto* ctl = snap.Find("osd.control_messages");
     double got = ctl != nullptr ? ctl->value : 0.0;
     EXPECT_EQ(got, k == 3 ? 1.0 : 0.0) << "shard " << k;
   }

@@ -241,13 +241,13 @@ TEST(CacheSimulatorTest, ShardedRunRoutesPartitionsAndMerges) {
   EXPECT_GT(report.cache.hits, 0u);
   // All four stacks took traffic (hash spread over 60 objects).
   for (size_t k = 0; k < 4; ++k) {
-    EXPECT_GT(sim.cache_of(k).stats().gets + sim.cache_of(k).stats().writes,
+    EXPECT_GT(sim.cache(k).stats().gets + sim.cache(k).stats().writes,
               0u)
         << "shard " << k;
   }
   // The merged telemetry snapshot equals the per-shard counter sums.
   uint64_t gets = 0;
-  for (size_t k = 0; k < 4; ++k) gets += sim.cache_of(k).stats().gets;
+  for (size_t k = 0; k < 4; ++k) gets += sim.cache(k).stats().gets;
   EXPECT_EQ(report.cache.gets, gets);
   EXPECT_GT(report.space.capacity_bytes, 0u);
   EXPECT_FALSE(FormatReportRow(report).empty());
@@ -268,9 +268,9 @@ TEST(CacheSimulatorTest, ScriptedFailureFansOutToEveryShard) {
   EXPECT_EQ(report.windows[1].label, "1-failures");
   // Both shards saw the device failure (each array lost device 0).
   for (size_t k = 0; k < 2; ++k) {
-    EXPECT_GT(sim.cache_of(k).stats().rebuilds +
-                  sim.cache_of(k).stats().lost_evictions +
-                  sim.cache_of(k).stats().degraded_reads,
+    EXPECT_GT(sim.cache(k).stats().rebuilds +
+                  sim.cache(k).stats().lost_evictions +
+                  sim.cache(k).stats().degraded_reads,
               0u)
         << "shard " << k;
   }

@@ -153,6 +153,45 @@ TEST(MetricRegistryTest, CsvExportShape) {
       << csv;
 }
 
+// Snapshot() is the one-registry merge, so a one-shard server and a
+// one-shard simulator export exactly what a registry alone always did.
+// The expected text pins those bytes: counters, negative, zero and
+// negative-zero gauges, a filled and an empty histogram.
+TEST(MetricRegistryTest, SnapshotIsTheOneRegistryMerge) {
+  MetricRegistry reg;
+  reg.GetCounter("osd.reads").Inc(7);
+  reg.GetCounter("osd.writes");
+  reg.GetGauge("cache.h_hot").Set(-2.5);
+  reg.GetGauge("flash.devices").Set(0.0);
+  reg.GetGauge("server.connections.active").Set(-0.0);
+  ShardedHistogram& h = reg.GetHistogram("server.latency.read_us");
+  for (int i = 1; i <= 10; ++i) h.Add(i * 3.0);
+  reg.GetHistogram("server.latency.write_us");
+
+  const MetricRegistry* one[] = {&reg};
+  MetricSnapshot merged = MetricRegistry::Merged(one);
+  MetricSnapshot snap = reg.Snapshot();
+  EXPECT_EQ(merged.ToJson(), snap.ToJson());
+  EXPECT_EQ(merged.ToCsv(), snap.ToCsv());
+  EXPECT_EQ(snap.ToJson(),
+            "{\"counters\":{\"osd.reads\":7,\"osd.writes\":0},"
+            "\"gauges\":{\"cache.h_hot\":-2.5,\"flash.devices\":0,"
+            "\"server.connections.active\":-0},"
+            "\"histograms\":{\"server.latency.read_us\":{\"count\":10,"
+            "\"mean\":16.5,\"p50\":16,\"p99\":30,\"p999\":30,\"max\":30,"
+            "\"sum\":165},\"server.latency.write_us\":{\"count\":0,"
+            "\"mean\":0,\"p50\":0,\"p99\":0,\"p999\":0,\"max\":0,\"sum\":0}}}");
+  EXPECT_EQ(snap.ToCsv(),
+            "kind,name,value,count,mean,p50,p99,p999,max,sum\n"
+            "gauge,cache.h_hot,-2.5,,,,,,,\n"
+            "gauge,flash.devices,0,,,,,,,\n"
+            "counter,osd.reads,7,,,,,,,\n"
+            "counter,osd.writes,0,,,,,,,\n"
+            "gauge,server.connections.active,-0,,,,,,,\n"
+            "histogram,server.latency.read_us,,10,16.5,16,30,30,30,165\n"
+            "histogram,server.latency.write_us,,0,0,0,0,0,0,0\n");
+}
+
 TEST(MetricRegistryTest, ResetZeroesButKeepsRegistrations) {
   MetricRegistry reg;
   Counter& c = reg.GetCounter("osd.reads");

@@ -155,6 +155,7 @@ struct TracedFixture {
     cache->initiator_mutable().UseTransport(transport.get());
 
     cache->AttachTracing(tracer);
+    plane->AttachTracing(tracer);
     target->AttachTracing(tracer);
     transport->AttachTracing(tracer);
     cache->Initialize(0);
