@@ -32,18 +32,22 @@ Result<std::vector<RefetchItem>> ClusterRecoveryDriver::Plan(
     for (size_t i = 0; i < doc->size(entries); ++i) {
       int e = doc->item(entries, i);
       ++report.entries_scanned;
-      if (static_cast<uint32_t>(doc->number(doc->member(e, "owner"))) !=
-          dead_node) {
+      // A field that is missing or out of range skips the entry rather
+      // than wrapping into some other node's, class's or hotness's value.
+      auto owner = doc->integer(doc->member(e, "owner"), 0, UINT32_MAX);
+      auto class_id = doc->integer(doc->member(e, "class"), 0, UINT8_MAX);
+      auto hotness = doc->integer(doc->member(e, "hotness"), 0,
+                                  JsonDoc::kMaxExactInteger);
+      if (!owner || !class_id || !hotness ||
+          static_cast<uint32_t>(*owner) != dead_node) {
         continue;
       }
       ++report.dead_entries;
       RefetchItem item;
       item.id = ObjectId{ParseHexField(doc->str(doc->member(e, "pid"))),
                          ParseHexField(doc->str(doc->member(e, "oid")))};
-      item.class_id =
-          static_cast<uint8_t>(doc->number(doc->member(e, "class")));
-      item.hotness = static_cast<uint64_t>(
-          doc->number(doc->member(e, "hotness")));
+      item.class_id = static_cast<uint8_t>(*class_id);
+      item.hotness = static_cast<uint64_t>(*hotness);
       auto [it, inserted] = dead_objects.try_emplace(item.id, item);
       if (!inserted) {
         it->second.hotness = std::max(it->second.hotness, item.hotness);

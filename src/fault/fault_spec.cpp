@@ -1,10 +1,12 @@
 #include "fault/fault_spec.h"
 
-#include <cctype>
-#include <cmath>
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 
 #include "common/file_util.h"
+#include "telemetry/json_scan.h"
 
 namespace reo {
 
@@ -26,217 +28,153 @@ bool FaultSpec::Targets(FaultSite site) const {
 
 namespace {
 
-// Minimal recursive-descent parser for the JSON subset fault specs use.
-// Values are doubles, strings, bools, arrays, objects; no escapes beyond
-// \" \\ \/ \n \t, no unicode, no nesting deeper than the spec needs.
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+using Type = JsonDoc::Type;
+constexpr int64_t kMaxInt = JsonDoc::kMaxExactInteger;
 
-  Result<FaultSpec> Parse() {
-    FaultSpec spec;
-    REO_RETURN_IF_ERROR(Expect('{'));
-    bool first = true;
-    while (true) {
-      SkipWs();
-      if (Peek() == '}') {
-        ++pos_;
-        break;
-      }
-      if (!first) REO_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      auto key = ParseString();
-      if (!key.ok()) return key.status();
-      REO_RETURN_IF_ERROR(Expect(':'));
-      if (*key == "seed") {
-        auto v = ParseNumber();
-        if (!v.ok()) return v.status();
-        spec.seed = static_cast<uint64_t>(*v);
-      } else if (*key == "rules") {
-        REO_RETURN_IF_ERROR(ParseRules(spec.rules));
-      } else {
-        return Error("unknown top-level key: " + *key);
+Status Invalid(const std::string& what) {
+  return Status{ErrorCode::kInvalidArgument, what};
+}
+
+/// JSON leaves the winner of a repeated key undefined; a spec must mean
+/// one thing, so a repeat is an error.
+Status CheckUniqueKeys(const JsonDoc& doc, int node) {
+  for (size_t i = 1; i < doc.size(node); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (doc.key(node, i) == doc.key(node, j)) {
+        return Invalid("duplicate key: " + doc.key(node, i));
       }
     }
-    SkipWs();
-    if (pos_ != text_.size()) return Error("trailing characters after spec");
-    return spec;
   }
+  return Status::Ok();
+}
 
- private:
-  Status ParseRules(std::vector<FaultRule>& out) {
-    REO_RETURN_IF_ERROR(Expect('['));
-    bool first = true;
-    while (true) {
-      SkipWs();
-      if (Peek() == ']') {
-        ++pos_;
-        return Status::Ok();
+/// An integral number in [min, max] (and within 2^53); anything else —
+/// a fraction, a bool, an out-of-range value — is rejected before the
+/// narrowing cast.
+template <typename T>
+Status ReadInteger(const JsonDoc& doc, int node, const std::string& key,
+                   int64_t min, int64_t max, T* out) {
+  auto v = doc.integer(node, min, max);
+  if (!v) {
+    return Invalid(key + " must be an integer in [" + std::to_string(min) +
+                   ", " + std::to_string(std::min(max, kMaxInt)) + "]");
+  }
+  *out = static_cast<T>(*v);
+  return Status::Ok();
+}
+
+/// A number in [min, max]; max = kNoMax leaves it unbounded above.
+constexpr double kNoMax = std::numeric_limits<double>::max();
+Status ReadNumber(const JsonDoc& doc, int node, const std::string& key,
+                  double min, double max, double* out) {
+  double v = doc.number(node);
+  if (!doc.is(node, Type::kNumber) || !(v >= min && v <= max)) {
+    char range[64];
+    if (max == kNoMax) {
+      std::snprintf(range, sizeof(range), " >= %g", min);
+    } else {
+      std::snprintf(range, sizeof(range), " in [%g, %g]", min, max);
+    }
+    return Invalid(key + " must be a number" + range);
+  }
+  *out = v;
+  return Status::Ok();
+}
+
+Status ParseRule(const JsonDoc& doc, int node, FaultRule* rule) {
+  if (!doc.is(node, Type::kObject)) return Invalid("rule must be an object");
+  REO_RETURN_IF_ERROR(CheckUniqueKeys(doc, node));
+  bool have_site = false;
+  for (size_t i = 0; i < doc.size(node); ++i) {
+    const std::string& key = doc.key(node, i);
+    int v = doc.value(node, i);
+    if (key == "site") {
+      if (!doc.is(v, Type::kString)) return Invalid("site must be a string");
+      auto site = ParseFaultSite(doc.str(v));
+      if (!site.ok()) return site.status();
+      rule->site = *site;
+      have_site = true;
+    } else if (key == "window") {
+      if (!doc.is(v, Type::kArray) || doc.size(v) != 2) {
+        return Invalid("window must be [start, end]");
       }
-      if (!first) REO_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      FaultRule rule;
-      REO_RETURN_IF_ERROR(ParseRule(rule));
-      out.push_back(rule);
-    }
-  }
-
-  Status ParseRule(FaultRule& rule) {
-    REO_RETURN_IF_ERROR(Expect('{'));
-    bool first = true;
-    bool have_site = false;
-    while (true) {
-      SkipWs();
-      if (Peek() == '}') {
-        ++pos_;
-        break;
+      REO_RETURN_IF_ERROR(ReadInteger(doc, doc.item(v, 0), "window start", 0,
+                                      kMaxInt, &rule->window_start_op));
+      REO_RETURN_IF_ERROR(ReadInteger(doc, doc.item(v, 1), "window end", 0,
+                                      kMaxInt, &rule->window_end_op));
+      if (rule->window_end_op <= rule->window_start_op) {
+        return Invalid("window end must be greater than start");
       }
-      if (!first) REO_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      auto key = ParseString();
-      if (!key.ok()) return key.status();
-      REO_RETURN_IF_ERROR(Expect(':'));
-      if (*key == "site") {
-        auto name = ParseString();
-        if (!name.ok()) return name.status();
-        auto site = ParseFaultSite(*name);
-        if (!site.ok()) return site.status();
-        rule.site = *site;
-        have_site = true;
-      } else if (*key == "window") {
-        REO_RETURN_IF_ERROR(Expect('['));
-        auto lo = ParseNumber();
-        if (!lo.ok()) return lo.status();
-        REO_RETURN_IF_ERROR(Expect(','));
-        auto hi = ParseNumber();
-        if (!hi.ok()) return hi.status();
-        REO_RETURN_IF_ERROR(Expect(']'));
-        rule.window_start_op = static_cast<uint64_t>(*lo);
-        rule.window_end_op = static_cast<uint64_t>(*hi);
-        if (rule.window_end_op <= rule.window_start_op) {
-          return Error("window end must be greater than start");
-        }
-      } else {
-        auto v = ParseNumber();
-        if (!v.ok()) return v.status();
-        if (*key == "probability") {
-          if (*v < 0.0 || *v > 1.0) return Error("probability outside [0,1]");
-          rule.probability = *v;
-        } else if (*key == "burst") {
-          if (*v < 1.0) return Error("burst must be >= 1");
-          rule.burst = static_cast<uint32_t>(*v);
-        } else if (*key == "device") {
-          rule.device = static_cast<int32_t>(*v);
-        } else if (*key == "slow_factor") {
-          if (*v < 1.0) return Error("slow_factor must be >= 1");
-          rule.slow_factor = *v;
-        } else if (*key == "added_latency_us") {
-          rule.added_latency_ns = static_cast<uint64_t>(*v * 1000.0);
-        } else if (*key == "added_latency_ns") {
-          rule.added_latency_ns = static_cast<uint64_t>(*v);
-        } else if (*key == "max_triggers") {
-          rule.max_triggers = static_cast<uint64_t>(*v);
-        } else {
-          return Error("unknown rule key: " + *key);
-        }
-      }
-    }
-    if (!have_site) return Error("rule missing \"site\"");
-    // A slow-site rule with no explicit probability should always fire
-    // inside its window: "device 2 is fail-slow" means every op, not none.
-    bool slow_site = rule.site == FaultSite::kFlashFailSlow ||
-                     rule.site == FaultSite::kBackendSlow;
-    if (slow_site && rule.probability == 0.0) rule.probability = 1.0;
-    return Status::Ok();
-  }
-
-  Result<std::string> ParseString() {
-    REO_RETURN_IF_ERROR(Expect('"'));
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char e = text_[pos_++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          default: return Error(std::string("unsupported escape \\") + e);
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  Result<double> ParseNumber() {
-    SkipWs();
-    // Accept true/false for forward compatibility with boolean knobs.
-    if (text_.substr(pos_).starts_with("true")) {
-      pos_ += 4;
-      return 1.0;
-    }
-    if (text_.substr(pos_).starts_with("false")) {
-      pos_ += 5;
-      return 0.0;
-    }
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Error("expected a number");
-    std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(v)) {
-      return Error("malformed number: " + token);
-    }
-    return v;
-  }
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
+    } else if (key == "probability") {
+      REO_RETURN_IF_ERROR(
+          ReadNumber(doc, v, key, 0.0, 1.0, &rule->probability));
+    } else if (key == "burst") {
+      REO_RETURN_IF_ERROR(
+          ReadInteger(doc, v, key, 1, UINT32_MAX, &rule->burst));
+    } else if (key == "device") {
+      // -1 = any device, as in FaultRule.
+      REO_RETURN_IF_ERROR(
+          ReadInteger(doc, v, key, -1, INT32_MAX, &rule->device));
+    } else if (key == "slow_factor") {
+      REO_RETURN_IF_ERROR(
+          ReadNumber(doc, v, key, 1.0, kNoMax, &rule->slow_factor));
+    } else if (key == "added_latency_us") {
+      double us = 0.0;
+      REO_RETURN_IF_ERROR(ReadNumber(doc, v, key, 0.0, kMaxInt / 1000.0, &us));
+      rule->added_latency_ns = static_cast<uint64_t>(us * 1000.0);
+    } else if (key == "added_latency_ns") {
+      REO_RETURN_IF_ERROR(ReadInteger(doc, v, key, 0, kMaxInt,
+                                      &rule->added_latency_ns));
+    } else if (key == "max_triggers") {
+      REO_RETURN_IF_ERROR(ReadInteger(doc, v, key, 0, kMaxInt,
+                                      &rule->max_triggers));
+    } else {
+      return Invalid("unknown rule key: " + key);
     }
   }
-
-  char Peek() {
-    SkipWs();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  Status Expect(char c) {
-    SkipWs();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Error(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-    return Status::Ok();
-  }
-
-  Status Error(const std::string& what) const {
-    char where[32];
-    std::snprintf(where, sizeof where, " at offset %zu", pos_);
-    return Status{ErrorCode::kInvalidArgument, what + where};
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
+  if (!have_site) return Invalid("rule missing \"site\"");
+  // A slow-site rule with no explicit probability should always fire
+  // inside its window: "device 2 is fail-slow" means every op, not none.
+  bool slow_site = rule->site == FaultSite::kFlashFailSlow ||
+                   rule->site == FaultSite::kBackendSlow;
+  if (slow_site && rule->probability == 0.0) rule->probability = 1.0;
+  return Status::Ok();
+}
 
 }  // namespace
 
 Result<FaultSpec> ParseFaultSpec(std::string_view json) {
-  return JsonParser(json).Parse();
+  JsonDoc::Error error;
+  auto doc = JsonDoc::Parse(json, &error);
+  if (!doc) {
+    return Invalid("invalid JSON at byte " + std::to_string(error.offset) +
+                   ": " + error.reason);
+  }
+  int root = doc->root();
+  if (!doc->is(root, Type::kObject)) return Invalid("spec must be an object");
+  REO_RETURN_IF_ERROR(CheckUniqueKeys(*doc, root));
+  FaultSpec spec;
+  for (size_t i = 0; i < doc->size(root); ++i) {
+    const std::string& key = doc->key(root, i);
+    int v = doc->value(root, i);
+    if (key == "seed") {
+      REO_RETURN_IF_ERROR(ReadInteger(*doc, v, key, 0, kMaxInt, &spec.seed));
+    } else if (key == "rules") {
+      if (!doc->is(v, Type::kArray)) return Invalid("rules must be an array");
+      for (size_t r = 0; r < doc->size(v); ++r) {
+        FaultRule rule;
+        Status st = ParseRule(*doc, doc->item(v, r), &rule);
+        if (!st.ok()) {
+          return Invalid("rules[" + std::to_string(r) +
+                         "]: " + std::string(st.message()));
+        }
+        spec.rules.push_back(rule);
+      }
+    } else {
+      return Invalid("unknown top-level key: " + key);
+    }
+  }
+  return spec;
 }
 
 Result<FaultSpec> LoadFaultSpecFile(const std::string& path) {

@@ -91,9 +91,11 @@ struct FaultSpec {
   bool Targets(FaultSite site) const;
 };
 
-/// Parses the JSON spec format above (dependency-free subset parser:
-/// objects, arrays, numbers, strings, bools). kInvalidArgument with a
-/// position-carrying message on malformed input or unknown keys/sites.
+/// Parses the JSON spec format above with JsonDoc (telemetry/json_scan.h).
+/// kInvalidArgument on malformed JSON (the message carries the byte
+/// offset), unknown or repeated keys, unknown sites, and values of the
+/// wrong type or out of range: integer fields must be integral numbers
+/// within the field's range and 2^53.
 Result<FaultSpec> ParseFaultSpec(std::string_view json);
 
 /// ParseFaultSpec over a file's contents; the path prefixes parse errors.

@@ -4,32 +4,10 @@
 #include <cmath>
 
 #include "common/file_util.h"
+#include "telemetry/json_util.h"
 
 namespace reo {
 namespace {
-
-/// Escapes the few characters a workload description could smuggle in.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string Num(double v) {
   // JSON has no NaN/Inf; clamp to 0 rather than emit an unparsable token.
@@ -47,8 +25,11 @@ std::string BenchServeToJson(const BenchServeReport& r) {
   out += "  \"schema\": \"";
   out += kBenchServeSchema;
   out += "\",\n";
-  out += "  \"bench\": \"" + JsonEscape(r.bench) + "\",\n";
-  out += "  \"workload\": \"" + JsonEscape(r.workload) + "\",\n";
+  out += "  \"bench\": ";
+  AppendJsonString(out, r.bench);
+  out += ",\n  \"workload\": ";
+  AppendJsonString(out, r.workload);
+  out += ",\n";
   out += "  \"ops\": " + std::to_string(r.ops) + ",\n";
   out += "  \"wall_seconds\": " + Num(r.wall_seconds) + ",\n";
   out += "  \"cpu_seconds\": " + Num(r.cpu_seconds) + ",\n";

@@ -19,7 +19,7 @@
 //
 // allocs_per_op is -1 when the producer cannot count allocations (the
 // simulator benches); every other field is always present. Validation is
-// tools/bench_validate (dependency-free, same pattern as trace_validate).
+// tools/bench_validate, which reads it with JsonDoc (telemetry/json_scan.h).
 #pragma once
 
 #include <cstdint>

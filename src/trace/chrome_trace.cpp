@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <string_view>
 #include <vector>
+
+#include "telemetry/json_util.h"
 
 namespace reo {
 namespace {
@@ -11,28 +12,6 @@ namespace {
 constexpr int kPid = 1;
 /// The event track sits above the component tracks.
 constexpr int kEventTid = 0;
-
-void AppendEscaped(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 /// Virtual ns -> Chrome's microsecond timestamps (fractional allowed).
 std::string Us(SimTime t) {
@@ -54,7 +33,7 @@ std::string TrackName(const SpanRecorder& rec) {
 void AppendMeta(std::string& out, int tid, const std::string& name) {
   out += "{\"ph\":\"M\",\"pid\":" + std::to_string(kPid) +
          ",\"tid\":" + std::to_string(tid) + ",\"name\":\"thread_name\",\"args\":{\"name\":";
-  AppendEscaped(out, name);
+  AppendJsonString(out, name);
   out += "}},\n";
   out += "{\"ph\":\"M\",\"pid\":" + std::to_string(kPid) +
          ",\"tid\":" + std::to_string(tid) +
@@ -67,9 +46,9 @@ void AppendSpan(std::string& out, const SpanRecord& r, int tid,
   out += "{\"ph\":\"X\",\"pid\":" + std::to_string(kPid) +
          ",\"tid\":" + std::to_string(tid) + ",\"ts\":" + Us(r.start) +
          ",\"dur\":" + Us(r.end - r.start) + ",\"name\":";
-  AppendEscaped(out, to_string(r.op));
+  AppendJsonString(out, to_string(r.op));
   out += ",\"cat\":";
-  AppendEscaped(out, track);
+  AppendJsonString(out, track);
   out += ",\"args\":{\"trace\":" + std::to_string(r.trace_id) +
          ",\"span\":" + std::to_string(r.span_id) +
          ",\"parent\":" + std::to_string(r.parent_id);
@@ -96,16 +75,16 @@ void AppendEvent(std::string& out, const LoggedEvent& e) {
   out += "{\"ph\":\"i\",\"pid\":" + std::to_string(kPid) +
          ",\"tid\":" + std::to_string(kEventTid) + ",\"ts\":" + Us(e.time) +
          ",\"s\":\"g\",\"name\":";
-  AppendEscaped(out, e.category);
+  AppendJsonString(out, e.category);
   out += ",\"cat\":\"event\",\"args\":{\"severity\":";
-  AppendEscaped(out, to_string(e.severity));
+  AppendJsonString(out, to_string(e.severity));
   out += ",\"message\":";
-  AppendEscaped(out, e.message);
+  AppendJsonString(out, e.message);
   for (const auto& [k, v] : e.fields) {
     out += ',';
-    AppendEscaped(out, k);
+    AppendJsonString(out, k);
     out += ':';
-    AppendEscaped(out, v);
+    AppendJsonString(out, v);
   }
   out += "}},\n";
 }

@@ -78,6 +78,26 @@ TEST(FaultSpecTest, RejectsMalformedJson) {
   EXPECT_FALSE(ParseFaultSpec(R"({"seeed": 1, "rules": []})").ok());
 }
 
+// Values the spec's integer fields cannot hold (each used to reach a
+// double-to-integer cast, undefined behaviour), values of the wrong kind,
+// and a key given twice.
+TEST(FaultSpecTest, RejectsValuesOutsideTheFieldsRange) {
+  const char* bad[] = {
+      R"({"seed": -1, "rules": []})",
+      R"({"rules": [{"site": "flash.latent", "burst": 1e20}]})",
+      R"({"rules": [{"site": "flash.latent", "max_triggers": -1}]})",
+      R"({"rules": [{"site": "flash.latent", "window": [-5, 10]}]})",
+      R"({"rules": [{"site": "flash.latent", "device": 1e12}]})",
+      R"({"rules": [{"site": "flash.latent", "burst": 2.5}]})",
+      R"({"rules": [{"site": "flash.latent", "probability": true}]})",
+      R"({"rules": [{"site": "flash.latent", "site": "persist.fsync"}]})",
+  };
+  for (const char* json : bad) {
+    auto spec = ParseFaultSpec(json);
+    EXPECT_EQ(spec.status().code(), ErrorCode::kInvalidArgument) << json;
+  }
+}
+
 TEST(FaultSpecTest, LoadRejectsMissingFile) {
   auto spec = LoadFaultSpecFile("/nonexistent/fault_spec.json");
   EXPECT_FALSE(spec.ok());
@@ -273,7 +293,8 @@ struct PlaneFixture {
   }
 
   double Metric(const std::string& name) {
-    const auto* e = registry.Snapshot().Find(name);
+    MetricSnapshot snap = registry.Snapshot();  // Find points into it
+    const auto* e = snap.Find(name);
     return e != nullptr ? e->value : 0.0;
   }
 
@@ -538,16 +559,16 @@ std::string ScratchDir(const std::string& name) {
   return dir.string();
 }
 
+// The injector is declared before the manager: the manager's destructor
+// syncs, and that sync still consults the injector.
 TEST(PersistFaultTest, InjectedShortWriteFailsTheCommit) {
+  FaultInjector inj(MustParse(R"({"rules": [
+    {"site": "persist.write", "probability": 1.0, "max_triggers": 1}]})"));
   PersistenceConfig cfg;
   cfg.data_dir = ScratchDir("write");
   auto opened = PersistenceManager::Open(cfg);
   ASSERT_TRUE(opened.ok()) << opened.status().to_string();
   auto& pm = **opened;
-
-  FaultSpec spec = MustParse(R"({"rules": [
-    {"site": "persist.write", "probability": 1.0, "max_triggers": 1}]})");
-  FaultInjector inj(spec);
   pm.AttachFaults(&inj);
 
   std::vector<uint8_t> payload(kChunk, 0xAB);
@@ -559,16 +580,14 @@ TEST(PersistFaultTest, InjectedShortWriteFailsTheCommit) {
 }
 
 TEST(PersistFaultTest, InjectedFsyncFailureFailsCriticalCommit) {
+  FaultInjector inj(MustParse(R"({"rules": [
+    {"site": "persist.fsync", "probability": 1.0, "max_triggers": 1}]})"));
   PersistenceConfig cfg;
   cfg.data_dir = ScratchDir("fsync");
   cfg.sync_critical = true;
   auto opened = PersistenceManager::Open(cfg);
   ASSERT_TRUE(opened.ok()) << opened.status().to_string();
   auto& pm = **opened;
-
-  FaultSpec spec = MustParse(R"({"rules": [
-    {"site": "persist.fsync", "probability": 1.0, "max_triggers": 1}]})");
-  FaultInjector inj(spec);
   pm.AttachFaults(&inj);
 
   std::vector<uint8_t> payload(kChunk, 0xCD);

@@ -627,6 +627,18 @@ TEST(ServerFdExhaustionTest, AcceptPausesInsteadOfSpinning) {
             static_cast<ssize_t>(sizeof(port)));
   close(fds[0]);
 
+  // Serve and close one connection while descriptors are free, so the
+  // child's first connection close runs with descriptors to spare. Under
+  // UBSan that first close is the vptr check's first look at the
+  // connection type, and with no descriptor left the check reports an
+  // invalid vptr and aborts the child.
+  {
+    SocketInitiator warm;
+    ASSERT_TRUE(warm.Connect("127.0.0.1", port).ok());
+    ASSERT_TRUE(warm.Roundtrip(FormatCmd()).ok());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
   // Twice as many clients as the child has descriptors: the rest wait in
   // the listen backlog while the child sits idle for a second.
   std::vector<SocketInitiator> clients(60);

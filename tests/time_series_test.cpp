@@ -7,12 +7,14 @@
 
 #include <atomic>
 #include <cmath>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "telemetry/json_scan.h"
-#include "trace/json_lint.h"
 
 namespace reo {
 namespace {
@@ -231,8 +233,8 @@ TEST(TimeSeriesTest, ToJsonIsWellFormedAndRoundTrips) {
   ring.Advance(20 * kMs);  // empty window: ratio NaN -> null
 
   std::string json = ring.ToJson();
-  JsonLintResult lint = LintJson(json);
-  EXPECT_TRUE(lint.ok) << lint.error << "\n" << json;
+  JsonDoc::Error error;
+  EXPECT_TRUE(JsonDoc::Check(json, &error)) << error.reason << "\n" << json;
   EXPECT_EQ(json.find("nan"), std::string::npos) << json;
 
   auto doc = JsonDoc::Parse(json);
@@ -339,6 +341,74 @@ TEST(JsonScanTest, RejectsMalformedInput) {
   std::string deep(100, '[');
   deep += std::string(100, ']');
   EXPECT_FALSE(JsonDoc::Parse(deep).has_value());
+}
+
+TEST(JsonScanTest, ReportsTheOffsetAndReasonOfTheFirstError) {
+  struct Case {
+    const char* text;
+    size_t offset;
+    const char* reason;
+  };
+  const Case cases[] = {
+      {"{\"a\" 1}", 5, "expected ':'"},
+      {"[1,2,]", 5, "expected a value"},
+      {"{\"a\":\"x\x01\"}", 7, "raw control character in string"},
+  };
+  for (const Case& c : cases) {
+    // Both passes run the one grammar, so they stop at the same byte.
+    JsonDoc::Error parse_error, check_error;
+    EXPECT_FALSE(JsonDoc::Parse(c.text, &parse_error).has_value()) << c.text;
+    EXPECT_FALSE(JsonDoc::Check(c.text, &check_error)) << c.text;
+    for (const JsonDoc::Error& e : {parse_error, check_error}) {
+      EXPECT_EQ(e.offset, c.offset) << c.text;
+      EXPECT_EQ(e.reason, c.reason) << c.text;
+    }
+  }
+}
+
+TEST(JsonScanTest, CheckStopsADepthBombJustPastTheLimit) {
+  // 1 MiB of '[' recursed once per byte would overflow the stack; the
+  // DOM-free pass keeps kMaxDepth and fails on the first level past it.
+  std::string bomb(1 << 20, '[');
+  JsonDoc::Error error;
+  EXPECT_FALSE(JsonDoc::Check(bomb, &error));
+  EXPECT_EQ(error.offset, static_cast<size_t>(JsonDoc::kMaxDepth) + 1);
+  EXPECT_NE(error.reason.find("nested deeper"), std::string::npos)
+      << error.reason;
+}
+
+TEST(JsonScanTest, CheckVisitsEveryStringMemberDecoded) {
+  std::vector<std::pair<std::string, std::string>> seen;
+  EXPECT_TRUE(JsonDoc::Check(
+      "{\"ph\":\"X\",\"n\":1,\"a\":[\"skip\",{\"ph\":\"i\\n\"}],"
+      "\"o\":{\"k\":\"\\u0041\"}}",
+      nullptr, [&](std::string_view key, std::string_view value) {
+        seen.emplace_back(key, value);
+      }));
+  // "skip" sits in an array, so it is no member, and "n" holds a number:
+  // neither is visited. Nested objects are visited in document order.
+  std::vector<std::pair<std::string, std::string>> want = {
+      {"ph", "X"}, {"ph", "i\n"}, {"k", "A"}};
+  EXPECT_EQ(seen, want);
+}
+
+TEST(JsonScanTest, IntegerAcceptsOnlyExactValuesInRange) {
+  auto doc = JsonDoc::Parse(
+      "{\"a\":5,\"b\":2.5,\"c\":-1,\"d\":9007199254740994,\"e\":true,"
+      "\"f\":1e20}");
+  ASSERT_TRUE(doc.has_value());
+  auto at = [&](const char* key, int64_t min, int64_t max) {
+    return doc->integer(doc->Find({key}), min, max);
+  };
+  EXPECT_EQ(at("a", 0, 10), 5);
+  EXPECT_EQ(at("a", 6, 10), std::nullopt);
+  EXPECT_EQ(at("b", 0, 10), std::nullopt);  // fraction
+  EXPECT_EQ(at("c", 0, 10), std::nullopt);
+  EXPECT_EQ(at("c", -1, 10), -1);
+  EXPECT_EQ(at("d", 0, INT64_MAX), std::nullopt);  // past 2^53
+  EXPECT_EQ(at("e", 0, 10), std::nullopt);         // a bool is no number
+  EXPECT_EQ(at("f", INT64_MIN, INT64_MAX), std::nullopt);
+  EXPECT_EQ(at("missing", 0, 10), std::nullopt);
 }
 
 TEST(JsonScanTest, MissingLookupsAreInvalidNotUb) {

@@ -1,24 +1,22 @@
 // admin_probe: one-shot in-band admin query against a live reo_server.
 //
 // Connects over the framed OSD wire, issues one ADMIN command (STATS /
-// SERIES / EVENTS / HEALTH / OWNERS), prints the JSON reply, and
-// optionally asserts on it — the CI smoke job's probe. With
+// SERIES / EVENTS / HEALTH / OWNERS), prints the JSON reply, checks that
+// it parses, and optionally asserts on it — the CI smoke job's probe. With
 // --endpoints it probes every node of a cluster: each reply prints
 // under a per-node header, assertions apply to every node, and a
 // merged view (numeric fields summed across nodes) prints last.
 // Examples:
 //
 //   admin_probe --port 9555 health
-//   admin_probe --port-file port.txt --lint stats
+//   admin_probe --port-file port.txt stats
 //   admin_probe --port-file port.txt --arg 10 series
 //   admin_probe --endpoints 127.0.0.1:9555,127.0.0.1:9556 health
-//   admin_probe --port-file port.txt --lint \
-//       --expect-zero counters.server.crc_errors \
-//       --expect-zero counters.fault.crc_unrepaired stats
+//   admin_probe --port 9555 --expect-zero counters.fault.crc_unrepaired stats
 //
 // Exit codes: 0 ok; 1 an --expect-zero value was nonzero; 2 usage /
-// connect / protocol error (including status!=0 replies); 3 the reply
-// failed --lint or could not be parsed for --expect-zero.
+// connect / protocol error (including status!=0 replies); 3 a reply is
+// not valid JSON.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -30,7 +28,7 @@
 #include "common/file_util.h"
 #include "server/socket_initiator.h"
 #include "telemetry/json_scan.h"
-#include "trace/json_lint.h"
+#include "telemetry/json_util.h"
 
 using namespace reo;
 
@@ -46,11 +44,10 @@ void Usage(const char* argv0) {
       "  --endpoints LIST   probe every node of a cluster; LIST is\n"
       "                     host:port,host:port,... — prints per-node\n"
       "                     replies plus a merged (summed) view, and\n"
-      "                     applies --lint/--expect-* to every node\n"
+      "                     applies --expect-* to every node\n"
       "  --arg N            series: newest N windows; events: newest N\n"
       "                     events (default 0 = all retained)\n"
       "  --timeout-ms N     connect/receive deadline (default 5000)\n"
-      "  --lint             validate the reply is well-formed JSON (exit 3)\n"
       "  --expect-zero PATH assert a numeric field is 0 or absent; PATH is\n"
       "                     section.metric (\"counters.server.crc_errors\")\n"
       "                     or a flat health field (\"crc_errors\");\n"
@@ -88,28 +85,6 @@ void AppendJsonNumber(std::string& out, double v) {
     std::snprintf(buf, sizeof(buf), "%.17g", v);
   }
   out += buf;
-}
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 /// Re-serializes one node of a parsed reply (the merged view needs to
@@ -240,7 +215,6 @@ int main(int argc, char** argv) {
   uint16_t port = 0;
   uint32_t arg = 0;
   uint32_t timeout_ms = 5000;
-  bool lint = false;
   bool quiet = false;
   std::vector<std::string> expect_zero;
   std::vector<std::string> expect_sum;
@@ -266,8 +240,6 @@ int main(int argc, char** argv) {
       arg = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
     } else if (!std::strcmp(argv[i], "--timeout-ms")) {
       timeout_ms = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--lint")) {
-      lint = true;
     } else if (!std::strcmp(argv[i], "--expect-zero")) {
       expect_zero.emplace_back(next());
     } else if (!std::strcmp(argv[i], "--expect-sum")) {
@@ -327,9 +299,10 @@ int main(int argc, char** argv) {
   }
   const bool cluster = endpoints.size() > 1;
 
-  // One reply per node; a probe asserts the whole cluster, so any
-  // connect / roundtrip / status failure is fatal.
-  std::vector<std::string> replies;
+  // One parsed reply per node; a probe asserts the whole cluster, so any
+  // connect / roundtrip / status failure is fatal, and so is a reply that
+  // is not JSON: a probe that printed garbage has proven nothing.
+  std::vector<JsonDoc> docs;
   for (size_t n = 0; n < endpoints.size(); ++n) {
     SocketInitiatorConfig cfg;
     cfg.connect_timeout_ms = timeout_ms;
@@ -359,32 +332,15 @@ int main(int argc, char** argv) {
                    resp->status, resp->json.c_str());
       return 2;
     }
-    replies.push_back(std::move(resp->json));
-  }
-
-  if (lint) {
-    for (size_t n = 0; n < replies.size(); ++n) {
-      JsonLintResult lr = LintJson(replies[n]);
-      if (!lr.ok) {
-        std::fprintf(stderr,
-                     "node %zu %s reply is not valid JSON at byte %zu: %s\n",
-                     n, op_name, lr.error_offset, lr.error.c_str());
-        return 3;
-      }
+    JsonDoc::Error error;
+    auto doc = JsonDoc::Parse(resp->json, &error);
+    if (!doc) {
+      std::fprintf(stderr,
+                   "node %zu %s reply is not valid JSON at byte %zu: %s\n", n,
+                   op_name, error.offset, error.reason.c_str());
+      return 3;
     }
-  }
-
-  std::vector<JsonDoc> docs;
-  const bool need_docs = cluster || !expect_zero.empty() || !expect_sum.empty();
-  if (need_docs) {
-    for (size_t n = 0; n < replies.size(); ++n) {
-      auto doc = JsonDoc::Parse(replies[n]);
-      if (!doc) {
-        std::fprintf(stderr, "node %zu %s reply did not parse\n", n, op_name);
-        return 3;
-      }
-      docs.push_back(std::move(*doc));
-    }
+    docs.push_back(std::move(*doc));
   }
 
   if (cluster && !quiet) {
@@ -396,7 +352,7 @@ int main(int argc, char** argv) {
   }
 
   int violations = 0;
-  for (size_t n = 0; n < docs.size() && need_docs; ++n) {
+  for (size_t n = 0; n < docs.size(); ++n) {
     const JsonDoc& doc = docs[n];
     for (const std::string& path : expect_zero) {
       int node = ResolvePath(doc, path);

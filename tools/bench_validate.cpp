@@ -1,41 +1,34 @@
 // bench_validate: checks that a BENCH_serve.json report (as written by
 // reo_loadgen --bench-out or openloop_latency --bench-out) is well-formed
 // JSON, carries the expected schema tag, and has every required field with
-// a sane value. Dependency-free (same pattern as trace_validate); used by
-// the CI bench-smoke job. Exits non-zero with a message on any problem.
+// a sane value. Used by the bench smoke scenario (tools/smoke.sh). Exits
+// non-zero with a message on any problem.
 //
 //   bench_validate BENCH_serve.json [--min-ops N] [--min-throughput F]
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "common/file_util.h"
 #include "telemetry/bench_json.h"
-#include "trace/json_lint.h"
+#include "telemetry/json_scan.h"
 
 using namespace reo;
 
 namespace {
 
-/// Finds `"key":` at any nesting level and parses the number after it.
-/// The schema is flat and its keys are unique, so this is exact for
-/// well-formed reports (well-formedness is established by LintJson first).
-bool FindNumber(const std::string& text, const char* key, double* out) {
-  std::string needle = std::string("\"") + key + "\":";
-  size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* p = text.c_str() + pos + needle.size();
-  char* end = nullptr;
-  double v = std::strtod(p, &end);
-  if (end == p) return false;
-  *out = v;
-  return true;
-}
-
-bool HasStringField(const std::string& text, const char* key) {
-  std::string needle = std::string("\"") + key + "\": \"";
-  return text.find(needle) != std::string::npos;
+/// The node at a dotted path ("latency_us.p50"); report keys hold no dots.
+int AtPath(const JsonDoc& doc, std::string_view path) {
+  int node = doc.root();
+  while (node != JsonDoc::kInvalid) {
+    size_t dot = path.find('.');
+    node = doc.member(node, path.substr(0, dot));
+    if (dot == std::string_view::npos) break;
+    path.remove_prefix(dot + 1);
+  }
+  return node;
 }
 
 }  // namespace
@@ -79,28 +72,26 @@ int main(int argc, char** argv) {
                  contents.status().to_string().c_str());
     return 1;
   }
-  JsonLintResult lint = LintJson(*contents);
-  if (!lint.ok) {
+  JsonDoc::Error error;
+  auto doc = JsonDoc::Parse(*contents, &error);
+  if (!doc) {
     std::fprintf(stderr, "%s: invalid JSON at byte %zu: %s\n", path,
-                 lint.error_offset, lint.error.c_str());
+                 error.offset, error.reason.c_str());
     return 1;
   }
-  const std::string& text = *contents;
-  std::string schema_tag =
-      std::string("\"schema\": \"") + kBenchServeSchema + "\"";
-  if (text.find(schema_tag) == std::string::npos) {
+  if (doc->str(AtPath(*doc, "schema")) != kBenchServeSchema) {
     std::fprintf(stderr, "%s: missing schema tag %s\n", path,
                  kBenchServeSchema);
     return 1;
   }
   for (const char* key : {"bench", "workload"}) {
-    if (!HasStringField(text, key)) {
+    if (!doc->is(AtPath(*doc, key), JsonDoc::Type::kString)) {
       std::fprintf(stderr, "%s: missing string field \"%s\"\n", path, key);
       return 1;
     }
   }
   struct Field {
-    const char* key;
+    const char* path;
     double min;  ///< inclusive lower bound for a sane report
   };
   const Field required[] = {
@@ -108,27 +99,28 @@ int main(int argc, char** argv) {
       {"wall_seconds", 0.0},
       {"cpu_seconds", 0.0},
       {"throughput_ops_per_sec", min_throughput},
-      {"p50", 0.0},
-      {"p99", 0.0},
-      {"p999", 0.0},
+      {"latency_us.p50", 0.0},
+      {"latency_us.p99", 0.0},
+      {"latency_us.p999", 0.0},
       {"bytes_per_op", 0.0},
       {"allocs_per_op", -1.0},  // -1 = legitimately unmeasured
   };
   for (const Field& f : required) {
-    double v = 0;
-    if (!FindNumber(text, f.key, &v)) {
-      std::fprintf(stderr, "%s: missing numeric field \"%s\"\n", path, f.key);
+    int node = AtPath(*doc, f.path);
+    if (!doc->is(node, JsonDoc::Type::kNumber)) {
+      std::fprintf(stderr, "%s: missing numeric field \"%s\"\n", path,
+                   f.path);
       return 1;
     }
+    double v = doc->number(node);
     if (v < f.min) {
       std::fprintf(stderr, "%s: field \"%s\" = %g below minimum %g\n", path,
-                   f.key, v, f.min);
+                   f.path, v, f.min);
       return 1;
     }
   }
-  double p50 = 0, p99 = 0;
-  (void)FindNumber(text, "p50", &p50);
-  (void)FindNumber(text, "p99", &p99);
+  double p50 = doc->number(AtPath(*doc, "latency_us.p50"));
+  double p99 = doc->number(AtPath(*doc, "latency_us.p99"));
   if (p99 < p50) {
     std::fprintf(stderr, "%s: p99 (%g) < p50 (%g)\n", path, p99, p50);
     return 1;

@@ -13,7 +13,7 @@
 //   reo_loadgen --port $(cat port.txt) --write-ratio 0.3 --zipf 0.9
 //       --stats-out loadgen_stats.json
 //
-// Crash testing (used by the CI crash-recovery smoke job):
+// Crash testing (used by the crash-recovery smoke scenario):
 //
 //   # classify everything dirty, SIGKILL the server after 200 acked burst
 //   # writes, and record which writes were acknowledged:
@@ -23,7 +23,7 @@
 //   # the correct contents (exit 4 on any loss):
 //   reo_loadgen --port N --verify-manifest acks.txt
 //
-// Cluster mode (used by the CI cluster-smoke job): workers route through
+// Cluster mode (used by the cluster smoke scenario): workers route through
 // a consistent-hash ClusterInitiator over the listed nodes; --kill-node
 // SIGKILLs one node mid-burst, after which the loadgen runs the
 // cross-node differentiated recovery (survivor OWNERS -> backend refetch

@@ -1,7 +1,9 @@
 // trace_validate: checks that a Chrome trace-event JSON file (as written
 // by reo_cli --trace-out or the figure benches) is well-formed and
-// actually contains spans. Used by the CI trace-smoke job; exits non-zero
-// with a parse location on any problem.
+// actually contains spans. Used by the trace smoke scenario
+// (tools/smoke.sh); exits non-zero with a parse location on any problem.
+// The check builds no DOM, so a trace of any size needs no memory beyond
+// its own text.
 //
 //   trace_validate run.json [--min-spans N] [--min-events N]
 #include <cstdio>
@@ -9,7 +11,7 @@
 #include <cstring>
 
 #include "common/file_util.h"
-#include "trace/json_lint.h"
+#include "telemetry/json_scan.h"
 
 using namespace reo;
 
@@ -50,27 +52,32 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", path, contents.status().to_string().c_str());
     return 1;
   }
-  JsonLintResult lint = LintJson(*contents);
-  if (!lint.ok) {
+  // Chrome trace-event phases: X = span, i = instant, M = track metadata.
+  unsigned long long spans = 0, instants = 0, metadata = 0;
+  JsonDoc::Error error;
+  bool ok = JsonDoc::Check(
+      *contents, &error, [&](std::string_view key, std::string_view value) {
+        if (key != "ph") return;
+        if (value == "X") ++spans;
+        else if (value == "i") ++instants;
+        else if (value == "M") ++metadata;
+      });
+  if (!ok) {
     std::fprintf(stderr, "%s: invalid JSON at byte %zu: %s\n", path,
-                 lint.error_offset, lint.error.c_str());
+                 error.offset, error.reason.c_str());
     return 1;
   }
-  if (lint.complete_events < min_spans) {
-    std::fprintf(stderr, "%s: only %llu spans (need >= %llu)\n", path,
-                 static_cast<unsigned long long>(lint.complete_events),
+  if (spans < min_spans) {
+    std::fprintf(stderr, "%s: only %llu spans (need >= %llu)\n", path, spans,
                  static_cast<unsigned long long>(min_spans));
     return 1;
   }
-  if (lint.instant_events < min_events) {
+  if (instants < min_events) {
     std::fprintf(stderr, "%s: only %llu instant events (need >= %llu)\n", path,
-                 static_cast<unsigned long long>(lint.instant_events),
-                 static_cast<unsigned long long>(min_events));
+                 instants, static_cast<unsigned long long>(min_events));
     return 1;
   }
   std::printf("%s: ok — %llu spans, %llu instants, %llu track metadata\n", path,
-              static_cast<unsigned long long>(lint.complete_events),
-              static_cast<unsigned long long>(lint.instant_events),
-              static_cast<unsigned long long>(lint.metadata_events));
+              spans, instants, metadata);
   return 0;
 }
