@@ -2,6 +2,7 @@
 // throughput across the stripe geometries Reo uses (google-benchmark).
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -72,7 +73,13 @@ void BM_GfMulBufScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_GfMulBufScalar)->Arg(1024)->Arg(64 * 1024);
 
-void BM_RsEncode(benchmark::State& state) {
+/// 64 KiB chunks through one kernel tier (gf256::Tier); tiers the CPU
+/// lacks report an error row.
+void RsEncode(benchmark::State& state, reo::gf256::Tier tier) {
+  if (!reo::gf256::HasTier(tier)) {
+    state.SkipWithError("CPU lacks this tier");
+    return;
+  }
   size_t m = static_cast<size_t>(state.range(0));
   size_t k = static_cast<size_t>(state.range(1));
   size_t len = 64 * 1024;
@@ -82,14 +89,12 @@ void BM_RsEncode(benchmark::State& state) {
   std::vector<std::span<const uint8_t>> ds(data.begin(), data.end());
   std::vector<std::span<uint8_t>> ps(parity.begin(), parity.end());
   for (auto _ : state) {
-    code.Encode(ds, ps);
+    code.Encode(ds, ps, tier);
     benchmark::DoNotOptimize(parity[0].data());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(m * len));
 }
-// The geometries Reo uses on a 5-device array: 4+1, 3+2, and wider arrays.
-BENCHMARK(BM_RsEncode)->Args({4, 1})->Args({3, 2})->Args({8, 2})->Args({10, 4});
 
 void BM_RsEncodeCauchy(benchmark::State& state) {
   size_t m = static_cast<size_t>(state.range(0));
@@ -109,7 +114,11 @@ void BM_RsEncodeCauchy(benchmark::State& state) {
 }
 BENCHMARK(BM_RsEncodeCauchy)->Args({4, 1})->Args({3, 2});
 
-void BM_RsReconstruct(benchmark::State& state) {
+void RsReconstruct(benchmark::State& state, reo::gf256::Tier tier) {
+  if (!reo::gf256::HasTier(tier)) {
+    state.SkipWithError("CPU lacks this tier");
+    return;
+  }
   size_t m = static_cast<size_t>(state.range(0));
   size_t k = static_cast<size_t>(state.range(1));
   size_t erased = static_cast<size_t>(state.range(2));
@@ -131,11 +140,27 @@ void BM_RsReconstruct(benchmark::State& state) {
   std::vector<std::span<uint8_t>> os(out.begin(), out.end());
 
   for (auto _ : state) {
-    benchmark::DoNotOptimize(code.Reconstruct(present, missing, os).ok());
+    benchmark::DoNotOptimize(code.Reconstruct(present, missing, os, tier).ok());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(erased * len));
 }
-BENCHMARK(BM_RsReconstruct)->Args({3, 2, 1})->Args({3, 2, 2})->Args({4, 1, 1});
+
+// Per tier, the geometries Reo uses on a 5-device array (3+2 and 4+1 full
+// stripes, 1+2 for a one-chunk class-2 object) and two wider arrays.
+int RegisterTiers() {
+  using reo::gf256::Tier;
+  for (Tier tier : {Tier::kScalar, Tier::kSsse3, Tier::kGfni}) {
+    std::string suffix = std::string("/") + reo::gf256::TierName(tier);
+    benchmark::RegisterBenchmark(("BM_RsEncode" + suffix).c_str(),
+                                 [tier](benchmark::State& s) { RsEncode(s, tier); })
+        ->Args({3, 2})->Args({1, 2})->Args({4, 1})->Args({8, 2})->Args({10, 4});
+    benchmark::RegisterBenchmark(("BM_RsReconstruct" + suffix).c_str(),
+                                 [tier](benchmark::State& s) { RsReconstruct(s, tier); })
+        ->Args({3, 2, 1})->Args({3, 2, 2})->Args({1, 2, 1})->Args({4, 1, 1});
+  }
+  return 0;
+}
+const int kRegistered = RegisterTiers();
 
 }  // namespace

@@ -105,7 +105,7 @@ Result<ArrayIo> StripeManager::RebuildObject(ObjectId id, SimTime now) {
   ArrayIo io;
   io.complete = now;
 
-  // Phase 2 (placement repair) runs after the loss repair below: stripes
+  // Phase 2 (placement repair) runs after each stripe's loss repair: stripes
   // rebuilt while the array was narrow keep multiple chunks on one device;
   // re-spread them once healthy devices are available again.
   auto rebalance_stripe = [&](Stripe& stripe) -> Status {
@@ -143,8 +143,8 @@ Result<ArrayIo> StripeManager::RebuildObject(ObjectId id, SimTime now) {
         ++io.chunk_reads;
         auto slot = array_.device(dst).AllocateSlot(c.logical_bytes);
         if (!slot.ok()) continue;
-        std::vector<uint8_t> copy(payload->begin(), payload->end());
-        Status st = array_.device(dst).WriteSlot(*slot, copy);
+        // `payload` views a slot on another device: dst != c.device.
+        Status st = array_.device(dst).WriteSlot(*slot, *payload);
         if (!st.ok()) {
           (void)array_.device(dst).FreeSlot(*slot);
           return st;
@@ -162,14 +162,10 @@ Result<ArrayIo> StripeManager::RebuildObject(ObjectId id, SimTime now) {
     return Status::Ok();
   };
 
-  for (StripeId sid : it->second.stripes) {
-    auto sit = stripes_.find(sid);
-    REO_CHECK(sit != stripes_.end());
-    Stripe& stripe = sit->second;
-    if (stripe.lost_count() == 0) {
-      REO_RETURN_IF_ERROR(rebalance_stripe(stripe));
-      continue;
-    }
+  // Phase 1: rebuild every lost chunk of one stripe. `retry` is set when a
+  // chunk read back for the re-encode fails: the stripe must be repaired
+  // again (see read_back below).
+  auto repair_stripe = [&](Stripe& stripe, bool& retry) -> Status {
     if (!stripe.recoverable()) {
       span.set_flags(kSpanError);
       return Status{ErrorCode::kUnrecoverable, "stripe beyond parity"};
@@ -206,28 +202,10 @@ Result<ArrayIo> StripeManager::RebuildObject(ObjectId id, SimTime now) {
     };
 
     // Decode every lost data chunk in one pass (charges survivor reads).
-    std::unordered_map<uint32_t, std::vector<uint8_t>> decoded;
     if (stripe.lost_data_count() > 0 ||
         stripe.level == RedundancyLevel::kReplicate) {
-      REO_RETURN_IF_ERROR(DecodeStripe(stripe, decoded, now, io));
+      REO_RETURN_IF_ERROR(DecodeStripe(stripe, now, io));
     }
-
-    // Materialize data chunk buffers for parity re-encoding if needed.
-    auto read_or_decoded = [&](uint32_t i) -> Result<std::vector<uint8_t>> {
-      if (stripe.data[i].lost) {
-        auto d = decoded.find(i);
-        REO_CHECK(d != decoded.end());
-        return d->second;
-      }
-      const auto& c = stripe.data[i];
-      auto buf = array_.device(c.device).ReadSlot(c.slot);
-      if (!buf.ok()) return buf.status();
-      io.complete = std::max(
-          io.complete,
-          array_.device(c.device).SubmitIo(now, c.logical_bytes, false));
-      ++io.chunk_reads;
-      return std::vector<uint8_t>(buf->begin(), buf->end());
-    };
 
     auto rebuild_chunk = [&](StripeChunk& c,
                              std::span<const uint8_t> payload) -> Status {
@@ -253,16 +231,31 @@ Result<ArrayIo> StripeManager::RebuildObject(ObjectId id, SimTime now) {
     // Rebuild lost data chunks from the decode.
     for (uint32_t i = 0; i < stripe.data.size(); ++i) {
       if (!stripe.data[i].lost) continue;
-      if (stripe.level == RedundancyLevel::kReplicate) {
-        auto d = decoded.find(0);
-        REO_CHECK(d != decoded.end());
-        REO_RETURN_IF_ERROR(rebuild_chunk(stripe.data[i], d->second));
-      } else {
-        auto d = decoded.find(i);
-        REO_CHECK(d != decoded.end());
-        REO_RETURN_IF_ERROR(rebuild_chunk(stripe.data[i], d->second));
-      }
+      REO_RETURN_IF_ERROR(rebuild_chunk(stripe.data[i], decoded(i)));
     }
+
+    // Re-encode inputs: each data chunk (now all live) is read back from
+    // flash as a view of its slot. A read that fails asks for the stripe to
+    // be repaired again: a corrupt chunk is marked lost first, so the retry
+    // decodes it from the survivors; a transient error loses nothing, so
+    // the retry just reads the chunk again.
+    auto read_back = [&](uint32_t i) -> Result<std::span<const uint8_t>> {
+      StripeChunk& c = stripe.data[i];
+      auto data = array_.device(c.device).ReadSlot(c.slot);
+      if (!data.ok()) {
+        if (data.status().code() == ErrorCode::kCorrupted) {
+          MarkChunkLost(c);
+          ++io.corrupt_chunks;
+        }
+        retry = true;
+        return data.status();
+      }
+      io.complete = std::max(
+          io.complete,
+          array_.device(c.device).SubmitIo(now, c.logical_bytes, false));
+      ++io.chunk_reads;
+      return *data;
+    };
 
     // Rebuild lost redundancy chunks: replicas copy the data; parity is
     // re-encoded from the (now complete) data chunks.
@@ -270,28 +263,42 @@ Result<ArrayIo> StripeManager::RebuildObject(ObjectId id, SimTime now) {
       StripeChunk& c = stripe.redundancy[j];
       if (!c.lost) continue;
       if (stripe.level == RedundancyLevel::kReplicate) {
-        auto src = read_or_decoded(0);
+        auto src = read_back(0);
         if (!src.ok()) return src.status();
         REO_RETURN_IF_ERROR(rebuild_chunk(c, *src));
       } else {
         size_t m = stripe.data.size();
-        const RsCode& code = CodeFor(m, stripe.redundancy.size());
-        std::vector<std::vector<uint8_t>> data_bufs;
-        data_bufs.reserve(m);
-        for (uint32_t i = 0; i < m; ++i) {
-          auto b = read_or_decoded(i);
-          if (!b.ok()) return b.status();
-          data_bufs.push_back(std::move(*b));
-        }
         std::vector<std::span<const uint8_t>> dspans;
         dspans.reserve(m);
-        for (const auto& b : data_bufs) dspans.emplace_back(b);
-        std::vector<uint8_t> parity(static_cast<size_t>(chunk_physical_));
-        code.EncodeParity(j, dspans, parity);
+        for (uint32_t i = 0; i < m; ++i) {
+          auto b = read_back(i);
+          if (!b.ok()) return b.status();
+          dspans.push_back(*b);
+        }
+        std::span<uint8_t> parity = Scratch(parity_scratch_, 1)[0];
+        CodeFor(m, stripe.redundancy.size()).EncodeParity(j, dspans, parity);
         REO_RETURN_IF_ERROR(rebuild_chunk(c, parity));
       }
     }
+    return Status::Ok();
+  };
 
+  for (StripeId sid : it->second.stripes) {
+    auto sit = stripes_.find(sid);
+    REO_CHECK(sit != stripes_.end());
+    Stripe& stripe = sit->second;
+    if (stripe.lost_count() > 0) {
+      // One attempt per chunk of the stripe at most, as GetObject bounds
+      // its retry: a read-back that keeps failing ends with its error.
+      Status st = Status::Ok();
+      const size_t chunks = stripe.data.size() + stripe.redundancy.size();
+      for (size_t attempt = 0; attempt < chunks; ++attempt) {
+        bool retry = false;
+        st = repair_stripe(stripe, retry);
+        if (!retry) break;
+      }
+      REO_RETURN_IF_ERROR(st);
+    }
     // Loss repair done; restore fault isolation if placement doubled up.
     REO_RETURN_IF_ERROR(rebalance_stripe(stripe));
   }

@@ -25,6 +25,13 @@ uint64_t StripeManager::PhysicalSize(uint64_t logical) const {
   return ChunkCount(logical, config_.chunk_logical_bytes) * chunk_physical_;
 }
 
+std::span<PayloadBuffer> StripeManager::Scratch(std::vector<PayloadBuffer>& bufs,
+                                                size_t n) {
+  if (bufs.size() < n) bufs.resize(n);
+  for (size_t i = 0; i < n; ++i) bufs[i].resize(static_cast<size_t>(chunk_physical_));
+  return std::span(bufs).first(n);
+}
+
 const RsCode& StripeManager::CodeFor(size_t m, size_t k) {
   uint64_t key = (static_cast<uint64_t>(m) << 16) | k;
   auto it = codes_.find(key);
@@ -240,11 +247,8 @@ Result<SimTime> StripeManager::WriteStripe(
     }
   } else if (k > 0) {
     const RsCode& code = CodeFor(m, k);
-    std::vector<std::vector<uint8_t>> parity(k,
-        std::vector<uint8_t>(static_cast<size_t>(chunk_physical_)));
-    std::vector<std::span<uint8_t>> pspans;
-    pspans.reserve(k);
-    for (auto& p : parity) pspans.emplace_back(p);
+    auto parity = Scratch(parity_scratch_, k);
+    std::vector<std::span<uint8_t>> pspans(parity.begin(), parity.end());
     code.Encode(data_bufs, pspans);
     for (size_t j = 0; j < k; ++j) {
       auto a = place(m + j, parity_logical);
@@ -278,16 +282,10 @@ Result<SimTime> StripeManager::WriteStripe(
 // Read path
 // ---------------------------------------------------------------------------
 
-Status StripeManager::ReadChunk(const Stripe& stripe, const StripeChunk& chunk,
+Status StripeManager::ReadChunk(const StripeChunk& chunk,
                                 std::span<uint8_t> out, SimTime now,
                                 ArrayIo& io) {
-  (void)stripe;
-  auto data = array_.device(chunk.device).ReadSlot(chunk.slot);
-  if (!data.ok()) return data.status();
-  if (config_.verify_reads && data->size() != out.size()) {
-    return {ErrorCode::kCorrupted, "chunk size mismatch"};
-  }
-  std::copy(data->begin(), data->end(), out.begin());
+  REO_RETURN_IF_ERROR(array_.device(chunk.device).ReadSlotInto(chunk.slot, out));
   io.complete = std::max(
       io.complete,
       array_.device(chunk.device).SubmitIo(now, chunk.logical_bytes, false));
@@ -312,10 +310,7 @@ void StripeManager::AttachTelemetry(MetricRegistry& registry) {
   tel_crc_detected_ = &registry.GetCounter("fault.crc_detected");
 }
 
-Status StripeManager::DecodeStripe(
-    Stripe& stripe,
-    std::unordered_map<uint32_t, std::vector<uint8_t>>& decoded, SimTime now,
-    ArrayIo& io) {
+Status StripeManager::DecodeStripe(Stripe& stripe, SimTime now, ArrayIo& io) {
   if (!stripe.recoverable()) {
     return {ErrorCode::kUnrecoverable, "stripe lost beyond parity"};
   }
@@ -348,10 +343,9 @@ Status StripeManager::DecodeStripe(
         if (c.lost) continue;
         auto data = read_survivor(c);
         if (!data.ok()) continue;  // corrupt copy marked lost; try next
+        auto out = Scratch(data_scratch_, stripe.data.size());
         for (uint32_t i = 0; i < stripe.data.size(); ++i) {
-          if (stripe.data[i].lost) {
-            decoded[i] = std::vector<uint8_t>(data->begin(), data->end());
-          }
+          if (stripe.data[i].lost) std::copy(data->begin(), data->end(), out[i].begin());
         }
         return Status::Ok();
       }
@@ -386,17 +380,11 @@ Status StripeManager::DecodeStripe(
     if (stripe.data[i].lost) missing_data.push_back(i);
   }
 
-  std::vector<std::vector<uint8_t>> outs(missing_data.size(),
-      std::vector<uint8_t>(static_cast<size_t>(chunk_physical_)));
+  auto out = Scratch(data_scratch_, m);
   std::vector<std::span<uint8_t>> out_spans;
-  out_spans.reserve(outs.size());
-  for (auto& o : outs) out_spans.emplace_back(o);
-  REO_RETURN_IF_ERROR(code.Reconstruct(present, missing_data, out_spans));
-
-  for (size_t i = 0; i < missing_data.size(); ++i) {
-    decoded[static_cast<uint32_t>(missing_data[i])] = std::move(outs[i]);
-  }
-  return Status::Ok();
+  out_spans.reserve(missing_data.size());
+  for (size_t i : missing_data) out_spans.emplace_back(out[i]);
+  return code.Reconstruct(present, missing_data, out_spans);
 }
 
 Result<ArrayIo> StripeManager::GetObject(ObjectId id, SimTime now) {
@@ -420,9 +408,8 @@ Result<ArrayIo> StripeManager::GetObject(ObjectId id, SimTime now) {
     Status stripe_status = Status::Ok();
     for (size_t attempt = 0; attempt <= stripe.data.size(); ++attempt) {
       stripe_status = Status::Ok();
-      std::unordered_map<uint32_t, std::vector<uint8_t>> decoded;
       if (stripe.lost_data_count() > 0) {
-        stripe_status = DecodeStripe(stripe, decoded, now, io);
+        stripe_status = DecodeStripe(stripe, now, io);
         if (!stripe_status.ok()) break;
         io.degraded = true;
       }
@@ -432,11 +419,11 @@ Result<ArrayIo> StripeManager::GetObject(ObjectId id, SimTime now) {
         std::span<uint8_t> out(io.payload.data() + pos,
                                static_cast<size_t>(chunk_physical_));
         if (stripe.data[i].lost) {
-          auto d = decoded.find(i);
-          REO_CHECK(d != decoded.end());
-          std::copy(d->second.begin(), d->second.end(), out.begin());
+          std::ranges::copy(decoded(i), out.begin());
         } else {
-          Status st = ReadChunk(stripe, stripe.data[i], out, now, io);
+          // A chunk that fails its CRC leaves unverified bytes in `out`;
+          // the retry overwrites them with the decode.
+          Status st = ReadChunk(stripe.data[i], out, now, io);
           if (st.code() == ErrorCode::kCorrupted) {
             MarkChunkLost(stripe.data[i]);
             ++io.corrupt_chunks;

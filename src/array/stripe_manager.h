@@ -54,8 +54,6 @@ struct StripeManagerConfig {
   /// cache size (e.g. 10 % of the dataset) is a configuration knob, far
   /// below the 5 x 120 GB of raw flash.
   uint64_t capacity_limit_bytes = 0;
-  /// Verify chunk CRCs and sizes on every read (cheap; on by default).
-  bool verify_reads = true;
 };
 
 /// Outcome of a data-path operation, with virtual-time completion.
@@ -167,6 +165,10 @@ class StripeManager {
   /// width, fault isolation must be restored too). Consumes IO time on the
   /// devices; returns the rebuild completion time.
   ///
+  /// A data chunk read back to re-encode a lost replica or parity chunk
+  /// that fails its read does not end the repair: a corrupt one is marked
+  /// lost, and the stripe is repaired again, at most once per chunk.
+  ///
   /// Fails with kUnrecoverable if the object is lost, kNoSpace if no
   /// healthy device can hold a rebuilt chunk.
   Result<ArrayIo> RebuildObject(ObjectId id, SimTime now);
@@ -248,22 +250,27 @@ class StripeManager {
                               uint32_t first_chunk_index, SimTime now,
                               ArrayIo& io, std::vector<StripeId>& out);
 
-  /// Reads one chunk (possibly via stripe decode); appends into `out` at
-  /// the chunk's offset. Updates `io`.
-  Status ReadChunk(const Stripe& stripe, const StripeChunk& chunk,
-                   std::span<uint8_t> out, SimTime now, ArrayIo& io);
+  /// Reads one live chunk into `out` (its size), checking the CRC while it
+  /// copies (FlashDevice::ReadSlotInto). On an error the caller discards
+  /// `out`. Updates `io`.
+  Status ReadChunk(const StripeChunk& chunk, std::span<uint8_t> out,
+                   SimTime now, ArrayIo& io);
 
-  /// Decodes all lost data chunks of `stripe` from survivors into
-  /// `decoded` (map chunk-position -> buffer). Charges survivor reads.
-  /// Self-healing: a survivor that fails its CRC is marked lost on the
-  /// spot and decoding continues with the remaining fragments.
-  Status DecodeStripe(Stripe& stripe,
-                      std::unordered_map<uint32_t, std::vector<uint8_t>>& decoded,
-                      SimTime now, ArrayIo& io);
+  /// Decodes all lost data chunks of `stripe` from survivors: afterwards
+  /// decoded(i) holds data chunk i for every i with stripe.data[i].lost.
+  /// Charges survivor reads. Self-healing: a survivor that fails its CRC is
+  /// marked lost on the spot and decoding continues with the remaining
+  /// fragments.
+  Status DecodeStripe(Stripe& stripe, SimTime now, ArrayIo& io);
+  std::span<const uint8_t> decoded(size_t i) const { return data_scratch_[i]; }
 
   /// Marks a chunk lost after its payload proved unreadable (corrupt):
   /// releases the slot and flags it for reconstruction.
   void MarkChunkLost(StripeChunk& chunk);
+
+  /// Resizes `bufs` to `n` chunk-size buffers (no zero-fill) and returns
+  /// them.
+  std::span<PayloadBuffer> Scratch(std::vector<PayloadBuffer>& bufs, size_t n);
 
   void FreeStripe(Stripe& stripe);
   const RsCode& CodeFor(size_t m, size_t k);
@@ -276,6 +283,13 @@ class StripeManager {
   std::unordered_map<ObjectId, ObjectEntry, ObjectIdHash> objects_;
   std::unordered_map<StripeId, Stripe> stripes_;
   std::unordered_map<uint64_t, RsCode> codes_;  // key m*256+k
+
+  // Chunk-size scratch reused across calls instead of zero-filled per-call
+  // vectors (a StripeManager serves one shard, on one thread): the data
+  // chunks DecodeStripe rebuilds, by data position, and the parity
+  // WriteStripe and RebuildObject encode.
+  std::vector<PayloadBuffer> data_scratch_;
+  std::vector<PayloadBuffer> parity_scratch_;
 
   uint64_t user_bytes_ = 0;
   uint64_t redundancy_bytes_ = 0;

@@ -1,10 +1,13 @@
 #include "common/crc32c.h"
 
+#include <algorithm>
 #include <array>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
+
+#include "common/status.h"
 
 namespace reo {
 namespace {
@@ -175,13 +178,156 @@ bool HasClmul() {
       __builtin_cpu_supports("sse4.2") && __builtin_cpu_supports("pclmul");
   return has;
 }
+
+// --- VPCLMULQDQ + AVX-512 fold ----------------------------------------------
+//
+// Four 512-bit accumulators hold 256 bytes of message state: sixteen 128-bit
+// lanes. Each step folds every lane forward by D = 2048 bits (256 bytes) onto
+// the lane at the same position of the next 256 input bytes.
+//
+// Lane convention: the 16 bytes of a lane are loaded little-endian, and a
+// reflected CRC consumes byte 0 first, LSB first, so lane bit j is the
+// coefficient of x^(127-j). Call that a "reflected-128" value (likewise
+// reflected-64/32). Splitting a lane X into its low qword L (bytes 0-7, the
+// high-degree half) and high qword H: X = L*x^64 + H, so
+//
+//   X * x^D = L * x^(D+64) + H * x^D   (mod P).
+//
+// PCLMULQDQ of two reflected-64 operands a, b yields bits c_t = XOR over
+// i+j=t of a_i*b_j, and read as reflected-128 that is A*B*x: the sum of the
+// exponents (63-i)+(63-j) = 126-t is one short of the 127-t the output
+// position stands for. So the constants carry one power of x less:
+//
+//   K_lo = x^(D+63) mod P   multiplies L,
+//   K_hi = x^(D-1)  mod P   multiplies H,
+//
+// and clmul(L, K_lo) ^ clmul(H, K_hi) is a 128-bit value (degree <= 95 + 1)
+// congruent to X * x^D: it goes into the lane D bits later, XORed with the
+// input there. A residue of degree < 32 read as reflected-64 sits in bits
+// 32-63, i.e. it is its reflected-32 form shifted left by 32.
+//
+// Reflected-32 of x^n mod P is what PolyPowXInv computes, up to an offset:
+// in the state convention above (bit i = x^i modulo the reversed polynomial
+// G), reversing 32 bits maps x^n mod P to x^(31-n) mod G = PolyPowXInv(n-31).
+//
+// The running CRC enters by XOR into the first four message bytes (crc32q
+// does the same with its source operand), so after the last fold the 256
+// bytes of state, taken as a message with initial state 0, have the CRC of
+// everything folded; crc32q reduces them and continues over the tail.
+
+constexpr size_t kFoldBits = 2048;
+constexpr size_t kFoldBytes = kFoldBits / 8;
+constexpr uint64_t kFoldLo = uint64_t{PolyPowXInv(kFoldBits + 63 - 31)} << 32;
+constexpr uint64_t kFoldHi = uint64_t{PolyPowXInv(kFoldBits - 1 - 31)} << 32;
+
+static_assert(kCrc32cVpclmulThreshold >= kFoldBytes);
+
+__attribute__((target("avx512f,vpclmulqdq"), always_inline))
+inline __m512i Fold(__m512i acc, __m512i k, __m512i next) {
+  // 0x96: three-way XOR.
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(acc, k, 0x00),
+                                   _mm512_clmulepi64_epi128(acc, k, 0x11),
+                                   next, 0x96);
+}
+
+/// Loads 64 bytes at `src + off` and, with kCopy, stores them at `dst + off`.
+template <bool kCopy>
+__attribute__((target("avx512f"), always_inline))
+inline __m512i Load(const uint8_t* src, uint8_t* dst, size_t off) {
+  __m512i v = _mm512_loadu_si512(src + off);
+  if constexpr (kCopy) _mm512_storeu_si512(dst + off, v);
+  return v;
+}
+
+/// CRC state over `n` bytes at `p`. With kCopy, every loaded vector (and the
+/// tail) is also stored to `dst`: the bytes copied are the bytes CRC'd.
+template <bool kCopy>
+__attribute__((target("avx512f,vpclmulqdq,sse4.2")))
+uint32_t Crc32cVpclmul(uint8_t* dst, const uint8_t* p, size_t n, uint32_t crc) {
+  if (n >= kCrc32cVpclmulThreshold) {
+    const auto lo = static_cast<long long>(kFoldLo);
+    const auto hi = static_cast<long long>(kFoldHi);
+    const __m512i k = _mm512_set4_epi64(hi, lo, hi, lo);  // per 128-bit lane
+    __m512i x0 = _mm512_xor_si512(
+        Load<kCopy>(p, dst, 0), _mm512_zextsi128_si512(_mm_cvtsi32_si128(static_cast<int>(crc))));
+    __m512i x1 = Load<kCopy>(p, dst, 64);
+    __m512i x2 = Load<kCopy>(p, dst, 128);
+    __m512i x3 = Load<kCopy>(p, dst, 192);
+    for (size_t off = kFoldBytes; off + kFoldBytes <= n; off += kFoldBytes) {
+      x0 = Fold(x0, k, Load<kCopy>(p, dst, off));
+      x1 = Fold(x1, k, Load<kCopy>(p, dst, off + 64));
+      x2 = Fold(x2, k, Load<kCopy>(p, dst, off + 128));
+      x3 = Fold(x3, k, Load<kCopy>(p, dst, off + 192));
+    }
+    size_t done = n - n % kFoldBytes;
+    alignas(64) uint8_t state[kFoldBytes];
+    _mm512_store_si512(state, x0);
+    _mm512_store_si512(state + 64, x1);
+    _mm512_store_si512(state + 128, x2);
+    _mm512_store_si512(state + 192, x3);
+    crc = Crc32cHardware({state, kFoldBytes}, 0);
+    p += done;
+    n -= done;
+    if constexpr (kCopy) dst += done;
+  }
+  if constexpr (kCopy) {
+    std::copy(p, p + n, dst);
+    p = dst;
+  }
+  return Crc32cHardware({p, n}, crc);
+}
+
+bool HasVpclmul() {
+  static const bool has = __builtin_cpu_supports("sse4.2") &&
+                          __builtin_cpu_supports("avx512f") &&
+                          __builtin_cpu_supports("vpclmulqdq");
+  return has;
+}
 #endif
 
+/// CRC state over `data` through one tier (the CPU must have it).
+uint32_t StateAt(Crc32cTier tier, std::span<const uint8_t> data, uint32_t crc) {
+  REO_CHECK(Crc32cHasTier(tier));
+#if defined(__x86_64__)
+  switch (tier) {
+    case Crc32cTier::kSse42: return Crc32cHardware(data, crc);
+    case Crc32cTier::kClmul: return Crc32cFolded(data, crc);
+    case Crc32cTier::kVpclmul:
+      return Crc32cVpclmul<false>(nullptr, data.data(), data.size(), crc);
+  }
+#endif
+  return Crc32cSoftware(data, crc);
+}
+
 }  // namespace
+
+bool Crc32cHasTier(Crc32cTier tier) {
+#if defined(__x86_64__)
+  switch (tier) {
+    case Crc32cTier::kSse42: return HasSse42();
+    case Crc32cTier::kClmul: return HasClmul();
+    case Crc32cTier::kVpclmul: return HasVpclmul();
+  }
+#endif
+  (void)tier;
+  return false;
+}
+
+const char* Crc32cTierName(Crc32cTier tier) {
+  switch (tier) {
+    case Crc32cTier::kSse42: return "sse4.2";
+    case Crc32cTier::kClmul: return "pclmulqdq";
+    case Crc32cTier::kVpclmul: return "vpclmulqdq";
+  }
+  return "?";
+}
 
 uint32_t Crc32c(std::span<const uint8_t> data, uint32_t seed) {
   uint32_t crc = ~seed;
 #if defined(__x86_64__)
+  if (data.size() >= kCrc32cVpclmulThreshold && HasVpclmul()) {
+    return ~Crc32cVpclmul<false>(nullptr, data.data(), data.size(), crc);
+  }
   if (data.size() >= kCrc32cFoldThreshold && HasClmul()) {
     return ~Crc32cFolded(data, crc);
   }
@@ -192,24 +338,24 @@ uint32_t Crc32c(std::span<const uint8_t> data, uint32_t seed) {
   return ~Crc32cSoftware(data, crc);
 }
 
+uint32_t Crc32cCopy(std::span<uint8_t> dst, std::span<const uint8_t> src,
+                    uint32_t seed) {
+  REO_CHECK(dst.size() == src.size());
+#if defined(__x86_64__)
+  if (src.size() >= kCrc32cVpclmulThreshold && HasVpclmul()) {
+    return ~Crc32cVpclmul<true>(dst.data(), src.data(), src.size(), ~seed);
+  }
+#endif
+  std::copy(src.begin(), src.end(), dst.begin());
+  return Crc32c(dst, seed);
+}
+
 uint32_t Crc32cPortable(std::span<const uint8_t> data, uint32_t seed) {
   return ~Crc32cSoftware(data, ~seed);
 }
 
-bool Crc32cUsesHardware() {
-#if defined(__x86_64__) || defined(__i386__)
-  return HasSse42();
-#else
-  return false;
-#endif
-}
-
-bool Crc32cUsesClmul() {
-#if defined(__x86_64__)
-  return HasClmul();
-#else
-  return false;
-#endif
+uint32_t Crc32c(Crc32cTier tier, std::span<const uint8_t> data, uint32_t seed) {
+  return ~StateAt(tier, data, ~seed);
 }
 
 }  // namespace reo

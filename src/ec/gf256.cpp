@@ -1,5 +1,6 @@
 #include "ec/gf256.h"
 
+#include <algorithm>
 #include <array>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -160,12 +161,110 @@ constexpr size_t kSimdCutover = 32;
 }  // namespace
 #endif  // x86
 
-bool HasSimdKernels() {
+#if defined(__x86_64__)
+namespace {
+
+// GFNI's vgf2p8mulb multiplies in the AES field (0x11B), not in this one
+// (0x11D). But multiplying by a constant is GF(2)-linear in the bits of the
+// other operand, so vgf2p8affineqb with AffineMatrix(c) computes c * x in
+// any field: 64 products per instruction.
+
+/// Output bytes [i, i + popcount(mask)) of kRows outputs: each source vector
+/// is loaded once and feeds every output's accumulator.
+template <size_t kRows>
+__attribute__((target("avx512f,avx512bw,gfni"), always_inline))
+inline void GfniStep(const uint64_t* mats, std::span<const std::span<const uint8_t>> src,
+                     const std::span<uint8_t>* out, size_t i, __mmask64 mask) {
+  const size_t cols = src.size();
+  __m512i acc[kRows];
+  for (size_t r = 0; r < kRows; ++r) acc[r] = _mm512_setzero_si512();
+  for (size_t s = 0; s < cols; ++s) {
+    const __m512i x = _mm512_maskz_loadu_epi8(mask, src[s].data() + i);
+    for (size_t r = 0; r < kRows; ++r) {
+      const __m512i a = _mm512_set1_epi64(static_cast<long long>(mats[r * cols + s]));
+      acc[r] = _mm512_xor_si512(acc[r], _mm512_gf2p8affine_epi64_epi8(x, a, 0));
+    }
+  }
+  for (size_t r = 0; r < kRows; ++r) {
+    _mm512_mask_storeu_epi8(out[r].data() + i, mask, acc[r]);
+  }
+}
+
+/// One pass over the sources for kRows outputs; the last partial vector goes
+/// through masked loads and stores.
+template <size_t kRows>
+__attribute__((target("avx512f,avx512bw,gfni")))
+void GfniPass(const uint64_t* mats, std::span<const std::span<const uint8_t>> src,
+              const std::span<uint8_t>* out) {
+  const size_t n = src[0].size();
+  size_t i = 0;
+  for (; i + 64 <= n; i += 64) GfniStep<kRows>(mats, src, out, i, ~__mmask64{0});
+  if (i < n) GfniStep<kRows>(mats, src, out, i, (__mmask64{1} << (n - i)) - 1);
+}
+
+/// Outputs in groups of up to four, one pass over the sources per group (the
+/// stripe geometries have at most two outputs).
+void DotProductGfni(std::span<const uint64_t> affine,
+                    std::span<const std::span<const uint8_t>> src,
+                    std::span<const std::span<uint8_t>> out) {
+  for (size_t r = 0; r < out.size(); r += 4) {
+    const uint64_t* mats = affine.data() + r * src.size();
+    const std::span<uint8_t>* o = out.data() + r;
+    switch (std::min<size_t>(4, out.size() - r)) {
+      case 1: GfniPass<1>(mats, src, o); break;
+      case 2: GfniPass<2>(mats, src, o); break;
+      case 3: GfniPass<3>(mats, src, o); break;
+      default: GfniPass<4>(mats, src, o); break;
+    }
+  }
+}
+
+bool HasGfni() {
+  static const bool has = __builtin_cpu_supports("avx512f") &&
+                          __builtin_cpu_supports("avx512bw") &&
+                          __builtin_cpu_supports("gfni");
+  return has;
+}
+
+}  // namespace
+#endif  // x86_64
+
+bool HasTier(Tier tier) {
+  switch (tier) {
+    case Tier::kScalar: return true;
 #if defined(__x86_64__) || defined(__i386__)
-  return HasSsse3();
-#else
-  return false;
+    case Tier::kSsse3: return HasSsse3();
 #endif
+#if defined(__x86_64__)
+    case Tier::kGfni: return HasGfni();
+#endif
+    default: return false;
+  }
+}
+
+const char* TierName(Tier tier) {
+  switch (tier) {
+    case Tier::kScalar: return "scalar";
+    case Tier::kSsse3: return "ssse3";
+    case Tier::kGfni: return "gfni";
+  }
+  return "?";
+}
+
+Tier BestTier() {
+  if (HasTier(Tier::kGfni)) return Tier::kGfni;
+  return HasTier(Tier::kSsse3) ? Tier::kSsse3 : Tier::kScalar;
+}
+
+uint64_t AffineMatrix(uint8_t c) {
+  uint64_t m = 0;
+  for (int j = 0; j < 8; ++j) {
+    const uint8_t column = Mul(c, static_cast<uint8_t>(1u << j));
+    for (int i = 0; i < 8; ++i) {
+      if ((column >> i) & 1) m |= uint64_t{1} << (8 * (7 - i) + j);
+    }
+  }
+  return m;
 }
 
 void MulAcc(std::span<uint8_t> dst, std::span<const uint8_t> src, uint8_t c) {
@@ -188,6 +287,44 @@ void MulBuf(std::span<uint8_t> dst, std::span<const uint8_t> src, uint8_t c) {
   }
 #endif
   MulBufScalar(dst, src, c);
+}
+
+void DotProduct(std::span<const uint8_t> coef, std::span<const uint64_t> affine,
+                std::span<const std::span<const uint8_t>> src,
+                std::span<const std::span<uint8_t>> out) {
+  DotProduct(BestTier(), coef, affine, src, out);
+}
+
+void DotProduct(Tier tier, std::span<const uint8_t> coef,
+                std::span<const uint64_t> affine,
+                std::span<const std::span<const uint8_t>> src,
+                std::span<const std::span<uint8_t>> out) {
+  REO_CHECK(HasTier(tier));
+  REO_CHECK(!src.empty());
+  REO_CHECK(coef.size() == out.size() * src.size());
+  REO_CHECK(affine.size() == coef.size());
+  for (const auto& s : src) REO_CHECK(s.size() == src[0].size());
+  for (const auto& o : out) REO_CHECK(o.size() == src[0].size());
+  if (out.empty() || src[0].empty()) return;
+#if defined(__x86_64__)
+  // One source with coefficients 0 and 1 (the 1+k geometries) makes every
+  // output a fill or a copy: MulBuf's copy beats an affine multiply by 1.
+  const bool copies = src.size() == 1 &&
+                      std::ranges::all_of(coef, [](uint8_t c) { return c <= 1; });
+  if (tier == Tier::kGfni && !copies) {
+    DotProductGfni(affine, src, out);
+    return;
+  }
+#endif
+  const bool scalar = tier == Tier::kScalar;
+  const size_t cols = src.size();
+  for (size_t r = 0; r < out.size(); ++r) {
+    const uint8_t* c = coef.data() + r * cols;
+    (scalar ? MulBufScalar : MulBuf)(out[r], src[0], c[0]);
+    for (size_t s = 1; s < cols; ++s) {
+      (scalar ? MulAccScalar : MulAcc)(out[r], src[s], c[s]);
+    }
+  }
 }
 
 }  // namespace reo::gf256

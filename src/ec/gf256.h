@@ -1,9 +1,10 @@
 // GF(2^8) arithmetic for Reed-Solomon coding.
 //
-// Field: polynomial basis with the AES/Rijndael-compatible primitive
-// polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D), generator 2. Multiplication
-// and division go through exp/log tables; bulk multiply-accumulate over
-// buffers is the hot path of stripe encoding and reconstruction.
+// Field: polynomial basis with the primitive polynomial
+// x^8 + x^4 + x^3 + x^2 + 1 (0x11D), generator 2. Multiplication and
+// division go through exp/log tables; the bulk kernels over buffers (MulAcc,
+// MulBuf, DotProduct) are the hot path of stripe encoding and
+// reconstruction.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,46 @@ void MulAccScalar(std::span<uint8_t> dst, std::span<const uint8_t> src,
 void MulBufScalar(std::span<uint8_t> dst, std::span<const uint8_t> src,
                   uint8_t c);
 
-/// True when the runtime dispatch selects the SIMD kernels on this CPU.
-bool HasSimdKernels();
+/// The kernel tiers, slowest first. Dispatch picks the best one this CPU
+/// has, from CPUID at run time.
+enum class Tier : uint8_t {
+  kScalar,  ///< per-coefficient 256-entry product table, one byte at a time
+  kSsse3,   ///< pshufb split-nibble lookups, 16 bytes at a time
+  kGfni,    ///< vgf2p8affineqb (GFNI + AVX-512BW), 64 bytes at a time
+};
+
+/// True when this CPU has the tier's instructions (kScalar: always).
+bool HasTier(Tier tier);
+
+/// "scalar", "ssse3", "gfni": the tier in test and bench names.
+const char* TierName(Tier tier);
+
+/// The tier DotProduct dispatches to on this CPU.
+Tier BestTier();
+
+/// Multiplication by `c` as an 8x8 GF(2) bit matrix in vgf2p8affineqb's
+/// operand layout: byte 7-i of the result is the row of output bit i (bit j
+/// set when bit i of c * 2^j is set).
+uint64_t AffineMatrix(uint8_t c);
+
+/// out[r] = XOR over s of coef[r * src.size() + s] * src[s], for every output
+/// r: a (out.size() x src.size()) row-major coefficient matrix applied to
+/// equal-size buffers. `affine` holds AffineMatrix of each coefficient, in
+/// the same layout. Every output byte is written once, so `out` need not be
+/// initialized and no output may alias a source.
+///
+/// kGfni makes one pass over the sources for up to four outputs at a time;
+/// kSsse3 and kScalar run MulBuf on the first source and MulAcc on the rest,
+/// per output (kSsse3 through the dispatched MulBuf/MulAcc). kGfni takes the
+/// kSsse3 path when there is one source and every coefficient is 0 or 1:
+/// each output is then a fill or a copy. This overload uses BestTier(); the
+/// other takes a tier the CPU must have.
+void DotProduct(std::span<const uint8_t> coef, std::span<const uint64_t> affine,
+                std::span<const std::span<const uint8_t>> src,
+                std::span<const std::span<uint8_t>> out);
+void DotProduct(Tier tier, std::span<const uint8_t> coef,
+                std::span<const uint64_t> affine,
+                std::span<const std::span<const uint8_t>> src,
+                std::span<const std::span<uint8_t>> out);
 
 }  // namespace reo::gf256

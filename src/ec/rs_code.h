@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "ec/gf256.h"
 #include "ec/matrix.h"
 
 namespace reo {
@@ -40,10 +41,13 @@ class RsCode {
   /// Encoding coefficient of data chunk `d` in parity chunk `p`.
   uint8_t Coefficient(size_t p, size_t d) const;
 
-  /// Computes all k parity buffers from the m data buffers.
-  /// All spans must have identical size; parity spans are overwritten.
+  /// Computes all k parity buffers from the m data buffers in one pass over
+  /// the data (gf256::DotProduct). All spans must have identical size; the
+  /// parity spans are overwritten and need no initialization. `tier` is for
+  /// tests and benches; the default is what dispatch picks on this CPU.
   void Encode(std::span<const std::span<const uint8_t>> data,
-              std::span<const std::span<uint8_t>> parity) const;
+              std::span<const std::span<uint8_t>> parity,
+              gf256::Tier tier = gf256::BestTier()) const;
 
   /// Recomputes a single parity chunk (index `p` in [0,k)).
   void EncodeParity(size_t p, std::span<const std::span<const uint8_t>> data,
@@ -60,12 +64,17 @@ class RsCode {
   Status Reconstruct(
       std::span<const std::pair<size_t, std::span<const uint8_t>>> present,
       std::span<const size_t> missing,
-      std::span<const std::span<uint8_t>> out) const;
+      std::span<const std::span<uint8_t>> out,
+      gf256::Tier tier = gf256::BestTier()) const;
 
  private:
   size_t m_;
   size_t k_;
   GfMatrix generator_;  // n x m, top m x m == identity
+  /// The parity rows of the generator (k x m, row-major) and the
+  /// gf256::AffineMatrix of each entry, built once for DotProduct.
+  std::vector<uint8_t> parity_coef_;
+  std::vector<uint64_t> parity_affine_;
 };
 
 }  // namespace reo

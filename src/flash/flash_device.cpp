@@ -181,7 +181,8 @@ Status FlashDevice::WriteSlot(SlotId slot, std::span<const uint8_t> payload) {
   return Status::Ok();
 }
 
-Result<std::span<const uint8_t>> FlashDevice::ReadSlot(SlotId slot) {
+Result<std::span<const uint8_t>> FlashDevice::CheckedRead(
+    SlotId slot, std::span<uint8_t> out) {
   if (!healthy()) return Status{ErrorCode::kUnavailable, "device failed"};
   if (slot >= slots_.size() || !slots_[slot].allocated) {
     return Status{ErrorCode::kNotFound, "no such slot"};
@@ -194,7 +195,10 @@ Result<std::span<const uint8_t>> FlashDevice::ReadSlot(SlotId slot) {
           .fire) {
     return Status{ErrorCode::kIoError, "injected transient read error"};
   }
-  if (Crc32c(s.payload) != s.crc) {
+  const uint32_t crc = out.size() == s.payload.size()
+                           ? Crc32cCopy(out, s.payload)
+                           : Crc32c(s.payload);
+  if (crc != s.crc) {
     return Status{ErrorCode::kCorrupted, "slot CRC mismatch"};
   }
   wear_.bytes_read += s.logical_bytes;
@@ -202,6 +206,19 @@ Result<std::span<const uint8_t>> FlashDevice::ReadSlot(SlotId slot) {
   Inc(tel_reads_);
   Set(tel_bytes_read_, static_cast<double>(wear_.bytes_read));
   return std::span<const uint8_t>(s.payload);
+}
+
+Result<std::span<const uint8_t>> FlashDevice::ReadSlot(SlotId slot) {
+  return CheckedRead(slot, {});
+}
+
+Status FlashDevice::ReadSlotInto(SlotId slot, std::span<uint8_t> out) {
+  auto read = CheckedRead(slot, out);
+  if (!read.ok()) return read.status();
+  if (read->size() != out.size()) {
+    return {ErrorCode::kCorrupted, "chunk size mismatch"};
+  }
+  return Status::Ok();
 }
 
 SimTime FlashDevice::ServiceTime(uint64_t logical_bytes, bool is_write) const {

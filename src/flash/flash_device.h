@@ -100,6 +100,14 @@ class FlashDevice {
   /// reads advance the wear/traffic counters.
   Result<std::span<const uint8_t>> ReadSlot(SlotId slot);
 
+  /// ReadSlot that copies the payload into `out` in the same pass that
+  /// checks its CRC: the same checks, fault roll and counters, in the same
+  /// order, and the same errors. On kCorrupted `out` holds the unverified
+  /// bytes and the caller must discard them. An `out` of another size than
+  /// the payload fails with kCorrupted ("chunk size mismatch") after the
+  /// read is counted, and is left untouched.
+  Status ReadSlotInto(SlotId slot, std::span<uint8_t> out);
+
   uint64_t used_bytes() const { return used_bytes_; }
   uint64_t free_bytes() const { return config_.capacity_bytes - used_bytes_; }
   size_t live_slots() const { return live_slots_; }
@@ -165,6 +173,12 @@ class FlashDevice {
     uint32_t page_count = 0;
     std::vector<uint8_t> payload;
   };
+
+  /// The read shared by ReadSlot and ReadSlotInto: device state, slot, the
+  /// transient-read roll, the CRC check, then the counters. With `out` of
+  /// the payload's size the CRC is taken while the payload is copied there.
+  Result<std::span<const uint8_t>> CheckedRead(SlotId slot,
+                                               std::span<uint8_t> out);
 
   void InitFtl();
   Status FtlWriteSlot(Slot& s);

@@ -232,6 +232,25 @@ TEST(StripeManagerTest, OnDeviceFailureReportsAffected) {
   }
 }
 
+TEST(StripeManagerTest, CorruptDataChunkIsServedFromParity) {
+  // One 3+2 stripe: stripe 1 puts data chunk 0 in slot 0 of device 1. Its
+  // fused read (ReadSlotInto) fails the CRC, so GetObject discards those
+  // bytes and serves the chunk decoded from parity.
+  ArrayFixture fx;
+  ObjectId id = Oid(1);
+  uint64_t logical = 3 * kChunk;
+  ASSERT_TRUE(fx.Put(id, logical, RedundancyLevel::kParity2).ok());
+  ASSERT_TRUE(fx.array.device(1).CorruptSlot(0, 17).ok());
+  std::vector<uint8_t> out(kChunk);
+  EXPECT_EQ(fx.array.device(1).ReadSlotInto(0, out).code(), ErrorCode::kCorrupted);
+
+  auto got = fx.stripes.GetObject(id, 0);
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  EXPECT_TRUE(got->degraded);
+  EXPECT_EQ(got->corrupt_chunks, 1u);
+  EXPECT_EQ(got->payload, fx.Payload(id, logical));
+}
+
 TEST(StripeManagerTest, RebuildRestoresIntactState) {
   ArrayFixture fx;
   ObjectId id = Oid(1);

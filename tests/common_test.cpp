@@ -175,7 +175,7 @@ TEST(Crc32cTest, ClmulFoldedPathMatchesPortableAcrossThreshold) {
       std::span<const uint8_t> data(backing.data() + off, len);
       ASSERT_EQ(Crc32c(data), Crc32cPortable(data))
           << "off=" << off << " len=" << len
-          << " clmul=" << Crc32cUsesClmul();
+          << " clmul=" << Crc32cHasTier(Crc32cTier::kClmul);
     }
   }
 }
@@ -195,6 +195,127 @@ TEST(Crc32cTest, ClmulSeededContinuationAcrossThreshold) {
     std::span<const uint8_t> head(buf.data(), split);
     std::span<const uint8_t> tail(buf.data() + split, buf.size() - split);
     EXPECT_EQ(Crc32c(tail, Crc32c(head)), whole) << "split=" << split;
+  }
+}
+
+// Per-tier differentials: each hardware tier, called directly rather than
+// through dispatch, against the portable table. A tier this CPU lacks skips
+// with its name, so a green run shows which tiers it exercised.
+class Crc32cTierTest : public ::testing::TestWithParam<Crc32cTier> {
+ protected:
+  void SetUp() override {
+    if (!Crc32cHasTier(GetParam())) {
+      GTEST_SKIP() << "CPU lacks " << Crc32cTierName(GetParam());
+    }
+  }
+};
+
+/// Lengths 0-1100 in steps of 1 (the kVpclmul threshold is 512), the kClmul
+/// threshold +-1, and 64 KiB + 61.
+std::vector<size_t> TierLengths() {
+  std::vector<size_t> lens;
+  for (size_t n = 0; n <= 1100; ++n) lens.push_back(n);
+  for (size_t n : {kCrc32cFoldThreshold - 1, kCrc32cFoldThreshold,
+                   kCrc32cFoldThreshold + 1, size_t{64 * 1024 + 61}}) {
+    lens.push_back(n);
+  }
+  return lens;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Pcg32 rng(seed);
+  std::vector<uint8_t> out(n);
+  for (auto& b : out) b = static_cast<uint8_t>(rng.Next());
+  return out;
+}
+
+/// Split points for seeded continuation: each side of both thresholds.
+std::vector<size_t> ContinuationSplits(size_t n) {
+  return {1, 255, kCrc32cVpclmulThreshold - 1, kCrc32cVpclmulThreshold,
+          kCrc32cVpclmulThreshold + 1, kCrc32cFoldThreshold, n - 513, n - 7};
+}
+
+TEST_P(Crc32cTierTest, MatchesPortableAtEveryLengthAndOffset) {
+  const Crc32cTier tier = GetParam();
+  const auto backing = RandomBytes(64 * 1024 + 61 + 64, 21);
+  for (size_t len : TierLengths()) {
+    for (size_t off = 0; off < 64; ++off) {
+      std::span<const uint8_t> data(backing.data() + off, len);
+      ASSERT_EQ(Crc32c(tier, data), Crc32cPortable(data))
+          << "len=" << len << " off=" << off;
+      ASSERT_EQ(Crc32c(tier, data, 0x9E3779B9u),
+                Crc32cPortable(data, 0x9E3779B9u))
+          << "seeded len=" << len << " off=" << off;
+    }
+  }
+}
+
+TEST_P(Crc32cTierTest, SeededContinuationMatchesWholeBuffer) {
+  const Crc32cTier tier = GetParam();
+  const auto buf = RandomBytes(3 * kCrc32cFoldThreshold + 61, 23);
+  const uint32_t whole = Crc32cPortable(buf);
+  for (size_t split : ContinuationSplits(buf.size())) {
+    std::span<const uint8_t> head(buf.data(), split);
+    std::span<const uint8_t> tail(buf.data() + split, buf.size() - split);
+    EXPECT_EQ(Crc32c(tier, tail, Crc32c(tier, head)), whole) << "split=" << split;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, Crc32cTierTest,
+                         ::testing::Values(Crc32cTier::kSse42, Crc32cTier::kClmul,
+                                           Crc32cTier::kVpclmul),
+                         [](const auto& info) {
+                           std::string name = Crc32cTierName(info.param);
+                           std::erase(name, '.');
+                           return name;
+                         });
+
+// Crc32cCopy through dispatch: on a CPU with the kVpclmul tier, the fused
+// loop from its threshold up and a copy then Crc32c below it.
+TEST(Crc32cCopyTest, MatchesPortableAndMemcmp) {
+  const auto backing = RandomBytes(64 * 1024 + 61 + 64, 22);
+  std::vector<uint8_t> dst(backing.size() + 64);
+  auto check = [&](size_t len, size_t src_off, size_t dst_off, uint32_t want) {
+    std::span<const uint8_t> src(backing.data() + src_off, len);
+    std::fill_n(dst.begin(), dst_off + len + 64, 0xA5);
+    std::span<uint8_t> out(dst.data() + dst_off, len);
+    ASSERT_EQ(Crc32cCopy(out, src, 7), want)
+        << "len=" << len << " src_off=" << src_off << " dst_off=" << dst_off;
+    ASSERT_EQ(std::memcmp(out.data(), src.data(), len), 0);
+    // Nothing around the destination is written.
+    for (size_t i = 0; i < dst_off; ++i) ASSERT_EQ(dst[i], 0xA5);
+    for (size_t i = 0; i < 64; ++i) ASSERT_EQ(dst[dst_off + len + i], 0xA5);
+  };
+  for (size_t len : TierLengths()) {
+    // Every destination offset at the tier thresholds, one per source
+    // offset elsewhere.
+    const bool all_dst = len == 0 || len == kCrc32cVpclmulThreshold - 1 ||
+                         len == kCrc32cVpclmulThreshold ||
+                         len == kCrc32cVpclmulThreshold + 1 ||
+                         len == kCrc32cFoldThreshold;
+    for (size_t src_off = 0; src_off < 64; ++src_off) {
+      uint32_t want = Crc32cPortable({backing.data() + src_off, len}, 7);
+      for (size_t dst_off = 0; dst_off < 64; ++dst_off) {
+        if (!all_dst && dst_off != (src_off * 37 + len) % 64) continue;
+        check(len, src_off, dst_off, want);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(Crc32cCopyTest, SeededContinuationMatchesWholeBuffer) {
+  const auto buf = RandomBytes(3 * kCrc32cFoldThreshold + 61, 23);
+  const uint32_t whole = Crc32cPortable(buf);
+  std::vector<uint8_t> copy(buf.size());
+  for (size_t split : ContinuationSplits(buf.size())) {
+    std::span<uint8_t> out(copy);
+    uint32_t crc = Crc32cCopy(out.first(split), {buf.data(), split});
+    EXPECT_EQ(Crc32cCopy(out.subspan(split),
+                         {buf.data() + split, buf.size() - split}, crc),
+              whole)
+        << "split=" << split;
+    EXPECT_EQ(copy, buf);
   }
 }
 

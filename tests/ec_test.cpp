@@ -3,6 +3,7 @@
 // strategies (direct vs delta).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -153,6 +154,142 @@ TEST(Gf256Test, DispatchedKernelsMatchScalarExhaustively) {
     }
   }
 }
+
+// --- Kernel tiers ---------------------------------------------------------------
+
+// Per-tier differentials for the one-pass DotProduct kernel: each tier called
+// directly, against the scalar reference. A tier this CPU lacks skips with
+// its name, so a green run shows which tiers it exercised.
+class Gf256TierTest : public ::testing::TestWithParam<gf256::Tier> {
+ protected:
+  void SetUp() override {
+    if (!gf256::HasTier(GetParam())) {
+      GTEST_SKIP() << "CPU lacks " << gf256::TierName(GetParam());
+    }
+  }
+};
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Pcg32 rng(seed);
+  std::vector<uint8_t> out(n);
+  for (auto& b : out) b = static_cast<uint8_t>(rng.Next());
+  return out;
+}
+
+TEST_P(Gf256TierTest, DotProductMatchesScalarForEveryCoefficient) {
+  const auto backing = RandomBytes(4096 + 19 + 64, 31);
+  const size_t lens[] = {0, 1, 15, 16, 33, 63, 64, 65, 127, 128, 1000, 4096 + 19};
+  for (int c = 0; c < 256; ++c) {
+    const uint8_t coef[1] = {static_cast<uint8_t>(c)};
+    const uint64_t affine[1] = {gf256::AffineMatrix(coef[0])};
+    for (size_t len : lens) {
+      for (size_t off : {size_t{0}, size_t{5}, size_t{61}}) {
+        std::span<const uint8_t> src[1] = {{backing.data() + off, len}};
+        std::vector<uint8_t> want(len), got(len, 0xEE);
+        gf256::MulBufScalar(want, src[0], coef[0]);
+        std::span<uint8_t> out[1] = {got};
+        gf256::DotProduct(GetParam(), coef, affine, src, out);
+        ASSERT_EQ(got, want) << "c=" << c << " len=" << len << " off=" << off;
+      }
+    }
+  }
+}
+
+/// out[r] = sum over s of coef[r][s] * src[s], by the field's definition.
+std::vector<std::vector<uint8_t>> ReferenceDot(
+    std::span<const uint8_t> coef, const std::vector<std::vector<uint8_t>>& src,
+    size_t rows) {
+  const size_t len = src[0].size();
+  std::vector<std::vector<uint8_t>> out(rows, std::vector<uint8_t>(len, 0));
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t s = 0; s < src.size(); ++s) {
+      gf256::MulAccScalar(out[r], src[s], coef[r * src.size() + s]);
+    }
+  }
+  return out;
+}
+
+TEST_P(Gf256TierTest, MultiOutputDotProductMatchesReference) {
+  // Up to six outputs (the kGfni kernel groups them by four) over up to
+  // four sources, coefficients walking all 256 values, lengths around the
+  // 64-byte vector.
+  uint8_t next = 0;
+  for (size_t rows = 1; rows <= 6; ++rows) {
+    for (size_t cols = 1; cols <= 4; ++cols) {
+      for (size_t len : {size_t{1}, size_t{64}, size_t{100}, size_t{4096 + 3}}) {
+        std::vector<std::vector<uint8_t>> src;
+        for (size_t s = 0; s < cols; ++s) src.push_back(RandomBytes(len, 40 + s + len));
+        std::vector<uint8_t> coef(rows * cols);
+        std::vector<uint64_t> affine(coef.size());
+        for (size_t i = 0; i < coef.size(); ++i) {
+          coef[i] = next;
+          next = static_cast<uint8_t>(next + 37);
+          affine[i] = gf256::AffineMatrix(coef[i]);
+        }
+        std::vector<std::vector<uint8_t>> got(rows, std::vector<uint8_t>(len, 0xEE));
+        std::vector<std::span<const uint8_t>> ss(src.begin(), src.end());
+        std::vector<std::span<uint8_t>> os(got.begin(), got.end());
+        gf256::DotProduct(GetParam(), coef, affine, ss, os);
+        ASSERT_EQ(got, ReferenceDot(coef, src, rows))
+            << "rows=" << rows << " cols=" << cols << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST_P(Gf256TierTest, ReoGeometriesEncodeAndReconstructLikeScalar) {
+  // Every stripe geometry Reo builds on a 5-device array (m <= 4 data,
+  // k <= 2 parity), both constructions, lengths off the 64-byte vector.
+  for (auto construction : {RsConstruction::kVandermonde, RsConstruction::kCauchy}) {
+    for (size_t m = 1; m <= 4; ++m) {
+      for (size_t k = 1; k <= 2; ++k) {
+        RsCode code(m, k, construction);
+        for (size_t len : {size_t{1}, size_t{63}, size_t{65}, size_t{1000},
+                           size_t{64 * 1024 + 13}}) {
+          std::vector<std::vector<uint8_t>> data;
+          for (size_t d = 0; d < m; ++d) data.push_back(RandomBytes(len, 50 + d));
+          std::vector<std::vector<uint8_t>> want(k, std::vector<uint8_t>(len));
+          std::vector<std::vector<uint8_t>> got(k, std::vector<uint8_t>(len, 0xEE));
+          std::vector<std::span<const uint8_t>> ds(data.begin(), data.end());
+          std::vector<std::span<uint8_t>> ws(want.begin(), want.end());
+          std::vector<std::span<uint8_t>> gs(got.begin(), got.end());
+          code.Encode(ds, ws, gf256::Tier::kScalar);
+          code.Encode(ds, gs, GetParam());
+          ASSERT_EQ(got, want) << "m=" << m << " k=" << k << " len=" << len;
+
+          // Erase every data fragment in turn (and, with k = 2, the next
+          // fragment too) and rebuild it through the tier.
+          for (size_t lost = 0; lost < m; ++lost) {
+            std::vector<size_t> missing{lost};
+            if (k == 2) missing.push_back(lost + 1);
+            std::vector<std::pair<size_t, std::span<const uint8_t>>> present;
+            for (size_t f = 0; f < m + k; ++f) {
+              if (std::find(missing.begin(), missing.end(), f) != missing.end()) continue;
+              present.emplace_back(f, f < m ? std::span<const uint8_t>(data[f])
+                                            : std::span<const uint8_t>(want[f - m]));
+            }
+            std::vector<std::vector<uint8_t>> out(missing.size(),
+                                                  std::vector<uint8_t>(len, 0xEE));
+            std::vector<std::span<uint8_t>> os(out.begin(), out.end());
+            ASSERT_TRUE(code.Reconstruct(present, missing, os, GetParam()).ok());
+            for (size_t i = 0; i < missing.size(); ++i) {
+              size_t f = missing[i];
+              ASSERT_EQ(out[i], f < m ? data[f] : want[f - m])
+                  << "m=" << m << " k=" << k << " len=" << len << " fragment " << f;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, Gf256TierTest,
+                         ::testing::Values(gf256::Tier::kScalar, gf256::Tier::kSsse3,
+                                           gf256::Tier::kGfni),
+                         [](const auto& info) {
+                           return std::string(gf256::TierName(info.param));
+                         });
 
 // --- Matrix -------------------------------------------------------------------
 

@@ -432,6 +432,85 @@ TEST(TransientRetryTest, FailedOverwriteKeepsTheOldCopy) {
   EXPECT_EQ(back->payload, v0);
 }
 
+// --- RebuildObject after a failed read-back -----------------------------------
+
+/// A 5-device array of 64 KiB chunks and a StripeManager, with `spec`
+/// injected into every device.
+struct RebuildFixture {
+  static constexpr uint64_t kBigChunk = 64 * 1024;
+
+  explicit RebuildFixture(const std::string& spec_json)
+      : injector(MustParse(spec_json)) {
+    FlashDeviceConfig dev;
+    dev.capacity_bytes = 8 << 20;
+    array = std::make_unique<FlashArray>(5, dev);
+    stripes = std::make_unique<StripeManager>(
+        *array, StripeManagerConfig{.chunk_logical_bytes = kBigChunk});
+    array->AttachFaults(&injector, nullptr);
+  }
+
+  FaultInjector injector;
+  std::unique_ptr<FlashArray> array;
+  std::unique_ptr<StripeManager> stripes;
+};
+
+// The read that re-encodes a lost redundancy chunk fails once (a transient
+// error on the data chunk read back), although the decode before it had
+// just verified enough survivors. The repair must run the stripe repair
+// again, which reads the chunk again, instead of giving up, which left the
+// object degraded (and ReadObject counting fault.crc_unrepaired). Only a
+// kCorrupted read-back marks the chunk lost before the retry.
+void ExpectRebuildSurvivesFailedReadBack(const std::string& spec,
+                                         uint64_t logical,
+                                         RedundancyLevel level) {
+  RebuildFixture fx(spec);
+  const ObjectId id = Oid(7);
+  auto payload = BackendStore::SynthesizePayload(
+      id, 0, fx.stripes->PhysicalSize(logical));
+  ASSERT_TRUE(fx.stripes->PutObject(id, payload, logical, level, 0).ok());
+  ASSERT_EQ(fx.injector.injected(FaultSite::kFlashLatent), 2u);
+
+  auto got = fx.stripes->GetObject(id, 0);
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  EXPECT_EQ(got->payload, payload);
+  EXPECT_EQ(got->corrupt_chunks, 2u);
+
+  auto rb = fx.stripes->RebuildObject(id, got->complete);
+  ASSERT_TRUE(rb.ok()) << rb.status().to_string();
+  EXPECT_EQ(fx.injector.injected(FaultSite::kFlashReadTransient), 1u);
+  EXPECT_EQ(fx.stripes->SurvivalOf(id), ObjectSurvival::kIntact);
+
+  auto again = fx.stripes->GetObject(id, rb->complete);
+  ASSERT_TRUE(again.ok()) << again.status().to_string();
+  EXPECT_EQ(again->payload, payload);
+  EXPECT_EQ(again->corrupt_chunks, 0u);
+  EXPECT_FALSE(again->degraded);
+}
+
+TEST(RebuildRetryTest, ReplicaRepairSurvivesAFailedReadBack) {
+  // One replicated chunk, copies on devices 1 (data) and 2, 3, 4, 0. The
+  // put corrupts the copies on devices 1 and 2; read op 4 is the read-back
+  // of the rebuilt data chunk for the lost replica.
+  ExpectRebuildSurvivesFailedReadBack(R"({"rules": [
+    {"site": "flash.latent", "probability": 1.0, "device": 1, "window": [0, 5]},
+    {"site": "flash.latent", "probability": 1.0, "device": 2, "window": [0, 5]},
+    {"site": "flash.read_transient", "probability": 1.0, "window": [4, 5]}]})",
+                                      RebuildFixture::kBigChunk,
+                                      RedundancyLevel::kReplicate);
+}
+
+TEST(RebuildRetryTest, ParityRepairSurvivesAFailedReadBack) {
+  // One 3+2 stripe: data on devices 1, 2, 3, parity on 4 and 0. The put
+  // corrupts data 0 and parity 0; read op 10 is the read-back of the
+  // rebuilt data 0 for the parity re-encode.
+  ExpectRebuildSurvivesFailedReadBack(R"({"rules": [
+    {"site": "flash.latent", "probability": 1.0, "device": 1, "window": [0, 5]},
+    {"site": "flash.latent", "probability": 1.0, "device": 4, "window": [0, 5]},
+    {"site": "flash.read_transient", "probability": 1.0, "window": [10, 11]}]})",
+                                      3 * RebuildFixture::kBigChunk,
+                                      RedundancyLevel::kParity2);
+}
+
 // --- Cold-clean corruption at the cache layer -------------------------------
 
 struct CacheFaultFixture {

@@ -144,6 +144,46 @@ TEST(FlashDeviceTest, ReadTracksTraffic) {
   EXPECT_EQ(dev.wear().io_reads, 1u);
 }
 
+TEST(FlashDeviceTest, ReadSlotIntoCopiesVerifiedBytesAndCounts) {
+  FlashDevice dev(SmallDevice());
+  auto slot = dev.AllocateSlot(5000);
+  ASSERT_TRUE(slot.ok());
+  std::vector<uint8_t> payload(4096 + 13);
+  for (size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<uint8_t>(i * 7);
+  ASSERT_TRUE(dev.WriteSlot(*slot, payload).ok());
+  std::vector<uint8_t> out(payload.size(), 0);
+  ASSERT_TRUE(dev.ReadSlotInto(*slot, out).ok());
+  EXPECT_EQ(out, payload);
+  // The same counters as ReadSlot.
+  EXPECT_EQ(dev.wear().bytes_read, 5000u);
+  EXPECT_EQ(dev.wear().io_reads, 1u);
+}
+
+TEST(FlashDeviceTest, ReadSlotIntoReportsCorruptionLikeReadSlot) {
+  FlashDevice dev(SmallDevice());
+  auto slot = dev.AllocateSlot(5000);
+  ASSERT_TRUE(slot.ok());
+  ASSERT_TRUE(dev.WriteSlot(*slot, Bytes(2048, 0x3C)).ok());
+  ASSERT_TRUE(dev.CorruptSlot(*slot, 1000).ok());
+  std::vector<uint8_t> out(2048);
+  EXPECT_EQ(dev.ReadSlotInto(*slot, out).code(), ErrorCode::kCorrupted);
+  EXPECT_EQ(dev.ReadSlot(*slot).code(), ErrorCode::kCorrupted);
+  EXPECT_EQ(dev.wear().io_reads, 0u);  // neither counts a failed read
+}
+
+TEST(FlashDeviceTest, ReadSlotIntoRefusesAnotherSize) {
+  FlashDevice dev(SmallDevice());
+  auto slot = dev.AllocateSlot(5000);
+  ASSERT_TRUE(slot.ok());
+  ASSERT_TRUE(dev.WriteSlot(*slot, Bytes(64, 0x11)).ok());
+  std::vector<uint8_t> out(65, 0xEE);
+  EXPECT_EQ(dev.ReadSlotInto(*slot, out).code(), ErrorCode::kCorrupted);
+  EXPECT_EQ(out, Bytes(65, 0xEE));  // untouched
+  EXPECT_EQ(dev.ReadSlotInto(7, out).code(), ErrorCode::kNotFound);
+  dev.Fail();
+  EXPECT_EQ(dev.ReadSlotInto(*slot, out).code(), ErrorCode::kUnavailable);
+}
+
 // --- FlashArray ----------------------------------------------------------------
 
 TEST(FlashArrayTest, ConstructionAssignsIds) {
