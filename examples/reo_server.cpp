@@ -16,10 +16,10 @@
 // With --shards N the object space is hash-partitioned across N
 // independent stacks, each on its own event-loop thread with its own flash
 // array, cache state, and (under --data-dir) its own journal in
-// data-dir/shardK. One listening port serves all of them; commands
-// landing on the "wrong" shard's connection are forwarded between loops
-// (see src/shard/sharded_server.h). --shards 1 (the default) is one loop
-// on the main thread that executes every command inline.
+// data-dir/shardK. One listening port serves all of them; a command
+// landing on another shard's connection executes on that connection's
+// loop under the owning stack's lock (see src/shard/sharded_server.h).
+// --shards 1 (the default) is one loop on the main thread.
 #include <signal.h>
 
 #include <cstdio>

@@ -41,7 +41,8 @@ Connection::Connection(int fd, uint64_t id, EventLoop& loop,
     loop_.AddTimer(0, [this] { host_.OnClose(*this, close_reason_); });
     return;
   }
-  ArmIdleTimer();
+  last_frame_ms_ = loop_.now_ms();
+  if (config_.idle_timeout_ms != 0) ArmIdleTimer(config_.idle_timeout_ms);
 }
 
 Connection::~Connection() {
@@ -50,12 +51,14 @@ Connection::~Connection() {
   close(fd_);
 }
 
-void Connection::ArmIdleTimer() {
-  if (idle_timer_) loop_.CancelTimer(idle_timer_);
-  idle_timer_ = 0;
-  if (config_.idle_timeout_ms == 0) return;
-  idle_timer_ = loop_.AddTimer(config_.idle_timeout_ms, [this] {
+void Connection::ArmIdleTimer(uint64_t delay_ms) {
+  idle_timer_ = loop_.AddTimer(delay_ms, [this] {
     idle_timer_ = 0;
+    uint64_t idle_ms = loop_.now_ms() - last_frame_ms_;
+    if (idle_ms < config_.idle_timeout_ms) {
+      ArmIdleTimer(config_.idle_timeout_ms - idle_ms);
+      return;
+    }
     Fail("idle timeout");
     FinishEvent();
   });
@@ -143,34 +146,19 @@ bool Connection::ProcessFrames() {
   std::span<const uint8_t> payload;
   for (;;) {
     bool input_exhausted = true;
-    bool deferred_blocked =
-        stall_token_ != 0 || slots_.size() >= config_.max_inflight;
-    if (!deferred_blocked &&
-        pending_write_bytes() < config_.write_high_watermark) {
+    if (pending_write_bytes() < config_.write_high_watermark) {
       FrameStatus st = decoder_.NextView(&payload);
       if (st == FrameStatus::kFrame) {
         ++frames_handled_;
-        ArmIdleTimer();
-        dispatch_token_ = next_token_++;
-        FrameResult r = host_.OnFrame(*this, payload);
-        if (r.deferred) {
-          // Response arrives later via Complete(); hold its place so the
-          // wire order matches the request order.
-          slots_.push_back(Slot{dispatch_token_, false, {}});
-          if (r.barrier) stall_token_ = dispatch_token_;
-        } else if (!r.response.empty()) {
-          if (slots_.empty()) {
-            // The handler's buffer is shipped as-is: the queue frames it
-            // with a pooled header/trailer block, no payload copy.
-            out_.Push(std::move(r.response));
-            if (pending_write_bytes() > config_.write_hard_limit) {
-              Fail("write queue overflow");
-              return false;
-            }
-          } else {
-            // Earlier responses are still pending: queue behind them.
-            slots_.push_back(
-                Slot{dispatch_token_, true, std::move(r.response)});
+        last_frame_ms_ = loop_.now_ms();
+        // The handler's buffer is shipped as-is: the queue frames it with
+        // a pooled header/trailer block, no payload copy.
+        FramePayload response = host_.OnFrame(*this, payload);
+        if (!response.empty()) {
+          out_.Push(std::move(response));
+          if (pending_write_bytes() > config_.write_hard_limit) {
+            Fail("write queue overflow");
+            return false;
           }
         }
         continue;  // keep executing the pipeline
@@ -181,8 +169,6 @@ bool Connection::ProcessFrames() {
         Fail(st == FrameStatus::kCrcMismatch ? "crc mismatch" : "bad framing");
         return false;
       }
-    } else if (deferred_blocked) {
-      input_exhausted = false;  // Complete() resumes dispatch
     } else {
       input_exhausted = false;  // stopped by backpressure, not input
     }
@@ -190,9 +176,8 @@ bool Connection::ProcessFrames() {
     if (pending_write_bytes() >= config_.write_high_watermark) {
       return true;  // EPOLLOUT resumes us
     }
-    if (deferred_blocked) return true;  // Complete() resumes us
     if (input_exhausted) {
-      if (draining_ && pending_write_bytes() == 0 && slots_.empty()) {
+      if (draining_ && pending_write_bytes() == 0) {
         Fail("drained");
         return false;
       }
@@ -200,45 +185,6 @@ bool Connection::ProcessFrames() {
     }
     // Backpressure cleared by the flush: loop and execute more frames.
   }
-}
-
-bool Connection::FlushSlots() {
-  while (!slots_.empty() && slots_.front().done) {
-    if (!slots_.front().response.empty()) {
-      out_.Push(std::move(slots_.front().response));
-    }
-    slots_.pop_front();
-    if (pending_write_bytes() > config_.write_hard_limit) {
-      Fail("write queue overflow");
-      return false;
-    }
-  }
-  return true;
-}
-
-void Connection::Complete(uint64_t token, FramePayload response) {
-  if (closing_) return;
-  for (Slot& s : slots_) {
-    if (s.token == token) {
-      s.done = true;
-      s.response = std::move(response);
-      break;
-    }
-  }
-  if (stall_token_ == token) stall_token_ = 0;
-  // A completion is a loop event of its own: flush what became ordered,
-  // resume the pipeline the deferral blocked, and tear down on failure
-  // or once a drain has nothing left in flight.
-  if (!FlushSlots()) {
-    FinishEvent();
-    return;
-  }
-  if (!ProcessFrames()) {
-    FinishEvent();
-    return;
-  }
-  UpdateInterest();
-  FinishEvent();
 }
 
 bool Connection::DoWrite() {

@@ -2,11 +2,11 @@
 // plus a hashed timer wheel for idle / drain deadlines.
 //
 // Threading model (see DESIGN.md "Network serving"): ONE loop thread owns
-// every connection and the OsdTarget behind them — the target is
-// single-threaded by design, so the server stays lock-free by running all
-// socket IO and command execution on the loop. The only cross-thread
-// entry point is Wake()/Stop(), which is async-signal-safe (an eventfd
-// write) so a SIGTERM handler may call it directly.
+// its connections and runs all of their socket IO and command execution;
+// the sharded server guards each shard's stack with a lock, so any loop
+// may execute on any shard. The cross-thread entry points are Post() and
+// Wake()/Stop(); the latter two are async-signal-safe (an eventfd write)
+// so a SIGTERM handler may call them directly.
 #pragma once
 
 #include <atomic>
@@ -103,10 +103,10 @@ class EventLoop {
   void Wake();
 
   /// Enqueues `task` to run on the loop thread, FIFO across all posting
-  /// threads. Thread-safe (not signal-safe: takes a mutex) — this is the
-  /// cross-shard handoff primitive: another thread packages work, Post()s
-  /// it, and the owning loop executes it between IO dispatches. Tasks
-  /// still queued when Run() returns are destroyed unrun.
+  /// threads. Thread-safe (not signal-safe: takes a mutex) — the sharded
+  /// server hands accepted sockets and drain steps to a shard's loop
+  /// this way; the loop runs them between IO dispatches. Tasks still
+  /// queued when Run() returns are destroyed unrun.
   void Post(std::function<void()> task);
 
   bool stopped() const { return stop_.load(std::memory_order_relaxed); }

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstring>
 #include <map>
+#include <mutex>
 #include <utility>
 
 #include "osd/transport.h"
@@ -40,10 +41,11 @@ FramePayload EncodeResponsePayload(OsdResponse&& resp) {
 
 }  // namespace
 
-/// One shard: an EventLoop thread owning its connections and OsdTarget.
-/// Everything except the counters (relaxed atomics, so HEALTH on any
-/// shard can sum them) and loop().Post() is confined to the shard's loop
-/// thread.
+/// One shard: an EventLoop thread owning its connections, and the stack
+/// behind its OsdTarget. The connections are confined to the loop
+/// thread; the stack is guarded by mu_, which whichever loop decoded a
+/// frame for this shard takes to execute it. The counters are relaxed
+/// atomics, so HEALTH on any shard can sum them.
 class ShardWorker final : private ConnectionHost {
  public:
   ShardWorker(ShardedServer& owner, size_t index, OsdTarget& target)
@@ -53,7 +55,6 @@ class ShardWorker final : private ConnectionHost {
 
   EventLoop& loop() { return loop_; }
   size_t index() const { return index_; }
-  OsdTarget& target() { return target_; }
 
   /// Counts into `registry` from now on (before Run(): nothing is lost).
   void AttachTelemetry(MetricRegistry& registry) {
@@ -97,7 +98,7 @@ class ShardWorker final : private ConnectionHost {
   }
 
   /// Phase 1: stop this shard's connections taking new requests; finish
-  /// what they already received (including cross-shard hops).
+  /// what they already received.
   void BeginDrain() {
     draining_ = true;
     std::vector<uint64_t> ids;
@@ -113,6 +114,7 @@ class ShardWorker final : private ConnectionHost {
   /// Phase 2: every shard's map is empty — checkpoint and stop.
   void FinishDrain() {
     if (owner_.config_.on_shard_drained) {
+      std::lock_guard<std::mutex> lock(mu_);
       owner_.config_.on_shard_drained(index_);
     }
     loop_.Stop();
@@ -129,25 +131,25 @@ class ShardWorker final : private ConnectionHost {
     ReportIfEmpty();
   }
 
-
-  /// Delivers a cross-shard response to the connection that deferred the
-  /// frame. The connection may have died meanwhile (peer reset): a miss
-  /// in the map drops the completion — its slot died with the conn.
-  void DeliverCompletion(uint64_t conn_id, uint64_t token,
-                         FramePayload payload, SimTime start_ns, OsdOp op) {
-    ObserveLatency(op, start_ns, ShardedServer::NowNs());
-    tel_responses_->Inc();
-    auto it = connections_.find(conn_id);
-    if (it == connections_.end()) return;
-    it->second->Complete(token, std::move(payload));  // may destroy conn
+  /// Executes `cmd` on `shard`'s stack under its lock, from this loop.
+  /// Execution on another shard counts on both sides while the lock is
+  /// held, so a STATS snapshot taken under every lock sees both or
+  /// neither.
+  OsdResponse ExecuteOn(ShardWorker& shard, const OsdCommand& cmd) {
+    std::lock_guard<std::mutex> lock(shard.mu_);
+    if (&shard != this) {
+      tel_forwarded_->Inc();
+      shard.tel_forward_executed_->Inc();
+    }
+    return shard.target_.Execute(cmd);
   }
 
  private:
   // ConnectionHost (loop thread):
-  FrameResult OnFrame(Connection& conn,
-                      std::span<const uint8_t> payload) override {
+  FramePayload OnFrame(Connection& conn,
+                       std::span<const uint8_t> payload) override {
     if (IsAdminFrame(payload)) {
-      return FrameResult{owner_.HandleAdminFrame(*this, conn, payload)};
+      return owner_.HandleAdminFrame(*this, conn, payload);
     }
     tel_requests_->Inc();
     auto decoded = DecodeCommand(payload);
@@ -161,28 +163,19 @@ class ShardWorker final : private ConnectionHost {
       OsdResponse err;
       err.sense = SenseCode::kFail;
       tel_responses_->Inc();
-      return FrameResult{EncodeResponsePayload(std::move(err))};
+      return EncodeResponsePayload(std::move(err));
     }
     SimTime start = ShardedServer::NowNs();
     decoded->now = start;
-    ShardRoute route = owner_.router_.RouteOf(*decoded);
-    if (route.fan_out && owner_.workers_.size() > 1) {
-      owner_.FanOut(*this, conn, std::move(*decoded), start);
-      return FrameResult{{}, /*deferred=*/true, /*barrier=*/true};
-    }
-    if (!route.fan_out && route.shard != index_) {
-      owner_.Forward(*this, conn, std::move(*decoded), route.shard, start);
-      return FrameResult{{}, /*deferred=*/true, /*barrier=*/false};
-    }
-    // Home shard (or a fan-out with one shard): execute here. The root
-    // span and the latency histogram share the same two clock stamps, so
+    // Execute here, on whichever shard owns the command. The root span
+    // and the latency histogram share the same two clock stamps, so
     // stage.transport sums equal server.latency sums under sample_every=1.
     TraceOp root_op = decoded->op == OsdOp::kRead    ? TraceOp::kGet
                       : decoded->op == OsdOp::kWrite ? TraceOp::kPut
                                                      : TraceOp::kOsdCommand;
     RequestTrace root(owner_.tracer_, owner_.trace_root_, root_op, start,
                       decoded->id.oid);
-    OsdResponse resp = target_.Execute(*decoded);
+    OsdResponse resp = owner_.Execute(*this, *decoded);
     SimTime end = ShardedServer::NowNs();
     root.set_end(end);
     root.Finish();
@@ -190,7 +183,7 @@ class ShardWorker final : private ConnectionHost {
     tel_responses_->Inc();
     // The bulk data buffer is moved through EncodeResponseParts into the
     // frame queue's body span — no payload copy between cache and kernel.
-    return FrameResult{EncodeResponsePayload(std::move(resp))};
+    return EncodeResponsePayload(std::move(resp));
   }
 
   void OnCorruptFrame(Connection& conn, FrameStatus status) override {
@@ -250,6 +243,7 @@ class ShardWorker final : private ConnectionHost {
 
   ShardedServer& owner_;
   size_t index_;
+  std::mutex mu_;  ///< the stack lock: held for every target_.Execute
   OsdTarget& target_;
   EventLoop loop_;
   FrameMetaPool pool_;
@@ -277,30 +271,6 @@ class ShardWorker final : private ConnectionHost {
   ShardedHistogram* tel_lat_read_ = nullptr;
   ShardedHistogram* tel_lat_write_ = nullptr;
   ShardedHistogram* tel_lat_other_ = nullptr;
-};
-
-// --- Cross-shard state blocks -----------------------------------------------
-// Post() takes std::function (copyable), so per-request move-only state
-// lives behind a shared_ptr.
-
-struct ShardedServer::ForwardState {
-  OsdCommand cmd;
-  uint64_t conn_id = 0;
-  uint64_t token = 0;
-  size_t home = 0;
-  SimTime start_ns = 0;
-  OsdOp op = OsdOp::kRead;
-};
-
-struct ShardedServer::BarrierState {
-  std::vector<OsdCommand> cmds;  ///< one per shard (FORMAT splits capacity)
-  std::vector<OsdResponse> parts;
-  std::atomic<size_t> remaining{0};
-  uint64_t conn_id = 0;
-  uint64_t token = 0;
-  size_t home = 0;
-  SimTime start_ns = 0;
-  OsdOp op = OsdOp::kRead;
 };
 
 // --- ShardedServer ----------------------------------------------------------
@@ -462,9 +432,9 @@ void ShardedServer::BeginDrain() {
 void ShardedServer::OnWorkerEmpty() {
   // Called from worker loop threads; the LAST shard to empty releases
   // phase 2. No shard's map can refill: accepting stopped before the
-  // phase-1 fan-out, and a connection only closes after its in-flight
-  // (including forwarded) work completed — so once every map is empty,
-  // no cross-shard task anywhere still needs a running peer loop.
+  // phase-1 fan-out. A connection on any shard may execute on any
+  // shard's stack until it closes, so the hooks wait until every map is
+  // empty: from then on no loop can dirty a stack a hook checkpoints.
   if (empty_workers_.fetch_add(1, std::memory_order_acq_rel) + 1 !=
       workers_.size()) {
     return;
@@ -533,43 +503,16 @@ void ShardedServer::OnAcceptReady() {
   }
 }
 
-void ShardedServer::Forward(ShardWorker& home, Connection& conn,
-                            OsdCommand&& cmd, size_t dest, SimTime start_ns) {
-  home.tel_forwarded_->Inc();
-  auto st = std::make_shared<ForwardState>();
-  st->op = cmd.op;
-  st->cmd = std::move(cmd);
-  st->conn_id = conn.id();
-  st->token = conn.last_dispatch_token();
-  st->home = home.index();
-  st->start_ns = start_ns;
-  ShardWorker* dw = workers_[dest].get();
-  dw->loop().Post([this, st, dw] {
-    dw->tel_forward_executed_->Inc();
-    OsdResponse resp = dw->target().Execute(st->cmd);
-    auto payload = std::make_shared<FramePayload>(
-        EncodeResponsePayload(std::move(resp)));
-    ShardWorker* hw = workers_[st->home].get();
-    hw->loop().Post([hw, st, payload] {
-      hw->DeliverCompletion(st->conn_id, st->token, std::move(*payload),
-                            st->start_ns, st->op);
-    });
-  });
-}
-
-void ShardedServer::FanOut(ShardWorker& home, Connection& conn,
-                           OsdCommand&& cmd, SimTime start_ns) {
+OsdResponse ShardedServer::Execute(ShardWorker& home, const OsdCommand& cmd) {
+  ShardRoute route = router_.RouteOf(cmd);
+  if (!route.fan_out) return home.ExecuteOn(*workers_[route.shard], cmd);
   size_t n = workers_.size();
-  home.tel_forwarded_->Inc(n);
-  auto st = std::make_shared<BarrierState>();
-  st->op = cmd.op;
-  st->conn_id = conn.id();
-  st->token = conn.last_dispatch_token();
-  st->home = home.index();
-  st->start_ns = start_ns;
-  st->parts.resize(n);
-  st->remaining.store(n, std::memory_order_relaxed);
-  st->cmds.reserve(n);
+  if (n == 1) return home.ExecuteOn(home, cmd);
+  // Fan-out: one shard lock at a time, never two, so fan-outs from
+  // different loops cannot deadlock. A loop runs one frame at a time,
+  // so the connection's later frames wait for the merged answer.
+  std::vector<OsdResponse> parts;
+  parts.reserve(n);
   for (size_t k = 0; k < n; ++k) {
     OsdCommand part = cmd;  // fan-out commands carry no bulk payload
     if (part.op == OsdOp::kFormat) {
@@ -577,25 +520,9 @@ void ShardedServer::FanOut(ShardWorker& home, Connection& conn,
       // even slice, mirroring the boot-time capacity partitioning.
       part.capacity_bytes = cmd.capacity_bytes / n;
     }
-    st->cmds.push_back(std::move(part));
+    parts.push_back(home.ExecuteOn(*workers_[k], part));
   }
-  for (size_t k = 0; k < n; ++k) {
-    ShardWorker* w = workers_[k].get();
-    w->loop().Post([this, st, w, k] {
-      w->tel_forward_executed_->Inc();
-      st->parts[k] = w->target().Execute(st->cmds[k]);
-      // acq_rel: the last decrementer observes every shard's part.
-      if (st->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-      OsdResponse merged = MergeFanOutResponses(st->parts);
-      auto payload = std::make_shared<FramePayload>(
-          EncodeResponsePayload(std::move(merged)));
-      ShardWorker* hw = workers_[st->home].get();
-      hw->loop().Post([hw, st, payload] {
-        hw->DeliverCompletion(st->conn_id, st->token, std::move(*payload),
-                              st->start_ns, st->op);
-      });
-    });
-  }
+  return MergeFanOutResponses(parts);
 }
 
 ShardedServerStats ShardedServer::stats() const {
@@ -673,10 +600,19 @@ FramePayload ShardedServer::HandleAdminFrame(
           out.status = 1;
           out.json = "{\"error\":\"no metric registry attached\"}";
         } else if (cmd->arg == 0) {
-          // Whole-process view: bucket-level merge across every shard.
+          // Whole-process view: bucket-level merge across every shard,
+          // with every shard lock held (in index order; nothing else
+          // holds two), so no command is half counted in it.
           std::vector<const MetricRegistry*> regs(registries_.begin(),
                                                   registries_.end());
-          out.json = MetricRegistry::Merged(regs).ToJson();
+          MetricSnapshot merged;
+          {
+            std::vector<std::unique_lock<std::mutex>> held;
+            held.reserve(workers_.size());
+            for (auto& w : workers_) held.emplace_back(w->mu_);
+            merged = MetricRegistry::Merged(regs);
+          }
+          out.json = merged.ToJson();
         } else if (cmd->arg <= registries_.size()) {
           out.json = registries_[cmd->arg - 1]->Snapshot().ToJson();
         } else {

@@ -2,50 +2,46 @@
 //
 // Exports the OSD wire protocol (osd/transport.h encodings) over TCP. The
 // object space is hash-partitioned across N shards (ShardRouter); each
-// shard owns a full serving stack — its own epoll EventLoop thread, its
-// own OsdTarget (and everything behind it: data plane, flash array,
-// persistence journal), and its own connections. Within a shard, socket
-// IO and command execution stay single-threaded and lock-free on the
-// shard's loop. N = 1 is the single-threaded server: one loop on the
-// calling thread, every command executed inline, nothing forwarded.
+// shard owns a full serving stack — its own OsdTarget and everything
+// behind it (data plane, flash array, persistence journal) — plus its own
+// epoll EventLoop thread and the connections that loop serves. N = 1 is
+// the single-threaded server: one loop on the calling thread and one
+// lock it never contends for.
 //
-// Cross-shard work moves BETWEEN loops, never shares state:
+// Each shard's stack has a lock, so one thread at a time executes on it:
 //   * Shard 0's loop also owns the listening socket and hands each new
 //     connection to a shard round-robin (connections are not pinned to
-//     the shard of any object — any connection may address any object).
-//   * A frame whose command routes to another shard is FORWARDED: the
-//     home loop packages the decoded command, Post()s it to the owning
-//     loop, which executes and Post()s the encoded response back; the
-//     connection holds the frame's response slot open so replies always
-//     flush in request order (see Connection::Complete). We chose
-//     forwarding over connection affinity because clients multiplex
-//     objects of every shard on one pipelined connection; DESIGN.md
-//     "Sharded serving" records the tradeoff.
-//   * Fan-out commands (FORMAT, LIST, partition/collection ops) run
-//     through a control barrier: the home shard broadcasts the command
-//     to every loop, a shared atomic counts completions, the last shard
-//     merges the per-shard responses (MergeFanOutResponses) and posts
-//     the reply home. A fan-out frame is a pipeline BARRIER on its
-//     connection: later frames do not dispatch until it completes, so a
-//     FORMAT-then-WRITE pipeline can never reorder. With one shard a
-//     fan-out command simply executes inline.
+//     the shard of any object — clients multiplex objects of every shard
+//     on one pipelined connection).
+//   * Whichever loop decoded a frame executes it: it locks the shard
+//     that owns the command, executes, unlocks and queues the answer,
+//     so a frame for another shard costs one lock and no loop handoff.
+//     The connection executes its frames one at a time, so responses
+//     leave in request order with no reordering buffer.
+//   * Fan-out commands (FORMAT, LIST, partition/collection ops) lock
+//     each shard in turn, never two at once, execute that shard's part,
+//     and merge the parts (MergeFanOutResponses). Nothing after a fan-out
+//     on its connection runs before the merged answer, so a
+//     FORMAT-then-WRITE pipeline can never reorder.
+//   * The cost: a slow command on shard B (a class-0/1 fsync) stalls
+//     every loop that is executing for B, not just B's own loop.
 //
 // The admin plane aggregates: STATS arg 0 answers the bucket-level merge
-// of every shard's registry (MetricRegistry::Merged), arg k >= 1 answers
-// shard k-1 alone; SERIES reads the single whole-process ring (columns
-// sum per-shard metrics by construction — time_series.h); HEALTH sums
-// every shard's counters and names the answering connection's home
-// shard.
+// of every shard's registry (MetricRegistry::Merged), taken with every
+// shard lock held, so no command is half counted in it; arg k >= 1
+// answers shard k-1 alone; SERIES reads the single whole-process ring
+// (columns sum per-shard metrics by construction — time_series.h);
+// HEALTH sums every shard's counters without locking and names the
+// answering connection's home shard.
 //
-// Graceful drain is two-phase so forwarded work is never orphaned:
-// RequestDrain() (async-signal-safe, call it from a SIGTERM handler)
-// closes the listening socket, then phase 1 drains every connection on
-// every shard (in-flight and already-buffered requests complete,
-// including their cross-shard hops); only when EVERY shard's connection
-// map is empty — no forwarded request can be outstanding anywhere — does
-// phase 2 run each shard's on_shard_drained checkpoint hook on its own
-// loop thread and stop the loops. A drain deadline force-closes
-// stragglers so shutdown is bounded.
+// Graceful drain is two-phase: RequestDrain() (async-signal-safe, call it
+// from a SIGTERM handler) closes the listening socket, then phase 1
+// drains every connection on every shard (in-flight and already-buffered
+// requests complete). A connection homed on shard A may execute on
+// shard B until it closes, so only when EVERY shard's connection map is
+// empty does phase 2 run each shard's on_shard_drained checkpoint hook
+// on its own loop thread, under its stack lock, and stop the loops. A
+// drain deadline force-closes stragglers so shutdown is bounded.
 #pragma once
 
 #include <atomic>
@@ -81,10 +77,11 @@ struct ShardedServerConfig {
   /// budget are force-closed so shutdown always completes.
   uint64_t drain_timeout_ms = 5'000;
   ConnectionConfig connection;
-  /// Phase-2 drain hook, run on shard `shard`'s loop thread after every
-  /// connection everywhere has drained and before that loop stops — the
-  /// per-shard clean-shutdown checkpoint (each shard checkpoints its own
-  /// journal; nothing can dirty any shard's state afterwards).
+  /// Phase-2 drain hook, run on shard `shard`'s loop thread under its
+  /// stack lock after every connection everywhere has drained and before
+  /// that loop stops — the per-shard clean-shutdown checkpoint (each
+  /// shard checkpoints its own journal; nothing can dirty any shard's
+  /// state afterwards).
   std::function<void(size_t shard)> on_shard_drained;
 };
 
@@ -102,8 +99,11 @@ struct ShardedServerStats {
   uint64_t decode_errors = 0;  ///< framed payloads DecodeCommand rejected
   uint64_t admin_requests = 0; ///< in-band ADMIN frames served
   uint64_t admin_errors = 0;   ///< malformed / unservable ADMIN frames
-  /// Frames whose command was handed to another loop (each fan-out part
-  /// counts once). Invariant: forwarded == forward_executed once idle.
+  /// Frames executed on another shard's stack than the connection's own
+  /// (a fan-out counts each part it runs on another shard): `forwarded`
+  /// on the connection's shard, `forward_executed` on the executing one,
+  /// in the same call. Invariant: forwarded == forward_executed in every
+  /// STATS arg 0 snapshot and once idle.
   uint64_t forwarded = 0;
   uint64_t forward_executed = 0;
 };
@@ -111,8 +111,9 @@ struct ShardedServerStats {
 class ShardedServer {
  public:
   /// @param targets one executor per shard (targets.size() = shard
-  /// count); each must be confined to its shard's loop thread and must
-  /// outlive the server.
+  /// count); each must outlive the server, and nothing else may use one
+  /// while the server runs (any loop thread may execute on it, under the
+  /// shard's lock).
   ShardedServer(std::span<OsdTarget* const> targets,
                 ShardedServerConfig config = {});
   ~ShardedServer();
@@ -176,9 +177,6 @@ class ShardedServer {
  private:
   friend class ShardWorker;
 
-  struct ForwardState;
-  struct BarrierState;
-
   /// Shard 0's loop: it also runs the acceptor, drain and series timers.
   EventLoop& main_loop();
   void WatchListener();
@@ -192,13 +190,9 @@ class ShardedServer {
   std::string HealthJson(const ShardWorker& home) const;
   FramePayload HandleAdminFrame(ShardWorker& home, Connection& conn,
                                 std::span<const uint8_t> payload);
-  /// Hands one decoded command to shard `dest`'s loop; the response
-  /// posts back to `home` and completes the connection's slot.
-  void Forward(ShardWorker& home, Connection& conn, OsdCommand&& cmd,
-               size_t dest, SimTime start_ns);
-  /// Broadcasts one command to every shard through the control barrier.
-  void FanOut(ShardWorker& home, Connection& conn, OsdCommand&& cmd,
-              SimTime start_ns);
+  /// Executes one decoded command from `home`'s loop: on the owning
+  /// shard, or on every shard in turn for a fan-out command.
+  OsdResponse Execute(ShardWorker& home, const OsdCommand& cmd);
   void RollSeries();
   static SimTime NowNs();
 

@@ -573,6 +573,45 @@ TEST_F(ServerTest, IdleConnectionsAreReaped) {
   EXPECT_EQ(server_->stats().closed, 1u);
 }
 
+// The idle timer measures time since the last complete frame: a frame
+// every 20 ms keeps a 50 ms connection open for four timeouts' worth of
+// wall time, and the silence after it still gets the connection reaped.
+TEST_F(ServerTest, SteadyTrafficKeepsConnectionOpen) {
+  ShardedServerConfig cfg;
+  cfg.idle_timeout_ms = 50;
+  StartServer(cfg);
+  SocketInitiator client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(client.Roundtrip(FormatCmd()).ok());
+  OsdCommand create;
+  create.op = OsdOp::kCreate;
+  create.id = kTestObject;
+  create.logical_size = 4;
+  ASSERT_TRUE(client.Roundtrip(create).ok());
+
+  // Writes, so a closed connection fails the round trip instead of being
+  // retried on a new one.
+  OsdCommand write;
+  write.op = OsdOp::kWrite;
+  write.id = kTestObject;
+  write.data = {1, 2, 3, 4};
+  write.logical_size = write.data.size();
+  auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  int frames = 0;
+  while (std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(client.Roundtrip(write).ok()) << "after " << frames << " frames";
+    ++frames;
+  }
+
+  auto resp = client.Receive();  // silence: the server closes us
+  EXPECT_FALSE(resp.ok());
+  DrainAndJoin();
+  ShardedServerStats stats = server_->stats();
+  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.closed, 1u);
+}
+
 // --- Descriptor exhaustion ---------------------------------------------------
 
 // A server that runs out of file descriptors cannot accept the queued

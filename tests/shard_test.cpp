@@ -1,18 +1,25 @@
 // Sharded serving tests: ShardRouter unit coverage (partition stability,
 // command-aware routing, fan-out response merging) plus loopback
 // integration against a real 4-shard ShardedServer — cross-shard
-// round trips and pipelining on one connection, the FORMAT control
-// barrier under live pipelined traffic, graceful drain with in-flight
-// requests on every shard, and multi-shard ADMIN aggregation.
+// round trips and pipelining on one connection, FORMAT ordering under
+// live pipelined traffic, graceful drain with in-flight requests on
+// every shard, multi-shard ADMIN aggregation, real NodeStack stacks
+// driven from four client threads at once, and fan-out racing
+// cross-shard traffic on other connections.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/node_stack.h"
 #include "map_data_plane.h"
 #include "osd/control_protocol.h"
 #include "osd/osd_target.h"
@@ -171,15 +178,36 @@ class ShardedServerTest : public ::testing::Test {
 
   void Start(ShardedServerConfig cfg = {}) {
     std::vector<OsdTarget*> targets;
-    std::vector<MetricRegistry*> registries;
     for (size_t k = 0; k < kShards; ++k) {
       planes_.push_back(std::make_unique<MapDataPlane>());
       targets_.push_back(std::make_unique<OsdTarget>(*planes_.back()));
       registries_.push_back(std::make_unique<MetricRegistry>());
       targets_.back()->AttachTelemetry(*registries_.back());
       targets.push_back(targets_.back().get());
-      registries.push_back(registries_.back().get());
     }
+    Serve(targets, cfg);
+  }
+
+  /// Four real stacks, wired by NodeStack::Build as reo_server wires
+  /// them, each reporting into its shard's registry.
+  void StartNodeStacks(const NodeStackConfig& config) {
+    std::vector<OsdTarget*> targets;
+    stacks_.reserve(kShards);
+    for (size_t k = 0; k < kShards; ++k) {
+      registries_.push_back(std::make_unique<MetricRegistry>());
+      NodeStackSinks sinks{.registry = registries_.back().get(),
+                           .events = &events_};
+      auto built = NodeStack::Build(config, k, kShards, sinks);
+      ASSERT_TRUE(built.ok()) << built.status().to_string();
+      stacks_.push_back(std::move(*built));
+      targets.push_back(stacks_.back().target.get());
+    }
+    Serve(targets, {});
+  }
+
+  void Serve(std::span<OsdTarget* const> targets, ShardedServerConfig cfg) {
+    std::vector<MetricRegistry*> registries;
+    for (auto& r : registries_) registries.push_back(r.get());
     server_ = std::make_unique<ShardedServer>(targets, cfg);
     server_->AttachEvents(events_);
     for (size_t k = 0; k < kShards; ++k) {
@@ -209,10 +237,20 @@ class ShardedServerTest : public ::testing::Test {
     }
   }
 
-  std::vector<std::unique_ptr<MapDataPlane>> planes_;
-  std::vector<std::unique_ptr<OsdTarget>> targets_;
+  /// Counter `name` summed over every shard's registry (0 if absent).
+  double MergedCounter(const char* name) const {
+    std::vector<const MetricRegistry*> regs;
+    for (const auto& r : registries_) regs.push_back(r.get());
+    MetricSnapshot snap = MetricRegistry::Merged(regs);
+    const MetricSnapshot::Entry* e = snap.Find(name);
+    return e != nullptr ? e->value : 0.0;
+  }
+
   std::vector<std::unique_ptr<MetricRegistry>> registries_;
   EventLog events_;
+  std::vector<std::unique_ptr<MapDataPlane>> planes_;
+  std::vector<std::unique_ptr<OsdTarget>> targets_;
+  std::vector<NodeStack> stacks_;
   TimeSeriesRing series_{
       TimeSeriesConfig{.window_ns = 50'000'000, .capacity = 64}};
   std::unique_ptr<ShardedServer> server_;
@@ -596,6 +634,335 @@ TEST_F(ShardedServerTest, ControlWritesExecuteOnTargetsShard) {
   probe.data = EncodeControlMessage(QueryCommand{.target = kControlObject});
   probe.logical_size = probe.data.size();
   EXPECT_TRUE(client.Roundtrip(probe).ok());
+}
+
+/// Object bytes for one version: rank and version in the first eight
+/// bytes, so a response paired with the wrong request cannot match.
+std::vector<uint8_t> VersionedPayload(uint32_t rank, uint32_t version,
+                                      size_t size) {
+  std::vector<uint8_t> data(size);
+  for (size_t i = 0; i < size; ++i) {
+    data[i] = static_cast<uint8_t>((rank * 131 + version * 29 + i) & 0xFF);
+  }
+  std::memcpy(data.data(), &rank, sizeof(rank));
+  std::memcpy(data.data() + 4, &version, sizeof(version));
+  return data;
+}
+
+OsdCommand WriteCmd(ObjectId id, std::vector<uint8_t> data) {
+  OsdCommand c;
+  c.op = OsdOp::kWrite;
+  c.id = id;
+  c.logical_size = data.size();
+  c.data = std::move(data);
+  return c;
+}
+
+OsdCommand ReadCmd(ObjectId id) {
+  OsdCommand c;
+  c.op = OsdOp::kRead;
+  c.id = id;
+  return c;
+}
+
+// Every loop executes on every shard's real stack in turn: flash array,
+// stripes, RS code, fault injector and DRAM tier, one thread at a time
+// under the shard's lock. Four clients, one connection each, pipeline
+// writes and byte-checked reads of objects on all four shards in
+// classes 0-3, with latent faults on device 0 (every protected stripe
+// keeps at most one corrupt chunk, so it stays repairable). A class-3
+// object has no redundancy, so its read may miss; no read may return
+// wrong bytes.
+TEST_F(ShardedServerTest, RealStacksServeConcurrentCrossShardClients) {
+  NodeStackConfig config;
+  config.policy = {.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.2};
+  config.capacity_bytes = 64ull << 20;
+  config.admission.dram_bytes = 2ull << 20;  // 512 KiB of DRAM per shard
+  config.faults.seed = 11;
+  config.faults.rules.push_back(FaultRule{
+      .site = FaultSite::kFlashLatent, .probability = 0.05, .device = 0});
+  ASSERT_NO_FATAL_FAILURE(StartNodeStacks(config));
+  {
+    SocketInitiator setup;
+    ASSERT_TRUE(setup.Connect("127.0.0.1", server_->port()).ok());
+    OsdCommand format = FormatCmd();
+    format.capacity_bytes = config.capacity_bytes;
+    ASSERT_TRUE(setup.Roundtrip(format).ok());
+  }
+
+  constexpr uint32_t kClients = 4;
+  constexpr uint32_t kObjects = 16;  // per client: every (shard, class)
+  constexpr uint32_t kRounds = 5;
+  struct Object {
+    ObjectId id;
+    uint32_t rank = 0;
+    uint8_t cls = 0;
+    size_t size = 0;
+  };
+  struct Tally {
+    std::string error;
+    uint64_t ok_reads = 0;
+    uint64_t wrong = 0;  ///< responses that do not fit their request
+    std::array<uint64_t, 4> misses{};  ///< failed reads, per class
+    uint64_t wire_errors = 0;
+  };
+  std::vector<std::vector<Object>> objects(kClients);
+  for (uint32_t c = 0; c < kClients; ++c) {
+    for (uint32_t i = 0; i < kObjects; ++i) {
+      Object o;
+      o.rank = c * kObjects + i;
+      o.id = IdOnShard(i % kShards, 1000 + o.rank);
+      o.cls = static_cast<uint8_t>((i / kShards + c) % 4);
+      o.size = 4096 + (o.rank % 5) * 24 * 1024;  // up to two 64 KiB chunks
+      objects[c].push_back(o);
+    }
+  }
+  std::vector<Tally> tallies(kClients);
+  auto run_client = [&](uint32_t c) {
+    Tally& t = tallies[c];
+    SocketInitiatorConfig scfg;
+    scfg.receive_timeout_ms = 60'000;
+    SocketInitiator client(scfg);
+    if (!client.Connect("127.0.0.1", server_->port()).ok()) {
+      t.error = "connect failed";
+      return;
+    }
+    // Populate: CREATE, SETID and the first version of every object,
+    // pipelined; every response must be OK.
+    std::vector<OsdCommand> burst;
+    for (const Object& o : objects[c]) {
+      OsdCommand create;
+      create.op = OsdOp::kCreate;
+      create.id = o.id;
+      create.logical_size = o.size;
+      burst.push_back(create);
+      OsdCommand setid;
+      setid.op = OsdOp::kWrite;
+      setid.id = kControlObject;
+      setid.data = EncodeControlMessage(
+          SetIdCommand{.target = o.id, .class_id = o.cls});
+      setid.logical_size = setid.data.size();
+      burst.push_back(std::move(setid));
+      burst.push_back(WriteCmd(o.id, VersionedPayload(o.rank, 0, o.size)));
+    }
+    for (const OsdCommand& cmd : burst) {
+      if (!client.Send(cmd).ok()) {
+        t.error = "populate send failed";
+        return;
+      }
+    }
+    for (size_t k = 0; k < burst.size(); ++k) {
+      auto resp = client.Receive();
+      if (!resp.ok() || !resp->ok()) {
+        t.error = "populate response " + std::to_string(k) + " failed";
+        return;
+      }
+    }
+    // Rounds: a new version of every object, each followed by its read.
+    for (uint32_t v = 1; v <= kRounds; ++v) {
+      for (const Object& o : objects[c]) {
+        if (!client.Send(WriteCmd(o.id, VersionedPayload(o.rank, v, o.size)))
+                 .ok() ||
+            !client.Send(ReadCmd(o.id)).ok()) {
+          t.error = "send failed";
+          return;
+        }
+      }
+      for (const Object& o : objects[c]) {
+        auto wr = client.Receive();
+        auto rd = client.Receive();
+        if (!wr.ok() || !rd.ok()) {
+          t.error = "receive failed in round " + std::to_string(v);
+          return;
+        }
+        if (!wr->ok() || !wr->data.empty()) ++t.wrong;
+        // The stack answers whole chunks: the object is their prefix.
+        std::vector<uint8_t> want = VersionedPayload(o.rank, v, o.size);
+        if (!rd->ok()) {
+          ++t.misses[o.cls];
+        } else if (rd->data.size() >= want.size() &&
+                   std::equal(want.begin(), want.end(), rd->data.begin())) {
+          ++t.ok_reads;
+        } else {
+          ++t.wrong;
+        }
+      }
+    }
+    const SocketInitiatorStats& w = client.stats();
+    t.wire_errors = w.crc_errors + w.frame_errors + w.decode_errors;
+  };
+  std::vector<std::thread> clients;
+  for (uint32_t c = 0; c < kClients; ++c) clients.emplace_back(run_client, c);
+  for (std::thread& th : clients) th.join();
+
+  uint64_t ok_reads = 0;
+  for (uint32_t c = 0; c < kClients; ++c) {
+    const Tally& t = tallies[c];
+    EXPECT_EQ(t.error, "") << "client " << c;
+    EXPECT_EQ(t.wrong, 0u) << "client " << c;
+    EXPECT_EQ(t.wire_errors, 0u) << "client " << c;
+    for (int cls = 0; cls < 3; ++cls) {
+      EXPECT_EQ(t.misses[cls], 0u) << "client " << c << " class " << cls;
+    }
+    ok_reads += t.ok_reads;
+  }
+  EXPECT_GT(ok_reads, kClients * kObjects * kRounds / 2);
+
+  DrainAndJoin();
+  ShardedServerStats stats = server_->stats();
+  EXPECT_EQ(stats.crc_errors + stats.frame_errors + stats.decode_errors, 0u);
+  EXPECT_GT(stats.forwarded, 0u);
+  EXPECT_EQ(stats.forwarded, stats.forward_executed);
+  EXPECT_EQ(MergedCounter("fault.crc_unrepaired"), 0.0);
+  EXPECT_GT(MergedCounter("fault.injected"), 0.0);  // the faults did fire
+  EXPECT_GT(MergedCounter("admit.staged"), 0.0);    // and the DRAM tier ran
+}
+
+// A fan-out locks one shard at a time while other loops execute
+// cross-shard frames. One connection pipelines FORMAT and LIST, two
+// others pipeline CREATE/WRITE/READ triples across all shards, and a
+// fourth polls STATS throughout. Every connection's responses must come
+// back in request order before the receive deadline, and every poll
+// must see forwarded == forward_executed: a frame is counted on both
+// sides in the same call, under the executing shard's lock, and STATS
+// holds every lock while it merges.
+TEST_F(ShardedServerTest, FanOutRacesCrossShardTraffic) {
+  Start();
+  SocketInitiatorConfig scfg;
+  scfg.receive_timeout_ms = 20'000;  // a stuck lock fails here, not hangs
+
+  constexpr uint32_t kFanOutRounds = 200;
+  constexpr uint32_t kDataRounds = 200;
+  constexpr uint32_t kTriples = 8;  // per data round
+  std::atomic<uint32_t> data_running{2};
+  std::array<std::string, 3> errors;
+  std::array<uint64_t, 2> ok_reads{};
+
+  auto fan_out = [&] {
+    SocketInitiator client(scfg);
+    if (!client.Connect("127.0.0.1", server_->port()).ok()) {
+      errors[0] = "connect failed";
+      return;
+    }
+    OsdCommand list;
+    list.op = OsdOp::kList;
+    list.id = ObjectId{kFirstUserId, 0};
+    for (uint32_t r = 0; r < kFanOutRounds; ++r) {
+      // FORMAT answers an empty list; LIST of the first partition always
+      // names the reserved objects FORMAT recreated on every shard.
+      for (int k = 0; k < 4; ++k) {
+        if (!client.Send(FormatCmd()).ok() || !client.Send(list).ok()) {
+          errors[0] = "send failed";
+          return;
+        }
+      }
+      for (int k = 0; k < 4; ++k) {
+        auto format = client.Receive();
+        auto listed = client.Receive();
+        if (!format.ok() || !listed.ok()) {
+          errors[0] = "receive failed in round " + std::to_string(r);
+          return;
+        }
+        if (!format->ok() || !format->list.empty() || !listed->ok() ||
+            listed->list.empty()) {
+          errors[0] = "response out of order in round " + std::to_string(r);
+          return;
+        }
+      }
+    }
+  };
+
+  auto data = [&](uint32_t c) {
+    SocketInitiator client(scfg);
+    if (!client.Connect("127.0.0.1", server_->port()).ok()) {
+      errors[1 + c] = "connect failed";
+      data_running.fetch_sub(1);
+      return;
+    }
+    for (uint32_t r = 0; r < kDataRounds && errors[1 + c].empty(); ++r) {
+      // A FORMAT may land anywhere in the burst, so any response may fail;
+      // a successful READ must carry its own triple's bytes, and no other
+      // response carries data.
+      std::vector<std::vector<uint8_t>> sent;
+      for (uint32_t i = 0; i < kTriples; ++i) {
+        uint32_t rank = c * 1000 + i;
+        ObjectId id = IdOnShard(i % kShards, 500 + rank);
+        sent.push_back(VersionedPayload(rank, r, 512 + i * 64));
+        OsdCommand create;
+        create.op = OsdOp::kCreate;
+        create.id = id;
+        create.logical_size = sent.back().size();
+        if (!client.Send(create).ok() ||
+            !client.Send(WriteCmd(id, sent.back())).ok() ||
+            !client.Send(ReadCmd(id)).ok()) {
+          errors[1 + c] = "send failed";
+          break;
+        }
+      }
+      for (uint32_t i = 0; i < kTriples && errors[1 + c].empty(); ++i) {
+        auto create = client.Receive();
+        auto write = client.Receive();
+        auto read = client.Receive();
+        if (!create.ok() || !write.ok() || !read.ok()) {
+          errors[1 + c] = "receive failed in round " + std::to_string(r);
+        } else if (!create->data.empty() || !write->data.empty() ||
+                   (read->ok() && read->data != sent[i])) {
+          errors[1 + c] = "response out of order in round " + std::to_string(r);
+        } else if (read->ok()) {
+          ++ok_reads[c];
+        }
+      }
+    }
+    data_running.fetch_sub(1);
+  };
+
+  std::vector<std::thread> threads;
+  threads.emplace_back(fan_out);
+  threads.emplace_back(data, 0u);
+  threads.emplace_back(data, 1u);
+
+  // Poll STATS while the data connections run. A failed poll stops the
+  // polling (the threads must still be joined before any assertion).
+  uint64_t polls = 0;
+  uint64_t mismatched = 0;
+  double max_forwarded = 0;
+  std::string poll_error;
+  SocketInitiator poller(scfg);
+  if (!poller.Connect("127.0.0.1", server_->port()).ok()) {
+    poll_error = "connect failed";
+  }
+  while (poll_error.empty() && data_running.load() > 0) {
+    auto stats = poller.AdminRoundtrip(AdminOp::kStats);
+    auto doc = stats.ok() && stats->status == 0 ? JsonDoc::Parse(stats->json)
+                                                : std::nullopt;
+    if (!doc.has_value()) {
+      poll_error = "STATS poll " + std::to_string(polls) + " failed";
+      break;
+    }
+    auto counter = [&](const char* name) {
+      int node = doc->Find({"counters", name});
+      return doc->is(node, JsonDoc::Type::kNumber) ? doc->number(node) : 0.0;
+    };
+    double forwarded = counter("server.forwarded");
+    if (forwarded != counter("server.forward_executed")) ++mismatched;
+    max_forwarded = std::max(max_forwarded, forwarded);
+    ++polls;
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(poll_error, "");
+
+  for (size_t k = 0; k < errors.size(); ++k) {
+    EXPECT_EQ(errors[k], "") << "connection " << k;
+  }
+  EXPECT_GT(ok_reads[0] + ok_reads[1], 0u);
+  EXPECT_GT(polls, 0u);
+  EXPECT_GT(max_forwarded, 0.0);  // the polls did see cross-shard traffic
+  EXPECT_EQ(mismatched, 0u) << "of " << polls << " STATS polls";
+
+  DrainAndJoin();
+  ShardedServerStats stats = server_->stats();
+  EXPECT_EQ(stats.forwarded, stats.forward_executed);
+  EXPECT_EQ(stats.crc_errors + stats.frame_errors + stats.decode_errors, 0u);
 }
 
 }  // namespace
