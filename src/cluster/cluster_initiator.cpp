@@ -1,9 +1,9 @@
 #include "cluster/cluster_initiator.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
+#include "osd/command_placement.h"
 #include "osd/control_protocol.h"
 
 namespace reo {
@@ -19,23 +19,6 @@ OsdResponse FailResponse() {
 bool IdempotentRead(OsdOp op) {
   return op == OsdOp::kRead || op == OsdOp::kGetAttr || op == OsdOp::kList ||
          op == OsdOp::kListCollection;
-}
-
-/// Must execute on every member: each node holds a slice of every
-/// partition and collection (same reasoning as ShardRouter's fan-out).
-bool NamespaceWide(OsdOp op) {
-  return op == OsdOp::kFormat || op == OsdOp::kCreatePartition ||
-         op == OsdOp::kCreateCollection || op == OsdOp::kRemoveCollection ||
-         op == OsdOp::kList || op == OsdOp::kListCollection;
-}
-
-void MergeInto(OsdResponse& merged, OsdResponse&& part) {
-  if (merged.sense == SenseCode::kOk && part.sense != SenseCode::kOk) {
-    merged.sense = part.sense;
-  }
-  merged.complete = std::max(merged.complete, part.complete);
-  merged.degraded = merged.degraded || part.degraded;
-  merged.list.insert(merged.list.end(), part.list.begin(), part.list.end());
 }
 
 }  // namespace
@@ -188,53 +171,35 @@ std::optional<uint32_t> ClusterInitiator::LiveOwnerOf(ObjectId id) {
 }
 
 OsdResponse ClusterInitiator::FanOut(const OsdCommand& command) {
-  OsdResponse merged;
-  size_t served = 0;
+  std::vector<OsdResponse> parts;
+  parts.reserve(sessions_.size());
   for (uint32_t node = 0; node < sessions_.size(); ++node) {
     if (!health_.Usable(node) && !EnsureSession(node)) continue;
     bool transport_failure = false;
     OsdResponse part = RoundtripOn(node, command, &transport_failure);
-    if (transport_failure) continue;
-    MergeInto(merged, std::move(part));
-    ++served;
+    if (!transport_failure) parts.push_back(std::move(part));
   }
-  if (served == 0) return FailResponse();
-  std::sort(merged.list.begin(), merged.list.end());
-  merged.list.erase(std::unique(merged.list.begin(), merged.list.end()),
-                    merged.list.end());
-  return merged;
+  if (parts.empty()) return FailResponse();
+  return MergeFanOutResponses(parts);
 }
 
 OsdResponse ClusterInitiator::Roundtrip(const OsdCommand& command) {
   ++stats_.commands;
-  if (NamespaceWide(command.op)) return FanOut(command);
-
-  if (command.op == OsdOp::kWrite && command.id == kControlObject) {
-    auto msg = DecodeControlMessage(command.data);
-    if (msg.ok()) {
-      if (std::holds_alternative<NodeDownCommand>(*msg)) return FanOut(command);
-      if (const auto* q = std::get_if<QueryCommand>(&*msg)) {
-        if (q->target == kControlObject) return FanOut(command);
-        return RouteSingle(command, q->target);
-      }
-      if (const auto* set = std::get_if<SetIdCommand>(&*msg)) {
-        return RouteSingle(command, set->target);
-      }
-      if (const auto* hint = std::get_if<OwnerHintCommand>(&*msg)) {
-        // Hints belong on the target's ring successor relative to the
-        // recorded owner, so they survive the owner's death in place.
-        auto replicas = ring_.ReplicasOf(hint->target, sessions_.size());
-        for (uint32_t node : replicas) {
-          if (node == hint->owner) continue;
-          if (health_.Usable(node) || EnsureSession(node)) {
-            return RouteSingle(command, ObjectId{}, node);
-          }
-        }
-        return FailResponse();
+  CommandPlacement where = PlaceCommand(command);
+  if (where.fan_out) return FanOut(command);
+  if (where.hint_owner) {
+    // Hints belong on the target's ring successor relative to the
+    // recorded owner, so they survive the owner's death in place.
+    for (uint32_t node : ring_.ReplicasOf(where.key, sessions_.size())) {
+      if (node == *where.hint_owner) continue;
+      if (health_.Usable(node) || EnsureSession(node)) {
+        return RouteSingle(command, where.key, node);
       }
     }
-    // Malformed: any node rejects it identically.
-    return RouteSingle(command, command.id);
+    return FailResponse();
+  }
+  if (command.op == OsdOp::kWrite && command.id == kControlObject) {
+    return RouteSingle(command, where.key);  // a control message, not data
   }
 
   if (IdempotentRead(command.op)) {

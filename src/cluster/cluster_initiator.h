@@ -89,9 +89,10 @@ class ClusterInitiator {
     return endpoints_[node];
   }
 
-  /// Routes one command per the failover contract above. Namespace-wide
-  /// ops (FORMAT, partition/collection DDL, LIST) fan out to every
-  /// usable node and merge.
+  /// Routes one command by the placement rule shards share
+  /// (osd/command_placement.h) and the failover contract above.
+  /// Namespace-wide ops (FORMAT, partition/collection DDL, LIST) fan out
+  /// to every usable node and merge with MergeFanOutResponses.
   OsdResponse Roundtrip(const OsdCommand& command);
 
   /// Classifies an object on its live owner (SETID) and, when hinting is

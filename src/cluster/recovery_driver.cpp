@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <unordered_map>
 
+#include "common/recovery_order.h"
 #include "telemetry/json_scan.h"
 
 namespace reo {
@@ -76,13 +77,10 @@ Result<std::vector<RefetchItem>> ClusterRecoveryDriver::Plan(
     }
   }
   // The differentiated ordering: class 0 strictly before class 1, hot
-  // before cold within a class — same priorities as the restart restore.
-  std::sort(plan.begin(), plan.end(),
-            [](const RefetchItem& a, const RefetchItem& b) {
-              if (a.class_id != b.class_id) return a.class_id < b.class_id;
-              if (a.hotness != b.hotness) return a.hotness > b.hotness;
-              return a.id < b.id;
-            });
+  // before cold within a class — the restart restore's order.
+  SortRecoveryOrder(plan.begin(), plan.end(), [](const RefetchItem& item) {
+    return RecoveryKey(item.class_id, item.hotness, item.id);
+  });
   return plan;
 }
 

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/crc32c.h"
+#include "fault/retry.h"
 #include "persist/persistence.h"
 
 namespace reo {
@@ -12,6 +13,39 @@ namespace {
 /// The exofs metadata objects are small; the paper notes the largest
 /// (root directory) is 4 KB (§IV.C.4).
 constexpr uint64_t kMetadataObjectBytes = 4096;
+
+/// Re-encodes queued per refresh (bounds reclassification churn; the first
+/// refresh after warm-up legitimately re-encodes the whole hot set).
+constexpr size_t kMaxReclassPerRefresh = 1024;
+
+/// Queued reclassifications applied per client request: spreads the
+/// re-encode IO instead of stalling the device queues in one burst at
+/// refresh time (maintenance IO is background work).
+constexpr size_t kReclassPerRequest = 2;
+
+/// Multiplier on the hot-set budget during threshold selection. The walk
+/// sizes the hot set against a point-in-time snapshot, but LRU churn keeps
+/// part of that set out of cache; a headroom > 1 keeps the reserve
+/// committed, while the hard reserve cap (sense 0x67) still bounds actual
+/// redundancy usage.
+constexpr double kHotAdmissionHeadroom = 2.0;
+
+/// Background reconstruction pacing: logical bytes rebuilt per client
+/// request while the recovery queue is non-empty.
+constexpr uint64_t kRecoveryBytesPerRequest = 16ULL << 20;
+
+/// Latency of one fsync'd control-object write (§IV.C.2: "a few dozen
+/// bytes ... completed very quickly").
+constexpr SimTime kControlWriteNs = 150 * kNsPerUs;
+
+/// Write-back delay: a dirty object becomes eligible for background
+/// flushing this long after its write (absorbs overwrites; during this
+/// window the object is Class 1 and replicated). Forced flushes during
+/// eviction ignore the delay.
+constexpr SimTime kFlushDelayNs = 5 * kNsPerSec;
+
+/// Bounded retry (with jittered backoff) for transient backend fetches.
+constexpr RetryPolicy kBackendRetry{};
 
 }  // namespace
 
@@ -25,7 +59,7 @@ CacheManager::CacheManager(OsdTarget& target, ReoDataPlane& plane,
         // Redundancy bytes protecting `size` at the hot level (2-parity).
         return s.FootprintEstimate(size, RedundancyLevel::kParity2) - size;
       }) {
-  initiator_.set_control_latency(config_.control_write_ns);
+  initiator_.set_control_latency(kControlWriteNs);
 }
 
 void CacheManager::Initialize(SimTime now) {
@@ -269,24 +303,12 @@ RequestResult CacheManager::Get(ObjectId id, uint64_t logical_size, SimTime now)
         // Uniform (block-based) protection has no object-level repair: it
         // pays the reconstruction on every degraded access until a spare
         // arrives and the block-level rebuild reaches the data.
-        recovery_.Remove(id);
-        auto rb = plane_.stripes().RebuildObject(id, resp.complete);
-        if (rb.ok()) {
-          ++stats_.rebuilds;
-          double rebuild_us = static_cast<double>(rb->complete > resp.complete
-                                                      ? rb->complete - resp.complete
-                                                      : 0) /
-                              1e3;
-          recovery_.RecordRebuild(it->second.cls, /*on_demand=*/true,
-                                  rebuild_us);
+        auto done = RebuildQueued(id, it->second.cls, resp.complete,
+                                  /*on_demand=*/true,
+                                  "on-demand repair-on-read");
+        if (done.ok()) {
           trace.set_flags(kSpanOnDemand);
-          trace.Cover(rb->complete);  // repair rides on this request
-          Emit(ev_, resp.complete, EventSeverity::kInfo, "recovery.rebuild",
-               "on-demand repair-on-read",
-               {{"object", id.ToString()},
-                {"class", std::to_string(static_cast<int>(it->second.cls))},
-                {"mode", "on-demand"},
-                {"latency_us", std::to_string(rebuild_us)}});
+          trace.Cover(*done);  // repair rides on this request
         }
         FinishRecoveryIfDrained(now);
       }
@@ -465,7 +487,7 @@ bool CacheManager::Admit(ObjectId id, uint64_t logical_size,
       PublishResidency();
       if (dirty) {
         flush_queue_.push_back(
-            {.id = id, .version = version, .ready_time = now + config_.flush_delay_ns});
+            {.id = id, .version = version, .ready_time = now + kFlushDelayNs});
       }
       io_complete = std::max(io_complete, resp.complete);
       return true;
@@ -532,6 +554,16 @@ void CacheManager::EvictObject(ObjectId id, SimTime now, bool lost) {
   PublishResidency();
 }
 
+void CacheManager::LoseObject(ObjectId id, SimTime now) {
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return;
+  if (it->second.dirty) {
+    ++stats_.dirty_lost;
+    Inc(tel_.dirty_lost);
+  }
+  EvictObject(id, now, /*lost=*/true);
+}
+
 // ---------------------------------------------------------------------------
 // Write-back flusher
 // ---------------------------------------------------------------------------
@@ -551,22 +583,17 @@ void CacheManager::FlushObject(ObjectId id, Entry& e, SimTime now) {
 Result<BackendFetch> CacheManager::FetchWithRetry(ObjectId id, SimTime now) {
   // Fetches are idempotent reads of the authoritative copy: a transient
   // (kIoError) failure is always safe to retry after a jittered backoff.
-  const RetryPolicy& rp = config_.backend_retry;
   SimTime t = now;
-  auto fetch = backend_.Fetch(id, t);
-  for (uint32_t attempt = 1;
-       !fetch.ok() && IsRetryable(fetch.status()) && attempt < rp.max_attempts;
-       ++attempt) {
-    t += RetryBackoff(rp, attempt - 1, backend_retry_rng_);
-    Inc(tel_.backend_retry_attempts);
-    fetch = backend_.Fetch(id, t);
-  }
+  uint32_t retries = 0;
+  auto fetch = RetryTransient(kBackendRetry, backend_retry_rng_, t, retries,
+                              [&](SimTime at) { return backend_.Fetch(id, at); });
+  if (retries > 0) Inc(tel_.backend_retry_attempts, retries);
   if (!fetch.ok() && IsRetryable(fetch.status())) {
     Inc(tel_.backend_retry_exhausted);
     Emit(ev_, t, EventSeverity::kWarn, "retry.backend_exhausted",
          "transient backend errors exceeded the retry budget",
          {{"object", std::to_string(id.oid)},
-          {"attempts", std::to_string(rp.max_attempts)}});
+          {"attempts", std::to_string(kBackendRetry.max_attempts)}});
   }
   return fetch;
 }
@@ -611,11 +638,11 @@ void CacheManager::AdvanceBackground(SimTime now) {
   }
   // Paced background reconstruction.
   if (!recovery_.empty()) {
-    RunRecoveryBudget(now, config_.recovery_bytes_per_request);
+    RunRecovery(now, DataClass::kColdClean, kRecoveryBytesPerRequest);
   }
   // Paced reclassification (re-encode) maintenance.
   size_t applied = 0;
-  while (!reclass_queue_.empty() && applied < config_.reclass_per_request) {
+  while (!reclass_queue_.empty() && applied < kReclassPerRequest) {
     auto [id, cls] = reclass_queue_.front();
     reclass_queue_.pop_front();
     auto it = entries_.find(id);
@@ -648,7 +675,7 @@ void CacheManager::RefreshClassification(SimTime now) {
   uint64_t reserve = plane_.reserve_bytes();
   uint64_t hot_budget = reserve > repl_used ? reserve - repl_used : 0;
   hot_budget = static_cast<uint64_t>(static_cast<double>(hot_budget) *
-                                     config_.hot_admission_headroom);
+                                     kHotAdmissionHeadroom);
 
   std::vector<ObjectState> candidates;
   candidates.reserve(entries_.size());
@@ -701,7 +728,7 @@ void CacheManager::RefreshClassification(SimTime now) {
   size_t queued = 0;
   for (const auto* batch : {&downs, &ups}) {
     for (const Change& c : *batch) {
-      if (queued >= config_.max_reclass_per_refresh) return;
+      if (queued >= kMaxReclassPerRefresh) return;
       reclass_queue_.emplace_back(c.id, c.to);
       ++queued;
     }
@@ -742,14 +769,8 @@ void CacheManager::OnDeviceFailure(DeviceIndex device, SimTime now) {
             {"tolerance", std::to_string(tolerance)}});
       std::vector<ObjectId> resident;
       resident.reserve(entries_.size());
-      for (const auto& [id, e] : entries_) {
-        if (e.dirty) {
-          ++stats_.dirty_lost;
-          Inc(tel_.dirty_lost);
-        }
-        resident.push_back(id);
-      }
-      for (ObjectId id : resident) EvictObject(id, now, /*lost=*/true);
+      for (const auto& [id, e] : entries_) resident.push_back(id);
+      for (ObjectId id : resident) LoseObject(id, now);
       recovery_.Clear();
       flush_queue_.clear();
       plane_.set_recovery_active(false);
@@ -764,11 +785,7 @@ void CacheManager::OnDeviceFailure(DeviceIndex device, SimTime now) {
       case ObjectSurvival::kIntact:
         break;
       case ObjectSurvival::kLost:
-        if (it->second.dirty) {
-          ++stats_.dirty_lost;
-          Inc(tel_.dirty_lost);
-        }
-        EvictObject(a.id, now, /*lost=*/true);
+        LoseObject(a.id, now);
         break;
       case ObjectSurvival::kRecoverable:
         // Differentiated recovery is Reo's mechanism (§IV.D). Uniform
@@ -789,45 +806,7 @@ void CacheManager::OnDeviceFailure(DeviceIndex device, SimTime now) {
   // dirty) are small and their loss is permanent, so they are re-protected
   // synchronously at failure time; classes 2/3 recover at the background
   // pace.
-  trace.Cover(RecoverCriticalNow(now));
-}
-
-SimTime CacheManager::RecoverCriticalNow(SimTime now) {
-  SimTime last = now;
-  while (auto next = recovery_.Peek()) {
-    auto it = entries_.find(*next);
-    if (it == entries_.end()) {
-      recovery_.Pop();
-      continue;
-    }
-    if (it->second.cls > DataClass::kDirty) break;  // queue is class-ordered
-    auto rb = plane_.stripes().RebuildObject(*next, now);
-    if (rb.ok()) {
-      double rebuild_us =
-          static_cast<double>(rb->complete > now ? rb->complete - now : 0) / 1e3;
-      recovery_.RecordRebuild(it->second.cls, /*on_demand=*/true, rebuild_us);
-      Emit(ev_, now, EventSeverity::kInfo, "recovery.rebuild",
-           "critical-class rebuild at failure time",
-           {{"object", next->ToString()},
-            {"class", std::to_string(static_cast<int>(it->second.cls))},
-            {"mode", "on-demand"},
-            {"latency_us", std::to_string(rebuild_us)}});
-      last = std::max(last, rb->complete);
-      recovery_.Pop();
-      ++stats_.rebuilds;
-    } else if (rb.code() == ErrorCode::kUnrecoverable) {
-      recovery_.Pop();
-      if (it->second.dirty) {
-        ++stats_.dirty_lost;
-        Inc(tel_.dirty_lost);
-      }
-      EvictObject(*next, now, /*lost=*/true);
-    } else {
-      break;  // transient (e.g. no space): keep it queued, retry later
-    }
-  }
-  FinishRecoveryIfDrained(now);
-  return last;
+  trace.Cover(RunRecovery(now, DataClass::kDirty, UINT64_MAX));
 }
 
 void CacheManager::OnSpareInserted(DeviceIndex device, SimTime now) {
@@ -846,8 +825,9 @@ void CacheManager::OnSpareInserted(DeviceIndex device, SimTime now) {
   }
   if (plane_.policy().mode() != ProtectionMode::kReo) {
     // Traditional block-based reconstruction "simply rebuilds the entire
-    // storage from block 0" (§IV.D): every damaged object, in allocation
-    // order, with no priority by importance.
+    // storage from block 0" (§IV.D): every damaged object, with no
+    // priority by importance. All share one class and H, so the recovery
+    // order falls to its tie-break: ObjectId order.
     for (ObjectId id : plane_.stripes().DamagedObjects()) {
       recovery_.Enqueue(id, DataClass::kColdClean, 0.0,
                         plane_.stripes().LogicalSizeOf(id).value_or(0));
@@ -866,10 +846,38 @@ void CacheManager::OnSpareInserted(DeviceIndex device, SimTime now) {
                       it->second.logical_size);
   }
   if (!recovery_.empty()) plane_.set_recovery_active(true);
-  trace.Cover(RecoverCriticalNow(now));
+  trace.Cover(RunRecovery(now, DataClass::kDirty, UINT64_MAX));
 }
 
-SimTime CacheManager::RunRecoveryBudget(SimTime now, uint64_t byte_budget) {
+Result<SimTime> CacheManager::RebuildQueued(ObjectId id, DataClass cls,
+                                            SimTime at, bool on_demand,
+                                            const char* message) {
+  auto rb = plane_.stripes().RebuildObject(id, at);
+  if (!rb.ok()) {
+    if (rb.code() == ErrorCode::kUnrecoverable) {
+      recovery_.Remove(id);
+      LoseObject(id, at);
+    }
+    return rb.status();
+  }
+  double rebuild_us =
+      static_cast<double>(rb->complete > at ? rb->complete - at : 0) / 1e3;
+  recovery_.RecordRebuild(cls, on_demand, rebuild_us);
+  Emit(ev_, at, EventSeverity::kInfo, "recovery.rebuild", message,
+       {{"object", id.ToString()},
+        {"class", std::to_string(static_cast<int>(cls))},
+        {"mode", on_demand ? "on-demand" : "background"},
+        {"latency_us", std::to_string(rebuild_us)}});
+  recovery_.Remove(id);
+  ++stats_.rebuilds;
+  return rb->complete;
+}
+
+SimTime CacheManager::RunRecovery(SimTime now, DataClass max_class,
+                                  uint64_t byte_budget) {
+  const bool on_demand = max_class < DataClass::kColdClean;
+  const char* message = on_demand ? "critical-class rebuild at failure time"
+                                  : "paced background rebuild";
   SimTime last = now;
   uint64_t rebuilt = 0;
   while (rebuilt < byte_budget) {
@@ -880,30 +888,14 @@ SimTime CacheManager::RunRecoveryBudget(SimTime now, uint64_t byte_budget) {
       recovery_.Pop();
       continue;
     }
-    auto rb = plane_.stripes().RebuildObject(*next, now);
-    if (rb.ok()) {
-      double rebuild_us =
-          static_cast<double>(rb->complete > now ? rb->complete - now : 0) / 1e3;
-      recovery_.RecordRebuild(it->second.cls, /*on_demand=*/false, rebuild_us);
-      Emit(ev_, now, EventSeverity::kInfo, "recovery.rebuild",
-           "paced background rebuild",
-           {{"object", next->ToString()},
-            {"class", std::to_string(static_cast<int>(it->second.cls))},
-            {"mode", "background"},
-            {"latency_us", std::to_string(rebuild_us)}});
-      last = std::max(last, rb->complete);
-      recovery_.Pop();
-      ++stats_.rebuilds;
-      rebuilt += it->second.logical_size;
-    } else if (rb.code() == ErrorCode::kUnrecoverable) {
-      recovery_.Pop();
-      if (it->second.dirty) {
-        ++stats_.dirty_lost;
-        Inc(tel_.dirty_lost);
-      }
-      EvictObject(*next, now, /*lost=*/true);
-    } else {
-      break;  // e.g. no space to place rebuilt chunks; keep queued
+    if (it->second.cls > max_class) break;  // the queue is class-ordered
+    uint64_t bytes = it->second.logical_size;
+    auto done = RebuildQueued(*next, it->second.cls, now, on_demand, message);
+    if (done.ok()) {
+      last = std::max(last, *done);
+      rebuilt += bytes;
+    } else if (done.code() != ErrorCode::kUnrecoverable) {
+      break;  // transient (e.g. no space): keep it queued, retry later
     }
   }
   FinishRecoveryIfDrained(now);
@@ -913,7 +905,7 @@ SimTime CacheManager::RunRecoveryBudget(SimTime now, uint64_t byte_budget) {
 SimTime CacheManager::DrainRecovery(SimTime now) {
   RequestTrace trace(tracer_, trace_root_, TraceOp::kRecoveryDrain, now,
                      /*object=*/0, /*force=*/true);
-  trace.Cover(RunRecoveryBudget(now, UINT64_MAX));
+  trace.Cover(RunRecovery(now, DataClass::kColdClean, UINT64_MAX));
   return now;
 }
 
@@ -928,15 +920,7 @@ StripeManager::ScrubReport CacheManager::RunScrub(SimTime now) {
         {"corrupt", std::to_string(report.corrupt_found)},
         {"repaired", std::to_string(report.chunks_repaired)},
         {"lost", std::to_string(report.lost.size())}});
-  for (ObjectId id : report.lost) {
-    auto it = entries_.find(id);
-    if (it == entries_.end()) continue;
-    if (it->second.dirty) {
-      ++stats_.dirty_lost;
-      Inc(tel_.dirty_lost);
-    }
-    EvictObject(id, now, /*lost=*/true);
-  }
+  for (ObjectId id : report.lost) LoseObject(id, now);
   return report;
 }
 

@@ -24,7 +24,6 @@
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "fault/failslow.h"
-#include "fault/retry.h"
 #include "core/classifier.h"
 #include "core/data_plane.h"
 #include "core/lru.h"
@@ -48,30 +47,6 @@ struct CacheManagerConfig {
   /// Requests between adaptive H_hot refreshes (§IV.C.1 "updated
   /// periodically"). 0 disables refresh.
   uint64_t hhot_refresh_interval = 2000;
-  /// Re-encodes queued per refresh (bounds reclassification churn; the
-  /// first refresh after warm-up legitimately re-encodes the whole hot set).
-  size_t max_reclass_per_refresh = 1024;
-  /// Queued reclassifications applied per client request: spreads the
-  /// re-encode IO instead of stalling the device queues in one burst at
-  /// refresh time (maintenance IO is background work).
-  size_t reclass_per_request = 2;
-  /// Multiplier on the hot-set budget during threshold selection. The walk
-  /// sizes the hot set against a point-in-time snapshot, but LRU churn
-  /// keeps part of that set out of cache; a headroom > 1 keeps the reserve
-  /// committed, while the hard reserve cap (sense 0x67) still bounds
-  /// actual redundancy usage.
-  double hot_admission_headroom = 2.0;
-  /// Background reconstruction pacing: logical bytes rebuilt per client
-  /// request while the recovery queue is non-empty.
-  uint64_t recovery_bytes_per_request = 16ULL << 20;
-  /// Latency of one fsync'd control-object write (§IV.C.2: "a few dozen
-  /// bytes ... completed very quickly").
-  SimTime control_write_ns = 150 * kNsPerUs;
-  /// Write-back delay: a dirty object becomes eligible for background
-  /// flushing this long after its write (absorbs overwrites; during this
-  /// window the object is Class 1 and replicated). Forced flushes during
-  /// eviction ignore the delay.
-  SimTime flush_delay_ns = 5 * kNsPerSec;
   /// CRC-verify hit payloads against the expected generated content.
   bool verify_hits = true;
   /// Admit new (clean) objects while the array is degraded (a failed
@@ -83,9 +58,6 @@ struct CacheManagerConfig {
   /// protected (used by the failure benches' probe analysis). Writes
   /// (dirty data) are always absorbed — write-back safety never pauses.
   bool admit_while_degraded = true;
-  /// Bounded retry (with jittered backoff) for transient backend fetch
-  /// errors. Fetches are idempotent reads, so retrying is always safe.
-  RetryPolicy backend_retry;
   /// When a FailSlowDetector flags a device, proactively demote it: treat
   /// it as failed, swap in a spare at the same index, and run the normal
   /// differentiated recovery. Off by default (detection/events only).
@@ -255,16 +227,33 @@ class CacheManager {
 
   void EvictObject(ObjectId id, SimTime now, bool lost);
 
+  /// The one lost-object path: the object's data is gone beyond its
+  /// protection. A dirty object counts as permanent loss (`dirty_lost`);
+  /// every lost object is evicted as lost. No-op for an uncached id.
+  void LoseObject(ObjectId id, SimTime now);
+
   /// Synchronously flushes one dirty object and reclassifies it clean.
   void FlushObject(ObjectId id, Entry& e, SimTime now);
 
   void RefreshClassification(SimTime now);
-  /// Synchronously rebuilds queued Class 0/1 (metadata, dirty) objects.
-  /// Returns the completion time of the last rebuild (`now` if none ran).
-  SimTime RecoverCriticalNow(SimTime now);
   void MaybeRefresh(SimTime now);
+
+  /// The one rebuild step: reconstructs `id` (of class `cls`) starting at
+  /// `at`, records it with the scheduler, emits `recovery.rebuild` at `at`
+  /// (mode "on-demand" or "background", with `message`), counts it and
+  /// drops the object from the recovery queue. An unrecoverable object is
+  /// lost (LoseObject); a transient failure (kIoError, kNoSpace) leaves
+  /// the queue as it was, for a later pass. Returns the completion time.
+  Result<SimTime> RebuildQueued(ObjectId id, DataClass cls, SimTime at,
+                                bool on_demand, const char* message);
+
+  /// The one recovery loop: rebuilds queued objects in recovery order
+  /// until the queue reaches a class above `max_class`, `byte_budget`
+  /// logical bytes are rebuilt, or a transient failure stops the pass.
+  /// A class-limited pass is the failure-time rebuild of the critical
+  /// classes and counts as on-demand; an unlimited one is background work.
   /// Returns the completion time of the last rebuild (`now` if none ran).
-  SimTime RunRecoveryBudget(SimTime now, uint64_t byte_budget);
+  SimTime RunRecovery(SimTime now, DataClass max_class, uint64_t byte_budget);
 
   OsdInitiator initiator_;
   ReoDataPlane& plane_;

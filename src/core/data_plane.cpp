@@ -144,23 +144,13 @@ Result<DataPlaneIo> ReoDataPlane::WriteToFlash(ObjectId id,
   // PutObject rolls back fully on failure, so retrying a transient write
   // error is safe: nothing of the failed attempt remains.
   SimTime t = now;
-  auto io = stripes_.PutObject(id, payload, logical_bytes, level, t);
-  for (uint32_t attempt = 1;
-       !io.ok() && IsRetryable(io.status()) && attempt < retry_.max_attempts;
-       ++attempt) {
-    t += RetryBackoff(retry_, attempt - 1, retry_rng_);
-    Inc(tel_retry_attempts_);
-    io = stripes_.PutObject(id, payload, logical_bytes, level, t);
-    if (io.ok()) Inc(tel_retry_successes_);
-  }
+  uint32_t retries = 0;
+  auto io = RetryTransient(retry_, retry_rng_, t, retries, [&](SimTime at) {
+    return stripes_.PutObject(id, payload, logical_bytes, level, at);
+  });
+  CountRetries(retries, io.status(), id, t,
+               "transient write errors exceeded the retry budget");
   if (!io.ok()) {
-    if (IsRetryable(io.status())) {
-      Inc(tel_retry_exhausted_);
-      Emit(ev_, t, EventSeverity::kWarn, "retry.exhausted",
-           "transient write errors exceeded the retry budget",
-           {{"object", std::to_string(id.oid)},
-            {"attempts", std::to_string(retry_.max_attempts)}});
-    }
     span.set_flags(kSpanError);
     return io.status();
   }
@@ -185,6 +175,21 @@ Result<DataPlaneIo> ReoDataPlane::WriteToFlash(ObjectId id,
   return ToDataPlaneIo(std::move(*io));
 }
 
+void ReoDataPlane::CountRetries(uint32_t retries, const Status& outcome,
+                                ObjectId id, SimTime t,
+                                const char* exhausted_message) {
+  if (retries > 0) {
+    Inc(tel_retry_attempts_, retries);
+    if (outcome.ok()) Inc(tel_retry_successes_);
+  }
+  if (IsRetryable(outcome)) {
+    Inc(tel_retry_exhausted_);
+    Emit(ev_, t, EventSeverity::kWarn, "retry.exhausted", exhausted_message,
+         {{"object", std::to_string(id.oid)},
+          {"attempts", std::to_string(retry_.max_attempts)}});
+  }
+}
+
 Result<DataPlaneIo> ReoDataPlane::ReadObject(ObjectId id, SimTime now) {
   if (admit_ != nullptr && admit_->enabled()) {
     if (const DramCache::Entry* e = admit_->Lookup(id, now)) {
@@ -198,23 +203,13 @@ Result<DataPlaneIo> ReoDataPlane::ReadObject(ObjectId id, SimTime now) {
   // Bounded retry for transient device errors. Chunks that failed with
   // kIoError were NOT marked lost, so the retry re-reads the same slots.
   SimTime t = now;
-  auto io = stripes_.GetObject(id, t);
-  for (uint32_t attempt = 1;
-       !io.ok() && IsRetryable(io.status()) && attempt < retry_.max_attempts;
-       ++attempt) {
-    t += RetryBackoff(retry_, attempt - 1, retry_rng_);
-    Inc(tel_retry_attempts_);
-    io = stripes_.GetObject(id, t);
-    if (io.ok()) Inc(tel_retry_successes_);
-  }
+  uint32_t retries = 0;
+  auto io = RetryTransient(retry_, retry_rng_, t, retries, [&](SimTime at) {
+    return stripes_.GetObject(id, at);
+  });
+  CountRetries(retries, io.status(), id, t,
+               "transient read errors exceeded the retry budget");
   if (!io.ok()) {
-    if (IsRetryable(io.status())) {
-      Inc(tel_retry_exhausted_);
-      Emit(ev_, t, EventSeverity::kWarn, "retry.exhausted",
-           "transient read errors exceeded the retry budget",
-           {{"object", std::to_string(id.oid)},
-            {"attempts", std::to_string(retry_.max_attempts)}});
-    }
     span.set_flags(kSpanError);
     return io.status();
   }

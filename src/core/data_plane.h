@@ -105,6 +105,11 @@ class ReoDataPlane final : public DataPlane {
                                    SimTime now);
   /// Whether this write should be held in DRAM instead of hitting flash.
   bool ShouldStage(uint64_t stored_bytes, uint8_t class_id) const;
+  /// Accounts one RetryTransient run on the flash path: `retry.attempts`,
+  /// `retry.successes` when a retry won, and, when the budget ran out
+  /// (`outcome` still retryable), `retry.exhausted` plus an event at `t`.
+  void CountRetries(uint32_t retries, const Status& outcome, ObjectId id,
+                    SimTime t, const char* exhausted_message);
 
   StripeManager& stripes_;
   RedundancyPolicy policy_;

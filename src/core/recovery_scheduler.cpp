@@ -34,7 +34,7 @@ void RecoveryScheduler::PublishQueueGauges() {
 void RecoveryScheduler::Enqueue(ObjectId id, DataClass cls, double h,
                                 uint64_t bytes) {
   Remove(id);
-  Key key{static_cast<uint8_t>(cls), -h, id};
+  Key key(static_cast<uint8_t>(cls), h, id);
   queue_.insert(key);
   index_.emplace(id, std::make_pair(key, bytes));
   pending_bytes_ += bytes;
@@ -53,12 +53,12 @@ void RecoveryScheduler::Remove(ObjectId id) {
 
 std::optional<ObjectId> RecoveryScheduler::Peek() const {
   if (queue_.empty()) return std::nullopt;
-  return queue_.begin()->id;
+  return queue_.begin()->tie;
 }
 
 std::optional<ObjectId> RecoveryScheduler::Pop() {
   if (queue_.empty()) return std::nullopt;
-  ObjectId id = queue_.begin()->id;
+  ObjectId id = queue_.begin()->tie;
   Remove(id);
   return id;
 }

@@ -3,7 +3,8 @@
 // After a failure, recoverable objects are reconstructed "according to
 // their class (metadata, dirty data, hot clean data, and finally cold
 // clean data), from Class 0 to Class 3" — and, within a class, hot data
-// first (highest H), because it is most likely to be requested soon.
+// first (highest H), because it is most likely to be requested soon. The
+// order itself is RecoveryKey (common/recovery_order.h).
 #pragma once
 
 #include <cstdint>
@@ -12,13 +13,14 @@
 #include <unordered_map>
 
 #include "common/object_id.h"
+#include "common/recovery_order.h"
 #include "core/classifier.h"
 #include "telemetry/metric_registry.h"
 
 namespace reo {
 
-/// Priority queue of objects awaiting reconstruction: ordered by class
-/// ascending (0 first), then H descending, with deterministic tie-breaks.
+/// Priority queue of objects awaiting reconstruction, in recovery order:
+/// class ascending (0 first), then H descending, then ObjectId.
 class RecoveryScheduler {
  public:
   /// Enqueues (or re-prioritizes) an object.
@@ -50,16 +52,7 @@ class RecoveryScheduler {
   void RecordRebuild(DataClass cls, bool on_demand, double latency_us);
 
  private:
-  struct Key {
-    uint8_t cls;
-    double neg_h;  // ordered ascending => highest H first
-    ObjectId id;
-    friend bool operator<(const Key& a, const Key& b) {
-      if (a.cls != b.cls) return a.cls < b.cls;
-      if (a.neg_h != b.neg_h) return a.neg_h < b.neg_h;
-      return a.id < b.id;
-    }
-  };
+  using Key = RecoveryKey<ObjectId>;
 
   void PublishQueueGauges();
 

@@ -1,7 +1,7 @@
-// Bounded retry with jittered exponential backoff, shared by the data
-// plane (transient flash errors), the cache manager (transient backend
-// fetches), and the socket initiator (reconnect-retry). Jitter draws from
-// a caller-owned Pcg32 so simulated retries stay reproducible.
+// Bounded retry with jittered exponential backoff. RetryTransient is the
+// one retry loop: the data plane's flash reads and writes and the cache
+// manager's backend fetches run through it. Jitter draws from a
+// caller-owned Pcg32 so simulated retries stay reproducible.
 #pragma once
 
 #include <cmath>
@@ -36,6 +36,26 @@ inline SimTime RetryBackoff(const RetryPolicy& policy, uint32_t retry,
 /// permanent (corruption, missing object) or needs a different response.
 inline bool IsRetryable(const Status& status) {
   return status.code() == ErrorCode::kIoError;
+}
+
+/// Runs `attempt(t)` until it succeeds, fails with a status IsRetryable
+/// rejects, or `policy.max_attempts` tries are spent. Each retry first
+/// advances `t` by RetryBackoff (one jitter draw, in retry order). Returns
+/// the last try's result, a retryable failure meaning the budget ran out;
+/// `t` is then that try's start and `retries` the retries made. A
+/// template, not std::function, so the flash paths pay nothing for it.
+template <typename Attempt>
+auto RetryTransient(const RetryPolicy& policy, Pcg32& rng, SimTime& t,
+                    uint32_t& retries, Attempt&& attempt) {
+  retries = 0;
+  auto result = attempt(t);
+  while (!result.ok() && IsRetryable(result.status()) &&
+         retries + 1 < policy.max_attempts) {
+    t += RetryBackoff(policy, retries, rng);
+    ++retries;
+    result = attempt(t);
+  }
+  return result;
 }
 
 }  // namespace reo

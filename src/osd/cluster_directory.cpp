@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/recovery_order.h"
 #include "telemetry/json_util.h"
 
 namespace reo {
@@ -105,22 +106,13 @@ std::vector<std::pair<ObjectId, OwnerEntry>> ClusterDirectory::Snapshot()
 
 namespace {
 
-/// Refetch order: class ascending, then hot before cold.
-void SortRefetchOrder(std::vector<std::pair<ObjectId, OwnerEntry>>& v) {
-  std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
-    if (a.second.class_id != b.second.class_id) {
-      return a.second.class_id < b.second.class_id;
-    }
-    if (a.second.hotness != b.second.hotness) {
-      return a.second.hotness > b.second.hotness;
-    }
-    return a.first < b.first;
-  });
-}
-
 std::string OwnersJson(uint32_t node,
                        std::vector<std::pair<ObjectId, OwnerEntry>> snapshot) {
-  SortRefetchOrder(snapshot);
+  // Refetch order, so a recovery driver can stream the entries.
+  SortRecoveryOrder(snapshot.begin(), snapshot.end(), [](const auto& entry) {
+    return RecoveryKey(entry.second.class_id, entry.second.hotness,
+                       entry.first);
+  });
   std::string out;
   out.reserve(64 + snapshot.size() * 96);
   out += "{\"schema\":\"reo.owners.v1\",\"node\":";

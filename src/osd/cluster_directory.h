@@ -82,8 +82,9 @@ class ClusterDirectory {
 
   /// {"schema":"reo.owners.v1","node":N,"entries":[{"pid":...,"oid":...,
   ///  "class":...,"hotness":...,"owner":...,"down":...},...]} — the ADMIN
-  /// OWNERS body. Entries are sorted class-ascending then hotness-
-  /// descending so a recovery driver can stream them in refetch order.
+  /// OWNERS body. Entries are in recovery order (common/recovery_order.h:
+  /// class ascending, hotness descending, then ObjectId) so a recovery
+  /// driver can stream them in refetch order.
   std::string ToJson() const;
 
   /// Merged "reo.owners.v1" over several directories (the sharded

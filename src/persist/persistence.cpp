@@ -12,6 +12,7 @@
 
 #include "common/crc32c.h"
 #include "common/file_util.h"
+#include "common/recovery_order.h"
 #include "telemetry/metric_registry.h"
 #include "trace/event_log.h"
 
@@ -535,12 +536,9 @@ std::vector<PersistedObject> PersistenceManager::RestoreOrder() const {
   std::vector<PersistedObject> order;
   order.reserve(index_.size());
   for (const auto& [id, obj] : index_) order.push_back(obj);
-  std::sort(order.begin(), order.end(),
-            [](const PersistedObject& a, const PersistedObject& b) {
-              if (a.class_id != b.class_id) return a.class_id < b.class_id;
-              if (a.hotness != b.hotness) return a.hotness > b.hotness;
-              return a.lsn < b.lsn;
-            });
+  SortRecoveryOrder(order.begin(), order.end(), [](const PersistedObject& o) {
+    return RecoveryKey(o.class_id, o.hotness, o.lsn);
+  });
   return order;
 }
 

@@ -136,8 +136,9 @@ class PersistenceManager {
   void EndRestore() { replaying_ = false; }
   bool replaying() const { return replaying_; }
 
-  /// Recovered objects in restore order: class 0 → 1 → 2 → 3, hotter
-  /// first within a class, insertion (LSN) order as the tiebreak.
+  /// Recovered objects in recovery order (common/recovery_order.h):
+  /// class 0 → 1 → 2 → 3, hotter first within a class, LSN as the
+  /// tie-break.
   std::vector<PersistedObject> RestoreOrder() const;
 
   /// Reads + verifies one recovered payload (header identity and CRC).

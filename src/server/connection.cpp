@@ -9,11 +9,16 @@
 namespace reo {
 namespace {
 
+/// Pending response bytes above which the connection stops reading (and
+/// stops executing further pipelined frames).
+constexpr size_t kWriteHighWatermark = 4u << 20;
+
+/// Hard cap: a peer that will not drain its responses gets closed.
+constexpr size_t kWriteHardLimit = 64u << 20;
+
 /// Input-side buffering bound: always admits one maximum-size frame (or
 /// the decoder could deadlock below the watermark), plus a read quantum.
-size_t InputCap(const ConnectionConfig& c) {
-  return FramedSize(c.max_frame_payload) + 64 * 1024;
-}
+constexpr size_t kInputCap = FramedSize(kMaxFramePayload) + 64 * 1024;
 
 /// iovec entries gathered per sendmsg (16 frames' worth of spans).
 constexpr size_t kWriteIovBatch = 48;
@@ -21,15 +26,14 @@ constexpr size_t kWriteIovBatch = 48;
 }  // namespace
 
 Connection::Connection(int fd, uint64_t id, EventLoop& loop,
-                       ConnectionHost& host, ConnectionConfig config,
+                       ConnectionHost& host, uint64_t idle_timeout_ms,
                        std::string peer, FrameMetaPool& pool)
     : fd_(fd),
       id_(id),
       loop_(loop),
       host_(host),
-      config_(config),
+      idle_timeout_ms_(idle_timeout_ms),
       peer_(std::move(peer)),
-      decoder_(config.max_frame_payload),
       out_(pool) {
   interest_ = EPOLLIN;
   Status st = loop_.Add(fd_, interest_, [this](uint32_t ev) { OnReady(ev); });
@@ -42,7 +46,7 @@ Connection::Connection(int fd, uint64_t id, EventLoop& loop,
     return;
   }
   last_frame_ms_ = loop_.now_ms();
-  if (config_.idle_timeout_ms != 0) ArmIdleTimer(config_.idle_timeout_ms);
+  if (idle_timeout_ms_ != 0) ArmIdleTimer(idle_timeout_ms_);
 }
 
 Connection::~Connection() {
@@ -55,8 +59,8 @@ void Connection::ArmIdleTimer(uint64_t delay_ms) {
   idle_timer_ = loop_.AddTimer(delay_ms, [this] {
     idle_timer_ = 0;
     uint64_t idle_ms = loop_.now_ms() - last_frame_ms_;
-    if (idle_ms < config_.idle_timeout_ms) {
-      ArmIdleTimer(config_.idle_timeout_ms - idle_ms);
+    if (idle_ms < idle_timeout_ms_) {
+      ArmIdleTimer(idle_timeout_ms_ - idle_ms);
       return;
     }
     Fail("idle timeout");
@@ -117,8 +121,8 @@ void Connection::OnReady(uint32_t events) {
 bool Connection::DoRead() {
   uint8_t buf[64 * 1024];
   for (;;) {
-    if (pending_write_bytes() >= config_.write_high_watermark ||
-        decoder_.buffered() >= InputCap(config_)) {
+    if (pending_write_bytes() >= kWriteHighWatermark ||
+        decoder_.buffered() >= kInputCap) {
       break;  // backpressure: stop pulling bytes off the socket
     }
     ssize_t n = recv(fd_, buf, sizeof(buf), 0);
@@ -146,7 +150,7 @@ bool Connection::ProcessFrames() {
   std::span<const uint8_t> payload;
   for (;;) {
     bool input_exhausted = true;
-    if (pending_write_bytes() < config_.write_high_watermark) {
+    if (pending_write_bytes() < kWriteHighWatermark) {
       FrameStatus st = decoder_.NextView(&payload);
       if (st == FrameStatus::kFrame) {
         ++frames_handled_;
@@ -156,7 +160,7 @@ bool Connection::ProcessFrames() {
         FramePayload response = host_.OnFrame(*this, payload);
         if (!response.empty()) {
           out_.Push(std::move(response));
-          if (pending_write_bytes() > config_.write_hard_limit) {
+          if (pending_write_bytes() > kWriteHardLimit) {
             Fail("write queue overflow");
             return false;
           }
@@ -173,7 +177,7 @@ bool Connection::ProcessFrames() {
       input_exhausted = false;  // stopped by backpressure, not input
     }
     if (!DoWrite()) return false;
-    if (pending_write_bytes() >= config_.write_high_watermark) {
+    if (pending_write_bytes() >= kWriteHighWatermark) {
       return true;  // EPOLLOUT resumes us
     }
     if (input_exhausted) {
@@ -212,8 +216,8 @@ bool Connection::DoWrite() {
 
 void Connection::UpdateInterest() {
   uint32_t want = 0;
-  if (!draining_ && pending_write_bytes() < config_.write_high_watermark &&
-      decoder_.buffered() < InputCap(config_)) {
+  if (!draining_ && pending_write_bytes() < kWriteHighWatermark &&
+      decoder_.buffered() < kInputCap) {
     want |= EPOLLIN;
   }
   if (pending_write_bytes() > 0) want |= EPOLLOUT;

@@ -52,24 +52,14 @@ class ConnectionHost {
   virtual void OnClose(Connection& conn, std::string_view reason) = 0;
 };
 
-struct ConnectionConfig {
-  /// Pending response bytes above which the connection stops reading
-  /// (and stops executing further pipelined frames).
-  size_t write_high_watermark = 4u << 20;
-  /// Hard cap: a peer that will not drain its responses gets closed.
-  size_t write_hard_limit = 64u << 20;
-  /// Close connections idle (no complete frame) this long. 0 = never.
-  uint64_t idle_timeout_ms = 60'000;
-  size_t max_frame_payload = kMaxFramePayload;
-};
-
 class Connection {
  public:
   /// Takes ownership of `fd` (nonblocking). Registers with `loop`.
-  /// `pool` recycles frame-metadata blocks across the host's connections;
-  /// it must outlive the connection.
+  /// The connection closes once idle (no complete frame) for
+  /// `idle_timeout_ms`; 0 = never. `pool` recycles frame-metadata blocks
+  /// across the host's connections; it must outlive the connection.
   Connection(int fd, uint64_t id, EventLoop& loop, ConnectionHost& host,
-             ConnectionConfig config, std::string peer, FrameMetaPool& pool);
+             uint64_t idle_timeout_ms, std::string peer, FrameMetaPool& pool);
   ~Connection();
 
   Connection(const Connection&) = delete;
@@ -116,7 +106,7 @@ class Connection {
   uint64_t id_;
   EventLoop& loop_;
   ConnectionHost& host_;
-  ConnectionConfig config_;
+  const uint64_t idle_timeout_ms_;
   std::string peer_;
 
   FrameDecoder decoder_;

@@ -29,14 +29,6 @@ void FrameMetaPool::Put(FrameMeta* meta) {
   free_ = meta;
 }
 
-void FrameQueue::Push(std::vector<uint8_t> payload) {
-  FramePayload parts;
-  // The wire sees head‖body‖tail concatenated, so a single-buffer frame
-  // can ride in `head` (body is the non-zeroing bulk type).
-  parts.head = std::move(payload);
-  Push(std::move(parts));
-}
-
 void FrameQueue::Push(FramePayload parts) {
   FrameMeta* meta = pool_->Get();
   size_t payload_bytes = parts.size();

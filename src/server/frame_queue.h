@@ -82,12 +82,10 @@ class FrameQueue {
   FrameQueue(const FrameQueue&) = delete;
   FrameQueue& operator=(const FrameQueue&) = delete;
 
-  /// Frames `payload` (header + CRC computed here) and queues it.
-  void Push(std::vector<uint8_t> payload);
-
-  /// Multi-part variant: frames head‖body‖tail without joining them. The
-  /// CRC trailer is built by seeded continuation across the parts, so the
-  /// receiver sees a frame byte-identical to Push(head‖body‖tail).
+  /// Frames head‖body‖tail (header + CRC computed here) without joining
+  /// the parts, and queues it. The CRC trailer is built by seeded
+  /// continuation across the parts, so the receiver sees the frame that
+  /// EncodeFrame(head‖body‖tail) would produce.
   void Push(FramePayload parts);
 
   /// Fills `iov` with up to `max` spans of unsent bytes, starting from the

@@ -1,29 +1,22 @@
 // Object-space partitioning for the sharded server: which shard owns
-// which object, which commands touch one shard, and which must fan out
-// to all of them.
+// which object, and which commands must fan out to all of them.
 //
 // The partition function is a pure hash of the (PID, OID) pair — the
 // same ObjectIdHash the in-memory indexes use — so placement is stable
 // across restarts, needs no directory state, and any party (server,
 // simulator, load generator) computes it independently and agrees.
 //
-// Routing is command-aware, not just id-aware:
-//   * Data ops (CREATE / WRITE / READ / REMOVE / attrs) go to the shard
-//     owning cmd.id.
-//   * Control writes to the reserved communication object (§IV.C.2)
-//     route by the target embedded IN the message: a "#SETID#" or
-//     per-object "#QUERY#" executes on the shard owning that object,
-//     while a query of the control object itself (recovery state) fans
-//     out — any shard may be reconstructing.
-//   * Namespace ops whose effect or answer spans every shard (FORMAT,
-//     partition / collection create-remove, LIST) fan out; the caller
-//     merges the per-shard responses with MergeFanOutResponses().
+// Routing is command-aware, not just id-aware, by the placement rule the
+// cluster client shares (osd/command_placement.h): a data op goes to the
+// shard owning cmd.id, a control message to the shard owning the object
+// it names, and a namespace op or a recovery-state probe fans out; the
+// caller merges the per-shard responses with MergeFanOutResponses().
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "common/object_id.h"
+#include "osd/command_placement.h"
 #include "osd/osd_target.h"
 
 namespace reo {
@@ -46,22 +39,15 @@ class ShardRouter {
     return ObjectIdHash{}(id) % num_shards_;
   }
 
-  /// Routing decision for one decoded command (see file comment).
-  ShardRoute RouteOf(const OsdCommand& cmd) const;
+  /// Routing decision for one decoded command: PlaceCommand's key mapped
+  /// onto its shard.
+  ShardRoute RouteOf(const OsdCommand& cmd) const {
+    CommandPlacement where = PlaceCommand(cmd);
+    return ShardRoute{where.fan_out, where.fan_out ? 0 : ShardOf(where.key)};
+  }
 
  private:
   size_t num_shards_;
 };
-
-/// Merges the per-shard responses of a fan-out command into the single
-/// response the client sees:
-///   * sense: first (lowest shard index) non-OK sense — a fan-out
-///     succeeds only if every shard succeeded, and the recovery-state
-///     query reports 0x65 if ANY shard is reconstructing;
-///   * complete: the latest per-shard completion time;
-///   * degraded: true if any part was degraded;
-///   * list: concatenation of the disjoint per-shard lists, sorted so
-///     the merged LIST answer is deterministic.
-OsdResponse MergeFanOutResponses(std::span<OsdResponse> parts);
 
 }  // namespace reo

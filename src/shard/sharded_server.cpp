@@ -21,8 +21,15 @@
 namespace reo {
 namespace {
 
+/// listen(2) backlog of the accepting socket.
+constexpr int kListenBacklog = 128;
+
 /// Cadence of the drain-request poll on shard 0's loop.
 constexpr uint64_t kDrainPollMs = 20;
+
+/// After RequestDrain(), connections that have not finished within this
+/// budget are force-closed so shutdown always completes.
+constexpr uint64_t kDrainTimeoutMs = 5'000;
 
 /// How long the listener stays unwatched after accept ran out of
 /// descriptors or kernel memory.
@@ -82,10 +89,12 @@ class ShardWorker final : private ConnectionHost {
 
   /// Adopts an accepted socket: constructs the Connection here so its
   /// EventLoop registration happens on the owning thread.
-  void Adopt(int fd, uint64_t id, std::string peer, ConnectionConfig cfg) {
+  void Adopt(int fd, uint64_t id, std::string peer) {
     ConnectionHost& host = *this;
-    connections_.emplace(id, std::make_unique<Connection>(
-                                 fd, id, loop_, host, cfg, peer, pool_));
+    connections_.emplace(
+        id, std::make_unique<Connection>(fd, id, loop_, host,
+                                         owner_.config_.idle_timeout_ms, peer,
+                                         pool_));
     tel_accepted_->Inc();
     tel_active_->Set(static_cast<double>(connections_.size()));
     Emit(owner_.events_, ShardedServer::NowNs(), EventSeverity::kDebug,
@@ -279,7 +288,6 @@ ShardedServer::ShardedServer(std::span<OsdTarget* const> targets,
                              ShardedServerConfig config)
     : config_(std::move(config)), router_(targets.size()) {
   REO_CHECK(!targets.empty());
-  config_.connection.idle_timeout_ms = config_.idle_timeout_ms;
   workers_.reserve(targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
     workers_.push_back(std::make_unique<ShardWorker>(*this, i, *targets[i]));
@@ -317,7 +325,7 @@ Status ShardedServer::Listen() {
     return Status{ErrorCode::kUnavailable,
                   std::string("bind: ") + std::strerror(errno)};
   }
-  if (listen(listen_fd_, config_.backlog) != 0) {
+  if (listen(listen_fd_, kListenBacklog) != 0) {
     return Status{ErrorCode::kInternal,
                   std::string("listen: ") + std::strerror(errno)};
   }
@@ -417,7 +425,7 @@ void ShardedServer::BeginDrain() {
     ShardWorker* worker = w.get();
     worker->loop().Post([worker] { worker->BeginDrain(); });
   }
-  main_loop().AddTimer(config_.drain_timeout_ms, [this] {
+  main_loop().AddTimer(kDrainTimeoutMs, [this] {
     if (active_conns_.load(std::memory_order_relaxed) == 0) return;
     Emit(events_, NowNs(), EventSeverity::kWarn, "server.drain_timeout",
          "force-closing connections past the drain deadline",
@@ -496,10 +504,9 @@ void ShardedServer::OnAcceptReady() {
     active_conns_.fetch_add(1, std::memory_order_relaxed);
     size_t shard = next_shard_rr_++ % workers_.size();
     ShardWorker* worker = workers_[shard].get();
-    worker->loop().Post(
-        [worker, fd, id, peer = PeerName(addr), cfg = config_.connection] {
-          worker->Adopt(fd, id, peer, cfg);
-        });
+    worker->loop().Post([worker, fd, id, peer = PeerName(addr)] {
+      worker->Adopt(fd, id, peer);
+    });
   }
 }
 

@@ -70,13 +70,9 @@ class ShardWorker;
 struct ShardedServerConfig {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  ///< 0 = ephemeral; read the bound port via port()
-  int backlog = 128;
   size_t max_connections = 1024;  ///< across all shards
+  /// Close connections idle (no complete frame) this long. 0 = never.
   uint64_t idle_timeout_ms = 60'000;
-  /// After RequestDrain(), connections that have not finished within this
-  /// budget are force-closed so shutdown always completes.
-  uint64_t drain_timeout_ms = 5'000;
-  ConnectionConfig connection;
   /// Phase-2 drain hook, run on shard `shard`'s loop thread under its
   /// stack lock after every connection everywhere has drained and before
   /// that loop stops — the per-shard clean-shutdown checkpoint (each

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/cache_manager.h"
+#include "fault/fault_injector.h"
 
 namespace reo {
 namespace {
@@ -223,6 +224,42 @@ TEST(CacheManagerTest, OnDemandRepairClearsBacklog) {
   EXPECT_GE(fx.cache->stats().rebuilds, rebuilds_before + 1);
   // Once everything recoverable is rebuilt, recovery ends (sense 0x66).
   fx.cache->DrainRecovery(fx.clock.now());
+  EXPECT_FALSE(fx.cache->recovery_active());
+  EXPECT_EQ(fx.stripes->SurvivalOf(Oid(1)), ObjectSurvival::kIntact);
+}
+
+TEST(CacheManagerTest, FailedRepairOnReadKeepsObjectQueued) {
+  // Repair-on-read runs the same rebuild step as background recovery: a
+  // transient failure (here every flash write fails with kIoError) leaves
+  // the object in the backlog, so recovery stays active and the
+  // control-object query keeps answering 0x65 until a later pass repairs it.
+  CacheFixture fx(ProtectionMode::kReo, 256 * kChunk, 0.25);
+  fx.Register(1, 8 * kChunk);
+  for (int i = 0; i < 12; ++i) fx.Get(1);
+  ASSERT_EQ(*fx.stripes->LevelOf(Oid(1)), RedundancyLevel::kParity2);
+
+  fx.cache->OnDeviceFailure(0, fx.clock.now());
+  ASSERT_EQ(fx.cache->recovery_backlog(), 1u);  // class 0 rebuilt already
+  ASSERT_TRUE(fx.cache->recovery_active());
+
+  FaultInjector injector(FaultSpec{
+      .rules = {FaultRule{.site = FaultSite::kFlashWriteTransient,
+                          .probability = 1.0}}});
+  fx.array->AttachFaults(&injector, nullptr);
+  auto r = fx.Get(1);
+  EXPECT_TRUE(r.hit);
+  EXPECT_TRUE(r.degraded);
+  EXPECT_GT(injector.injected(FaultSite::kFlashWriteTransient), 0u);
+  EXPECT_EQ(fx.cache->recovery_backlog(), 1u);
+  EXPECT_TRUE(fx.cache->recovery_active());
+  EXPECT_EQ(fx.cache->QueryObject(kControlObject, false, 0, fx.clock.now()),
+            SenseCode::kRecoveryStarts);
+  EXPECT_EQ(fx.stripes->SurvivalOf(Oid(1)), ObjectSurvival::kRecoverable);
+
+  // Once the writes succeed again, the queued object is rebuilt.
+  fx.array->AttachFaults(nullptr, nullptr);
+  fx.cache->DrainRecovery(fx.clock.now());
+  EXPECT_EQ(fx.cache->recovery_backlog(), 0u);
   EXPECT_FALSE(fx.cache->recovery_active());
   EXPECT_EQ(fx.stripes->SurvivalOf(Oid(1)), ObjectSurvival::kIntact);
 }

@@ -1,9 +1,11 @@
 // OSD substrate tests: object store semantics, attribute pages, the
-// control-object wire protocol, command dispatch, and Table III sense codes.
+// control-object wire protocol, command dispatch, Table III sense codes,
+// and the command placement shards and the cluster client share.
 #include <gtest/gtest.h>
 
 #include <unordered_map>
 
+#include "osd/command_placement.h"
 #include "osd/control_protocol.h"
 #include "osd/object_store.h"
 #include "osd/osd_target.h"
@@ -445,6 +447,53 @@ TEST_F(OsdTargetTest, StatsCount) {
   EXPECT_EQ(st.writes, 1u);
   EXPECT_EQ(st.control_messages, 1u);
   EXPECT_GE(st.commands, 4u);
+}
+
+// --- Command placement -----------------------------------------------------------
+
+OsdCommand ControlWrite(const ControlMessage& msg) {
+  OsdCommand cmd;
+  cmd.op = OsdOp::kWrite;
+  cmd.id = kControlObject;
+  cmd.data = EncodeControlMessage(msg);
+  cmd.logical_size = cmd.data.size();
+  return cmd;
+}
+
+TEST(CommandPlacementTest, HintsCarryTheirOwnerAndNodeDownFansOut) {
+  const ObjectId obj{kFirstUserId, kFirstUserId + 0x42};
+  CommandPlacement hint = PlaceCommand(ControlWrite(OwnerHintCommand{
+      .target = obj, .class_id = 1, .hotness = 8, .owner = 2}));
+  EXPECT_FALSE(hint.fan_out);
+  EXPECT_EQ(hint.key, obj);
+  EXPECT_EQ(hint.hint_owner, std::optional<uint32_t>(2));
+
+  EXPECT_TRUE(PlaceCommand(ControlWrite(NodeDownCommand{.node = 2})).fan_out);
+
+  // Only a hint names an owner; a data op follows its own id.
+  OsdCommand read;
+  read.op = OsdOp::kRead;
+  read.id = obj;
+  CommandPlacement data = PlaceCommand(read);
+  EXPECT_FALSE(data.fan_out);
+  EXPECT_EQ(data.key, obj);
+  EXPECT_FALSE(data.hint_owner.has_value());
+  EXPECT_FALSE(
+      PlaceCommand(ControlWrite(SetIdCommand{.target = obj, .class_id = 2}))
+          .hint_owner.has_value());
+}
+
+TEST(CommandPlacementTest, MergeNamesEachListedObjectOnce) {
+  // Every partition lists the reserved objects FORMAT created on it.
+  std::vector<OsdResponse> parts(3);
+  parts[0].list = {kControlObject.oid, kFirstUserId + 9};
+  parts[1].list = {kFirstUserId + 1, kControlObject.oid};
+  parts[2].list = {kControlObject.oid};
+  OsdResponse merged = MergeFanOutResponses(parts);
+  ASSERT_EQ(kControlObject.oid, kFirstUserId + 4);
+  EXPECT_EQ(merged.list, (std::vector<uint64_t>{kFirstUserId + 1,
+                                                kFirstUserId + 4,
+                                                kFirstUserId + 9}));
 }
 
 }  // namespace

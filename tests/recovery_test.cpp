@@ -1,12 +1,14 @@
 // Differentiated-recovery ordering tests (paper §IV.D): class 0 first,
-// then class 1, 2, 3; hottest first within a class — at the scheduler
-// level and as observed through the EventLog's recovery timeline.
+// then class 1, 2, 3; hottest first within a class — for the shared
+// RecoveryKey, at the scheduler level, and as observed through the
+// EventLog's recovery timeline.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/recovery_order.h"
 #include "core/cache_manager.h"
 #include "core/recovery_scheduler.h"
 #include "trace/tracer.h"
@@ -84,6 +86,54 @@ TEST(RecoverySchedulerTest, DeterministicTieBreakById) {
   s.Enqueue(Oid(3), DataClass::kHotClean, 0.5, 1);
   EXPECT_EQ(*s.Pop(), Oid(3));
   EXPECT_EQ(*s.Pop(), Oid(5));
+}
+
+// --- RecoveryKey: the one recovery order -------------------------------------
+
+TEST(RecoveryKeyTest, ClassDominatesHotness) {
+  using Key = RecoveryKey<ObjectId>;
+  EXPECT_LT(Key(0, 0.0, Oid(9)), Key(1, 1e9, Oid(1)));
+  EXPECT_LT(Key(1, 0.0, Oid(9)), Key(2, 1e9, Oid(1)));
+  EXPECT_LT(Key(2, 0.0, Oid(9)), Key(3, 1e9, Oid(1)));
+  EXPECT_FALSE(Key(3, 1e9, Oid(1)) < Key(2, 0.0, Oid(9)));
+}
+
+TEST(RecoveryKeyTest, HotnessSortsDescending) {
+  std::vector<RecoveryKey<uint64_t>> keys = {
+      {2, 0.1, 1}, {2, 0.9, 2}, {2, 0.5, 3}, {2, 7.0, 4}};
+  SortRecoveryOrder(keys.begin(), keys.end(), [](const auto& k) { return k; });
+  std::vector<uint64_t> order;
+  for (const auto& k : keys) order.push_back(k.tie);
+  EXPECT_EQ(order, (std::vector<uint64_t>{4, 2, 3, 1}));
+}
+
+TEST(RecoveryKeyTest, CountAndDoubleHotnessOrderAlikeUpTo2To53) {
+  // A read count and an H order alike while the count converts exactly:
+  // up to 2^53, JsonDoc's integer cap.
+  constexpr uint64_t kCap = uint64_t{1} << 53;
+  const uint64_t counts[] = {0, 1, 2, 1000, kCap - 2, kCap - 1, kCap};
+  for (uint64_t a : counts) {
+    for (uint64_t b : counts) {
+      RecoveryKey<uint64_t> count_a(1, a, 7), count_b(1, b, 8);
+      RecoveryKey<uint64_t> h_a(1, static_cast<double>(a), 7);
+      RecoveryKey<uint64_t> h_b(1, static_cast<double>(b), 8);
+      // Hotter first; equal hotness falls to the tie-break (7 < 8).
+      EXPECT_EQ(count_a < count_b, a >= b) << a << " vs " << b;
+      EXPECT_EQ(h_a < h_b, count_a < count_b) << a << " vs " << b;
+    }
+  }
+}
+
+TEST(RecoveryKeyTest, TiesFallToTheCallersKey) {
+  // ObjectId tie-break (device rebuild, cluster refetch, OWNERS dump).
+  using IdKey = RecoveryKey<ObjectId>;
+  EXPECT_LT(IdKey(2, 0.5, Oid(3)), IdKey(2, 0.5, Oid(5)));
+  EXPECT_FALSE(IdKey(2, 0.5, Oid(5)) < IdKey(2, 0.5, Oid(3)));
+  EXPECT_FALSE(IdKey(2, 0.5, Oid(3)) < IdKey(2, 0.5, Oid(3)));
+  // LSN tie-break (restart restore).
+  using LsnKey = RecoveryKey<uint64_t>;
+  EXPECT_LT(LsnKey(1, uint64_t{4}, 10), LsnKey(1, uint64_t{4}, 11));
+  EXPECT_FALSE(LsnKey(1, uint64_t{4}, 11) < LsnKey(1, uint64_t{4}, 10));
 }
 
 TEST(RecoveryTimelineTest, EventLogShowsDifferentiatedOrder) {

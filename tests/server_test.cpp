@@ -1047,7 +1047,7 @@ TEST(FrameQueueTest, GatheredBytesMatchEncodeFrame) {
   for (uint8_t i = 0; i < 7; ++i) {
     std::vector<uint8_t> payload(i * 13 + 1, i);
     AppendFrame(expect, payload);
-    q.Push(std::move(payload));
+    q.Push(FramePayload{.head = std::move(payload)});
   }
   EXPECT_EQ(q.pending_bytes(), expect.size());
   // Drain in awkward 5-byte slices so Consume repeatedly stops mid-header,
@@ -1093,7 +1093,7 @@ TEST(FrameQueueTest, MetaBlocksAreRecycled) {
   FrameMetaPool pool;
   FrameQueue q(pool);
   for (int round = 0; round < 10; ++round) {
-    q.Push(std::vector<uint8_t>(64, 0xAB));
+    q.Push(FramePayload{.head = std::vector<uint8_t>(64, 0xAB)});
     DrainQueue(q, 1 << 20);
   }
   // One live frame at a time: the pool should have allocated once and

@@ -2,24 +2,27 @@
 # Runs one end-to-end smoke scenario against an existing build.
 #
 #   tools/smoke.sh <scenario> [build-dir]
+#   tools/smoke.sh figures <build-dir> <parent-build-dir>
 #
 # Scenarios: trace server bench crash-recovery chaos shard cluster admin
-# admit. The build directory defaults to build/ at the repository root and
-# must hold the binaries the scenario drives (reo_server, reo_loadgen,
-# reo_cli, trace_validate, bench_validate, admin_probe, reo_top,
-# admit_sweep). Work files land in a fresh ./smoke-<scenario>/. Exits
-# non-zero on the first failed step; every server the scenario started is
-# killed on the way out.
+# admit figures. The build directory defaults to build/ at the repository
+# root and must hold the binaries the scenario drives (reo_server,
+# reo_loadgen, reo_cli, trace_validate, bench_validate, admin_probe,
+# reo_top, admit_sweep; for figures, the figure benches). Work files land
+# in a fresh ./smoke-<scenario>/. Exits non-zero on the first failed step;
+# every process the scenario started is killed on the way out.
 set -euo pipefail
 
-SCENARIOS="trace server bench crash-recovery chaos shard cluster admin admit"
+SCENARIOS="trace server bench crash-recovery chaos shard cluster admin admit figures"
 name=${1:-}
 if [[ " $SCENARIOS " != *" $name "* ]]; then
-  echo "usage: $0 <scenario> [build-dir]; scenarios: $SCENARIOS" >&2
+  echo "usage: $0 <scenario> [build-dir] [parent-build-dir]; scenarios: $SCENARIOS" >&2
   exit 2
 fi
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 BUILD=$(cd "${2:-$ROOT/build}" && pwd)
+# Only figures takes a third argument: the build to compare against.
+PARENT_BUILD=${3:+$(cd "$3" && pwd)}
 BASELINES=$ROOT/bench/baselines
 rm -rf "smoke-$name"
 mkdir "smoke-$name"
@@ -441,6 +444,36 @@ EOF
   # against the serve schema.
   REO_SCALE_SHIFT=7 "$BUILD/bench/admit_sweep" --bench-out admit-report.json
   bench_validate admit-report.json
+}
+
+# Figure byte-diff: the simulator's output must not move. Runs the paper
+# figures (fig5-9, space_efficiency) and the fault sweep at
+# REO_SCALE_SHIFT=10 from BUILD and from PARENT_BUILD, two at a time, and
+# fails unless each pair of stdouts is byte-identical (the runs use virtual
+# time, so they repeat exactly; the printed telemetry snapshot is part of
+# the compared bytes). About 210 s per build on 4 vCPUs.
+FIGURES="fig5_weak fig6_medium fig7_strong fig8_failure fig9_dirty space_efficiency fault_sweep"
+scenario_figures() {
+  if [ -z "$PARENT_BUILD" ]; then
+    echo "usage: $0 figures <build-dir> <parent-build-dir>" >&2
+    exit 2
+  fi
+  local f pid differ=""
+  for f in $FIGURES; do
+    REO_SCALE_SHIFT=10 "$BUILD/bench/$f" > "$f.txt" &
+    pid=$!
+    REO_SCALE_SHIFT=10 "$PARENT_BUILD/bench/$f" > "$f.parent.txt"
+    wait "$pid"
+    if cmp -s "$f.parent.txt" "$f.txt"; then
+      echo "$f: identical"
+    else
+      differ="$differ $f"
+    fi
+  done
+  if [ -n "$differ" ]; then
+    echo "stdout differs from the parent build:$differ" >&2
+    exit 1
+  fi
 }
 
 "scenario_${name//-/_}"
