@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   for (const Config& cfg : configs) {
     for (double rate : latent_rates) {
       SimulationConfig sim_cfg = MakeSimConfig(cfg, 0.10);
-      sim_cfg.verify_hits = true;
+      sim_cfg.cache.verify_hits = true;
       sim_cfg.scrub_interval_requests = 2000;
       if (rate > 0) {
         sim_cfg.faults.seed = 42;

@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
       cfg.admission.flash_write_budget_bps =
           std::strtoull(next(), nullptr, 10) * kMiB;
     } else if (!std::strcmp(argv[i], "--failslow-demote")) {
-      cfg.failslow_demote = true;
+      cfg.cache.failslow_demote = true;
     } else if (!std::strcmp(argv[i], "recover-stats")) {
       recover_stats = true;
     } else if (!std::strcmp(argv[i], "--data-dir")) {
@@ -258,7 +258,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--warmup")) {
       cfg.warmup_pass = true;
     } else if (!std::strcmp(argv[i], "--verify")) {
-      cfg.verify_hits = true;
+      cfg.cache.verify_hits = true;
     } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
       Usage(argv[0]);
       return 0;

@@ -68,10 +68,6 @@ struct AdmissionConfig {
   double flashiness_target = 0.5;
   /// flashiness: evictions per adaptation window.
   uint32_t flashiness_window = 64;
-
-  /// Segmented LRU: share of the DRAM budget protected for re-referenced
-  /// objects; the rest is the probation segment new arrivals land in.
-  double protected_fraction = 0.8;
 };
 
 /// One DRAM-evicted object as the policy sees it: the reuse/recency

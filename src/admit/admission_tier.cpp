@@ -1,10 +1,17 @@
 #include "admit/admission_tier.h"
 
 namespace reo {
+namespace {
+
+/// Segmented LRU: share of the DRAM budget protected for re-referenced
+/// objects; the rest is the probation segment new arrivals land in.
+constexpr double kProtectedFraction = 0.8;
+
+}  // namespace
 
 AdmissionTier::AdmissionTier(const AdmissionConfig& cfg)
     : cfg_(cfg),
-      dram_(cfg.dram_bytes, cfg.protected_fraction),
+      dram_(cfg.dram_bytes, kProtectedFraction),
       policy_(MakeAdmissionPolicy(cfg)) {}
 
 void AdmissionTier::AttachTelemetry(MetricRegistry& registry) {

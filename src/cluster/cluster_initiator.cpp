@@ -260,7 +260,7 @@ OsdResponse ClusterInitiator::Classify(ObjectId id, uint8_t class_id) {
   }
   ObjectMeta& meta = objects_[id];
   meta.class_id = class_id;
-  if (config_.hint_objects) SendHint(id, class_id, meta.reads, *node);
+  SendHint(id, class_id, meta.reads, *node);
   return resp;
 }
 
@@ -291,7 +291,7 @@ void ClusterInitiator::MaybeRehint(ObjectId id) {
   uint64_t reads = ++it->second.reads;
   // Amortized hotness refresh: re-hint at powers of two, so a hot
   // object's survivor-side estimate tracks within 2x at O(log n) cost.
-  if (!config_.hint_objects || reads < 2 || (reads & (reads - 1)) != 0) return;
+  if (reads < 2 || (reads & (reads - 1)) != 0) return;
   if (auto owner = PickNode(id)) {
     SendHint(id, it->second.class_id, reads, *owner);
   }

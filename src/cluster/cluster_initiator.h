@@ -52,8 +52,6 @@ struct ClusterInitiatorConfig {
   HashRingConfig ring;
   NodeHealthConfig health;
   SocketInitiatorConfig session;  ///< per-node socket posture
-  /// Send #OWNER# hints on Classify and power-of-two read counts.
-  bool hint_objects = true;
 };
 
 struct ClusterInitiatorStats {

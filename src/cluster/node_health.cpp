@@ -4,6 +4,13 @@
 #include <cstddef>
 
 namespace reo {
+namespace {
+
+constexpr uint32_t kSuspectAfter = 2;  ///< consecutive failures → suspect
+constexpr uint32_t kDeadAfter = 4;     ///< consecutive failures → dead
+constexpr double kEwmaAlpha = 0.2;     ///< latency EWMA smoothing factor
+
+}  // namespace
 
 NodeHealthTracker::NodeHealthTracker(size_t num_nodes,
                                      NodeHealthConfig config)
@@ -19,8 +26,7 @@ void NodeHealthTracker::RecordSuccess(uint32_t node, double latency_us) {
   ++n.samples;
   n.ewma_us = n.samples == 1
                   ? latency_us
-                  : config_.ewma_alpha * latency_us +
-                        (1.0 - config_.ewma_alpha) * n.ewma_us;
+                  : kEwmaAlpha * latency_us + (1.0 - kEwmaAlpha) * n.ewma_us;
   // Fail-slow: a node can degrade without ever dropping a connection.
   if (n.samples >= config_.fail_slow_min_samples) {
     double median = PeerMedianUs(node);
@@ -40,10 +46,10 @@ void NodeHealthTracker::RecordFailure(uint32_t node) {
     n.state = NodeState::kDead;
     return;
   }
-  if (n.consecutive_failures >= config_.dead_after) {
+  if (n.consecutive_failures >= kDeadAfter) {
     if (n.state != NodeState::kDead) ++stats_.marked_dead;
     n.state = NodeState::kDead;
-  } else if (n.consecutive_failures >= config_.suspect_after) {
+  } else if (n.consecutive_failures >= kSuspectAfter) {
     if (n.state == NodeState::kAlive) ++stats_.marked_suspect;
     n.state = NodeState::kSuspect;
   }
@@ -53,7 +59,7 @@ void NodeHealthTracker::MarkDead(uint32_t node) {
   Node& n = nodes_[node];
   if (n.state != NodeState::kDead) ++stats_.marked_dead;
   n.state = NodeState::kDead;
-  n.consecutive_failures = config_.dead_after;
+  n.consecutive_failures = kDeadAfter;
 }
 
 bool NodeHealthTracker::ProbeDue(uint32_t node, uint64_t now_ms) {

@@ -6,8 +6,8 @@
 //
 // Two failure detectors feed it, mirroring the repo's device-level
 // tolerance story one domain up:
-//   * fail-stop: `suspect_after` consecutive transport failures mark a
-//     node suspect, `dead_after` mark it dead;
+//   * fail-stop: 2 consecutive transport failures mark a node suspect,
+//     4 mark it dead;
 //   * fail-slow: a per-node latency EWMA compared against the median of
 //     its peers' EWMAs (failslow.h's detection idea) marks a node
 //     suspect before it ever drops a connection.
@@ -36,9 +36,6 @@ constexpr std::string_view to_string(NodeState s) {
 }
 
 struct NodeHealthConfig {
-  uint32_t suspect_after = 2;  ///< consecutive failures → suspect
-  uint32_t dead_after = 4;     ///< consecutive failures → dead
-  double ewma_alpha = 0.2;     ///< latency EWMA smoothing factor
   /// Fail-slow: EWMA above this multiple of the peer median → suspect.
   double fail_slow_factor = 8.0;
   /// Minimum latency samples before fail-slow judgement engages.

@@ -299,14 +299,18 @@ RequestResult CacheManager::Get(ObjectId id, uint64_t logical_size, SimTime now)
 
       if (resp.degraded && plane_.policy().mode() == ProtectionMode::kReo) {
         // On-demand recovery first (§IV.D): repair this object now so the
-        // next access is clean, and drop it from the background queue.
-        // Uniform (block-based) protection has no object-level repair: it
-        // pays the reconstruction on every degraded access until a spare
-        // arrives and the block-level rebuild reaches the data.
-        auto done = RebuildQueued(id, it->second.cls, resp.complete,
-                                  /*on_demand=*/true,
-                                  "on-demand repair-on-read");
-        if (done.ok()) {
+        // next access is clean, and drop it from the background queue —
+        // unless the data plane already repaired a latent CRC error in
+        // place (it still answers degraded). Uniform (block-based)
+        // protection has no object-level repair: it pays the
+        // reconstruction on every degraded access until a spare arrives
+        // and the block-level rebuild reaches the data.
+        if (plane_.stripes().SurvivalOf(id) == ObjectSurvival::kIntact) {
+          recovery_.Remove(id);
+        } else if (auto done = RebuildQueued(id, it->second.cls, resp.complete,
+                                             /*on_demand=*/true,
+                                             "on-demand repair-on-read");
+                   done.ok()) {
           trace.set_flags(kSpanOnDemand);
           trace.Cover(*done);  // repair rides on this request
         }
@@ -317,8 +321,15 @@ RequestResult CacheManager::Get(ObjectId id, uint64_t logical_size, SimTime now)
       AdvanceBackground(now);
       return res;
     }
-    // 0x63 or worse: the cached copy is gone. Evict and fall through.
-    EvictObject(id, now, /*lost=*/true);
+    if (it->second.dirty && resp.sense != SenseCode::kCorrupted) {
+      // Transient (retries ran out): keep the only current copy dirty.
+      res.sense = resp.sense;
+      trace.set_flags(kSpanError);
+      return res;
+    }
+    // 0x63 (a dirty object counts as lost), or a clean object's failed
+    // read, which is also how a DRAM-tier drop surfaces: evict, refetch.
+    LoseObject(id, now);
   }
 
   ++stats_.misses;

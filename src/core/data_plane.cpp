@@ -15,6 +15,15 @@ DataPlaneIo ToDataPlaneIo(ArrayIo io) {
   return out;
 }
 
+/// Replicated classes (0/1) must be durable before the ack, so a failed
+/// commit fails the command; clean classes can be re-fetched from the
+/// backend, so their commit failures only count.
+Status CriticalFailure(const Status& commit, uint8_t class_id) {
+  if (commit.ok() || class_id > 1) return Status::Ok();
+  return Status(ErrorCode::kUnavailable,
+                "persistence commit failed: " + commit.message());
+}
+
 }  // namespace
 
 ReoDataPlane::ReoDataPlane(StripeManager& stripes, RedundancyPolicy policy)
@@ -161,15 +170,13 @@ Result<DataPlaneIo> ReoDataPlane::WriteToFlash(ObjectId id,
   Set(tel_user_bytes_, static_cast<double>(stripes_.user_bytes()));
   if (persist_ != nullptr) {
     // Persist the physical (shaped) bytes: restore replays them through
-    // PutObject unchanged. Replicated classes (0/1) must be durable before
-    // the ack, so a failed commit fails the write; clean classes can be
-    // re-fetched from the backend, so their commit failures only count.
-    Status commit = persist_->CommitWrite(id, class_id, logical_bytes,
-                                          payload, now);
-    if (!commit.ok() && class_id <= 1 && !persist_->replaying()) {
+    // PutObject unchanged.
+    Status st = CriticalFailure(
+        persist_->CommitWrite(id, class_id, logical_bytes, payload, now),
+        class_id);
+    if (!st.ok()) {
       span.set_flags(kSpanError);
-      return Status(ErrorCode::kUnavailable,
-                    "persistence commit failed: " + commit.message());
+      return st;
     }
   }
   return ToDataPlaneIo(std::move(*io));
@@ -290,7 +297,12 @@ Status ReoDataPlane::SetObjectClass(ObjectId id, uint8_t class_id, SimTime now) 
   Set(tel_redundancy_bytes_, static_cast<double>(stripes_.redundancy_bytes()));
   Set(tel_user_bytes_, static_cast<double>(stripes_.user_bytes()));
   if (persist_ != nullptr) {
-    (void)persist_->CommitState(id, class_id, std::nullopt, now);
+    Status st = CriticalFailure(
+        persist_->CommitState(id, class_id, std::nullopt, now), class_id);
+    if (!st.ok()) {
+      span.set_flags(kSpanError);
+      return st;
+    }
   }
   if (effective != desired) {
     ++reserve_rejections_;

@@ -4,6 +4,11 @@
 #include <cstdio>
 
 namespace reo {
+namespace {
+
+constexpr double kEwmaAlpha = 0.2;  ///< weight of the newest sample
+
+}  // namespace
 
 FailSlowDetector::FailSlowDetector(size_t devices, FailSlowConfig config)
     : config_(config), stats_(devices) {}
@@ -16,7 +21,7 @@ void FailSlowDetector::Observe(FaultDeviceIndex device, SimTime service_ns,
   if (st.samples == 0) {
     st.ewma = sample;
   } else {
-    st.ewma += config_.ewma_alpha * (sample - st.ewma);
+    st.ewma += kEwmaAlpha * (sample - st.ewma);
   }
   ++st.samples;
   if (st.flagged || st.samples < config_.min_samples ||

@@ -21,7 +21,6 @@ namespace reo {
 using FaultDeviceIndex = uint32_t;
 
 struct FailSlowConfig {
-  double ewma_alpha = 0.2;       ///< weight of the newest sample
   double outlier_factor = 4.0;   ///< flag when EWMA > factor x median
   uint32_t min_samples = 64;     ///< per-device warm-up before judging
   uint32_t check_interval = 32;  ///< samples between outlier checks

@@ -5,30 +5,13 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
-#include <cstring>
 
 #include "common/crc32c.h"
 
 namespace reo {
-namespace {
-
-Status Errno(const std::string& what) {
-  return Status(ErrorCode::kUnavailable, what + ": " + std::strerror(errno));
-}
-
-}  // namespace
-
-DataLog::~DataLog() { Close(); }
-
-std::string DataLog::PathFor(const std::string& dir, uint32_t segment) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "seg-%06u.dat", segment);
-  return dir + "/" + name;
-}
 
 std::string DataLog::SegmentPath(uint32_t segment) const {
-  return PathFor(dir_, segment);
+  return kSegmentName.Path(dir_, segment);
 }
 
 Status DataLog::Open(const std::string& dir, uint64_t segment_bytes,
@@ -36,26 +19,16 @@ Status DataLog::Open(const std::string& dir, uint64_t segment_bytes,
   dir_ = dir;
   segment_bytes_ = segment_bytes;
   active_segment_ = next_segment;
-  return OpenActive();
-}
-
-Status DataLog::OpenActive() {
-  const std::string path = SegmentPath(active_segment_);
-  fd_ = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-  if (fd_ < 0) return Errno("open " + path);
-  struct stat st {};
-  if (::fstat(fd_, &st) != 0) return Errno("stat " + path);
-  active_size_ = static_cast<uint64_t>(st.st_size);
-  return Status::Ok();
+  return file_.Open(SegmentPath(active_segment_));
 }
 
 Status DataLog::RotateIfNeeded(size_t next_record_bytes) {
-  if (active_size_ == 0 || active_size_ + next_record_bytes <= segment_bytes_) {
+  if (file_.size() == 0 ||
+      file_.size() + next_record_bytes <= segment_bytes_) {
     return Status::Ok();
   }
   REO_RETURN_IF_ERROR(Sync());
-  ::close(fd_);
-  fd_ = -1;
+  file_.Close();
   // A sealed segment with no live records (all its writes were already
   // overwritten) can be reclaimed the moment we rotate away from it.
   if (live_records_.find(active_segment_) == live_records_.end()) {
@@ -63,13 +36,15 @@ Status DataLog::RotateIfNeeded(size_t next_record_bytes) {
     ++stats_.segments_reclaimed;
   }
   ++active_segment_;
-  return OpenActive();
+  return file_.Open(SegmentPath(active_segment_));
 }
 
 Result<DataLocation> DataLog::Append(ObjectId id, uint8_t class_id, bool dirty,
                                      uint64_t logical_size, uint64_t lsn,
                                      std::span<const uint8_t> payload) {
-  if (fd_ < 0) return Status(ErrorCode::kUnavailable, "data log closed");
+  if (!file_.is_open()) {
+    return Status(ErrorCode::kUnavailable, "data log closed");
+  }
   DataRecordHeader h;
   h.id = id;
   h.logical_size = logical_size;
@@ -85,21 +60,10 @@ Result<DataLocation> DataLog::Append(ObjectId id, uint8_t class_id, bool dirty,
 
   DataLocation loc;
   loc.segment = active_segment_;
-  loc.offset = active_size_;
+  loc.offset = file_.size();
   loc.payload_len = h.payload_len;
   loc.payload_crc = h.payload_crc;
-
-  size_t done = 0;
-  while (done < record.size()) {
-    ssize_t n = ::write(fd_, record.data() + done, record.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("append " + SegmentPath(active_segment_));
-    }
-    done += static_cast<size_t>(n);
-  }
-  active_size_ += record.size();
-  unsynced_ = true;
+  REO_RETURN_IF_ERROR(file_.Write(record));
   ++stats_.appends;
   stats_.bytes_appended += record.size();
   NoteLive(loc.segment);
@@ -107,9 +71,8 @@ Result<DataLocation> DataLog::Append(ObjectId id, uint8_t class_id, bool dirty,
 }
 
 Status DataLog::Sync() {
-  if (!unsynced_ || fd_ < 0) return Status::Ok();
-  if (::fsync(fd_) != 0) return Errno("fsync " + SegmentPath(active_segment_));
-  unsynced_ = false;
+  if (!file_.dirty()) return Status::Ok();
+  REO_RETURN_IF_ERROR(file_.Sync());
   ++stats_.fsyncs;
   return Status::Ok();
 }
@@ -156,15 +119,13 @@ Result<std::vector<uint8_t>> DataLog::ReadPayload(ObjectId id, uint64_t lsn,
 
 void DataLog::NoteLive(uint32_t segment) { ++live_records_[segment]; }
 
-bool DataLog::Release(uint32_t segment) {
+void DataLog::Release(uint32_t segment) {
   auto it = live_records_.find(segment);
-  if (it == live_records_.end()) return false;
-  if (--it->second > 0) return false;
+  if (it == live_records_.end() || --it->second > 0) return;
   live_records_.erase(it);
-  if (segment == active_segment_) return false;  // reclaimed at rotation
+  if (segment == active_segment_) return;  // reclaimed at rotation
   ::unlink(SegmentPath(segment).c_str());
   ++stats_.segments_reclaimed;
-  return true;
 }
 
 Status DataLog::TruncateSegment(uint32_t segment, uint64_t keep_bytes) {
@@ -175,13 +136,12 @@ Status DataLog::TruncateSegment(uint32_t segment, uint64_t keep_bytes) {
   if (::truncate(path.c_str(), static_cast<off_t>(keep_bytes)) != 0) {
     return Errno("truncate " + path);
   }
-  if (segment == active_segment_) active_size_ = keep_bytes;
   ++stats_.tail_truncations;
   return Status::Ok();
 }
 
 void DataLog::Reset(uint32_t next_segment) {
-  Close();
+  file_.Close();
   for (uint32_t seg = 1; seg <= active_segment_; ++seg) {
     ::unlink(SegmentPath(seg).c_str());
   }
@@ -190,15 +150,8 @@ void DataLog::Reset(uint32_t next_segment) {
   }
   live_records_.clear();
   active_segment_ = next_segment;
-  Status st = OpenActive();
+  Status st = file_.Open(SegmentPath(active_segment_));
   REO_CHECK(st.ok());
-}
-
-void DataLog::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
 }
 
 }  // namespace reo

@@ -12,6 +12,7 @@
 #include <map>
 #include <string>
 
+#include "persist/append_file.h"
 #include "persist/wire_format.h"
 
 namespace reo {
@@ -28,12 +29,6 @@ struct DataLogStats {
 
 class DataLog {
  public:
-  DataLog() = default;
-  ~DataLog();
-
-  DataLog(const DataLog&) = delete;
-  DataLog& operator=(const DataLog&) = delete;
-
   /// Opens the log rooted at `dir` (already created). `next_segment` seeds
   /// the id of the first segment this process appends to; it must be
   /// greater than every sealed segment referenced by the recovered index.
@@ -58,38 +53,28 @@ class DataLog {
   void NoteLive(uint32_t segment);
 
   /// Drops a record's liveness; unlinks the segment file when it was the
-  /// last live record of a sealed (non-active) segment. Returns true when
-  /// the segment was reclaimed.
-  bool Release(uint32_t segment);
+  /// last live record of a sealed (non-active) segment.
+  void Release(uint32_t segment);
 
-  /// Truncates `segment`'s file down to `keep_bytes` (recovery: clears the
-  /// un-indexed garbage a crash left past the last committed record).
-  /// Counts a tail truncation when bytes were actually cut.
+  /// Truncates sealed `segment`'s file down to `keep_bytes` (recovery:
+  /// clears the un-indexed garbage a crash left past the last committed
+  /// record). Counts a tail truncation when bytes were actually cut.
   Status TruncateSegment(uint32_t segment, uint64_t keep_bytes);
 
   /// Unlinks every segment file and resets state (FORMAT path).
   void Reset(uint32_t next_segment);
 
-  /// Closes the active segment fd (destructor also does this).
-  void Close();
-
   const DataLogStats& stats() const { return stats_; }
   uint32_t active_segment() const { return active_segment_; }
-  size_t live_segments() const { return live_records_.size(); }
   std::string SegmentPath(uint32_t segment) const;
-  /// Same formatting with an explicit root — usable before Open().
-  static std::string PathFor(const std::string& dir, uint32_t segment);
 
  private:
-  Status OpenActive();
   Status RotateIfNeeded(size_t next_record_bytes);
 
   std::string dir_;
   uint64_t segment_bytes_ = 8ull << 20;
   uint32_t active_segment_ = 1;
-  int fd_ = -1;
-  uint64_t active_size_ = 0;
-  bool unsynced_ = false;
+  AppendFile file_;  ///< the active segment
   std::map<uint32_t, uint64_t> live_records_;  // segment -> live record count
   DataLogStats stats_;
 };

@@ -1,50 +1,31 @@
 #include "persist/journal.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 
 #include "common/file_util.h"
 
 namespace reo {
-namespace {
-
-Status Errno(const std::string& what) {
-  return Status(ErrorCode::kUnavailable, what + ": " + std::strerror(errno));
-}
-
-}  // namespace
 
 WalJournal::~WalJournal() { Close(); }
 
 std::string WalJournal::FilePath(const std::string& dir, uint32_t seq) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "wal-%06u.log", seq);
-  return dir + "/" + name;
+  return kWalName.Path(dir, seq);
 }
 
 Status WalJournal::Open(const std::string& dir, uint32_t seq) {
   dir_ = dir;
   active_seq_ = seq;
-  return OpenActive();
-}
-
-Status WalJournal::OpenActive() {
-  const std::string path = FilePath(dir_, active_seq_);
-  fd_ = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-  if (fd_ < 0) return Errno("open " + path);
-  return Status::Ok();
+  return file_.Open(FilePath(dir_, active_seq_));
 }
 
 Status WalJournal::Append(std::span<const uint8_t> body) {
-  if (fd_ < 0) return Status(ErrorCode::kUnavailable, "journal closed");
+  if (!file_.is_open()) {
+    return Status(ErrorCode::kUnavailable, "journal closed");
+  }
   size_t before = pending_.size();
   AppendWalFrame(pending_, body);
-  unsynced_ = true;
   ++stats_.records;
   stats_.bytes += pending_.size() - before;
   return Status::Ok();
@@ -52,25 +33,16 @@ Status WalJournal::Append(std::span<const uint8_t> body) {
 
 Status WalJournal::FlushPending() {
   if (pending_.empty()) return Status::Ok();
-  size_t done = 0;
-  while (done < pending_.size()) {
-    ssize_t n = ::write(fd_, pending_.data() + done, pending_.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("append " + FilePath(dir_, active_seq_));
-    }
-    done += static_cast<size_t>(n);
-  }
+  REO_RETURN_IF_ERROR(file_.Write(pending_));
   ++stats_.batch_writes;
   pending_.clear();
   return Status::Ok();
 }
 
 Status WalJournal::Sync() {
-  if (!unsynced_ || fd_ < 0) return Status::Ok();
   REO_RETURN_IF_ERROR(FlushPending());
-  if (::fsync(fd_) != 0) return Errno("fsync " + FilePath(dir_, active_seq_));
-  unsynced_ = false;
+  if (!file_.dirty()) return Status::Ok();
+  REO_RETURN_IF_ERROR(file_.Sync());
   ++stats_.fsyncs;
   return Status::Ok();
 }
@@ -81,7 +53,7 @@ Status WalJournal::Rotate(uint32_t new_seq) {
   Close();
   uint32_t old_seq = active_seq_;
   active_seq_ = new_seq;
-  REO_RETURN_IF_ERROR(OpenActive());
+  REO_RETURN_IF_ERROR(file_.Open(FilePath(dir_, active_seq_)));
   for (uint32_t seq = 1; seq <= old_seq; ++seq) {
     ::unlink(FilePath(dir_, seq).c_str());
   }
@@ -95,7 +67,7 @@ void WalJournal::Reset(uint32_t new_seq) {
     ::unlink(FilePath(dir_, seq).c_str());
   }
   active_seq_ = new_seq;
-  Status st = OpenActive();
+  Status st = file_.Open(FilePath(dir_, active_seq_));
   REO_CHECK(st.ok());
 }
 
@@ -147,13 +119,10 @@ Status WalJournal::ReplayFile(
 }
 
 void WalJournal::Close() {
-  if (fd_ >= 0) {
-    // Best-effort: unsynced records carry no durability promise, but keep
-    // the historical "visible after close" behavior for clean shutdowns.
-    (void)FlushPending();
-    ::close(fd_);
-    fd_ = -1;
-  }
+  // Best-effort: unsynced records carry no durability promise, but keep
+  // the historical "visible after close" behavior for clean shutdowns.
+  if (file_.is_open()) (void)FlushPending();
+  file_.Close();
 }
 
 }  // namespace reo

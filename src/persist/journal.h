@@ -10,6 +10,7 @@
 #include <functional>
 #include <string>
 
+#include "persist/append_file.h"
 #include "persist/wire_format.h"
 
 namespace reo {
@@ -64,14 +65,12 @@ class WalJournal {
   static std::string FilePath(const std::string& dir, uint32_t seq);
 
  private:
-  Status OpenActive();
   Status FlushPending();
   void Close();
 
   std::string dir_;
   uint32_t active_seq_ = 1;
-  int fd_ = -1;
-  bool unsynced_ = false;
+  AppendFile file_;  ///< the active journal file
   std::vector<uint8_t> pending_;  ///< framed records awaiting one write
   JournalStats stats_;
 };

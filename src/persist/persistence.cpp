@@ -23,21 +23,8 @@ namespace fs = std::filesystem;
 
 constexpr char kCheckpointFile[] = "CHECKPOINT";
 
-/// Parses "wal-000042.log" / "seg-000007.dat" style names.
-std::optional<uint32_t> ParseNumbered(const std::string& name,
-                                      const char* prefix, const char* suffix) {
-  size_t plen = std::strlen(prefix), slen = std::strlen(suffix);
-  if (name.size() != plen + 6 + slen) return std::nullopt;
-  if (name.compare(0, plen, prefix) != 0) return std::nullopt;
-  if (name.compare(plen + 6, slen, suffix) != 0) return std::nullopt;
-  uint32_t v = 0;
-  for (size_t i = plen; i < plen + 6; ++i) {
-    char c = name[i];
-    if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + static_cast<uint32_t>(c - '0');
-  }
-  return v;
-}
+/// Group-commit byte bound: data-log bytes appended since the last sync.
+constexpr uint64_t kFsyncBatchBytes = 1ull << 20;
 
 /// Decoded checkpoint image.
 struct CheckpointImage {
@@ -49,32 +36,20 @@ struct CheckpointImage {
 };
 
 std::string EncodeCheckpoint(const CheckpointImage& img) {
-  ByteWriter body;
-  body.U64(img.next_lsn);
-  body.U32(img.wal_start);
-  body.U32(img.data_segment);
-  body.F64(img.h_hot);
-  body.U64(img.objects.size());
-  for (const PersistedObject& o : img.objects) {
-    body.U64(o.id.pid);
-    body.U64(o.id.oid);
-    body.U64(o.logical_size);
-    body.U64(o.lsn);
-    body.U8(o.class_id);
-    body.U8(o.dirty ? 1 : 0);
-    body.F64(o.hotness);
-    body.U32(o.loc.segment);
-    body.U64(o.loc.offset);
-    body.U32(o.loc.payload_len);
-    body.U32(o.loc.payload_crc);
-  }
-  ByteWriter head;
-  head.U32(kCheckpointMagic);
-  head.U32(kCheckpointFormatVersion);
-  head.U32(Crc32c(body.bytes()));
-  std::vector<uint8_t> out = head.Take();
-  out.insert(out.end(), body.bytes().begin(), body.bytes().end());
-  return std::string(reinterpret_cast<const char*>(out.data()), out.size());
+  ByteWriter w;
+  w.U32(kCheckpointMagic);
+  w.U32(kCheckpointFormatVersion);
+  w.U32(0);  // body CRC, patched below
+  w.U64(img.next_lsn);
+  w.U32(img.wal_start);
+  w.U32(img.data_segment);
+  w.F64(img.h_hot);
+  w.U64(img.objects.size());
+  for (const PersistedObject& o : img.objects) EncodeObjectEntry(w, o);
+  std::string out(w.bytes().begin(), w.bytes().end());
+  const uint32_t crc = Crc32c(std::span(w.bytes()).subspan(12));
+  std::memcpy(out.data() + 8, &crc, 4);
+  return out;
 }
 
 Result<CheckpointImage> DecodeCheckpoint(std::string_view raw) {
@@ -107,19 +82,7 @@ Result<CheckpointImage> DecodeCheckpoint(std::string_view raw) {
   }
   img.objects.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    PersistedObject o;
-    o.id.pid = r.U64();
-    o.id.oid = r.U64();
-    o.logical_size = r.U64();
-    o.lsn = r.U64();
-    o.class_id = r.U8();
-    o.dirty = r.U8() != 0;
-    o.hotness = r.F64();
-    o.loc.segment = r.U32();
-    o.loc.offset = r.U64();
-    o.loc.payload_len = r.U32();
-    o.loc.payload_crc = r.U32();
-    img.objects.push_back(o);
+    img.objects.push_back(DecodeObjectEntry(r));
   }
   if (!r.ok()) {
     return Status(ErrorCode::kCorrupted, "checkpoint body truncated");
@@ -127,14 +90,14 @@ Result<CheckpointImage> DecodeCheckpoint(std::string_view raw) {
   return img;
 }
 
-uint64_t NowMicros() {
+}  // namespace
+
+uint64_t SteadyMicros() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-}  // namespace
 
 PersistenceManager::PersistenceManager(PersistenceConfig config)
     : config_(std::move(config)) {}
@@ -166,7 +129,7 @@ Result<std::unique_ptr<PersistenceManager>> PersistenceManager::Open(
 }
 
 Status PersistenceManager::Recover() {
-  const uint64_t t0 = NowMicros();
+  const uint64_t t0 = SteadyMicros();
 
   // 1. Checkpoint image (absence = fresh start; damage = fail stop).
   uint32_t wal_start = 1;
@@ -186,7 +149,7 @@ Status PersistenceManager::Recover() {
     wal_start = img->wal_start;
     checkpoint_segment = img->data_segment;
     h_hot_ = img->h_hot;
-    for (const PersistedObject& o : img->objects) IndexPut(o, false);
+    for (const PersistedObject& o : img->objects) (void)Apply(WalRecord{o});
   } else if (raw.status().code() != ErrorCode::kNotFound) {
     return raw.status();
   }
@@ -196,8 +159,8 @@ Status PersistenceManager::Recover() {
   std::set<uint32_t> seg_files;
   for (const auto& entry : fs::directory_iterator(config_.data_dir)) {
     const std::string name = entry.path().filename().string();
-    if (auto seq = ParseNumbered(name, "wal-", ".log")) wal_seqs.insert(*seq);
-    if (auto seg = ParseNumbered(name, "seg-", ".dat")) seg_files.insert(*seg);
+    if (auto seq = kWalName.Parse(name)) wal_seqs.insert(*seq);
+    if (auto seg = kSegmentName.Parse(name)) seg_files.insert(*seg);
   }
 
   // 3. Replay journal files at or above the checkpoint's start sequence,
@@ -214,39 +177,7 @@ Status PersistenceManager::Recover() {
     Status st = journal_.ReplayFile(
         config_.data_dir, seq, [&](const WalRecord& rec) -> Status {
           ++replay_stats_.journal_records;
-          switch (rec.type) {
-            case WalRecordType::kPut: {
-              PersistedObject o{rec.id,  rec.class_id, rec.dirty,
-                                rec.logical_size, rec.lsn, rec.hotness,
-                                rec.loc};
-              auto it = index_.find(rec.id);
-              if (it != index_.end()) o.hotness = it->second.hotness;
-              IndexPut(o, false);
-              next_lsn_ = std::max(next_lsn_, rec.lsn + 1);
-              break;
-            }
-            case WalRecordType::kState: {
-              auto it = index_.find(rec.id);
-              if (it == index_.end()) break;  // duplicate-tolerant
-              if (rec.class_id != kKeepClass) {
-                it->second.class_id = rec.class_id;
-                it->second.dirty = rec.dirty;
-              }
-              if (rec.has_hotness) it->second.hotness = rec.hotness;
-              break;
-            }
-            case WalRecordType::kEvict: {
-              auto it = index_.find(rec.id);
-              if (it != index_.end()) {
-                live_bytes_ -= it->second.loc.payload_len;
-                index_.erase(it);
-              }
-              break;
-            }
-            case WalRecordType::kClassifier:
-              h_hot_ = rec.hotness;
-              break;
-          }
+          (void)Apply(rec);  // segment accounting is seeded below
           return Status::Ok();
         });
     if (!st.ok()) return st;
@@ -269,7 +200,7 @@ Status PersistenceManager::Recover() {
   for (auto it = index_.begin(); it != index_.end();) {
     const DataLocation& loc = it->second.loc;
     struct stat st {};
-    bool ok = ::stat(DataLog::PathFor(config_.data_dir, loc.segment).c_str(),
+    bool ok = ::stat(kSegmentName.Path(config_.data_dir, loc.segment).c_str(),
                      &st) == 0 &&
               static_cast<uint64_t>(st.st_size) >= loc.record_end();
     if (!ok) {
@@ -285,7 +216,8 @@ Status PersistenceManager::Recover() {
   }
 
   // 5. Open the data log on a fresh segment past everything on disk, seed
-  //    live-record accounting, cut garbage tails, unlink dead segments.
+  //    live-record accounting (the one thing replay's Apply leaves out),
+  //    cut garbage tails, unlink dead segments.
   if (!seg_files.empty()) {
     max_segment = std::max(max_segment, *seg_files.rbegin());
   }
@@ -311,7 +243,7 @@ Status PersistenceManager::Recover() {
   }
   replay_stats_.torn_tail_truncations =
       journal_.stats().torn_tail_truncations + data_log_.stats().tail_truncations;
-  replay_stats_.duration_us = NowMicros() - t0;
+  replay_stats_.duration_us = SteadyMicros() - t0;
 
   // Baseline the component stats: recovery-time activity lives in
   // replay_stats_, runtime counters start from zero.
@@ -320,21 +252,77 @@ Status PersistenceManager::Recover() {
   return Status::Ok();
 }
 
-void PersistenceManager::IndexPut(const PersistedObject& obj,
-                                  bool account_segments) {
-  auto it = index_.find(obj.id);
-  if (it != index_.end()) {
-    live_bytes_ -= it->second.loc.payload_len;
-    if (account_segments) data_log_.Release(it->second.loc.segment);
-    it->second = obj;
-  } else {
-    index_.emplace(obj.id, obj);
+std::optional<DataLocation> PersistenceManager::Apply(const WalRecord& rec) {
+  if (rec.type == WalRecordType::kClassifier) {
+    h_hot_ = rec.hotness;
+    return std::nullopt;
   }
-  live_bytes_ += obj.loc.payload_len;
+  auto it = index_.find(rec.id);
+  if (rec.type == WalRecordType::kPut) {
+    next_lsn_ = std::max(next_lsn_, rec.lsn + 1);
+    live_bytes_ += rec.loc.payload_len;
+    if (it == index_.end()) {
+      index_.emplace(rec.id, rec);
+      return std::nullopt;
+    }
+    const DataLocation dead = it->second.loc;
+    const double hotness = it->second.hotness;  // a write keeps its H
+    it->second = rec;
+    it->second.hotness = hotness;
+    live_bytes_ -= dead.payload_len;
+    return dead;
+  }
+  if (it == index_.end()) return std::nullopt;  // duplicate-tolerant
+  if (rec.type == WalRecordType::kState) {
+    if (rec.class_id != kKeepClass) {
+      it->second.class_id = rec.class_id;
+      it->second.dirty = rec.dirty;
+    }
+    if (rec.has_hotness) it->second.hotness = rec.hotness;
+    return std::nullopt;
+  }
+  const DataLocation dead = it->second.loc;  // kEvict
+  live_bytes_ -= dead.payload_len;
+  index_.erase(it);
+  return dead;
 }
 
-Status PersistenceManager::Journal(const WalRecord& rec) {
-  return journal_.Append(EncodeWalBody(rec));
+Status PersistenceManager::Commit(const Result<WalRecord>& built, SimTime now) {
+  Status st = built.status();
+  if (st.ok()) {
+    const WalRecord& rec = *built;
+    // Class-0/1 records sync before the ack. An eviction carries the
+    // evicted object's class; the notes carry kKeepClass or the default 3.
+    const bool critical = rec.class_id <= 1;
+    st = journal_.Append(EncodeWalBody(rec));
+    if (st.ok()) {
+      std::optional<DataLocation> dead = Apply(rec);
+      if (dead && rec.type == WalRecordType::kPut) {
+        superseded_.push_back(dead->segment);  // released by SyncNow
+      } else if (dead) {
+        data_log_.Release(dead->segment);  // an eviction has no successor
+      }
+      ++unsynced_records_;
+      if (rec.type == WalRecordType::kPut) {
+        unsynced_bytes_ += kDataRecordHeaderBytes + rec.loc.payload_len;
+      }
+      ++records_since_checkpoint_;
+      if ((critical && config_.sync_critical) ||
+          unsynced_records_ >= config_.fsync_batch_records ||
+          unsynced_bytes_ >= kFsyncBatchBytes) {
+        st = SyncNow();
+      }
+    } else if (rec.type == WalRecordType::kPut) {
+      data_log_.Release(rec.loc.segment);  // nothing indexed points at it
+    }
+  }
+  if (st.ok() &&
+      records_since_checkpoint_ >= config_.checkpoint_interval_records) {
+    st = Checkpoint(now);
+  }
+  if (!st.ok()) ++commit_errors_;
+  MirrorMetrics();
+  return st;
 }
 
 Status PersistenceManager::SyncNow() {
@@ -347,23 +335,9 @@ Status PersistenceManager::SyncNow() {
   REO_RETURN_IF_ERROR(journal_.Sync());   // points at it
   unsynced_records_ = 0;
   unsynced_bytes_ = 0;
+  for (uint32_t segment : superseded_) data_log_.Release(segment);
+  superseded_.clear();
   return Status::Ok();
-}
-
-Status PersistenceManager::MaybeBatchSync(bool critical) {
-  if ((critical && config_.sync_critical) ||
-      unsynced_records_ >= config_.fsync_batch_records ||
-      unsynced_bytes_ >= config_.fsync_batch_bytes) {
-    return SyncNow();
-  }
-  return Status::Ok();
-}
-
-Status PersistenceManager::MaybeCheckpoint(SimTime now) {
-  if (records_since_checkpoint_ < config_.checkpoint_interval_records) {
-    return Status::Ok();
-  }
-  return Checkpoint(now);
 }
 
 Status PersistenceManager::CommitWrite(ObjectId id, uint8_t class_id,
@@ -373,58 +347,27 @@ Status PersistenceManager::CommitWrite(ObjectId id, uint8_t class_id,
   if (replaying_) return Status::Ok();
   if (faults_ && faults_->enabled(FaultSite::kPersistWrite) &&
       faults_->Roll(FaultSite::kPersistWrite, /*device=*/-1, now).fire) {
-    ++commit_errors_;
-    MirrorMetrics();
-    return {ErrorCode::kIoError, "injected short write"};
-  }
-  const bool dirty = class_id == 1;
-  const uint64_t lsn = next_lsn_++;
-  auto loc = data_log_.Append(id, class_id, dirty, logical_size, lsn, payload);
-  if (!loc.ok()) {
-    ++commit_errors_;
-    MirrorMetrics();
-    return loc.status();
+    return Commit(Status(ErrorCode::kIoError, "injected short write"), now);
   }
   WalRecord rec;
-  rec.type = WalRecordType::kPut;
   rec.id = id;
-  rec.logical_size = logical_size;
-  rec.lsn = lsn;
   rec.class_id = class_id;
-  rec.dirty = dirty;
+  rec.dirty = class_id == 1;
+  rec.logical_size = logical_size;
+  rec.lsn = next_lsn_++;
+  const PersistedObject* prior = Find(id);
+  rec.hotness = prior != nullptr ? prior->hotness : 0.0;
+  auto loc = data_log_.Append(id, class_id, rec.dirty, logical_size, rec.lsn,
+                              payload);
+  if (!loc.ok()) return Commit(loc.status(), now);
   rec.loc = *loc;
-  auto it = index_.find(id);
-  rec.hotness = it != index_.end() ? it->second.hotness : 0.0;
-  Status st = Journal(rec);
-  if (!st.ok()) {
-    ++commit_errors_;
-    data_log_.Release(loc->segment);
-    MirrorMetrics();
-    return st;
-  }
-  PersistedObject obj{id,  class_id, dirty, logical_size,
-                      lsn, rec.hotness, *loc};
-  IndexPut(obj, true);
-  ++unsynced_records_;
-  unsynced_bytes_ += kDataRecordHeaderBytes + payload.size();
-  ++records_since_checkpoint_;
-  st = MaybeBatchSync(class_id <= 1);
-  if (!st.ok()) {
-    ++commit_errors_;
-    MirrorMetrics();
-    return st;
-  }
-  st = MaybeCheckpoint(now);
-  MirrorMetrics();
-  return st;
+  return Commit(rec, now);
 }
 
 Status PersistenceManager::CommitState(ObjectId id, uint8_t class_id,
                                        std::optional<double> hotness,
                                        SimTime now) {
-  if (replaying_) return Status::Ok();
-  auto it = index_.find(id);
-  if (it == index_.end()) return Status::Ok();
+  if (replaying_ || Find(id) == nullptr) return Status::Ok();
   WalRecord rec;
   rec.type = WalRecordType::kState;
   rec.id = id;
@@ -432,35 +375,20 @@ Status PersistenceManager::CommitState(ObjectId id, uint8_t class_id,
   rec.dirty = class_id == 1;
   rec.has_hotness = hotness.has_value();
   rec.hotness = hotness.value_or(0.0);
-  REO_RETURN_IF_ERROR(Journal(rec));
-  it->second.class_id = class_id;
-  it->second.dirty = rec.dirty;
-  if (hotness) it->second.hotness = *hotness;
-  ++unsynced_records_;
-  ++records_since_checkpoint_;
-  REO_RETURN_IF_ERROR(MaybeBatchSync(class_id <= 1));
-  Status st = MaybeCheckpoint(now);
-  MirrorMetrics();
-  return st;
+  return Commit(rec, now);
 }
 
 Status PersistenceManager::NoteHotness(ObjectId id, double hotness) {
-  if (replaying_) return Status::Ok();
-  auto it = index_.find(id);
-  if (it == index_.end()) return Status::Ok();
+  const PersistedObject* obj = Find(id);
+  if (replaying_ || obj == nullptr) return Status::Ok();
   WalRecord rec;
   rec.type = WalRecordType::kState;
   rec.id = id;
   rec.class_id = kKeepClass;
-  rec.dirty = it->second.dirty;
+  rec.dirty = obj->dirty;
   rec.has_hotness = true;
   rec.hotness = hotness;
-  REO_RETURN_IF_ERROR(Journal(rec));
-  it->second.hotness = hotness;
-  ++unsynced_records_;
-  REO_RETURN_IF_ERROR(MaybeBatchSync(false));
-  MirrorMetrics();
-  return Status::Ok();
+  return Commit(rec, /*now=*/0);  // notes carry no time
 }
 
 Status PersistenceManager::NoteClassifierState(double h_hot) {
@@ -468,32 +396,17 @@ Status PersistenceManager::NoteClassifierState(double h_hot) {
   WalRecord rec;
   rec.type = WalRecordType::kClassifier;
   rec.hotness = h_hot;
-  REO_RETURN_IF_ERROR(Journal(rec));
-  h_hot_ = h_hot;
-  ++unsynced_records_;
-  REO_RETURN_IF_ERROR(MaybeBatchSync(false));
-  MirrorMetrics();
-  return Status::Ok();
+  return Commit(rec, /*now=*/0);
 }
 
 Status PersistenceManager::CommitEvict(ObjectId id, SimTime now) {
-  if (replaying_) return Status::Ok();
-  auto it = index_.find(id);
-  if (it == index_.end()) return Status::Ok();
-  const bool critical = it->second.class_id <= 1;
+  const PersistedObject* obj = Find(id);
+  if (replaying_ || obj == nullptr) return Status::Ok();
   WalRecord rec;
   rec.type = WalRecordType::kEvict;
   rec.id = id;
-  REO_RETURN_IF_ERROR(Journal(rec));
-  live_bytes_ -= it->second.loc.payload_len;
-  data_log_.Release(it->second.loc.segment);
-  index_.erase(it);
-  ++unsynced_records_;
-  ++records_since_checkpoint_;
-  REO_RETURN_IF_ERROR(MaybeBatchSync(critical));
-  Status st = MaybeCheckpoint(now);
-  MirrorMetrics();
-  return st;
+  rec.class_id = obj->class_id;  // decides the sync; a kEvict body is the id
+  return Commit(rec, now);
 }
 
 Status PersistenceManager::Checkpoint(SimTime now) {
@@ -525,6 +438,7 @@ void PersistenceManager::ResetAll() {
   h_hot_ = 0.0;
   unsynced_records_ = 0;
   unsynced_bytes_ = 0;
+  superseded_.clear();
   records_since_checkpoint_ = 0;
   ::unlink(CheckpointPath().c_str());
   data_log_.Reset(1);

@@ -8,18 +8,27 @@
 //                    reclass/evict transitions + classifier state)
 //   CHECKPOINT       atomic image of the object index + classifier state
 //
-// Commit protocol (write path): payload → data log, then a kPut journal
-// record pointing at it, then the in-memory index. Class-0 metadata and
-// class-1 dirty commits fsync (data first, journal second) before the
-// caller may acknowledge; clean classes group-commit under a bounded
-// fsync batch — they can always be re-fetched from the backend, so the
-// paper's reliability contract only holds the replicated classes to the
-// synchronous path (Flashield's bounded-write lesson applied to fsyncs).
+// Commit step. Each entry point only builds its journal record (a write
+// first appends its payload to the data log, and its kPut points there).
+// One commit step then journals the record, applies it to the index, and
+// syncs when the record is critical or the group-commit bound is reached;
+// it counts every failure in persist.commit_errors, and every record, the
+// hotness and classifier notes included, advances the checkpoint period.
+// Critical = class-0 metadata and class-1 dirty data: fsynced (data first,
+// journal second) before the caller may acknowledge. Clean classes can
+// always be re-fetched from the backend, so they group-commit under a
+// bounded fsync batch (Flashield's bounded-write lesson applied to fsyncs).
 //
-// Restart = load CHECKPOINT, replay the journal tail (torn tail truncated
-// and counted; mid-log corruption fail-stops), verify every index entry
-// against its data segment, then hand RestoreOrder() — class 0 → 1 → 2 → 3,
-// hot before cold within a class — to restore.h for replay into the target.
+// Reclaim only after durability: an overwritten record is released (its
+// segment unlinked once nothing live is left in it) by the sync that makes
+// its successor durable; a failed sync keeps it for the next one. An
+// eviction has no successor and releases at once.
+//
+// Restart = load CHECKPOINT, replay the journal tail through the commit
+// step's own per-record apply (torn tail truncated and counted; mid-log
+// corruption fail-stops), verify every index entry against its data
+// segment, seed segment accounting, then hand RestoreOrder() — class
+// 0 → 1 → 2 → 3, hot before cold within a class — to restore.h.
 #pragma once
 
 #include <cstdint>
@@ -49,22 +58,10 @@ struct PersistenceConfig {
   std::string data_dir;
   uint64_t segment_bytes = 8ull << 20;       ///< data-log rotation threshold
   uint64_t fsync_batch_records = 32;         ///< group-commit record bound
-  uint64_t fsync_batch_bytes = 1ull << 20;   ///< group-commit byte bound
   uint64_t checkpoint_interval_records = 4096;  ///< auto-checkpoint period
   bool sync_critical = true;  ///< fsync class-0/1 commits before returning
 
   bool enabled() const { return !data_dir.empty(); }
-};
-
-/// One recovered object: everything needed to restore it.
-struct PersistedObject {
-  ObjectId id;
-  uint8_t class_id = 3;
-  bool dirty = false;
-  uint64_t logical_size = 0;
-  uint64_t lsn = 0;      ///< journal sequence number of the committing write
-  double hotness = 0.0;  ///< last H reported by the cache manager
-  DataLocation loc;
 };
 
 /// What Open() found on disk (published as persist.replay.* gauges).
@@ -78,6 +75,9 @@ struct ReplayStats {
   uint64_t gc_segments = 0;        ///< dead segment files unlinked at open
   uint64_t duration_us = 0;
 };
+
+/// Steady-clock microseconds (replay and restore durations).
+uint64_t SteadyMicros();
 
 /// Owner of the durable state for one OSD. Single-threaded, like the rest
 /// of the stack (the server runs everything on one event-loop thread).
@@ -95,12 +95,11 @@ class PersistenceManager {
   PersistenceManager(const PersistenceManager&) = delete;
   PersistenceManager& operator=(const PersistenceManager&) = delete;
 
-  // --- Commit path (no-ops while replaying()) ----------------------------
+  // --- Commit path (no-ops while replaying(); see "Commit step" above) ---
 
   /// Persists one object write: data-log append + kPut journal record +
-  /// index update. Synchronous (fsynced) for class 0/1; group-committed
-  /// otherwise. The payload must be the physical (shaped) bytes so restore
-  /// can replay it through the data plane unchanged.
+  /// index update. The payload must be the physical (shaped) bytes so
+  /// restore can replay it through the data plane unchanged.
   Status CommitWrite(ObjectId id, uint8_t class_id, uint64_t logical_size,
                      std::span<const uint8_t> payload, SimTime now);
 
@@ -118,8 +117,8 @@ class PersistenceManager {
   /// a warm H_hot instead of re-learning from scratch.
   Status NoteClassifierState(double h_hot);
 
-  /// Journals an eviction and releases the data-log record (segment GC).
-  /// Fsynced when the object was in a replicated class.
+  /// Journals an eviction and releases the data-log record at once
+  /// (segment GC). Fsynced when the object was in a replicated class.
   Status CommitEvict(ObjectId id, SimTime now);
 
   /// Writes a checkpoint (atomic), rotates the journal, unlinks old WALs.
@@ -150,7 +149,6 @@ class PersistenceManager {
   size_t live_objects() const { return index_.size(); }
   uint64_t live_bytes() const { return live_bytes_; }
   double recovered_h_hot() const { return h_hot_; }
-  const std::string& data_dir() const { return config_.data_dir; }
   const PersistedObject* Find(ObjectId id) const;
 
   void AttachTelemetry(MetricRegistry& registry);
@@ -165,11 +163,22 @@ class PersistenceManager {
   explicit PersistenceManager(PersistenceConfig config);
 
   Status Recover();
-  Status Journal(const WalRecord& rec);
+
+  /// The commit step: journals `rec`, applies it, syncs when it is
+  /// critical or the group-commit bound is reached, counts any failure
+  /// (including a record that could not be built) in commit_errors_,
+  /// advances the checkpoint period and mirrors the metrics.
+  Status Commit(const Result<WalRecord>& rec, SimTime now);
+
+  /// Applies one journal record to the in-memory state; the commit step
+  /// and Recover's replay both run it. Returns the data record it made
+  /// dead (a kPut's predecessor, a kEvict's victim): the commit step
+  /// accounts its segment, replay leaves that to Recover's seeding.
+  std::optional<DataLocation> Apply(const WalRecord& rec);
+
+  /// fsyncs data then journal; on success releases the records that the
+  /// now-durable successors superseded.
   Status SyncNow();
-  Status MaybeBatchSync(bool critical);
-  Status MaybeCheckpoint(SimTime now);
-  void IndexPut(const PersistedObject& obj, bool account_segments);
   void MirrorMetrics();
   std::string CheckpointPath() const;
 
@@ -185,6 +194,7 @@ class PersistenceManager {
 
   uint64_t unsynced_records_ = 0;
   uint64_t unsynced_bytes_ = 0;
+  std::vector<uint32_t> superseded_;  ///< segments released at the next sync
   uint64_t records_since_checkpoint_ = 0;
   uint64_t checkpoints_ = 0;
   uint64_t commit_errors_ = 0;

@@ -1,6 +1,5 @@
 #include "persist/restore.h"
 
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -8,22 +7,12 @@
 #include "trace/event_log.h"
 
 namespace reo {
-namespace {
-
-uint64_t NowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 RestoreReport RestoreToTarget(PersistenceManager& persist, OsdTarget& target,
                               uint64_t capacity_bytes, SimTime now,
                               EventLog* events) {
   RestoreReport report;
-  const uint64_t t0 = NowMicros();
+  const uint64_t t0 = SteadyMicros();
   const ReplayStats& replay = persist.replay_stats();
   Emit(events, now, EventSeverity::kInfo, "persist.replay",
        "checkpoint + journal tail replayed",
@@ -90,7 +79,7 @@ RestoreReport RestoreToTarget(PersistenceManager& persist, OsdTarget& target,
   persist.EndRestore();
   for (ObjectId id : drop) (void)persist.CommitEvict(id, now);
 
-  report.duration_us = NowMicros() - t0;
+  report.duration_us = SteadyMicros() - t0;
   Emit(events, now, EventSeverity::kInfo, "recovery.restart",
        "restart recovery complete",
        {{"class0", std::to_string(report.restored_per_class[0])},

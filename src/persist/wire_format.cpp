@@ -61,6 +61,38 @@ Result<DataRecordHeader> DecodeDataRecordHeader(std::span<const uint8_t> raw) {
   return h;
 }
 
+// --- Object entries ----------------------------------------------------------
+
+void EncodeObjectEntry(ByteWriter& w, const PersistedObject& o) {
+  w.U64(o.id.pid);
+  w.U64(o.id.oid);
+  w.U64(o.logical_size);
+  w.U64(o.lsn);
+  w.U8(o.class_id);
+  w.U8(o.dirty ? 1 : 0);
+  w.F64(o.hotness);
+  w.U32(o.loc.segment);
+  w.U64(o.loc.offset);
+  w.U32(o.loc.payload_len);
+  w.U32(o.loc.payload_crc);
+}
+
+PersistedObject DecodeObjectEntry(ByteReader& r) {
+  PersistedObject o;
+  o.id.pid = r.U64();
+  o.id.oid = r.U64();
+  o.logical_size = r.U64();
+  o.lsn = r.U64();
+  o.class_id = r.U8();
+  o.dirty = r.U8() != 0;
+  o.hotness = r.F64();
+  o.loc.segment = r.U32();
+  o.loc.offset = r.U64();
+  o.loc.payload_len = r.U32();
+  o.loc.payload_crc = r.U32();
+  return o;
+}
+
 // --- Journal records -------------------------------------------------------
 
 std::vector<uint8_t> EncodeWalBody(const WalRecord& rec) {
@@ -68,17 +100,7 @@ std::vector<uint8_t> EncodeWalBody(const WalRecord& rec) {
   w.U8(static_cast<uint8_t>(rec.type));
   switch (rec.type) {
     case WalRecordType::kPut:
-      w.U64(rec.id.pid);
-      w.U64(rec.id.oid);
-      w.U64(rec.logical_size);
-      w.U64(rec.lsn);
-      w.U8(rec.class_id);
-      w.U8(rec.dirty ? 1 : 0);
-      w.F64(rec.hotness);
-      w.U32(rec.loc.segment);
-      w.U64(rec.loc.offset);
-      w.U32(rec.loc.payload_len);
-      w.U32(rec.loc.payload_crc);
+      EncodeObjectEntry(w, rec);
       break;
     case WalRecordType::kState:
       w.U64(rec.id.pid);
@@ -105,18 +127,8 @@ Result<WalRecord> DecodeWalBody(std::span<const uint8_t> body) {
   uint8_t type = r.U8();
   switch (type) {
     case static_cast<uint8_t>(WalRecordType::kPut):
+      static_cast<PersistedObject&>(rec) = DecodeObjectEntry(r);
       rec.type = WalRecordType::kPut;
-      rec.id.pid = r.U64();
-      rec.id.oid = r.U64();
-      rec.logical_size = r.U64();
-      rec.lsn = r.U64();
-      rec.class_id = r.U8();
-      rec.dirty = r.U8() != 0;
-      rec.hotness = r.F64();
-      rec.loc.segment = r.U32();
-      rec.loc.offset = r.U64();
-      rec.loc.payload_len = r.U32();
-      rec.loc.payload_crc = r.U32();
       break;
     case static_cast<uint8_t>(WalRecordType::kState):
       rec.type = WalRecordType::kState;
@@ -164,12 +176,6 @@ void AppendWalFrame(std::vector<uint8_t>& out, std::span<const uint8_t> body) {
   put32(p + 4, crc);
   put32(p + 8, len);
   if (!body.empty()) std::memcpy(p + 12, body.data(), body.size());
-}
-
-std::vector<uint8_t> FrameWalRecord(std::span<const uint8_t> body) {
-  std::vector<uint8_t> out;
-  AppendWalFrame(out, body);
-  return out;
 }
 
 namespace {

@@ -53,20 +53,17 @@ class ByteWriter {
     std::memcpy(&bits, &v, 8);
     U64(bits);
   }
-  void Bytes(std::span<const uint8_t> b) {
-    buf_.insert(buf_.end(), b.begin(), b.end());
-  }
 
   const std::vector<uint8_t>& bytes() const { return buf_; }
   std::vector<uint8_t> Take() { return std::move(buf_); }
-  size_t size() const { return buf_.size(); }
 
  private:
   void Raw(const void* p, size_t n) {
     // The build targets are little-endian; memcpy keeps this free of
     // alignment and aliasing hazards.
-    const auto* b = static_cast<const uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
   }
 
   std::vector<uint8_t> buf_;
@@ -79,7 +76,6 @@ class ByteReader {
   explicit ByteReader(std::span<const uint8_t> data) : data_(data) {}
 
   uint8_t U8() { return static_cast<uint8_t>(Raw(1)); }
-  uint16_t U16() { return static_cast<uint16_t>(Raw(2)); }
   uint32_t U32() { return static_cast<uint32_t>(Raw(4)); }
   uint64_t U64() { return Raw(8); }
   double F64() {
@@ -90,7 +86,6 @@ class ByteReader {
   }
 
   bool ok() const { return ok_; }
-  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   uint64_t Raw(size_t n) {
@@ -141,6 +136,26 @@ std::vector<uint8_t> EncodeDataRecordHeader(const DataRecordHeader& h);
 /// Parses + CRC-verifies a header. kCorrupted on any mismatch.
 Result<DataRecordHeader> DecodeDataRecordHeader(std::span<const uint8_t> raw);
 
+// --- Object entries ----------------------------------------------------------
+
+/// One durable index entry: everything needed to restore an object.
+struct PersistedObject {
+  ObjectId id;
+  uint8_t class_id = 3;
+  bool dirty = false;
+  uint64_t logical_size = 0;
+  uint64_t lsn = 0;      ///< journal sequence number of the committing write
+  double hotness = 0.0;  ///< last H reported by the cache manager
+  DataLocation loc;
+};
+
+/// The object-entry codec, shared by the kPut journal body (after its
+/// type byte) and the checkpoint entry: pid, oid, logical size, LSN,
+/// class, dirty, hotness, segment, offset, payload length, payload CRC.
+void EncodeObjectEntry(ByteWriter& w, const PersistedObject& o);
+/// Reads one entry; a short input latches `r.ok() == false`.
+PersistedObject DecodeObjectEntry(ByteReader& r);
+
 // --- Journal records -------------------------------------------------------
 
 enum class WalRecordType : uint8_t {
@@ -150,17 +165,12 @@ enum class WalRecordType : uint8_t {
   kClassifier = 4,  ///< adaptive classifier state (H_hot)
 };
 
-/// One decoded journal record (fields used depend on `type`).
-struct WalRecord {
+/// One decoded journal record. A kPut carries every object-entry field;
+/// kState uses id, class_id, dirty and hotness (when has_hotness), kEvict
+/// the id, kClassifier the hotness (H_hot).
+struct WalRecord : PersistedObject {
   WalRecordType type = WalRecordType::kPut;
-  ObjectId id;
-  uint64_t logical_size = 0;
-  uint64_t lsn = 0;
-  uint8_t class_id = 3;   ///< kKeepClass in a kState record = unchanged
-  bool dirty = false;
   bool has_hotness = false;
-  double hotness = 0.0;
-  DataLocation loc;  ///< kPut only
 };
 
 /// kState class_id sentinel: leave the object's class untouched.
@@ -172,12 +182,9 @@ std::vector<uint8_t> EncodeWalBody(const WalRecord& rec);
 /// Parses a type+body produced by EncodeWalBody.
 Result<WalRecord> DecodeWalBody(std::span<const uint8_t> body);
 
-/// Wraps a body with [magic][crc][len] framing, ready to append.
-std::vector<uint8_t> FrameWalRecord(std::span<const uint8_t> body);
-
-/// Frames `body` directly onto the end of `out` — the group-commit path:
-/// the journal batches many framed records into one contiguous buffer and
-/// issues a single write per fsync batch. FrameWalRecord wraps this.
+/// Frames `body` ([magic][crc][len][body]) onto the end of `out` — the
+/// group-commit path: the journal batches many framed records into one
+/// contiguous buffer and issues a single write per fsync batch.
 void AppendWalFrame(std::vector<uint8_t>& out, std::span<const uint8_t> body);
 
 /// Outcome of pulling one framed record off a journal byte stream.

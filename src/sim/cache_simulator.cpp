@@ -36,11 +36,8 @@ void CacheSimulator::BuildShard(size_t index, uint64_t raw_capacity) {
   s.backend = std::make_unique<BackendStore>(config_.hdd, config_.net);
   if (n.injector) s.backend->AttachFaults(n.injector.get());
 
-  CacheManagerConfig cmc = config_.cache;
-  cmc.verify_hits = config_.verify_hits;
-  cmc.failslow_demote = config_.failslow_demote;
   s.cache = std::make_unique<CacheManager>(*n.target, *n.plane, *s.backend,
-                                           cmc);
+                                           config_.cache);
   if (n.persist) s.cache->AttachPersistence(n.persist.get());
   if (n.failslow) s.cache->AttachFaultDetector(n.failslow.get());
   // Graduating objects classify from observed hotness, not the staged

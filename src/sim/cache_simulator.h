@@ -66,7 +66,9 @@ struct SimulationConfig {
   FlashDeviceConfig device;      ///< capacity_bytes is overridden
   HddConfig hdd;
   NetworkLinkConfig net;
-  CacheManagerConfig cache;
+  /// Cache-manager settings. Hit verification (a payload synthesis + CRC
+  /// per hit) is off unless a run asks for it.
+  CacheManagerConfig cache{.verify_hits = false};
 
   // Fault schedule.
   std::vector<FailureEvent> failures;
@@ -88,9 +90,6 @@ struct SimulationConfig {
   /// sequentially, so reported latency includes queueing delay. Lets the
   /// harness measure latency vs offered load.
   SimTime arrival_interval_ns = 0;
-
-  /// Verify hit payload contents (CRC) during the run.
-  bool verify_hits = false;
 
   // Tracing (DESIGN.md "Tracing & Events"). When enabled, every layer is
   // attached to the simulator's Tracer and the run produces spans + a
@@ -114,8 +113,6 @@ struct SimulationConfig {
   FaultSpec faults;
   /// Fail-slow detection thresholds (only used when `faults` is non-empty).
   FailSlowConfig failslow;
-  /// Demote fail-slow devices (fail + spare swap + recovery) when flagged.
-  bool failslow_demote = false;
   /// When > 0, run a full scrub pass every N measured requests.
   uint64_t scrub_interval_requests = 0;
 

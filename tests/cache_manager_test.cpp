@@ -7,6 +7,7 @@
 
 #include "core/cache_manager.h"
 #include "fault/fault_injector.h"
+#include "trace/tracer.h"
 
 namespace reo {
 namespace {
@@ -262,6 +263,83 @@ TEST(CacheManagerTest, FailedRepairOnReadKeepsObjectQueued) {
   EXPECT_EQ(fx.cache->recovery_backlog(), 0u);
   EXPECT_FALSE(fx.cache->recovery_active());
   EXPECT_EQ(fx.stripes->SurvivalOf(Oid(1)), ObjectSurvival::kIntact);
+}
+
+TEST(CacheManagerTest, RepairedLatentChunkIsNotRebuiltAgain) {
+  // A latent CRC error under a redundant object: the data plane repairs it
+  // in place and still answers degraded. Repair-on-read then has nothing
+  // left to rebuild, so it must not run (or log) a rebuild.
+  CacheFixture fx;
+  Tracer tracer;
+  fx.cache->AttachTracing(tracer);
+  fx.Register(1, 2 * kChunk);
+  FaultInjector injector(FaultSpec{
+      .rules = {FaultRule{.site = FaultSite::kFlashLatent,
+                          .probability = 1.0,
+                          .max_triggers = 1}}});
+  fx.array->AttachFaults(&injector, nullptr);
+  fx.Put(1);  // replicated (dirty); its first chunk lands corrupt
+  fx.array->AttachFaults(nullptr, nullptr);
+  ASSERT_EQ(injector.injected(FaultSite::kFlashLatent), 1u);
+
+  auto r = fx.Get(1);
+  EXPECT_TRUE(r.hit);
+  ASSERT_TRUE(r.degraded);
+  EXPECT_EQ(fx.stripes->SurvivalOf(Oid(1)), ObjectSurvival::kIntact);
+  EXPECT_EQ(fx.cache->stats().rebuilds, 0u);
+  size_t rebuild_events = 0;
+  for (const LoggedEvent& ev : tracer.events().events()) {
+    if (ev.category == "recovery.rebuild") ++rebuild_events;
+  }
+  EXPECT_EQ(rebuild_events, 0u);
+  EXPECT_EQ(fx.cache->stats().verify_failures, 0u);
+}
+
+TEST(CacheManagerTest, TransientReadFailureKeepsDirtyObject) {
+  // A read that still fails once the data plane's retries run out is not
+  // data loss: the dirty object stays cached and dirty, only the request
+  // fails, and the written version is what later reads and the flush see.
+  CacheFixture fx;
+  fx.Register(1, 3 * kChunk);
+  fx.Put(1);
+  FaultInjector injector(FaultSpec{
+      .rules = {FaultRule{.site = FaultSite::kFlashReadTransient,
+                          .probability = 1.0}}});
+  fx.array->AttachFaults(&injector, nullptr);
+  auto failed = fx.Get(1);
+  fx.array->AttachFaults(nullptr, nullptr);
+  EXPECT_NE(failed.sense, SenseCode::kOk);
+  EXPECT_EQ(fx.cache->stats().lost_evictions, 0u);
+  EXPECT_EQ(fx.cache->stats().dirty_lost, 0u);
+  // Still dirty: replicated, and nothing was refetched from the backend.
+  EXPECT_EQ(*fx.stripes->LevelOf(Oid(1)), RedundancyLevel::kReplicate);
+  EXPECT_EQ(*fx.backend->VersionOf(Oid(1)), 0u);
+
+  auto h = fx.Get(1);
+  EXPECT_TRUE(h.hit);
+  EXPECT_EQ(fx.cache->stats().verify_failures, 0u);
+  fx.clock.Advance(10 * kNsPerSec);
+  fx.cache->AdvanceBackground(fx.clock.now());
+  EXPECT_EQ(fx.backend->flush_count(), 1u);
+  EXPECT_GT(*fx.backend->VersionOf(Oid(1)), 0u);
+}
+
+TEST(CacheManagerTest, UnreadableDirtyObjectCountsAsDirtyLoss) {
+  // Every replica of a dirty object is corrupt: the read answers 0x63, and
+  // dropping the object loses data the backend never saw.
+  CacheFixture fx;
+  fx.Register(1, 2 * kChunk);
+  FaultInjector injector(FaultSpec{
+      .rules = {FaultRule{.site = FaultSite::kFlashLatent,
+                          .probability = 1.0}}});
+  fx.array->AttachFaults(&injector, nullptr);
+  fx.Put(1);
+  fx.array->AttachFaults(nullptr, nullptr);
+
+  auto r = fx.Get(1);
+  EXPECT_FALSE(r.hit);  // served by the backend refetch
+  EXPECT_EQ(fx.cache->stats().lost_evictions, 1u);
+  EXPECT_EQ(fx.cache->stats().dirty_lost, 1u);
 }
 
 TEST(CacheManagerTest, UniformHasNoRepairOnRead) {

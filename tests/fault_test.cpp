@@ -692,7 +692,7 @@ MediSynConfig TinyWorkload() {
 TEST(FaultSimulationTest, SameSpecAndSeedReproducesTheRun) {
   auto trace = GenerateMediSyn(TinyWorkload());
   SimulationConfig cfg;
-  cfg.verify_hits = true;
+  cfg.cache.verify_hits = true;
   cfg.faults = MustParse(R"({"seed": 9, "rules": [
     {"site": "flash.latent", "probability": 0.02},
     {"site": "flash.read_transient", "probability": 0.01},
@@ -729,12 +729,12 @@ TEST(FaultSimulationTest, SameSpecAndSeedReproducesTheRun) {
 TEST(FaultSimulationTest, FailSlowDeviceIsFlaggedAndDemoted) {
   auto trace = GenerateMediSyn(TinyWorkload());
   SimulationConfig cfg;
-  cfg.verify_hits = true;
+  cfg.cache.verify_hits = true;
   cfg.faults = MustParse(R"({"rules": [
     {"site": "flash.failslow", "probability": 1.0, "device": 1,
      "slow_factor": 30.0}]})");
   cfg.failslow = QuickDetect();
-  cfg.failslow_demote = true;
+  cfg.cache.failslow_demote = true;
 
   CacheSimulator sim(trace, cfg);
   RunReport report = sim.Run();
@@ -757,7 +757,7 @@ TEST(FaultSimulationTest, FailSlowFlagWithoutDemotionIsAdvisory) {
     {"site": "flash.failslow", "probability": 1.0, "device": 1,
      "slow_factor": 30.0}]})");
   cfg.failslow = QuickDetect();
-  cfg.failslow_demote = false;
+  cfg.cache.failslow_demote = false;
 
   CacheSimulator sim(trace, cfg);
   RunReport report = sim.Run();
@@ -772,7 +772,7 @@ TEST(FaultSimulationTest, FailSlowFlagWithoutDemotionIsAdvisory) {
 TEST(FaultSimulationTest, PeriodicScrubRepairsLatentCorruption) {
   auto trace = GenerateMediSyn(TinyWorkload());
   SimulationConfig cfg;
-  cfg.verify_hits = true;
+  cfg.cache.verify_hits = true;
   cfg.faults = MustParse(R"({"rules": [
     {"site": "flash.latent", "probability": 0.05}]})");
   cfg.scrub_interval_requests = 100;

@@ -28,7 +28,7 @@ SimulationConfig BaseSim(ProtectionMode mode, double reserve = 0.2) {
   cfg.cache_fraction = 0.10;
   cfg.chunk_logical_bytes = 16 * 1024;
   cfg.scale_shift = 4;
-  cfg.verify_hits = true;
+  cfg.cache.verify_hits = true;
   cfg.cache.hhot_refresh_interval = 500;
   return cfg;
 }

@@ -3,6 +3,8 @@
 // off the EventLog timeline), and null-backend parity with the in-memory
 // configuration.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -18,6 +20,7 @@
 #include "persist/persistence.h"
 #include "persist/restore.h"
 #include "sim/cache_simulator.h"
+#include "telemetry/metric_registry.h"
 #include "trace/event_log.h"
 #include "workload/medisyn.h"
 
@@ -293,6 +296,174 @@ TEST(PersistTest, EvictionReclaimsFullyDeadSegments) {
   EXPECT_NE(p->Find(Oid(2)), nullptr);
 }
 
+// --- Reclaim only after durability ------------------------------------------
+
+FaultInjector FailEveryFsync() {
+  return FaultInjector(FaultSpec{.rules = {FaultRule{
+                                     .site = FaultSite::kPersistFsync,
+                                     .probability = 1.0}}});
+}
+
+TEST(PersistTest, OverwriteCrashKeepsTheAckedObject) {
+  PersistenceConfig cfg;
+  cfg.data_dir = ScratchDir("overwrite_crash");
+  cfg.segment_bytes = 1024;  // every ~650-byte record seals its own segment
+  const std::vector<uint8_t> acked = Payload(1, 600);
+  const std::vector<uint8_t> overwrite = Payload(2, 600);
+  // The child acks X at class 1, seals X's segment, then overwrites X while
+  // every fsync fails and exits without running destructors (a crash: the
+  // unsynced journal batch never reaches the file).
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    FaultInjector faults = FailEveryFsync();
+    auto opened = PersistenceManager::Open(cfg);
+    if (!opened.ok()) _exit(2);
+    PersistenceManager& p = **opened;
+    if (!p.CommitWrite(Oid(0), 1, 600, acked, 0).ok()) _exit(3);
+    if (!p.CommitWrite(Oid(1), 1, 600, Payload(3, 600), 0).ok()) _exit(4);
+    p.AttachFaults(&faults);
+    if (p.CommitWrite(Oid(0), 1, 600, overwrite, 0).ok()) _exit(5);
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  auto p = MustOpen(cfg);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->replay_stats().invalid_locations, 0u);
+  const PersistedObject* obj = p->Find(Oid(0));
+  ASSERT_NE(obj, nullptr) << "acked class-1 object lost";
+  auto payload = p->ReadPayload(*obj);
+  ASSERT_TRUE(payload.ok()) << payload.status().to_string();
+  EXPECT_TRUE(*payload == acked || *payload == overwrite);
+}
+
+TEST(PersistTest, SupersededSegmentIsReclaimedByTheNextSync) {
+  PersistenceConfig cfg;
+  cfg.data_dir = ScratchDir("superseded");
+  cfg.segment_bytes = 1024;  // one record per segment
+  const std::string seg1 = cfg.data_dir + "/seg-000001.dat";
+  auto p = MustOpen(cfg);
+  ASSERT_TRUE(p->CommitWrite(Oid(0), 3, 600, Payload(0, 600), 0).ok());
+  ASSERT_TRUE(p->CommitWrite(Oid(1), 3, 600, Payload(1, 600), 0).ok());
+  // A class-3 overwrite group-commits: its predecessor's sealed segment
+  // stays until the successor is durable...
+  ASSERT_TRUE(p->CommitWrite(Oid(0), 3, 600, Payload(2, 600), 0).ok());
+  EXPECT_TRUE(fs::exists(seg1));
+  // ...and the next sync (here a class-1 commit) reclaims it.
+  ASSERT_TRUE(p->CommitWrite(Oid(2), 1, 64, Payload(3, 64), 0).ok());
+  EXPECT_FALSE(fs::exists(seg1));
+
+  // A checkpoint syncs too: the second overwrite's predecessor goes there.
+  ASSERT_TRUE(p->CommitWrite(Oid(1), 3, 600, Payload(4, 600), 0).ok());
+  EXPECT_TRUE(fs::exists(cfg.data_dir + "/seg-000002.dat"));
+  ASSERT_TRUE(p->Checkpoint(0).ok());
+  EXPECT_FALSE(fs::exists(cfg.data_dir + "/seg-000002.dat"));
+
+  // Nothing leaks across a restart either.
+  p.reset();
+  p = MustOpen(cfg);
+  EXPECT_EQ(p->live_objects(), 3u);
+  EXPECT_EQ(p->replay_stats().gc_segments, 0u);
+}
+
+TEST(PersistTest, FailedCriticalSyncCountsAsCommitError) {
+  FaultInjector faults = FailEveryFsync();  // outlives the manager
+  PersistenceConfig cfg;
+  cfg.data_dir = ScratchDir("commit_errors");
+  MetricRegistry registry;
+  auto p = MustOpen(cfg);
+  p->AttachTelemetry(registry);
+  Counter& errors = registry.GetCounter("persist.commit_errors");
+  ASSERT_TRUE(p->CommitWrite(Oid(0), 2, 128, Payload(0, 128), 0).ok());
+  ASSERT_TRUE(p->CommitWrite(Oid(1), 1, 128, Payload(1, 128), 0).ok());
+  p->AttachFaults(&faults);
+
+  // Reclass into the dirty class: a critical record whose sync fails.
+  EXPECT_FALSE(p->CommitState(Oid(0), 1, std::nullopt, 0).ok());
+  EXPECT_EQ(errors.value(), 1u);
+  // Evicting a class-1 object syncs too.
+  EXPECT_FALSE(p->CommitEvict(Oid(1), 0).ok());
+  EXPECT_EQ(errors.value(), 2u);
+  p->AttachFaults(nullptr);
+}
+
+// --- On-disk format --------------------------------------------------------
+
+std::string Hex(std::span<const uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+std::string Hex(std::string_view raw) {
+  return Hex(std::span(reinterpret_cast<const uint8_t*>(raw.data()),
+                       raw.size()));
+}
+
+TEST(PersistFormatTest, RecordBytesMatchFormatV1) {
+  WalRecord put;
+  put.type = WalRecordType::kPut;
+  put.id = ObjectId{0x1122334455667788, 0x99AABBCCDDEEFF00};
+  put.logical_size = 4097;
+  put.lsn = 42;
+  put.class_id = 1;
+  put.dirty = true;
+  put.hotness = 2.5;
+  put.loc = DataLocation{.segment = 7, .offset = 0x10203, .payload_len = 4160,
+                         .payload_crc = 0xDEADBEEF};
+  EXPECT_EQ(Hex(EncodeWalBody(put)),
+            "01"                                   // type kPut
+            "8877665544332211" "00ffeeddccbbaa99"  // pid, oid
+            "0110000000000000" "2a00000000000000"  // logical size, LSN
+            "01" "01" "0000000000000440"           // class, dirty, hotness
+            "07000000" "0302010000000000"          // segment, offset
+            "40100000" "efbeadde");                // payload length, CRC
+
+  DataRecordHeader h;
+  h.id = put.id;
+  h.logical_size = put.logical_size;
+  h.lsn = put.lsn;
+  h.payload_len = put.loc.payload_len;
+  h.payload_crc = put.loc.payload_crc;
+  h.class_id = 1;
+  h.dirty = true;
+  EXPECT_EQ(Hex(EncodeDataRecordHeader(h)),
+            "52454f44" "579f9704"                  // magic, header CRC
+            "efbeadde" "40100000"                  // payload CRC, length
+            "8877665544332211" "00ffeeddccbbaa99"  // pid, oid
+            "0110000000000000" "2a00000000000000"  // logical size, LSN
+            "01" "01" "0000" "00000000");          // class, dirty, padding
+
+  // A checkpoint of one object: header, image fields, then the entry.
+  PersistenceConfig cfg;
+  cfg.data_dir = ScratchDir("golden");
+  auto p = MustOpen(cfg);
+  ASSERT_TRUE(p->CommitWrite(Oid(5), 2, 100, Payload(5, 128), 0).ok());
+  ASSERT_TRUE(p->NoteHotness(Oid(5), 6.25).ok());
+  ASSERT_TRUE(p->NoteClassifierState(1.5).ok());
+  ASSERT_TRUE(p->Checkpoint(0).ok());
+  auto image = ReadFileToString(cfg.data_dir + "/CHECKPOINT");
+  ASSERT_TRUE(image.ok());
+  EXPECT_EQ(Hex(*image),
+            "52454f43" "01000000" "243d1f66"       // magic, version, CRC
+            "0200000000000000" "02000000"          // next LSN, WAL start
+            "01000000" "000000000000f83f"          // data segment, H_hot
+            "0100000000000000"                     // object count
+            "0000010000000000" "0500020000000000"  // pid, oid
+            "6400000000000000" "0100000000000000"  // logical size, LSN
+            "02" "00" "0000000000001940"           // class, dirty, hotness
+            "01000000" "0000000000000000"          // segment, offset
+            "80000000" "628f47f6");                // payload length, CRC
+}
+
 // --- Restore order ---------------------------------------------------------
 
 TEST(PersistTest, RestoreOrderIsClassThenHotnessThenLsn) {
@@ -498,6 +669,31 @@ TEST(PersistRestoreTest, FormatThroughTargetResetsDurableState) {
   EXPECT_EQ(p->live_objects(), 1u);
   ASSERT_TRUE(stack.Format(4ull << 20).ok());
   EXPECT_EQ(p->live_objects(), 0u);
+}
+
+TEST(PersistRestoreTest, SetIdIntoDirtyClassFailsWhenTheJournalSyncFails) {
+  FaultInjector faults = FailEveryFsync();  // outlives the manager
+  PersistenceConfig cfg;
+  cfg.data_dir = ScratchDir("setid_sync");
+  Stack stack;
+  auto p = MustOpen(cfg);
+  stack.plane->AttachPersistence(p.get());
+  ASSERT_TRUE(stack.Format(4ull << 20).ok());
+  ASSERT_TRUE(stack.CreateAndClassify(Oid(0), 4096, 2).ok());
+  ASSERT_TRUE(stack.Write(Oid(0), Payload(0, 4096)).ok());
+  p->AttachFaults(&faults);
+
+  // The reclass to class 1 cannot be made durable: a crash would restore
+  // the object at class 2, so the SETID must not be acked.
+  OsdCommand ctl;
+  ctl.op = OsdOp::kWrite;
+  ctl.id = kControlObject;
+  ctl.data =
+      EncodeControlMessage(SetIdCommand{.target = Oid(0), .class_id = 1});
+  ctl.logical_size = ctl.data.size();
+  OsdResponse resp = stack.target->Execute(ctl);
+  EXPECT_NE(resp.sense, SenseCode::kOk);
+  p->AttachFaults(nullptr);
 }
 
 // --- Null-backend parity ---------------------------------------------------

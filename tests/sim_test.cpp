@@ -284,7 +284,7 @@ TEST(CacheSimulatorTest, VerifyHitsCatchesNothingOnHealthyRun) {
   cfg.cache_fraction = 0.25;
   cfg.chunk_logical_bytes = 8 * 1024;
   cfg.scale_shift = 0;
-  cfg.verify_hits = true;
+  cfg.cache.verify_hits = true;
   CacheSimulator sim(trace, cfg);
   auto report = sim.Run();
   EXPECT_GT(report.cache.hits, 0u);

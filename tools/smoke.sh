@@ -8,9 +8,9 @@
 # admit figures. The build directory defaults to build/ at the repository
 # root and must hold the binaries the scenario drives (reo_server,
 # reo_loadgen, reo_cli, trace_validate, bench_validate, admin_probe,
-# reo_top, admit_sweep; for figures, the figure benches). Work files land
-# in a fresh ./smoke-<scenario>/. Exits non-zero on the first failed step;
-# every process the scenario started is killed on the way out.
+# reo_top, admit_sweep; for figures, the figure benches and reo_cli). Work
+# files land in a fresh ./smoke-<scenario>/. Exits non-zero on the first
+# failed step; every process the scenario started is killed on the way out.
 set -euo pipefail
 
 SCENARIOS="trace server bench crash-recovery chaos shard cluster admin admit figures"
@@ -448,27 +448,44 @@ EOF
 
 # Figure byte-diff: the simulator's output must not move. Runs the paper
 # figures (fig5-9, space_efficiency) and the fault sweep at
-# REO_SCALE_SHIFT=10 from BUILD and from PARENT_BUILD, two at a time, and
-# fails unless each pair of stdouts is byte-identical (the runs use virtual
-# time, so they repeat exactly; the printed telemetry snapshot is part of
-# the compared bytes). About 210 s per build on 4 vCPUs.
+# REO_SCALE_SHIFT=10, then one traced reo_cli run (a device failure, a
+# spare, the wire transport, every 4th request sampled), from BUILD and
+# from PARENT_BUILD, two at a time, and fails unless each pair of outputs
+# is byte-identical: the stdouts (the printed telemetry snapshot is part
+# of the compared bytes) and reo_cli's trace and event log. The runs use
+# virtual time, so they repeat exactly. About 220 s per build on 4 vCPUs.
 FIGURES="fig5_weak fig6_medium fig7_strong fig8_failure fig9_dirty space_efficiency fault_sweep"
+TRACED_RUN="--workload weak --scale-shift 8 --fail 2000:0 --spare 4000:5
+  --wire --trace-sample 4 --trace-out trace.json --events-out events.txt"
 scenario_figures() {
   if [ -z "$PARENT_BUILD" ]; then
     echo "usage: $0 figures <build-dir> <parent-build-dir>" >&2
     exit 2
   fi
   local f pid differ=""
+  same() {
+    if cmp -s "$1" "$2"; then
+      echo "$2: identical"
+    else
+      differ="$differ $2"
+    fi
+  }
   for f in $FIGURES; do
     REO_SCALE_SHIFT=10 "$BUILD/bench/$f" > "$f.txt" &
     pid=$!
     REO_SCALE_SHIFT=10 "$PARENT_BUILD/bench/$f" > "$f.parent.txt"
     wait "$pid"
-    if cmp -s "$f.parent.txt" "$f.txt"; then
-      echo "$f: identical"
-    else
-      differ="$differ $f"
-    fi
+    same "$f.parent.txt" "$f.txt"
+  done
+  # Each build writes into its own directory, so the paths reo_cli prints
+  # are the same.
+  mkdir cli cli.parent
+  (cd cli && "$BUILD/examples/reo_cli" $TRACED_RUN > stdout.txt) &
+  pid=$!
+  (cd cli.parent && "$PARENT_BUILD/examples/reo_cli" $TRACED_RUN > stdout.txt)
+  wait "$pid"
+  for f in stdout.txt trace.json events.txt; do
+    same "cli.parent/$f" "cli/$f"
   done
   if [ -n "$differ" ]; then
     echo "stdout differs from the parent build:$differ" >&2
