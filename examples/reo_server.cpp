@@ -32,6 +32,7 @@
 #include "common/units.h"
 #include "core/node_stack.h"
 #include "persist/restore.h"
+#include "server/socket_initiator.h"
 #include "shard/sharded_server.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/time_series.h"
@@ -130,7 +131,13 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--bind")) {
       server_cfg.bind_address = next();
     } else if (!std::strcmp(argv[i], "--port")) {
-      server_cfg.port = static_cast<uint16_t>(std::strtoul(next(), nullptr, 10));
+      const char* v = next();
+      std::optional<uint16_t> port = ParsePort(v);
+      if (!port) {
+        std::fprintf(stderr, "--port wants 0-65535, got %s\n", v);
+        return 2;
+      }
+      server_cfg.port = *port;
     } else if (!std::strcmp(argv[i], "--port-file")) {
       port_file = next();
     } else if (!std::strcmp(argv[i], "--node-id")) {
@@ -242,6 +249,7 @@ int main(int argc, char** argv) {
   // flash array under the selected protection policy. Each shard is an
   // independent stack over its hash slice of the object space.
   std::vector<NodeStack> stacks;
+  std::vector<ServedShard> shards;
   stacks.reserve(num_shards);
   for (size_t k = 0; k < num_shards; ++k) {
     NodeStackSinks sinks{.registry = telemetry_on ? registries[k] : nullptr,
@@ -263,6 +271,10 @@ int main(int argc, char** argv) {
     }
     stacks.push_back(std::move(*built));
     NodeStack& s = stacks.back();
+    shards.push_back({.target = s.target.get(),
+                      .registry = sinks.registry,
+                      .cluster = s.cluster.get(),
+                      .persist = s.persist.get()});
     if (!s.persist) continue;
     // Durable state: replay any recovered objects back through the stack
     // in class order, then checkpoint so the next restart starts from a
@@ -291,39 +303,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (stack_cfg.persistence.enabled()) {
-    // Clean shutdown: once every in-flight request everywhere has been
-    // answered, each shard checkpoints its own journal on its own loop
-    // thread, so restart replays a checkpoint instead of a long journal.
-    server_cfg.on_shard_drained = [&stacks, &events](size_t k) {
-      Status st = stacks[k].persist->Checkpoint(0);
-      if (!st.ok()) {
-        Emit(&events, 0, EventSeverity::kError, "persist.checkpoint",
-             "shutdown checkpoint failed",
-             {{"error", st.to_string()}, {"shard", std::to_string(k)}});
-      }
-    };
-  }
-  std::vector<OsdTarget*> targets;
-  std::vector<const ClusterDirectory*> directories;
-  for (NodeStack& s : stacks) {
-    targets.push_back(s.target.get());
-    if (s.cluster) directories.push_back(s.cluster.get());
-  }
-  ShardedServer server(targets, server_cfg);
+  ShardedServer server(shards, server_cfg);
   server.AttachEvents(events);
   // Live observability: per-window time series over the serving metrics,
   // plus the in-band STATS/SERIES admin plane. HEALTH and EVENTS answer
-  // even with --telemetry off (dispatch does not depend on AttachAdmin).
+  // even with --telemetry off.
   if (telemetry_on) {
-    for (size_t k = 0; k < num_shards; ++k) {
-      server.AttachShardTelemetry(k, telemetry[k]);
-    }
     // One whole-process ring: every column sums the same-named metric
     // across shard registries, so reo_top's ratios stay correct.
     TrackServingDefaults(std::span<MetricRegistry* const>(registries), series,
                          stack_cfg.num_devices);
-    server.AttachAdmin(registries, &series);
+    server.AttachSeries(series);
   }
   // Per-stage latency attribution: sampled request traces feed
   // stage.<component>.span_us histograms. --trace-sample 0 turns it off.
@@ -331,7 +321,6 @@ int main(int argc, char** argv) {
     tracer.AttachStageMetrics(telemetry[0]);
     server.AttachTracing(tracer);
   }
-  if (!directories.empty()) server.AttachCluster(std::move(directories));
   Status st = server.Listen();
   if (!st.ok()) {
     std::fprintf(stderr, "listen failed: %s\n", st.to_string().c_str());
@@ -385,10 +374,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(served.forward_executed));
 
   if (!stats_out.empty()) {
-    std::vector<const MetricRegistry*> regs(registries.begin(),
-                                            registries.end());
-    Status wf =
-        WriteFileAtomic(stats_out, MetricRegistry::Merged(regs).ToJson());
+    Status wf = WriteFileAtomic(stats_out, server.MergedStats().ToJson());
     if (!wf.ok()) {
       std::fprintf(stderr, "stats write failed: %s\n", wf.to_string().c_str());
       return 1;

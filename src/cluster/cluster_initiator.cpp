@@ -1,7 +1,6 @@
 #include "cluster/cluster_initiator.h"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "osd/command_placement.h"
 #include "osd/control_protocol.h"
@@ -31,15 +30,11 @@ std::vector<ClusterEndpoint> ParseClusterEndpoints(const std::string& list) {
     std::string item = list.substr(
         pos, comma == std::string::npos ? std::string::npos : comma - pos);
     size_t colon = item.rfind(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= item.size()) {
-      return {};
-    }
-    char* end = nullptr;
-    unsigned long port = std::strtoul(item.c_str() + colon + 1, &end, 10);
-    if (port == 0 || port > 65535 || (end != nullptr && *end != '\0')) {
-      return {};
-    }
-    out.push_back({item.substr(0, colon), static_cast<uint16_t>(port)});
+    if (colon == std::string::npos || colon == 0) return {};
+    std::optional<uint16_t> port =
+        ParsePort(std::string_view(item).substr(colon + 1));
+    if (!port || *port == 0) return {};
+    out.push_back({item.substr(0, colon), *port});
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -106,10 +101,6 @@ Status ClusterInitiator::ConnectAll() {
   return Status::Ok();
 }
 
-void ClusterInitiator::CloseAll() {
-  for (auto& s : sessions_) s.Close();
-}
-
 bool ClusterInitiator::EnsureSession(uint32_t node) {
   if (health_.state(node) == NodeState::kDead) {
     // Dead nodes are skipped except when their probe timer is due; the
@@ -164,10 +155,6 @@ std::optional<uint32_t> ClusterInitiator::PickNode(ObjectId id) {
     if (EnsureSession(node)) return node;
   }
   return std::nullopt;
-}
-
-std::optional<uint32_t> ClusterInitiator::LiveOwnerOf(ObjectId id) {
-  return PickNode(id);
 }
 
 OsdResponse ClusterInitiator::FanOut(const OsdCommand& command) {

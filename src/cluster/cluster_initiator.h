@@ -74,7 +74,6 @@ class ClusterInitiator {
   /// Connects every session; ok if at least one node is reachable
   /// (unreachable ones are recorded as failures and probed back later).
   Status ConnectAll();
-  void CloseAll();
 
   size_t num_nodes() const { return sessions_.size(); }
   const HashRing& ring() const { return ring_; }
@@ -107,10 +106,6 @@ class ClusterInitiator {
   /// Declares `node` dead client-side and fans #NODEDOWN# to survivors
   /// (they account the dead node's hinted objects per class).
   Status AnnounceNodeDown(uint32_t node);
-
-  /// The node a write of `id` would go to right now (first usable ring
-  /// replica); nullopt when no node is usable.
-  std::optional<uint32_t> LiveOwnerOf(ObjectId id);
 
   /// ADMIN round-trip against one specific node.
   Result<AdminResponse> AdminRoundtrip(uint32_t node, AdminOp op,

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -301,6 +302,16 @@ uint32_t ReconnectBackoffMs(const SocketInitiatorConfig& config,
   constexpr double kMax = 4294967295.0;
   if (delay > kMax) delay = kMax;
   return delay > 0.0 ? static_cast<uint32_t>(delay) : 0u;
+}
+
+std::optional<uint16_t> ParsePort(std::string_view text) {
+  if (text.ends_with('\n')) text.remove_suffix(1);
+  const char* end = text.data() + text.size();
+  uint16_t port = 0;
+  // Unsigned from_chars takes no sign or space and fails past 65535.
+  auto [stop, ec] = std::from_chars(text.data(), end, port);
+  if (ec != std::errc{} || stop != end) return std::nullopt;
+  return port;
 }
 
 OsdResponse SocketInitiator::Roundtrip(const OsdCommand& command) {

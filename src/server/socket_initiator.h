@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/rng.h"
 #include "osd/osd_target.h"
@@ -61,6 +63,11 @@ struct SocketInitiatorConfig {
 /// saturating at `retry_backoff_max_ms`. Exposed for the bound tests.
 uint32_t ReconnectBackoffMs(const SocketInitiatorConfig& config,
                             uint32_t retry, Pcg32& rng);
+
+/// A TCP port from a flag or a port file: decimal digits only, at most
+/// 65535, and one trailing newline (a port file's line end). nullopt
+/// for anything else.
+std::optional<uint16_t> ParsePort(std::string_view text);
 
 class SocketInitiator {
  public:

@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "osd/transport.h"
+#include "persist/persistence.h"
 #include "server/admin_protocol.h"
 #include "telemetry/json_util.h"
 
@@ -50,21 +51,19 @@ FramePayload EncodeResponsePayload(OsdResponse&& resp) {
 
 /// One shard: an EventLoop thread owning its connections, and the stack
 /// behind its OsdTarget. The connections are confined to the loop
-/// thread; the stack is guarded by mu_, which whichever loop decoded a
-/// frame for this shard takes to execute it. The counters are relaxed
-/// atomics, so HEALTH on any shard can sum them.
+/// thread; the stack (target and journal) is guarded by mu_, which
+/// whichever thread executes for this shard takes. The counters are
+/// relaxed atomics, so HEALTH on any shard can sum them.
 class ShardWorker final : private ConnectionHost {
  public:
-  ShardWorker(ShardedServer& owner, size_t index, OsdTarget& target)
-      : owner_(owner), index_(index), target_(target) {
-    AttachTelemetry(own_counters_);
-  }
-
-  EventLoop& loop() { return loop_; }
-  size_t index() const { return index_; }
-
-  /// Counts into `registry` from now on (before Run(): nothing is lost).
-  void AttachTelemetry(MetricRegistry& registry) {
+  ShardWorker(ShardedServer& owner, size_t index, const ServedShard& parts)
+      : owner_(owner),
+        index_(index),
+        target_(*parts.target),
+        registry_(parts.registry),
+        persist_(parts.persist) {
+    MetricRegistry& registry =
+        registry_ != nullptr ? *registry_ : own_counters_;
     tel_accepted_ = &registry.GetCounter("server.connections.accepted");
     tel_closed_ = &registry.GetCounter("server.connections.closed");
     tel_rejected_ = &registry.GetCounter("server.connections.rejected");
@@ -84,6 +83,9 @@ class ShardWorker final : private ConnectionHost {
     tel_lat_write_ = &registry.GetHistogram("server.latency.write_us");
     tel_lat_other_ = &registry.GetHistogram("server.latency.other_us");
   }
+
+  EventLoop& loop() { return loop_; }
+  size_t index() const { return index_; }
 
   // --- Loop-thread entry points (Posted from shard 0's acceptor and drain).
 
@@ -120,11 +122,16 @@ class ShardWorker final : private ConnectionHost {
     ReportIfEmpty();
   }
 
-  /// Phase 2: every shard's map is empty — checkpoint and stop.
+  /// Phase 2: every shard's map is empty — checkpoint the journal and stop.
   void FinishDrain() {
-    if (owner_.config_.on_shard_drained) {
+    if (persist_ != nullptr) {
       std::lock_guard<std::mutex> lock(mu_);
-      owner_.config_.on_shard_drained(index_);
+      Status st = persist_->Checkpoint(0);
+      if (!st.ok()) {
+        Emit(owner_.events_, 0, EventSeverity::kError, "persist.checkpoint",
+             "shutdown checkpoint failed",
+             {{"error", st.to_string()}, {"shard", std::to_string(index_)}});
+      }
     }
     loop_.Stop();
   }
@@ -184,7 +191,7 @@ class ShardWorker final : private ConnectionHost {
                                                      : TraceOp::kOsdCommand;
     RequestTrace root(owner_.tracer_, owner_.trace_root_, root_op, start,
                       decoded->id.oid);
-    OsdResponse resp = owner_.Execute(*this, *decoded);
+    OsdResponse resp = owner_.Execute(index_, *decoded);
     SimTime end = ShardedServer::NowNs();
     root.set_end(end);
     root.Finish();
@@ -254,6 +261,8 @@ class ShardWorker final : private ConnectionHost {
   size_t index_;
   std::mutex mu_;  ///< the stack lock: held for every target_.Execute
   OsdTarget& target_;
+  MetricRegistry* registry_;
+  PersistenceManager* persist_;
   EventLoop loop_;
   FrameMetaPool pool_;
   std::map<uint64_t, std::unique_ptr<Connection>> connections_;
@@ -284,13 +293,16 @@ class ShardWorker final : private ConnectionHost {
 
 // --- ShardedServer ----------------------------------------------------------
 
-ShardedServer::ShardedServer(std::span<OsdTarget* const> targets,
+ShardedServer::ShardedServer(std::span<const ServedShard> shards,
                              ShardedServerConfig config)
-    : config_(std::move(config)), router_(targets.size()) {
-  REO_CHECK(!targets.empty());
-  workers_.reserve(targets.size());
-  for (size_t i = 0; i < targets.size(); ++i) {
-    workers_.push_back(std::make_unique<ShardWorker>(*this, i, *targets[i]));
+    : config_(std::move(config)), router_(shards.size()) {
+  REO_CHECK(!shards.empty());
+  workers_.reserve(shards.size());
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const ServedShard& s = shards[i];
+    workers_.push_back(std::make_unique<ShardWorker>(*this, i, s));
+    if (s.registry == nullptr) every_shard_registry_ = false;
+    if (s.cluster != nullptr) cluster_dirs_.push_back(s.cluster);
   }
 }
 
@@ -336,18 +348,6 @@ Status ShardedServer::Listen() {
   }
   port_ = ntohs(addr.sin_port);
   return Status::Ok();
-}
-
-void ShardedServer::AttachShardTelemetry(size_t shard,
-                                         MetricRegistry& registry) {
-  REO_CHECK(shard < workers_.size());
-  workers_[shard]->AttachTelemetry(registry);
-}
-
-void ShardedServer::AttachAdmin(std::vector<MetricRegistry*> registries,
-                                TimeSeriesRing* series) {
-  registries_ = std::move(registries);
-  series_ = series;
 }
 
 void ShardedServer::AttachTracing(Tracer& tracer) {
@@ -510,13 +510,15 @@ void ShardedServer::OnAcceptReady() {
   }
 }
 
-OsdResponse ShardedServer::Execute(ShardWorker& home, const OsdCommand& cmd) {
+OsdResponse ShardedServer::Execute(size_t home_index, const OsdCommand& cmd) {
+  REO_CHECK(home_index < workers_.size());
+  ShardWorker& home = *workers_[home_index];
   ShardRoute route = router_.RouteOf(cmd);
   if (!route.fan_out) return home.ExecuteOn(*workers_[route.shard], cmd);
   size_t n = workers_.size();
   if (n == 1) return home.ExecuteOn(home, cmd);
   // Fan-out: one shard lock at a time, never two, so fan-outs from
-  // different loops cannot deadlock. A loop runs one frame at a time,
+  // different threads cannot deadlock. A loop runs one frame at a time,
   // so the connection's later frames wait for the merged answer.
   std::vector<OsdResponse> parts;
   parts.reserve(n);
@@ -530,6 +532,18 @@ OsdResponse ShardedServer::Execute(ShardWorker& home, const OsdCommand& cmd) {
     parts.push_back(home.ExecuteOn(*workers_[k], part));
   }
   return MergeFanOutResponses(parts);
+}
+
+MetricSnapshot ShardedServer::MergedStats() const {
+  // Every shard lock, in index order (Execute never holds two), so no
+  // command is half counted in the merge.
+  std::vector<const MetricRegistry*> regs;
+  std::vector<std::unique_lock<std::mutex>> held;
+  for (const auto& w : workers_) {
+    held.emplace_back(w->mu_);
+    regs.push_back(w->registry_);
+  }
+  return MetricRegistry::Merged(regs);
 }
 
 ShardedServerStats ShardedServer::stats() const {
@@ -603,30 +617,18 @@ FramePayload ShardedServer::HandleAdminFrame(
   } else {
     switch (cmd->op) {
       case AdminOp::kStats:
-        if (registries_.empty()) {
+        if (!every_shard_registry_) {
           out.status = 1;
           out.json = "{\"error\":\"no metric registry attached\"}";
         } else if (cmd->arg == 0) {
-          // Whole-process view: bucket-level merge across every shard,
-          // with every shard lock held (in index order; nothing else
-          // holds two), so no command is half counted in it.
-          std::vector<const MetricRegistry*> regs(registries_.begin(),
-                                                  registries_.end());
-          MetricSnapshot merged;
-          {
-            std::vector<std::unique_lock<std::mutex>> held;
-            held.reserve(workers_.size());
-            for (auto& w : workers_) held.emplace_back(w->mu_);
-            merged = MetricRegistry::Merged(regs);
-          }
-          out.json = merged.ToJson();
-        } else if (cmd->arg <= registries_.size()) {
-          out.json = registries_[cmd->arg - 1]->Snapshot().ToJson();
+          out.json = MergedStats().ToJson();
+        } else if (cmd->arg <= workers_.size()) {
+          out.json = workers_[cmd->arg - 1]->registry_->Snapshot().ToJson();
         } else {
           out.status = 1;
           out.json = "{\"error\":\"shard " + std::to_string(cmd->arg - 1) +
                      " out of range (shards=" +
-                     std::to_string(registries_.size()) + ")\"}";
+                     std::to_string(workers_.size()) + ")\"}";
         }
         break;
       case AdminOp::kSeries:

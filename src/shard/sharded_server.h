@@ -26,11 +26,13 @@
 //   * The cost: a slow command on shard B (a class-0/1 fsync) stalls
 //     every loop that is executing for B, not just B's own loop.
 //
-// The admin plane aggregates: STATS arg 0 answers the bucket-level merge
-// of every shard's registry (MetricRegistry::Merged), taken with every
-// shard lock held, so no command is half counted in it; arg k >= 1
-// answers shard k-1 alone; SERIES reads the single whole-process ring
-// (columns sum per-shard metrics by construction — time_series.h);
+// The server takes its shards as one list (ServedShard). Its core needs
+// no socket: a server that never called Listen() runs Execute() and
+// MergedStats() from any thread, under the same locks as its loops.
+//
+// The admin plane aggregates: STATS arg 0 answers MergedStats(); arg
+// k >= 1 answers shard k-1 alone; SERIES reads the single whole-process
+// ring (columns sum per-shard metrics by construction — time_series.h);
 // HEALTH sums every shard's counters without locking and names the
 // answering connection's home shard.
 //
@@ -39,14 +41,13 @@
 // drains every connection on every shard (in-flight and already-buffered
 // requests complete). A connection homed on shard A may execute on
 // shard B until it closes, so only when EVERY shard's connection map is
-// empty does phase 2 run each shard's on_shard_drained checkpoint hook
-// on its own loop thread, under its stack lock, and stop the loops. A
-// drain deadline force-closes stragglers so shutdown is bounded.
+// empty does phase 2 checkpoint each shard's journal on its own loop
+// thread, under its stack lock, and stop the loops. A drain deadline
+// force-closes stragglers so shutdown is bounded.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -65,7 +66,24 @@
 
 namespace reo {
 
+class PersistenceManager;
 class ShardWorker;
+
+/// One shard's parts. Each must outlive the server, and nothing else may
+/// use the target or the journal while the server runs (any thread may
+/// execute on them, under the shard's lock).
+struct ServedShard {
+  OsdTarget* target = nullptr;
+  /// Holds the serving counters ("server.*") and answers STATS. Null:
+  /// the shard counts privately; STATS answers only when every shard
+  /// has a registry, else "no metric registry attached".
+  MetricRegistry* registry = nullptr;
+  /// This shard's slice of the node's hint space: ADMIN OWNERS answers
+  /// the merge of every shard's directory, HEALTH names the node id.
+  const ClusterDirectory* cluster = nullptr;
+  /// Checkpointed by phase 2 of the drain. Null: an in-memory shard.
+  PersistenceManager* persist = nullptr;
+};
 
 struct ShardedServerConfig {
   std::string bind_address = "127.0.0.1";
@@ -73,12 +91,6 @@ struct ShardedServerConfig {
   size_t max_connections = 1024;  ///< across all shards
   /// Close connections idle (no complete frame) this long. 0 = never.
   uint64_t idle_timeout_ms = 60'000;
-  /// Phase-2 drain hook, run on shard `shard`'s loop thread under its
-  /// stack lock after every connection everywhere has drained and before
-  /// that loop stops — the per-shard clean-shutdown checkpoint (each
-  /// shard checkpoints its own journal; nothing can dirty any shard's
-  /// state afterwards).
-  std::function<void(size_t shard)> on_shard_drained;
 };
 
 /// Whole-process serving counters summed across shards (stats()).
@@ -95,22 +107,19 @@ struct ShardedServerStats {
   uint64_t decode_errors = 0;  ///< framed payloads DecodeCommand rejected
   uint64_t admin_requests = 0; ///< in-band ADMIN frames served
   uint64_t admin_errors = 0;   ///< malformed / unservable ADMIN frames
-  /// Frames executed on another shard's stack than the connection's own
-  /// (a fan-out counts each part it runs on another shard): `forwarded`
-  /// on the connection's shard, `forward_executed` on the executing one,
-  /// in the same call. Invariant: forwarded == forward_executed in every
-  /// STATS arg 0 snapshot and once idle.
+  /// Frames executed on another shard's stack than their home shard's
+  /// (the connection's, or Execute's `home`; a fan-out counts each part
+  /// it runs elsewhere): `forwarded` on the home shard, `forward_executed`
+  /// on the executing one, in the same call. Invariant: the two are equal
+  /// in every MergedStats() and once idle.
   uint64_t forwarded = 0;
   uint64_t forward_executed = 0;
 };
 
 class ShardedServer {
  public:
-  /// @param targets one executor per shard (targets.size() = shard
-  /// count); each must outlive the server, and nothing else may use one
-  /// while the server runs (any loop thread may execute on it, under the
-  /// shard's lock).
-  ShardedServer(std::span<OsdTarget* const> targets,
+  /// @param shards one entry per shard (shards.size() = shard count).
+  ShardedServer(std::span<const ServedShard> shards,
                 ShardedServerConfig config = {});
   ~ShardedServer();
 
@@ -131,11 +140,14 @@ class ShardedServer {
 
   const ShardRouter& router() const { return router_; }
 
-  /// Moves shard `shard`'s serving counters ("server.*", plus the
-  /// cross-shard "server.forwarded" / "server.forward_executed") into its
-  /// per-shard registry; un-attached, a shard counts privately. Call
-  /// before Run(), once per shard.
-  void AttachShardTelemetry(size_t shard, MetricRegistry& registry);
+  /// Executes one command as shard `home`'s loop executes a decoded
+  /// frame: on the owning shard under its lock, or, fanned out, on every
+  /// shard in turn, merged. Thread-safe; needs neither Listen() nor Run().
+  OsdResponse Execute(size_t home, const OsdCommand& cmd);
+
+  /// STATS arg 0: the bucket-level merge of every shard's registry, with
+  /// every shard lock held (index order). Thread-safe, like Execute().
+  MetricSnapshot MergedStats() const;
 
   /// Shared structured event sink (EventLog is thread-safe; events from
   /// every shard interleave in global ticket order): accept/close at
@@ -143,21 +155,9 @@ class ShardedServer {
   /// at info.
   void AttachEvents(EventLog& events) { events_ = &events; }
 
-  /// Enables in-band ADMIN on every connection. `registries[k]` is
-  /// shard k's registry: STATS arg 0 answers their bucket-level merge,
-  /// arg k >= 1 answers shard k-1, anything larger is an error.
-  /// `series` is the single whole-process ring (may be null); Run()
+  /// The single whole-process ring ADMIN SERIES answers from; Run()
   /// rolls its windows on a loop timer at the ring's own interval.
-  void AttachAdmin(std::vector<MetricRegistry*> registries,
-                   TimeSeriesRing* series);
-
-  /// Cluster mode: `directories[k]` is shard k's slice of this node's
-  /// hint space; ADMIN OWNERS answers their merge (directories are
-  /// thread-safe, so any shard's loop can snapshot all of them) and
-  /// HealthJson reports the node id. Each must outlive the server.
-  void AttachCluster(std::vector<const ClusterDirectory*> directories) {
-    cluster_dirs_ = std::move(directories);
-  }
+  void AttachSeries(TimeSeriesRing& series) { series_ = &series; }
 
   /// Opens a sampled root span (the transport track) around every data
   /// command, with the same clock stamps the service-latency histograms
@@ -186,9 +186,6 @@ class ShardedServer {
   std::string HealthJson(const ShardWorker& home) const;
   FramePayload HandleAdminFrame(ShardWorker& home, Connection& conn,
                                 std::span<const uint8_t> payload);
-  /// Executes one decoded command from `home`'s loop: on the owning
-  /// shard, or on every shard in turn for a fan-out command.
-  OsdResponse Execute(ShardWorker& home, const OsdCommand& cmd);
   void RollSeries();
   static SimTime NowNs();
 
@@ -209,9 +206,9 @@ class ShardedServer {
   SimTime started_ns_ = 0;  ///< Run() entry stamp, for health uptime
 
   EventLog* events_ = nullptr;
-  std::vector<MetricRegistry*> registries_;
+  bool every_shard_registry_ = true;  ///< STATS answers only when set
   TimeSeriesRing* series_ = nullptr;
-  std::vector<const ClusterDirectory*> cluster_dirs_;
+  std::vector<const ClusterDirectory*> cluster_dirs_;  ///< non-null only
   Tracer* tracer_ = nullptr;
   SpanRecorder* trace_root_ = nullptr;
 };

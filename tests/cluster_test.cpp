@@ -216,6 +216,20 @@ TEST(ClusterControlTest, ParseClusterEndpoints) {
   EXPECT_TRUE(ParseClusterEndpoints("h:12x").empty());
 }
 
+// The one port parser every flag, port file and endpoint list uses.
+TEST(ClusterControlTest, ParsePortTakesDigitsOnlyUpTo65535) {
+  EXPECT_EQ(ParsePort("0"), 0);
+  EXPECT_EQ(ParsePort("9551"), 9551);
+  EXPECT_EQ(ParsePort("65535"), 65535);
+  EXPECT_EQ(ParsePort("4464\n"), 4464);  // a port file's line
+  EXPECT_EQ(ParsePort("00080"), 80);
+  for (const char* bad : {"", "\n", "65536", "70000", "99999999999", "abc",
+                          "12x", "-1", "+80", " 80", "80 ", "80\n\n", "8\n0",
+                          "0x50"}) {
+    EXPECT_EQ(ParsePort(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
 // --- Cluster directory ------------------------------------------------------
 
 TEST(ClusterDirectoryTest, NodeDownThenRefetchEmitsClassAccounting) {
@@ -298,9 +312,8 @@ std::vector<uint8_t> DrillPayload(uint32_t rank) {
   OsdTarget target(plane);
   ClusterDirectory directory(node_id);
   target.AttachCluster(directory);
-  OsdTarget* targets[] = {&target};
-  ShardedServer server(targets);
-  server.AttachCluster({&directory});
+  ServedShard shards[] = {{.target = &target, .cluster = &directory}};
+  ShardedServer server(shards);
   if (!server.Listen().ok()) _exit(2);
   uint16_t port = static_cast<uint16_t>(server.port());
   if (write(port_fd, &port, sizeof(port)) != sizeof(port)) _exit(3);

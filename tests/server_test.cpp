@@ -54,9 +54,8 @@ OsdCommand FormatCmd() {
 class ServerTest : public ::testing::Test {
  protected:
   void StartServer(ShardedServerConfig cfg = {}) {
-    OsdTarget* targets[] = {&target_};
-    server_ = std::make_unique<ShardedServer>(targets, cfg);
-    server_->AttachShardTelemetry(0, telemetry_);
+    ServedShard shards[] = {{.target = &target_, .registry = &telemetry_}};
+    server_ = std::make_unique<ShardedServer>(shards, cfg);
     server_->AttachEvents(events_);
     ASSERT_TRUE(server_->Listen().ok());
     ASSERT_GT(server_->port(), 0);
@@ -67,15 +66,14 @@ class ServerTest : public ::testing::Test {
   /// tracing into the per-stage histograms (sample_every = 1, so the
   /// attribution-equality assertions are exact, not statistical).
   void StartAdminServer() {
-    OsdTarget* targets[] = {&target_};
-    server_ = std::make_unique<ShardedServer>(targets);
-    server_->AttachShardTelemetry(0, telemetry_);
+    ServedShard shards[] = {{.target = &target_, .registry = &telemetry_}};
+    server_ = std::make_unique<ShardedServer>(shards);
     server_->AttachEvents(events_);
     tracer_.AttachStageMetrics(telemetry_);
     target_.AttachTracing(tracer_);
     server_->AttachTracing(tracer_);
     TrackServingDefaults(telemetry_, series_, /*num_devices=*/0);
-    server_->AttachAdmin({&telemetry_}, &series_);
+    server_->AttachSeries(series_);
     ASSERT_TRUE(server_->Listen().ok());
     ASSERT_GT(server_->port(), 0);
     loop_thread_ = std::thread([this] { server_->Run(); });
@@ -630,8 +628,8 @@ TEST(ServerFdExhaustionTest, AcceptPausesInsteadOfSpinning) {
     if (setrlimit(RLIMIT_NOFILE, &lim) != 0) _exit(2);
     MapDataPlane plane;
     OsdTarget target(plane);
-    OsdTarget* targets[] = {&target};
-    ShardedServer server(targets);
+    ServedShard shards[] = {{.target = &target}};
+    ShardedServer server(shards);
     if (!server.Listen().ok()) _exit(3);
     uint16_t port = server.port();
     if (write(fds[1], &port, sizeof(port)) != sizeof(port)) _exit(4);

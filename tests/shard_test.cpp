@@ -4,14 +4,17 @@
 // round trips and pipelining on one connection, FORMAT ordering under
 // live pipelined traffic, graceful drain with in-flight requests on
 // every shard, multi-shard ADMIN aggregation, real NodeStack stacks
-// driven from four client threads at once, and fan-out racing
-// cross-shard traffic on other connections.
+// driven from four client threads at once, fan-out racing cross-shard
+// traffic on other connections, and the same stacks driven without
+// sockets through Execute() while MergedStats() is polled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <set>
@@ -23,6 +26,7 @@
 #include "map_data_plane.h"
 #include "osd/control_protocol.h"
 #include "osd/osd_target.h"
+#include "persist/persistence.h"
 #include "server/admin_protocol.h"
 #include "server/socket_initiator.h"
 #include "shard/shard_router.h"
@@ -34,6 +38,8 @@
 
 namespace reo {
 namespace {
+
+namespace fs = std::filesystem;
 
 // --- ShardRouter -------------------------------------------------------------
 
@@ -176,22 +182,26 @@ class ShardedServerTest : public ::testing::Test {
  protected:
   static constexpr size_t kShards = 4;
 
-  void Start(ShardedServerConfig cfg = {}) {
-    std::vector<OsdTarget*> targets;
+  /// Four map-backed shards, each reporting into its own registry.
+  std::vector<ServedShard> MapShards() {
+    std::vector<ServedShard> shards;
     for (size_t k = 0; k < kShards; ++k) {
       planes_.push_back(std::make_unique<MapDataPlane>());
       targets_.push_back(std::make_unique<OsdTarget>(*planes_.back()));
       registries_.push_back(std::make_unique<MetricRegistry>());
       targets_.back()->AttachTelemetry(*registries_.back());
-      targets.push_back(targets_.back().get());
+      shards.push_back({.target = targets_.back().get(),
+                        .registry = registries_.back().get()});
     }
-    Serve(targets, cfg);
+    return shards;
   }
+
+  void Start(ShardedServerConfig cfg = {}) { Serve(MapShards(), cfg); }
 
   /// Four real stacks, wired by NodeStack::Build as reo_server wires
   /// them, each reporting into its shard's registry.
-  void StartNodeStacks(const NodeStackConfig& config) {
-    std::vector<OsdTarget*> targets;
+  void BuildNodeStacks(const NodeStackConfig& config,
+                       std::vector<ServedShard>* shards) {
     stacks_.reserve(kShards);
     for (size_t k = 0; k < kShards; ++k) {
       registries_.push_back(std::make_unique<MetricRegistry>());
@@ -200,22 +210,28 @@ class ShardedServerTest : public ::testing::Test {
       auto built = NodeStack::Build(config, k, kShards, sinks);
       ASSERT_TRUE(built.ok()) << built.status().to_string();
       stacks_.push_back(std::move(*built));
-      targets.push_back(stacks_.back().target.get());
+      const NodeStack& s = stacks_.back();
+      shards->push_back({.target = s.target.get(),
+                         .registry = registries_.back().get(),
+                         .cluster = s.cluster.get(),
+                         .persist = s.persist.get()});
     }
-    Serve(targets, {});
   }
 
-  void Serve(std::span<OsdTarget* const> targets, ShardedServerConfig cfg) {
+  void StartNodeStacks(const NodeStackConfig& config) {
+    std::vector<ServedShard> shards;
+    ASSERT_NO_FATAL_FAILURE(BuildNodeStacks(config, &shards));
+    Serve(shards, {});
+  }
+
+  void Serve(std::span<const ServedShard> shards, ShardedServerConfig cfg) {
     std::vector<MetricRegistry*> registries;
     for (auto& r : registries_) registries.push_back(r.get());
-    server_ = std::make_unique<ShardedServer>(targets, cfg);
+    server_ = std::make_unique<ShardedServer>(shards, cfg);
     server_->AttachEvents(events_);
-    for (size_t k = 0; k < kShards; ++k) {
-      server_->AttachShardTelemetry(k, *registries_[k]);
-    }
     TrackServingDefaults(std::span<MetricRegistry* const>(registries), series_,
                          /*num_devices=*/0);
-    server_->AttachAdmin(registries, &series_);
+    server_->AttachSeries(series_);
     ASSERT_TRUE(server_->Listen().ok());
     ASSERT_GT(server_->port(), 0);
     run_thread_ = std::thread([this] { server_->Run(); });
@@ -250,6 +266,7 @@ class ShardedServerTest : public ::testing::Test {
   EventLog events_;
   std::vector<std::unique_ptr<MapDataPlane>> planes_;
   std::vector<std::unique_ptr<OsdTarget>> targets_;
+  std::vector<std::unique_ptr<PersistenceManager>> journals_;
   std::vector<NodeStack> stacks_;
   TimeSeriesRing series_{
       TimeSeriesConfig{.window_ns = 50'000'000, .capacity = 64}};
@@ -480,23 +497,31 @@ TEST_F(ShardedServerTest, GracefulDrainCompletesInflightOnEveryShard) {
 }
 
 TEST_F(ShardedServerTest, DrainHookRunsOncePerShardAfterQuiesce) {
-  std::atomic<uint32_t> hooks{0};
-  std::array<std::atomic<uint32_t>, kShards> per_shard{};
-  ShardedServerConfig cfg;
-  cfg.on_shard_drained = [&](size_t shard) {
-    hooks.fetch_add(1);
-    per_shard[shard].fetch_add(1);
-  };
-  Start(cfg);
+  // Every shard gets a journal; phase 2 of the drain checkpoints each.
+  std::vector<ServedShard> shards = MapShards();
+  fs::path dir = fs::temp_directory_path() / "reo_shard_drain_checkpoint";
+  fs::remove_all(dir);
+  for (size_t k = 0; k < kShards; ++k) {
+    auto opened = PersistenceManager::Open(
+        {.data_dir = (dir / ("shard" + std::to_string(k))).string()});
+    ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+    journals_.push_back(std::move(*opened));
+    journals_.back()->AttachTelemetry(*registries_[k]);
+    shards[k].persist = journals_.back().get();
+  }
+  Serve(shards, {});
   SocketInitiator client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
   ASSERT_TRUE(client.Roundtrip(FormatCmd()).ok());
   client.Close();
   DrainAndJoin();
-  EXPECT_EQ(hooks.load(), kShards);
   for (size_t k = 0; k < kShards; ++k) {
-    EXPECT_EQ(per_shard[k].load(), 1u) << "shard " << k;
+    MetricSnapshot snap = registries_[k]->Snapshot();
+    const auto* checkpoints = snap.Find("persist.checkpoints");
+    ASSERT_NE(checkpoints, nullptr) << "shard " << k;
+    EXPECT_EQ(checkpoints->value, 1.0) << "shard " << k;
   }
+  fs::remove_all(dir);
 }
 
 TEST_F(ShardedServerTest, AdminAggregatesAcrossShards) {
@@ -963,6 +988,155 @@ TEST_F(ShardedServerTest, FanOutRacesCrossShardTraffic) {
   ShardedServerStats stats = server_->stats();
   EXPECT_EQ(stats.forwarded, stats.forward_executed);
   EXPECT_EQ(stats.crc_errors + stats.frame_errors + stats.decode_errors, 0u);
+}
+
+// The socket-free core: the stacks of
+// RealStacksServeConcurrentCrossShardClients behind a server that never
+// listens. Four threads call Execute() as homes 0-3 over disjoint objects
+// covering every (shard, class 0-3), so most of their commands run on
+// another shard's stack, and LIST fans out to every shard; a fifth polls
+// MergedStats(). A read must return the newest acked bytes (class 3 may
+// miss), and every poll must see forwarded == forward_executed: both
+// count under the executing shard's lock, and the merge holds every lock.
+TEST_F(ShardedServerTest, SocketFreeExecuteAgreesWithMergedStats) {
+  NodeStackConfig config;
+  config.policy = {.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.2};
+  config.capacity_bytes = 64ull << 20;
+  config.admission.dram_bytes = 2ull << 20;  // 512 KiB of DRAM per shard
+  config.faults.seed = 11;
+  config.faults.rules.push_back(FaultRule{
+      .site = FaultSite::kFlashLatent, .probability = 0.05, .device = 0});
+  std::vector<ServedShard> shards;
+  ASSERT_NO_FATAL_FAILURE(BuildNodeStacks(config, &shards));
+  server_ = std::make_unique<ShardedServer>(shards);
+  OsdCommand format = FormatCmd();
+  format.capacity_bytes = config.capacity_bytes;
+  ASSERT_TRUE(server_->Execute(0, format).ok());
+
+  constexpr uint32_t kHomes = 4;
+  constexpr uint32_t kObjects = 16;  // per home: every (shard, class)
+  constexpr uint32_t kRounds = 20;
+  struct Object {
+    ObjectId id;
+    uint32_t rank = 0;
+    uint8_t cls = 0;
+    size_t size = 0;
+    uint32_t acked = 0;  ///< newest acknowledged version
+  };
+  struct Tally {
+    std::string error;
+    uint64_t ok_reads = 0;
+    uint64_t wrong = 0;  ///< failed writes or LISTs, reads of wrong bytes
+    std::array<uint64_t, 4> misses{};  ///< failed reads, per class
+  };
+  std::vector<std::vector<Object>> objects(kHomes);
+  for (uint32_t h = 0; h < kHomes; ++h) {
+    for (uint32_t i = 0; i < kObjects; ++i) {
+      Object o;
+      o.rank = h * kObjects + i;
+      o.id = IdOnShard(i % kShards, 2000 + o.rank);
+      o.cls = static_cast<uint8_t>((i / kShards + h) % 4);
+      o.size = 4096 + (o.rank % 5) * 24 * 1024;  // up to two 64 KiB chunks
+      objects[h].push_back(o);
+    }
+  }
+  OsdCommand list;
+  list.op = OsdOp::kList;
+  list.id = ObjectId{kFirstUserId, 0};
+
+  std::vector<Tally> tallies(kHomes);
+  std::atomic<uint32_t> running{kHomes};
+  auto drive = [&](uint32_t home) {
+    Tally& t = tallies[home];
+    for (const Object& o : objects[home]) {
+      OsdCommand create;
+      create.op = OsdOp::kCreate;
+      create.id = o.id;
+      create.logical_size = o.size;
+      OsdCommand setid;
+      setid.op = OsdOp::kWrite;
+      setid.id = kControlObject;
+      setid.data = EncodeControlMessage(
+          SetIdCommand{.target = o.id, .class_id = o.cls});
+      setid.logical_size = setid.data.size();
+      if (!server_->Execute(home, create).ok() ||
+          !server_->Execute(home, setid).ok() ||
+          !server_->Execute(home, WriteCmd(o.id, VersionedPayload(
+                                                     o.rank, 0, o.size)))
+               .ok()) {
+        t.error = "populate failed for rank " + std::to_string(o.rank);
+        break;
+      }
+    }
+    for (uint32_t v = 1; v <= kRounds && t.error.empty(); ++v) {
+      for (Object& o : objects[home]) {
+        if (server_->Execute(home, WriteCmd(o.id, VersionedPayload(
+                                                      o.rank, v, o.size)))
+                .ok()) {
+          o.acked = v;
+        } else {
+          ++t.wrong;
+        }
+        // The stack answers whole chunks: the object is their prefix.
+        std::vector<uint8_t> want = VersionedPayload(o.rank, o.acked, o.size);
+        OsdResponse rd = server_->Execute(home, ReadCmd(o.id));
+        if (!rd.ok()) {
+          ++t.misses[o.cls];
+        } else if (rd.data.size() >= want.size() &&
+                   std::equal(want.begin(), want.end(), rd.data.begin())) {
+          ++t.ok_reads;
+        } else {
+          ++t.wrong;
+        }
+        if (o.rank % 4 == 3) {
+          // LIST of the first partition names the reserved objects on
+          // every shard, so the merged answer is never empty.
+          OsdResponse listed = server_->Execute(home, list);
+          if (!listed.ok() || listed.list.empty()) ++t.wrong;
+        }
+      }
+    }
+    running.fetch_sub(1);
+  };
+
+  uint64_t polls = 0;
+  uint64_t mismatched = 0;
+  std::vector<std::thread> threads;
+  for (uint32_t h = 0; h < kHomes; ++h) threads.emplace_back(drive, h);
+  threads.emplace_back([&] {
+    while (running.load() > 0) {
+      MetricSnapshot snap = server_->MergedStats();
+      const auto* forwarded = snap.Find("server.forwarded");
+      const auto* executed = snap.Find("server.forward_executed");
+      if (forwarded == nullptr || executed == nullptr ||
+          forwarded->value != executed->value) {
+        ++mismatched;
+      }
+      ++polls;
+      // Each poll holds every shard lock; leave the homes room to run.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  for (std::thread& th : threads) th.join();
+
+  uint64_t ok_reads = 0;
+  for (uint32_t h = 0; h < kHomes; ++h) {
+    const Tally& t = tallies[h];
+    EXPECT_EQ(t.error, "") << "home " << h;
+    EXPECT_EQ(t.wrong, 0u) << "home " << h;
+    for (int cls = 0; cls < 3; ++cls) {
+      EXPECT_EQ(t.misses[cls], 0u) << "home " << h << " class " << cls;
+    }
+    ok_reads += t.ok_reads;
+  }
+  EXPECT_GT(ok_reads, kHomes * kObjects * kRounds / 2);
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(mismatched, 0u) << "of " << polls << " MergedStats polls";
+
+  EXPECT_GT(MergedCounter("server.forwarded"), 0.0);
+  EXPECT_EQ(MergedCounter("server.forwarded"),
+            MergedCounter("server.forward_executed"));
+  EXPECT_EQ(MergedCounter("fault.crc_unrepaired"), 0.0);
 }
 
 }  // namespace

@@ -231,7 +231,13 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--host")) {
       host = next();
     } else if (!std::strcmp(argv[i], "--port")) {
-      port = static_cast<uint16_t>(std::strtoul(next(), nullptr, 10));
+      const char* v = next();
+      std::optional<uint16_t> parsed = ParsePort(v);
+      if (!parsed) {
+        std::fprintf(stderr, "--port wants 0-65535, got %s\n", v);
+        return 2;
+      }
+      port = *parsed;
     } else if (!std::strcmp(argv[i], "--port-file")) {
       port_file = next();
     } else if (!std::strcmp(argv[i], "--endpoints")) {
@@ -289,7 +295,13 @@ int main(int argc, char** argv) {
                      text.status().to_string().c_str());
         return 2;
       }
-      port = static_cast<uint16_t>(std::strtoul(text->c_str(), nullptr, 10));
+      std::optional<uint16_t> parsed = ParsePort(*text);
+      if (!parsed) {
+        std::fprintf(stderr, "--port-file %s holds no port 0-65535\n",
+                     port_file.c_str());
+        return 2;
+      }
+      port = *parsed;
     }
     if (port == 0) {
       std::fprintf(stderr, "need --port, --port-file, or --endpoints\n");

@@ -451,7 +451,6 @@ Status Populate(const Options& opt, std::vector<uint32_t>* acked_ranks) {
 ClusterInitiatorConfig ClusterConfigFor(const Options& opt, uint64_t salt) {
   ClusterInitiatorConfig cfg;
   cfg.session.receive_timeout_ms = 15000;
-  cfg.session.retry_backoff_ms = 20;
   cfg.session.seed = opt.seed + salt;
   return cfg;
 }
@@ -780,7 +779,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (!std::strcmp(argv[i], "--host")) opt.host = next();
-    else if (!std::strcmp(argv[i], "--port")) opt.port = static_cast<uint16_t>(std::strtoul(next(), nullptr, 10));
+    else if (!std::strcmp(argv[i], "--port")) {
+      const char* v = next();
+      std::optional<uint16_t> port = ParsePort(v);
+      if (!port) {
+        std::fprintf(stderr, "--port wants 0-65535, got %s\n", v);
+        return 2;
+      }
+      opt.port = *port;
+    }
     else if (!std::strcmp(argv[i], "--connections")) opt.connections = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--requests")) opt.requests = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--write-ratio")) opt.write_ratio = std::atof(next());
