@@ -8,26 +8,15 @@
 // flash writes by >= 30% while staying within 1 point of the admit-all
 // hit ratio. The bench exits nonzero if no swept configuration achieves
 // that, so CI can hold the line.
-#include <sys/resource.h>
-
 #include <algorithm>
-#include <cstring>
 
 #include "common/units.h"
 #include "figure_common.h"
-#include "telemetry/bench_json.h"
 
 using namespace reo;
 using namespace reo::bench;
 
 namespace {
-
-double CpuSeconds() {
-  rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
-  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
-         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6;
-}
 
 double Metric(const RunReport& r, const std::string& name) {
   const auto* e = r.telemetry.Find(name);
@@ -53,19 +42,13 @@ double WritesPerOp(const RunReport& r, size_t num_devices) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --bench-out PATH: emit a BENCH_serve.json report (bench_json.h) for
-  // the flashiness run at the middle DRAM budget, same schema as
-  // reo_loadgen / openloop_latency, so bench_validate can lint it.
-  const char* bench_out = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--bench-out") && i + 1 < argc) {
-      bench_out = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown flag %s (admit_sweep takes --bench-out)\n",
-                   argv[i]);
-      return 2;
-    }
-  }
+  std::string bench_out;
+  FlagSet flags;
+  flags.String("--bench-out", "PATH",
+               "also write the BENCH_serve.json report of the\n"
+               "flashiness run at the middle DRAM budget",
+               &bench_out);
+  flags.ParseOrExit(argc, argv);
 
   MediSynConfig wl = MediumLocalityConfig();
   wl.num_requests = 20000;  // trimmed sweep; shapes are stable
@@ -152,7 +135,7 @@ int main(int argc, char** argv) {
       double dram_hit =
           dram_total > 0 ? Metric(r, "dram.hits") / dram_total * 100 : 0.0;
       double delta = all_wpo > 0 ? (wpo - all_wpo) / all_wpo * 100 : 0.0;
-      char dram_label[16], delta_label[16];
+      char dram_label[32], delta_label[16];
       std::snprintf(dram_label, sizeof(dram_label), "%lluKiB",
                     static_cast<unsigned long long>(dram_bytes / kKiB));
       std::snprintf(delta_label, sizeof(delta_label), "%+.1f%%", delta);
@@ -168,39 +151,16 @@ int main(int argc, char** argv) {
         acceptance_met = true;
       }
 
-      if (bench_out != nullptr && fi == report_idx &&
+      if (!bench_out.empty() && fi == report_idx &&
           policy == AdmissionPolicyKind::kFlashiness) {
-        const WindowMetrics& m = r.total;
-        BenchServeReport report;
-        report.bench = "admit_sweep";
         char desc[120];
         std::snprintf(desc, sizeof(desc),
                       "medium workload, cache 10%%, Reo-20%%, dram %s,"
                       " admission flashiness (simulated)",
                       dram_label);
-        report.workload = desc;
-        report.ops = m.requests;
-        report.wall_seconds = ToSec(m.end - m.start);  // simulated time
-        report.cpu_seconds = CpuSeconds() - cpu_before;
-        report.throughput_ops_per_sec =
-            report.wall_seconds > 0
-                ? static_cast<double>(m.requests) / report.wall_seconds
-                : 0.0;
-        report.p50_us = m.latency_us.Percentile(0.50);
-        report.p99_us = m.latency_us.Percentile(0.99);
-        report.p999_us = m.latency_us.Percentile(0.999);
-        report.bytes_per_op =
-            m.requests > 0 ? static_cast<double>(m.bytes) /
-                                 static_cast<double>(m.requests)
-                           : 0.0;
-        report.allocs_per_op = -1.0;  // not measured in the simulator
-        Status wf = WriteBenchServeJson(bench_out, report);
-        if (!wf.ok()) {
-          std::fprintf(stderr, "bench report write failed: %s\n",
-                       wf.to_string().c_str());
-          return 1;
-        }
-        std::printf("  [report -> %s]\n", bench_out);
+        WriteSimulatedReport(bench_out, "admit_sweep", desc, r.total,
+                             CpuSeconds() - cpu_before);
+        std::printf("  [report -> %s]\n", bench_out.c_str());
       }
     }
   }

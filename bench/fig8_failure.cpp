@@ -17,10 +17,10 @@ int main(int argc, char** argv) {
   std::printf("Fig 8: device failures at requests 10k/20k/30k/40k "
               "(medium workload, cache 10%%, 1 MiB chunks)\n");
 
-  const std::vector<FailureEvent> kFailures = {{.at_request = 10000, .device = 0},
-                                               {.at_request = 20000, .device = 1},
-                                               {.at_request = 30000, .device = 2},
-                                               {.at_request = 40000, .device = 3}};
+  const std::vector<DeviceEvent> kFailures = {{.at_request = 10000, .device = 0},
+                                              {.at_request = 20000, .device = 1},
+                                              {.at_request = 30000, .device = 2},
+                                              {.at_request = 40000, .device = 3}};
 
   // Main panels: live system (cache keeps admitting on the survivors).
   std::vector<std::vector<WindowMetrics>> phases(configs.size());

@@ -6,14 +6,19 @@
 // the *shapes* are the reproduction target (see EXPERIMENTS.md).
 #pragma once
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/file_util.h"
+#include "common/flags.h"
 #include "sim/cache_simulator.h"
+#include "telemetry/bench_json.h"
 #include "trace/chrome_trace.h"
 #include "workload/medisyn.h"
 
@@ -41,10 +46,16 @@ inline std::vector<Config> PaperConfigs() {
 /// Data-plane scale shift for benches: 1:128 by default, overridable with
 /// REO_SCALE_SHIFT (0 = full-size payloads; slower, more memory).
 inline uint32_t BenchScaleShift() {
-  if (const char* env = std::getenv("REO_SCALE_SHIFT")) {
-    return static_cast<uint32_t>(std::strtoul(env, nullptr, 10));
+  const char* env = std::getenv("REO_SCALE_SHIFT");
+  if (env == nullptr) return 7;
+  std::optional<uint64_t> shift = ParseUint(env, 0, kMaxScaleShift);
+  if (!shift) {
+    std::string range = "an integer in 0.." + std::to_string(kMaxScaleShift);
+    std::fprintf(stderr, "REO_SCALE_SHIFT %s\n",
+                 FlagSet::Wants(range, env).c_str());
+    std::exit(2);
   }
-  return 7;
+  return static_cast<uint32_t>(*shift);
 }
 
 /// Prints one run's end-of-run telemetry snapshot (per-class cache
@@ -70,28 +81,57 @@ struct TraceArgs {
 
 inline TraceArgs ParseTraceArgs(int argc, char** argv) {
   TraceArgs args;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--trace-out")) {
-      args.trace_out = next();
-    } else if (!std::strcmp(argv[i], "--events-out")) {
-      args.events_out = next();
-    } else if (!std::strcmp(argv[i], "--trace-sample")) {
-      args.sample_every = std::strtoull(next(), nullptr, 10);
-      if (args.sample_every == 0) args.sample_every = 1;
-    } else {
-      std::fprintf(stderr, "unknown flag %s (figure benches take "
-                   "--trace-out/--events-out/--trace-sample)\n", argv[i]);
-      std::exit(2);
-    }
-  }
+  FlagSet flags;
+  flags.String("--trace-out", "PATH",
+               "write a Chrome/Perfetto trace JSON of one run",
+               &args.trace_out);
+  flags.String("--events-out", "PATH",
+               "write that run's event log + recovery timeline",
+               &args.events_out);
+  flags.Uint("--trace-sample", "N", "trace 1 in N requests (default 1)",
+             &args.sample_every, {.min = 1});
+  flags.ParseOrExit(argc, argv);
   return args;
+}
+
+/// user+system CPU seconds this process has used.
+inline double CpuSeconds() {
+  rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6;
+}
+
+/// What a simulator bench's --bench-out writes: one run's BENCH_serve.json
+/// report (bench_json.h), the same schema as reo_loadgen's, so
+/// bench_validate lints both. Wall time is simulated time. Exits 1 if the
+/// write fails.
+inline void WriteSimulatedReport(const std::string& path, const char* bench,
+                                 const std::string& workload,
+                                 const WindowMetrics& m, double cpu_seconds) {
+  BenchServeReport report;
+  report.bench = bench;
+  report.workload = workload;
+  report.ops = m.requests;
+  report.wall_seconds = ToSec(m.end - m.start);
+  report.cpu_seconds = cpu_seconds;
+  report.throughput_ops_per_sec =
+      report.wall_seconds > 0
+          ? static_cast<double>(m.requests) / report.wall_seconds
+          : 0.0;
+  report.p50_us = m.latency_us.Percentile(0.50);
+  report.p99_us = m.latency_us.Percentile(0.99);
+  report.p999_us = m.latency_us.Percentile(0.999);
+  report.bytes_per_op = m.requests > 0 ? static_cast<double>(m.bytes) /
+                                             static_cast<double>(m.requests)
+                                       : 0.0;
+  report.allocs_per_op = -1.0;  // not measured in the simulator
+  Status wf = WriteBenchServeJson(path, report);
+  if (!wf.ok()) {
+    std::fprintf(stderr, "bench report write failed: %s\n",
+                 wf.to_string().c_str());
+    std::exit(1);
+  }
 }
 
 inline void ApplyTracing(SimulationConfig& sim, const TraceArgs& args) {

@@ -5,37 +5,19 @@
 // increasing request rates and reports mean and p99 latency for Reo-20%
 // and the 1-parity baseline — showing where each saturates (the knee sits
 // at the policy's effective throughput, which tracks its hit ratio).
-#include <sys/resource.h>
-
-#include <cstring>
-
 #include "figure_common.h"
-#include "telemetry/bench_json.h"
 
 using namespace reo;
 using namespace reo::bench;
 
-namespace {
-
-double CpuSeconds() {
-  rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
-  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
-         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  // --bench-out PATH: also emit a BENCH_serve.json report (bench_json.h)
-  // for the Reo-20% run at the reference offered load, so CI can validate
-  // the simulator serving path with the same schema as reo_loadgen.
-  const char* bench_out = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--bench-out") && i + 1 < argc) {
-      bench_out = argv[++i];
-    }
-  }
+  std::string bench_out;
+  FlagSet flags;
+  flags.String("--bench-out", "PATH",
+               "also write the BENCH_serve.json report of the Reo-20%\n"
+               "run at the reference offered load",
+               &bench_out);
+  flags.ParseOrExit(argc, argv);
 
   MediSynConfig wl = MediumLocalityConfig();
   wl.num_requests = 20000;
@@ -71,39 +53,16 @@ int main(int argc, char** argv) {
       auto r = s.Run();
       std::printf("  %14.1f / %-10.1f", r.total.AvgLatencyMs(),
                   r.total.P99LatencyMs());
-      if (bench_out != nullptr && gap_ms == kReportGapMs &&
+      if (!bench_out.empty() && gap_ms == kReportGapMs &&
           cfg.mode == ProtectionMode::kReo) {
-        const WindowMetrics& m = r.total;
-        BenchServeReport report;
-        report.bench = "openloop_latency";
         char desc[120];
         std::snprintf(desc, sizeof(desc),
                       "medium workload, cache 10%%, Reo-20%%, offered "
                       "%.1f r/s (simulated)",
                       offered_rps);
-        report.workload = desc;
-        report.ops = m.requests;
-        report.wall_seconds = ToSec(m.end - m.start);  // simulated time
-        report.cpu_seconds = CpuSeconds() - cpu_before;
-        report.throughput_ops_per_sec =
-            report.wall_seconds > 0
-                ? static_cast<double>(m.requests) / report.wall_seconds
-                : 0.0;
-        report.p50_us = m.latency_us.Percentile(0.50);
-        report.p99_us = m.latency_us.Percentile(0.99);
-        report.p999_us = m.latency_us.Percentile(0.999);
-        report.bytes_per_op =
-            m.requests > 0 ? static_cast<double>(m.bytes) /
-                                 static_cast<double>(m.requests)
-                           : 0.0;
-        report.allocs_per_op = -1.0;  // not measured in the simulator
-        Status wf = WriteBenchServeJson(bench_out, report);
-        if (!wf.ok()) {
-          std::fprintf(stderr, "bench report write failed: %s\n",
-                       wf.to_string().c_str());
-          return 1;
-        }
-        std::printf("  [report -> %s]", bench_out);
+        WriteSimulatedReport(bench_out, "openloop_latency", desc, r.total,
+                             CpuSeconds() - cpu_before);
+        std::printf("  [report -> %s]", bench_out.c_str());
       }
     }
     std::printf("\n");

@@ -14,10 +14,11 @@
 //   reo_cli recover-stats --data-dir /var/lib/reo   # inspect a crash image
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/file_util.h"
+#include "common/flags.h"
 #include "persist/persistence.h"
 #include "sim/cache_simulator.h"
 #include "telemetry/metric_registry.h"
@@ -28,55 +29,6 @@
 using namespace reo;
 
 namespace {
-
-void Usage(const char* argv0) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --workload weak|medium|strong   built-in MediSyn preset (default medium)\n"
-      "  --trace-file PATH               load a trace file instead\n"
-      "  --save-trace PATH               write the workload to a trace file and exit\n"
-      "  --write-ratio F                 mix writes into the preset (0..1)\n"
-      "  --policy reo|0-parity|1-parity|2-parity|full-repl   (default reo)\n"
-      "  --reserve F                     Reo redundancy reserve fraction (default 0.2)\n"
-      "  --cache F                       cache size / dataset bytes (default 0.10)\n"
-      "  --chunk-kb N                    chunk size in KiB (default 64)\n"
-      "  --scale-shift N                 data-plane scale (default 7)\n"
-      "  --devices N                     flash devices (default 5)\n"
-      "  --fail REQ:DEV                  inject failure (repeatable)\n"
-      "  --spare REQ:DEV                 insert spare (repeatable)\n"
-      "  --fault-spec PATH               JSON fault-injection spec (see\n"
-      "                                  src/fault/fault_spec.h for the format)\n"
-      "  --scrub-every N                 full scrub pass every N requests\n"
-      "  --dram-mb N                     DRAM admission tier budget in MiB\n"
-      "                                  (default 0 = tier disabled)\n"
-      "  --admission all|flashiness|credit   flash-admission policy (default all)\n"
-      "  --flash-write-budget MBPS       write-credit budget in MiB/s (default 64)\n"
-      "  --failslow-demote               demote devices flagged fail-slow\n"
-      "  --warmup                        unmeasured warm-up pass first\n"
-      "  --verify                        CRC-verify every hit\n"
-      "  stats                           dump the end-of-run telemetry snapshot\n"
-      "  --stats-format json|csv         snapshot format (default json)\n"
-      "  --stats-out PATH                write the snapshot to a file (atomic)\n"
-      "  --trace-out PATH                write a Chrome/Perfetto trace JSON\n"
-      "  --events-out PATH               write the event log + recovery timeline\n"
-      "  --trace-sample N                trace 1 in N requests (default 1)\n"
-      "  --data-dir PATH                 durable cache state (data log + journal\n"
-      "                                  + checkpoints) under PATH\n"
-      "  recover-stats                   run crash recovery on --data-dir and\n"
-      "                                  print the replay report, then exit\n"
-      "  --wire                          route OSD commands over the wire transport\n"
-      "  --link-gbps F                   modeled link bandwidth in Gbit/s (default 10)\n"
-      "  --link-rtt-us F                 modeled link round-trip in microseconds (default 100)\n",
-      argv0);
-}
-
-bool ParseEvent(const char* arg, uint64_t* req, uint32_t* dev) {
-  char* end = nullptr;
-  *req = std::strtoull(arg, &end, 10);
-  if (end == nullptr || *end != ':') return false;
-  *dev = static_cast<uint32_t>(std::strtoul(end + 1, &end, 10));
-  return end != nullptr && *end == '\0';
-}
 
 /// `recover-stats`: runs crash recovery against a data dir and reports what
 /// replay found — straight from the persist.* metrics the manager publishes.
@@ -126,145 +78,142 @@ int RecoverStats(const PersistenceConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string workload = "medium";
+  MediSynConfig workload = MediumLocalityConfig();
   std::string trace_file, save_trace;
   bool recover_stats = false;
   bool dump_stats = false;
-  std::string stats_format = "json";
+  bool csv = false;
   std::string stats_out, trace_out, events_out;
-  double write_ratio = -1.0;
+  double write_ratio = 0.0;
   SimulationConfig cfg;
   cfg.policy = {.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.2};
   cfg.cache_fraction = 0.10;
   cfg.chunk_logical_bytes = 64 * 1024;
   cfg.scale_shift = 7;
 
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
+  // --fail / --spare REQ:DEV; the device is checked against --devices once
+  // every flag is in.
+  auto device_event = [](std::vector<DeviceEvent>* out) -> FlagSet::Parser {
+    return [out](std::string_view v) {
+      size_t colon = v.find(':');
+      std::optional<uint64_t> req = ParseUint(v.substr(0, colon));
+      std::optional<uint64_t> dev = ParseUint(
+          colon == v.npos ? "" : v.substr(colon + 1), 0, kMaxDevices - 1);
+      if (!req || !dev) return FlagSet::Wants("REQ:DEV, two integers", v);
+      out->push_back({*req, static_cast<DeviceIndex>(*dev)});
+      return std::string();
     };
-    if (!std::strcmp(argv[i], "--workload")) {
-      workload = next();
-    } else if (!std::strcmp(argv[i], "--trace-file")) {
-      trace_file = next();
-    } else if (!std::strcmp(argv[i], "--save-trace")) {
-      save_trace = next();
-    } else if (!std::strcmp(argv[i], "--write-ratio")) {
-      write_ratio = std::atof(next());
-    } else if (!std::strcmp(argv[i], "--policy")) {
-      std::string p = next();
-      if (p == "reo") cfg.policy.mode = ProtectionMode::kReo;
-      else if (p == "0-parity") cfg.policy.mode = ProtectionMode::kUniform0;
-      else if (p == "1-parity") cfg.policy.mode = ProtectionMode::kUniform1;
-      else if (p == "2-parity") cfg.policy.mode = ProtectionMode::kUniform2;
-      else if (p == "full-repl") cfg.policy.mode = ProtectionMode::kFullReplication;
-      else {
-        std::fprintf(stderr, "unknown policy %s\n", p.c_str());
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--reserve")) {
-      cfg.policy.reo_reserve_fraction = std::atof(next());
-    } else if (!std::strcmp(argv[i], "--cache")) {
-      cfg.cache_fraction = std::atof(next());
-    } else if (!std::strcmp(argv[i], "--chunk-kb")) {
-      cfg.chunk_logical_bytes = std::strtoull(next(), nullptr, 10) * 1024;
-    } else if (!std::strcmp(argv[i], "--scale-shift")) {
-      cfg.scale_shift = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--devices")) {
-      cfg.num_devices = std::strtoull(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--fail")) {
-      FailureEvent ev;
-      uint64_t req;
-      uint32_t dev;
-      if (!ParseEvent(next(), &req, &dev)) {
-        std::fprintf(stderr, "--fail expects REQ:DEV\n");
-        return 2;
-      }
-      ev.at_request = req;
-      ev.device = dev;
-      cfg.failures.push_back(ev);
-    } else if (!std::strcmp(argv[i], "--spare")) {
-      SpareEvent ev;
-      uint64_t req;
-      uint32_t dev;
-      if (!ParseEvent(next(), &req, &dev)) {
-        std::fprintf(stderr, "--spare expects REQ:DEV\n");
-        return 2;
-      }
-      ev.at_request = req;
-      ev.device = dev;
-      cfg.spares.push_back(ev);
-    } else if (!std::strcmp(argv[i], "--fault-spec")) {
-      auto spec = LoadFaultSpecFile(next());
-      if (!spec.ok()) {
-        std::fprintf(stderr, "bad fault spec: %s\n",
-                     spec.status().to_string().c_str());
-        return 2;
-      }
-      cfg.faults = std::move(*spec);
-    } else if (!std::strcmp(argv[i], "--scrub-every")) {
-      cfg.scrub_interval_requests = std::strtoull(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--dram-mb")) {
-      cfg.admission.dram_bytes = std::strtoull(next(), nullptr, 10) * kMiB;
-    } else if (!std::strcmp(argv[i], "--admission")) {
-      const char* p = next();
-      if (!ParseAdmissionPolicy(p, &cfg.admission.policy)) {
-        std::fprintf(stderr, "unknown admission policy %s\n", p);
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--flash-write-budget")) {
-      cfg.admission.flash_write_budget_bps =
-          std::strtoull(next(), nullptr, 10) * kMiB;
-    } else if (!std::strcmp(argv[i], "--failslow-demote")) {
-      cfg.cache.failslow_demote = true;
-    } else if (!std::strcmp(argv[i], "recover-stats")) {
-      recover_stats = true;
-    } else if (!std::strcmp(argv[i], "--data-dir")) {
-      cfg.persistence.data_dir = next();
-    } else if (!std::strcmp(argv[i], "stats") || !std::strcmp(argv[i], "--stats")) {
-      dump_stats = true;
-    } else if (!std::strcmp(argv[i], "--stats-format")) {
-      stats_format = next();
-      if (stats_format != "json" && stats_format != "csv") {
-        std::fprintf(stderr, "--stats-format expects json or csv\n");
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--stats-out")) {
-      stats_out = next();
-      dump_stats = true;
-    } else if (!std::strcmp(argv[i], "--trace-out")) {
-      trace_out = next();
-      cfg.enable_tracing = true;
-    } else if (!std::strcmp(argv[i], "--events-out")) {
-      events_out = next();
-      cfg.enable_tracing = true;
-    } else if (!std::strcmp(argv[i], "--trace-sample")) {
-      cfg.tracer.sample_every = std::strtoull(next(), nullptr, 10);
-      if (cfg.tracer.sample_every == 0) cfg.tracer.sample_every = 1;
-    } else if (!std::strcmp(argv[i], "--wire")) {
-      cfg.wire_transport = true;
-    } else if (!std::strcmp(argv[i], "--link-gbps")) {
-      cfg.net.gbps = std::atof(next());
-      if (cfg.net.gbps <= 0) {
-        std::fprintf(stderr, "--link-gbps expects a positive bandwidth\n");
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--link-rtt-us")) {
-      cfg.net.rtt_ns = static_cast<SimTime>(std::atof(next()) * kNsPerUs);
-    } else if (!std::strcmp(argv[i], "--warmup")) {
-      cfg.warmup_pass = true;
-    } else if (!std::strcmp(argv[i], "--verify")) {
-      cfg.cache.verify_hits = true;
-    } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
-      Usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      Usage(argv[0]);
+  };
+
+  FlagSet flags;
+  flags.Positional("stats|recover-stats",
+                   "stats: print the end-of-run telemetry snapshot;\n"
+                   "recover-stats: replay --data-dir, report, and exit",
+                   [&](std::string_view v) {
+                     if (v == "stats") {
+                       dump_stats = true;
+                     } else if (v == "recover-stats") {
+                       recover_stats = true;
+                     } else {
+                       return FlagSet::Wants("stats|recover-stats", v);
+                     }
+                     return std::string();
+                   },
+                   /*required=*/false);
+  flags.Choice("--workload", "weak|medium|strong",
+               "built-in MediSyn preset (default medium)", &workload,
+               [](std::string_view v, MediSynConfig* wl) {
+                 if (v == "weak") *wl = WeakLocalityConfig();
+                 else if (v == "medium") *wl = MediumLocalityConfig();
+                 else if (v == "strong") *wl = StrongLocalityConfig();
+                 else return false;
+                 return true;
+               });
+  flags.String("--trace-file", "PATH", "load a trace file instead",
+               &trace_file);
+  flags.String("--save-trace", "PATH",
+               "write the workload to a trace file and exit", &save_trace);
+  flags.Real("--write-ratio", "F", "mix writes into the preset", &write_ratio,
+             0.0, 1.0);
+  flags.Choice("--policy", "reo|0-parity|1-parity|2-parity|full-repl",
+               "protection policy (default reo)", &cfg.policy.mode,
+               ParseProtectionMode);
+  flags.Real("--reserve", "F", "Reo redundancy reserve fraction (default 0.2)",
+             &cfg.policy.reo_reserve_fraction, 0.0, 1.0);
+  flags.Real("--cache", "F", "cache size / dataset bytes (default 0.10)",
+             &cfg.cache_fraction, 0.0, 1.0);
+  flags.Uint("--chunk-kb", "N", "chunk size in KiB (default 64)",
+             &cfg.chunk_logical_bytes, {.min = 1, .unit = kKiB});
+  flags.Uint("--scale-shift", "N", "data-plane scale (default 7)",
+             &cfg.scale_shift, {.max = kMaxScaleShift});
+  flags.Uint("--devices", "N", "flash devices (default 5)", &cfg.num_devices,
+             {.min = 1, .max = kMaxDevices});
+  flags.Value("--fail", "REQ:DEV", "inject failure (repeatable)",
+              device_event(&cfg.failures), /*repeatable=*/true);
+  flags.Value("--spare", "REQ:DEV", "insert spare (repeatable)",
+              device_event(&cfg.spares), /*repeatable=*/true);
+  flags.Value("--fault-spec", "PATH",
+              "JSON fault-injection spec (src/fault/fault_spec.h)",
+              FaultSpecFlag(&cfg.faults));
+  flags.Uint("--scrub-every", "N", "full scrub pass every N requests",
+             &cfg.scrub_interval_requests);
+  flags.Uint("--dram-mb", "N",
+             "DRAM admission tier in MiB (default 0: off)",
+             &cfg.admission.dram_bytes, {.unit = kMiB});
+  flags.Choice("--admission", "all|flashiness|credit",
+               "flash-admission policy (default all)", &cfg.admission.policy,
+               ParseAdmissionPolicy);
+  flags.Uint("--flash-write-budget", "MBPS",
+             "write-credit budget in MiB/s (default 64)",
+             &cfg.admission.flash_write_budget_bps, {.unit = kMiB});
+  flags.Switch("--failslow-demote", "demote devices flagged fail-slow",
+               &cfg.cache.failslow_demote);
+  flags.Switch("--warmup", "unmeasured warm-up pass first", &cfg.warmup_pass);
+  flags.Switch("--verify", "CRC-verify every hit", &cfg.cache.verify_hits);
+  flags.Switch("--stats", "same as stats", &dump_stats);
+  flags.Choice("--stats-format", "json|csv", "snapshot format (default json)",
+               &csv, [](std::string_view v, bool* is_csv) {
+                 *is_csv = v == "csv";
+                 return v == "json" || v == "csv";
+               });
+  flags.String("--stats-out", "PATH",
+               "write the snapshot to a file (atomic); implies stats",
+               &stats_out);
+  flags.String("--trace-out", "PATH", "write a Chrome/Perfetto trace JSON",
+               &trace_out);
+  flags.String("--events-out", "PATH",
+               "write the event log + recovery timeline", &events_out);
+  flags.Uint("--trace-sample", "N", "trace 1 in N requests (default 1)",
+             &cfg.tracer.sample_every, {.min = 1});
+  flags.String("--data-dir", "PATH",
+               "durable state (data log, journal, checkpoints)",
+               &cfg.persistence.data_dir);
+  flags.Switch("--wire", "route OSD commands over the wire transport",
+               &cfg.wire_transport);
+  // A slower link overflows the virtual clock on large objects.
+  flags.Real("--link-gbps", "F",
+             "modeled link bandwidth in Gbit/s (default 10)", &cfg.net.gbps,
+             1e-3, std::numeric_limits<double>::max());
+  // rtt_ns, a uint64_t, must hold the value in ns.
+  double rtt_us = 0.0;
+  flags.Real("--link-rtt-us", "F",
+             "modeled link round-trip in microseconds (default 100)", &rtt_us,
+             0.0, 1e16);
+  flags.ParseOrExit(argc, argv);
+  if (flags.Given("--write-ratio")) workload.write_ratio = write_ratio;
+  if (flags.Given("--link-rtt-us")) {
+    cfg.net.rtt_ns = static_cast<SimTime>(rtt_us * kNsPerUs);
+  }
+  if (!stats_out.empty()) dump_stats = true;
+  cfg.enable_tracing = !trace_out.empty() || !events_out.empty();
+  for (auto [flag, events] : {std::pair{"--fail", &cfg.failures},
+                              std::pair{"--spare", &cfg.spares}}) {
+    for (const DeviceEvent& ev : *events) {
+      if (ev.device < cfg.num_devices) continue;
+      std::fprintf(stderr, "reo_cli: %s %llu:%u names a device that --devices"
+                   " %zu lacks\n", flag,
+                   static_cast<unsigned long long>(ev.at_request), ev.device,
+                   cfg.num_devices);
       return 2;
     }
   }
@@ -288,16 +237,7 @@ int main(int argc, char** argv) {
     }
     trace = std::move(loaded).value();
   } else {
-    MediSynConfig wl;
-    if (workload == "weak") wl = WeakLocalityConfig();
-    else if (workload == "medium") wl = MediumLocalityConfig();
-    else if (workload == "strong") wl = StrongLocalityConfig();
-    else {
-      std::fprintf(stderr, "unknown workload %s\n", workload.c_str());
-      return 2;
-    }
-    if (write_ratio >= 0.0) wl.write_ratio = write_ratio;
-    trace = GenerateMediSyn(wl);
+    trace = GenerateMediSyn(workload);
   }
 
   if (!save_trace.empty()) {
@@ -373,8 +313,8 @@ int main(int argc, char** argv) {
                 counter("failslow.flagged"), counter("failslow.demotions"));
   }
   if (dump_stats) {
-    std::string snapshot = stats_format == "csv" ? report.telemetry.ToCsv()
-                                                 : report.telemetry.ToJson();
+    std::string snapshot =
+        csv ? report.telemetry.ToCsv() : report.telemetry.ToJson();
     if (!stats_out.empty()) {
       Status st = WriteFileAtomic(stats_out, snapshot);
       if (!st.ok()) {

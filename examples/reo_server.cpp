@@ -23,16 +23,14 @@
 #include <signal.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/file_util.h"
+#include "common/flags.h"
 #include "common/units.h"
 #include "core/node_stack.h"
 #include "persist/restore.h"
-#include "server/socket_initiator.h"
 #include "shard/sharded_server.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/time_series.h"
@@ -50,62 +48,6 @@ void HandleShutdownSignal(int) {
   if (g_server != nullptr) g_server->RequestDrain();
 }
 
-void Usage(const char* argv0) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --bind ADDR          listen address (default 127.0.0.1)\n"
-      "  --port N             listen port; 0 picks an ephemeral one (default 0)\n"
-      "  --port-file PATH     write the bound port to PATH (for scripts/CI)\n"
-      "  --node-id N          cluster node identity: attaches the cluster\n"
-      "                       directory (owner hints, ADMIN OWNERS, node_id\n"
-      "                       in HEALTH) for multi-node deployments\n"
-      "                       (default: single-node, no directory)\n"
-      "  --shards N           serving shards (threads); the object space is\n"
-      "                       hash-partitioned across N independent stacks\n"
-      "                       (default 1: the single-threaded server).\n"
-      "                       Capacity and DRAM budgets are split evenly;\n"
-      "                       --devices is per shard; per-stage tracing is\n"
-      "                       only available with 1 shard\n"
-      "  --policy reo|0-parity|1-parity|2-parity|full-repl   (default reo)\n"
-      "  --reserve F          Reo redundancy reserve fraction (default 0.2)\n"
-      "  --devices N          flash devices (default 5)\n"
-      "  --capacity-mb N      cache capacity budget in MiB (default 256)\n"
-      "  --chunk-kb N         chunk size in KiB (default 64)\n"
-      "  --scale-shift N      physical payload scale (default 0: full bytes)\n"
-      "  --max-connections N  concurrent connection cap (default 1024)\n"
-      "  --idle-timeout-ms N  close idle connections (default 60000)\n"
-      "  --stats-out PATH     write the telemetry snapshot JSON on exit\n"
-      "                       (multi-shard: the merged cross-shard snapshot)\n"
-      "  --events-out PATH    write the event log text on exit\n"
-      "  --telemetry on|off   metric registration + time series + in-band\n"
-      "                       STATS/SERIES admin data (default on; off\n"
-      "                       leaves only HEALTH/EVENTS answering)\n"
-      "  --trace-sample N     trace 1 in N requests into the per-stage\n"
-      "                       latency histograms; 0 disables (default 64)\n"
-      "  --series-window-ms N time-series window width (default 1000)\n"
-      "  --series-windows N   closed windows retained (default 300)\n"
-      "  --data-dir PATH      durable cache state: data log + journal +\n"
-      "                       checkpoints under PATH; restart recovers in\n"
-      "                       class order 0->1->2->3 (default: in-memory).\n"
-      "                       With --shards N > 1, shard K journals under\n"
-      "                       PATH/shardK\n"
-      "  --fsync-batch N      group-commit fsync batch, records (default 32)\n"
-      "  --checkpoint-interval N  journal records between automatic\n"
-      "                       checkpoints (default 4096)\n"
-      "  --fault-spec PATH    JSON fault-injection spec (chaos testing; see\n"
-      "                       src/fault/fault_spec.h for the format)\n"
-      "  --dram-mb N          DRAM admission tier budget in MiB; clean\n"
-      "                       writes stage in DRAM and only graduate to\n"
-      "                       flash per the admission policy (default 0:\n"
-      "                       tier off, every write goes straight to flash)\n"
-      "  --admission P        all|flashiness|credit - policy deciding which\n"
-      "                       DRAM evictions earn a flash write (default all)\n"
-      "  --flash-write-budget N   write-credit budget for --admission\n"
-      "                       credit, MiB of flash writes per second\n"
-      "                       (default 64)\n",
-      argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -120,116 +62,93 @@ int main(int argc, char** argv) {
   uint64_t series_window_ms = 1000;
   size_t series_windows = 300;
 
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--bind")) {
-      server_cfg.bind_address = next();
-    } else if (!std::strcmp(argv[i], "--port")) {
-      const char* v = next();
-      std::optional<uint16_t> port = ParsePort(v);
-      if (!port) {
-        std::fprintf(stderr, "--port wants 0-65535, got %s\n", v);
-        return 2;
-      }
-      server_cfg.port = *port;
-    } else if (!std::strcmp(argv[i], "--port-file")) {
-      port_file = next();
-    } else if (!std::strcmp(argv[i], "--node-id")) {
-      stack_cfg.node_id =
-          static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--shards")) {
-      num_shards = std::strtoull(next(), nullptr, 10);
-      if (num_shards == 0) num_shards = 1;
-    } else if (!std::strcmp(argv[i], "--policy")) {
-      std::string p = next();
-      ProtectionMode& mode = stack_cfg.policy.mode;
-      if (p == "reo") mode = ProtectionMode::kReo;
-      else if (p == "0-parity") mode = ProtectionMode::kUniform0;
-      else if (p == "1-parity") mode = ProtectionMode::kUniform1;
-      else if (p == "2-parity") mode = ProtectionMode::kUniform2;
-      else if (p == "full-repl") mode = ProtectionMode::kFullReplication;
-      else {
-        std::fprintf(stderr, "unknown policy %s\n", p.c_str());
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--reserve")) {
-      stack_cfg.policy.reo_reserve_fraction = std::atof(next());
-    } else if (!std::strcmp(argv[i], "--devices")) {
-      stack_cfg.num_devices = std::strtoull(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--capacity-mb")) {
-      stack_cfg.capacity_bytes = std::strtoull(next(), nullptr, 10) << 20;
-    } else if (!std::strcmp(argv[i], "--chunk-kb")) {
-      stack_cfg.chunk_logical_bytes = std::strtoull(next(), nullptr, 10) * 1024;
-    } else if (!std::strcmp(argv[i], "--scale-shift")) {
-      stack_cfg.scale_shift =
-          static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--max-connections")) {
-      server_cfg.max_connections = std::strtoull(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--idle-timeout-ms")) {
-      server_cfg.idle_timeout_ms = std::strtoull(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--stats-out")) {
-      stats_out = next();
-    } else if (!std::strcmp(argv[i], "--events-out")) {
-      events_out = next();
-    } else if (!std::strcmp(argv[i], "--telemetry")) {
-      std::string v = next();
-      if (v == "on") telemetry_on = true;
-      else if (v == "off") telemetry_on = false;
-      else {
-        std::fprintf(stderr, "--telemetry wants on|off, got %s\n", v.c_str());
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--trace-sample")) {
-      trace_sample = std::strtoull(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--series-window-ms")) {
-      series_window_ms = std::strtoull(next(), nullptr, 10);
-      if (series_window_ms == 0) series_window_ms = 1;
-    } else if (!std::strcmp(argv[i], "--series-windows")) {
-      series_windows = std::strtoull(next(), nullptr, 10);
-      if (series_windows == 0) series_windows = 1;
-    } else if (!std::strcmp(argv[i], "--data-dir")) {
-      stack_cfg.persistence.data_dir = next();
-    } else if (!std::strcmp(argv[i], "--fsync-batch")) {
-      stack_cfg.persistence.fsync_batch_records =
-          std::strtoull(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--checkpoint-interval")) {
-      stack_cfg.persistence.checkpoint_interval_records =
-          std::strtoull(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--dram-mb")) {
-      stack_cfg.admission.dram_bytes =
-          std::strtoull(next(), nullptr, 10) * kMiB;
-    } else if (!std::strcmp(argv[i], "--admission")) {
-      const char* p = next();
-      if (!ParseAdmissionPolicy(p, &stack_cfg.admission.policy)) {
-        std::fprintf(stderr, "unknown admission policy %s\n", p);
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--flash-write-budget")) {
-      stack_cfg.admission.flash_write_budget_bps =
-          std::strtoull(next(), nullptr, 10) * kMiB;
-    } else if (!std::strcmp(argv[i], "--fault-spec")) {
-      auto spec = LoadFaultSpecFile(next());
-      if (!spec.ok()) {
-        std::fprintf(stderr, "bad fault spec: %s\n",
-                     spec.status().to_string().c_str());
-        return 2;
-      }
-      stack_cfg.faults = std::move(*spec);
-    } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
-      Usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      Usage(argv[0]);
-      return 2;
-    }
-  }
+  FlagSet flags;
+  flags.String("--bind", "ADDR", "listen address (default 127.0.0.1)",
+               &server_cfg.bind_address);
+  flags.Uint("--port", "N", "listen port; 0 picks an ephemeral one (default 0)",
+             &server_cfg.port);
+  flags.String("--port-file", "PATH",
+               "write the bound port to PATH (for scripts/CI)", &port_file);
+  uint32_t node_id = 0;
+  flags.Uint("--node-id", "N",
+             "cluster node identity: attaches the cluster directory\n"
+             "(owner hints, OWNERS, node_id in HEALTH); default none",
+             &node_id);
+  flags.Uint("--shards", "N",
+             "serving shards, one thread and one stack each, over a\n"
+             "hash partition of the objects; they split capacity and\n"
+             "DRAM, --devices is per shard, and per-stage tracing\n"
+             "needs 1 shard (default 1)",
+             &num_shards, {.min = 1, .max = kMaxShards});
+  flags.Choice("--policy", "reo|0-parity|1-parity|2-parity|full-repl",
+               "protection policy (default reo)", &stack_cfg.policy.mode,
+               ParseProtectionMode);
+  flags.Real("--reserve", "F", "Reo redundancy reserve fraction (default 0.2)",
+             &stack_cfg.policy.reo_reserve_fraction, 0.0, 1.0);
+  flags.Uint("--devices", "N", "flash devices (default 5)",
+             &stack_cfg.num_devices, {.min = 1, .max = kMaxDevices});
+  flags.Uint("--capacity-mb", "N", "cache capacity budget in MiB (default 256)",
+             &stack_cfg.capacity_bytes, {.unit = kMiB});
+  flags.Uint("--chunk-kb", "N", "chunk size in KiB (default 64)",
+             &stack_cfg.chunk_logical_bytes, {.min = 1, .unit = kKiB});
+  flags.Uint("--scale-shift", "N",
+             "physical payload scale (default 0: full bytes)",
+             &stack_cfg.scale_shift, {.max = kMaxScaleShift});
+  flags.Uint("--max-connections", "N",
+             "concurrent connection cap (default 1024)",
+             &server_cfg.max_connections, {.min = 1});
+  flags.Uint("--idle-timeout-ms", "N",
+             "close idle connections; 0 never (default 60000)",
+             &server_cfg.idle_timeout_ms);
+  flags.String("--stats-out", "PATH",
+               "write the telemetry snapshot JSON on exit\n"
+               "(multi-shard: the merged cross-shard snapshot)",
+               &stats_out);
+  flags.String("--events-out", "PATH", "write the event log text on exit",
+               &events_out);
+  flags.Choice("--telemetry", "on|off",
+               "metrics, time series and in-band STATS/SERIES\n"
+               "(default on; off leaves HEALTH/EVENTS)",
+               &telemetry_on, [](std::string_view v, bool* on) {
+                 *on = v == "on";
+                 return v == "on" || v == "off";
+               });
+  flags.Uint("--trace-sample", "N",
+             "trace 1 in N requests into the per-stage\n"
+             "latency histograms; 0 disables (default 64)",
+             &trace_sample);
+  flags.Uint("--series-window-ms", "N",
+             "time-series window width (default 1000)", &series_window_ms,
+             {.min = 1, .max = UINT64_MAX / 1'000'000});
+  flags.Uint("--series-windows", "N", "closed windows retained (default 300)",
+             &series_windows, {.min = 1});
+  flags.String("--data-dir", "PATH",
+               "durable state (data log, journal, checkpoints); shard K\n"
+               "of several under PATH/shardK; restart recovers in\n"
+               "class order 0->1->2->3 (default: in-memory)",
+               &stack_cfg.persistence.data_dir);
+  flags.Uint("--fsync-batch", "N",
+             "group-commit fsync batch, records (default 32)",
+             &stack_cfg.persistence.fsync_batch_records);
+  flags.Uint("--checkpoint-interval", "N",
+             "journal records between checkpoints (default 4096)",
+             &stack_cfg.persistence.checkpoint_interval_records);
+  flags.Value("--fault-spec", "PATH",
+              "JSON fault-injection spec (src/fault/fault_spec.h)",
+              FaultSpecFlag(&stack_cfg.faults));
+  flags.Uint("--dram-mb", "N",
+             "DRAM admission tier in MiB: clean writes stage there and\n"
+             "graduate to flash per --admission (default 0: off)",
+             &stack_cfg.admission.dram_bytes, {.unit = kMiB});
+  flags.Choice("--admission", "all|flashiness|credit",
+               "which DRAM evictions earn a flash write (default all)",
+               &stack_cfg.admission.policy, ParseAdmissionPolicy);
+  flags.Uint("--flash-write-budget", "N",
+             "--admission credit's budget, MiB of flash writes per\n"
+             "second (default 64)",
+             &stack_cfg.admission.flash_write_budget_bps, {.unit = kMiB});
+  flags.ParseOrExit(argc, argv);
+  if (flags.Given("--node-id")) stack_cfg.node_id = node_id;
 
   // Per-stage tracing assumes a single-threaded stack; with shards it
   // would need one tracer per shard and per-shard span merge. Off for now.

@@ -16,6 +16,8 @@ uint64_t ChunkCount(uint64_t logical, uint64_t chunk_logical) {
 StripeManager::StripeManager(FlashArray& array, StripeManagerConfig config)
     : array_(array), config_(config) {
   REO_CHECK(config_.chunk_logical_bytes > 0);
+  REO_CHECK(config_.scale_shift <= kMaxScaleShift);
+  REO_CHECK(array_.size() <= kMaxDevices);
   chunk_physical_ =
       std::max<uint64_t>(config_.chunk_logical_bytes >> config_.scale_shift,
                          kMinPhysicalChunk);

@@ -42,6 +42,12 @@ enum class ParityPlacement : uint8_t {
   kAgeSkewed,
 };
 
+/// Most devices a stripe spans: stripes run across every healthy device,
+/// and a GF(256) Reed-Solomon stripe holds at most 255 chunks (rs_code.h).
+inline constexpr size_t kMaxDevices = 255;
+/// Largest physical scale: the shift applies to a 64-bit byte count.
+inline constexpr uint32_t kMaxScaleShift = 63;
+
 struct StripeManagerConfig {
   /// Logical bytes per chunk (64 KiB in Figs 5–7/9; 1 MiB in Fig 8).
   uint64_t chunk_logical_bytes = 64 * 1024;

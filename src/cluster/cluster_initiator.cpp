@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "common/file_util.h"
 #include "osd/command_placement.h"
 #include "osd/control_protocol.h"
 
@@ -39,6 +40,30 @@ std::vector<ClusterEndpoint> ParseClusterEndpoints(const std::string& list) {
     pos = comma + 1;
   }
   return out;
+}
+
+Result<std::vector<ClusterEndpoint>> ResolveEndpoints(
+    const std::string& endpoints, const std::string& host, uint16_t port,
+    const std::string& port_file) {
+  auto invalid = [](std::string message) {
+    return Status(ErrorCode::kInvalidArgument, std::move(message));
+  };
+  if (!endpoints.empty()) {
+    std::vector<ClusterEndpoint> list = ParseClusterEndpoints(endpoints);
+    if (list.empty()) return invalid("bad --endpoints list: " + endpoints);
+    return list;
+  }
+  if (!port_file.empty()) {
+    auto text = ReadFileToString(port_file);
+    if (!text.ok()) return invalid("port file: " + text.status().to_string());
+    std::optional<uint16_t> parsed = ParsePort(*text);
+    if (!parsed) {
+      return invalid("--port-file " + port_file + " holds no port 0-65535");
+    }
+    port = *parsed;
+  }
+  if (port == 0) return invalid("need --port, --port-file, or --endpoints");
+  return std::vector<ClusterEndpoint>{{host, port}};
 }
 
 ClusterInitiator::ClusterInitiator(std::vector<ClusterEndpoint> endpoints,

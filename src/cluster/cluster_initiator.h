@@ -48,6 +48,14 @@ struct ClusterEndpoint {
 /// Returns an empty vector when any entry is malformed.
 std::vector<ClusterEndpoint> ParseClusterEndpoints(const std::string& list);
 
+/// The nodes a client tool addresses, from its flags: every member of the
+/// `endpoints` list when it is set, else `host` at the port read from
+/// `port_file` when that is set, else `host` at `port`. kInvalidArgument
+/// for a malformed list or port file, an unreadable port file, or port 0.
+Result<std::vector<ClusterEndpoint>> ResolveEndpoints(
+    const std::string& endpoints, const std::string& host, uint16_t port,
+    const std::string& port_file);
+
 struct ClusterInitiatorConfig {
   HashRingConfig ring;
   NodeHealthConfig health;

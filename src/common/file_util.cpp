@@ -38,8 +38,9 @@ std::string TmpPathFor(const std::string& path) {
 /// (or to nothing) even though the new bytes were fsynced.
 Status SyncParentDir(const std::string& path) {
   size_t slash = path.find_last_of('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  std::string dir = slash == std::string::npos ? std::string(".")
+                    : slash == 0               ? std::string("/")
+                                               : path.substr(0, slash);
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) {
     return Status(ErrorCode::kUnavailable,

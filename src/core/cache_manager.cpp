@@ -751,6 +751,8 @@ void CacheManager::RefreshClassification(SimTime now) {
 // ---------------------------------------------------------------------------
 
 void CacheManager::OnDeviceFailure(DeviceIndex device, SimTime now) {
+  // No such device: nothing failed, so nothing to log or recover.
+  if (device >= plane_.stripes().array().size()) return;
   // Failure handling is always traced (force): it is rare and is exactly
   // what the recovery timeline exists to explain.
   RequestTrace trace(tracer_, trace_root_, TraceOp::kFailureHandling, now,
@@ -821,6 +823,7 @@ void CacheManager::OnDeviceFailure(DeviceIndex device, SimTime now) {
 }
 
 void CacheManager::OnSpareInserted(DeviceIndex device, SimTime now) {
+  if (device >= plane_.stripes().array().size()) return;  // no such slot
   RequestTrace trace(tracer_, trace_root_, TraceOp::kSpareHandling, now,
                      /*object=*/0, /*force=*/true);
   (void)plane_.stripes().array().ReplaceDevice(device);

@@ -120,11 +120,12 @@ class CacheManager {
   // --- Failure plane ---------------------------------------------------------
 
   /// Device shootdown (paper §VI.C): marks data lost, evicts unrecoverable
-  /// objects, queues recoverable ones for differentiated recovery.
+  /// objects, queues recoverable ones for differentiated recovery. An
+  /// index the array lacks does nothing.
   void OnDeviceFailure(DeviceIndex device, SimTime now);
 
   /// Spare insertion: swaps in an empty device; reconstruction will start
-  /// placing rebuilt chunks on it.
+  /// placing rebuilt chunks on it. An index the array lacks does nothing.
   void OnSpareInserted(DeviceIndex device, SimTime now);
 
   /// Drains the whole recovery queue immediately (end-of-run barrier or

@@ -4,9 +4,9 @@
 // -> (DRAM admission tier) -> OSD target, plus what hangs off it: the
 // fault injector and fail-slow detector, the durable journal, and the
 // cluster directory. reo_server builds one stack per serving shard and
-// hands the targets to ShardedServer; CacheSimulator builds one per
-// simulated shard and adds only the backend, the cache manager and the
-// wire transport on top.
+// hands the targets to ShardedServer; CacheSimulator builds one (stack 0
+// of 1) and adds only the backend, the cache manager and the wire
+// transport on top.
 //
 // A node's N stacks partition one node: stack k of N gets 1/N of the
 // capacity and DRAM budgets, reseeds its fault injector with seed + k (so

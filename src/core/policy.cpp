@@ -2,6 +2,18 @@
 
 namespace reo {
 
+bool ParseProtectionMode(std::string_view name, ProtectionMode* out) {
+  using enum ProtectionMode;
+  for (auto [cli, mode] : {std::pair{"reo", kReo}, {"0-parity", kUniform0},
+                           {"1-parity", kUniform1}, {"2-parity", kUniform2},
+                           {"full-repl", kFullReplication}}) {
+    if (name != cli) continue;
+    *out = mode;
+    return true;
+  }
+  return false;
+}
+
 RedundancyLevel RedundancyPolicy::LevelFor(DataClass cls) const {
   switch (config_.mode) {
     case ProtectionMode::kUniform0:

@@ -30,6 +30,10 @@ constexpr std::string_view to_string(ProtectionMode m) {
   return "?";
 }
 
+/// Parses "reo" / "0-parity" / "1-parity" / "2-parity" / "full-repl" (the
+/// CLI spelling). Returns false on anything else.
+bool ParseProtectionMode(std::string_view name, ProtectionMode* out);
+
 struct PolicyConfig {
   ProtectionMode mode = ProtectionMode::kReo;
   /// Reo-X%: fraction of raw flash space reserved for redundancy

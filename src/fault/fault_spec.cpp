@@ -188,4 +188,13 @@ Result<FaultSpec> LoadFaultSpecFile(const std::string& path) {
   return spec;
 }
 
+FlagSet::Parser FaultSpecFlag(FaultSpec* out) {
+  return [out](std::string_view path) {
+    auto spec = LoadFaultSpecFile(std::string(path));
+    if (!spec.ok()) return "names a bad spec: " + spec.status().to_string();
+    *out = std::move(*spec);
+    return std::string();
+  };
+}
+
 }  // namespace reo

@@ -29,6 +29,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/status.h"
 
 namespace reo {
@@ -100,5 +101,9 @@ Result<FaultSpec> ParseFaultSpec(std::string_view json);
 
 /// ParseFaultSpec over a file's contents; the path prefixes parse errors.
 Result<FaultSpec> LoadFaultSpecFile(const std::string& path);
+
+/// The parser of a flag naming a spec file (--fault-spec): loads it into
+/// *out, or rejects the flag with the load error.
+FlagSet::Parser FaultSpecFlag(FaultSpec* out);
 
 }  // namespace reo

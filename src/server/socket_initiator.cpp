@@ -12,10 +12,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <utility>
+
+#include "common/flags.h"
 
 namespace reo {
 
@@ -306,12 +307,9 @@ uint32_t ReconnectBackoffMs(const SocketInitiatorConfig& config,
 
 std::optional<uint16_t> ParsePort(std::string_view text) {
   if (text.ends_with('\n')) text.remove_suffix(1);
-  const char* end = text.data() + text.size();
-  uint16_t port = 0;
-  // Unsigned from_chars takes no sign or space and fails past 65535.
-  auto [stop, ec] = std::from_chars(text.data(), end, port);
-  if (ec != std::errc{} || stop != end) return std::nullopt;
-  return port;
+  std::optional<uint64_t> port = ParseUint(text, 0, UINT16_MAX);
+  if (!port) return std::nullopt;
+  return static_cast<uint16_t>(*port);
 }
 
 OsdResponse SocketInitiator::Roundtrip(const OsdCommand& command) {

@@ -4,7 +4,7 @@
 // The partition function is a pure hash of the (PID, OID) pair — the
 // same ObjectIdHash the in-memory indexes use — so placement is stable
 // across restarts, needs no directory state, and any party (server,
-// simulator, load generator) computes it independently and agrees.
+// benchmark replay, client) computes it independently and agrees.
 //
 // Routing is command-aware, not just id-aware, by the placement rule the
 // cluster client shares (osd/command_placement.h): a data op goes to the
@@ -20,6 +20,10 @@
 #include "osd/osd_target.h"
 
 namespace reo {
+
+/// Most shards one server runs: each is an event-loop thread, so a shard
+/// count is a thread count and gets a ceiling (ShardedServer checks it).
+inline constexpr size_t kMaxShards = 64;
 
 /// Where one command executes: a single shard, or all of them.
 struct ShardRoute {

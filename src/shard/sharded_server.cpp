@@ -296,7 +296,7 @@ class ShardWorker final : private ConnectionHost {
 ShardedServer::ShardedServer(std::span<const ServedShard> shards,
                              ShardedServerConfig config)
     : config_(std::move(config)), router_(shards.size()) {
-  REO_CHECK(!shards.empty());
+  REO_CHECK(!shards.empty() && shards.size() <= kMaxShards);
   workers_.reserve(shards.size());
   for (size_t i = 0; i < shards.size(); ++i) {
     const ServedShard& s = shards[i];

@@ -5,14 +5,20 @@
 
 namespace reo {
 
-void CacheSimulator::BuildShard(size_t index, uint64_t raw_capacity) {
-  shards_[index] = std::make_unique<ShardInstance>();
-  ShardInstance& s = *shards_[index];
+CacheSimulator::CacheSimulator(const Trace& trace, SimulationConfig config)
+    : trace_(trace), config_(std::move(config)), tracer_(config_.tracer) {
+  for (const auto* events : {&config_.failures, &config_.spares}) {
+    for (const DeviceEvent& e : *events) {
+      REO_CHECK(e.device < config_.num_devices);
+    }
+  }
+  uint64_t dataset = trace_.catalog.TotalBytes();
 
   NodeStackConfig sc;
   sc.policy = config_.policy;
   sc.num_devices = config_.num_devices;
-  sc.capacity_bytes = raw_capacity;
+  sc.capacity_bytes = static_cast<uint64_t>(config_.cache_fraction *
+                                            static_cast<double>(dataset));
   sc.chunk_logical_bytes = config_.chunk_logical_bytes;
   sc.scale_shift = config_.scale_shift;
   sc.device = config_.device;
@@ -20,70 +26,50 @@ void CacheSimulator::BuildShard(size_t index, uint64_t raw_capacity) {
   sc.faults = config_.faults;
   sc.failslow = config_.failslow;
   sc.persistence = config_.persistence;
-  NodeStackSinks sinks{.registry = &s.telemetry};
+  NodeStackSinks sinks{.registry = &telemetry_};
   if (config_.enable_tracing) {
     sinks.events = &tracer_.events();
     sinks.tracer = &tracer_;
   }
-  auto stack = NodeStack::Build(sc, index, shards_.size(), sinks);
+  auto stack = NodeStack::Build(sc, 0, 1, sinks);
   // Simulator runs treat an unopenable data dir as a configuration error;
   // the REO_CHECK keeps misconfigured benches from silently running
   // without the durability they asked for.
   REO_CHECK(stack.ok());
-  s.stack = std::move(*stack);
-  NodeStack& n = s.stack;
+  stack_ = std::move(*stack);
+  NodeStack& n = stack_;
 
-  s.backend = std::make_unique<BackendStore>(config_.hdd, config_.net);
-  if (n.injector) s.backend->AttachFaults(n.injector.get());
+  backend_ = std::make_unique<BackendStore>(config_.hdd, config_.net);
+  if (n.injector) backend_->AttachFaults(n.injector.get());
 
-  s.cache = std::make_unique<CacheManager>(*n.target, *n.plane, *s.backend,
-                                           config_.cache);
-  if (n.persist) s.cache->AttachPersistence(n.persist.get());
-  if (n.failslow) s.cache->AttachFaultDetector(n.failslow.get());
+  cache_ = std::make_unique<CacheManager>(*n.target, *n.plane, *backend_,
+                                          config_.cache);
+  if (n.persist) cache_->AttachPersistence(n.persist.get());
+  if (n.failslow) cache_->AttachFaultDetector(n.failslow.get());
   // Graduating objects classify from observed hotness, not the staged
   // cold-start guess.
-  if (n.admission) s.cache->AttachAdmission(*n.admission);
+  if (n.admission) cache_->AttachAdmission(*n.admission);
 
   if (config_.wire_transport) {
-    s.transport = std::make_unique<OsdTransport>(*n.target, config_.net);
-    s.cache->initiator_mutable().UseTransport(s.transport.get());
+    transport_ = std::make_unique<OsdTransport>(*n.target, config_.net);
+    cache_->initiator_mutable().UseTransport(transport_.get());
   }
 
   // The cache manager attaches its recovery scheduler itself.
-  s.cache->AttachTelemetry(s.telemetry);
-  if (s.transport) s.transport->AttachTelemetry(s.telemetry);
+  cache_->AttachTelemetry(telemetry_);
+  if (transport_) transport_->AttachTelemetry(telemetry_);
   if (config_.enable_tracing) {
-    // Replay is single-threaded, so every shard can share the one tracer.
-    s.cache->AttachTracing(tracer_);  // and the backend's
-    if (s.transport) s.transport->AttachTracing(tracer_);
+    cache_->AttachTracing(tracer_);  // and the backend's
+    if (transport_) transport_->AttachTracing(tracer_);
+    sim_ev_ = &tracer_.events();
   }
-}
 
-CacheSimulator::CacheSimulator(const Trace& trace, SimulationConfig config)
-    : trace_(trace),
-      config_(std::move(config)),
-      tracer_(config_.tracer),
-      router_(config_.shards == 0 ? 1 : config_.shards) {
-  uint64_t dataset = trace_.catalog.TotalBytes();
-  uint64_t raw_capacity = static_cast<uint64_t>(
-      config_.cache_fraction * static_cast<double>(dataset));
-
-  // Capacity splits evenly: each shard serves ~1/N of the dataset (hash
-  // partition), so its slice keeps the configured cache fraction.
-  shards_.resize(router_.num_shards());
-  for (size_t k = 0; k < shards_.size(); ++k) BuildShard(k, raw_capacity);
-
-  if (config_.enable_tracing) sim_ev_ = &tracer_.events();
-
-  // Register the catalog with each object's owning shard.
   for (uint32_t i = 0; i < trace_.catalog.count(); ++i) {
-    ObjectId id = ObjectCatalog::IdFor(i);
     uint64_t logical = trace_.catalog.sizes[i];
-    ShardInstance& s = *shards_[router_.ShardOf(id)];
-    s.backend->RegisterObject(id, logical,
-                              s.stack.stripes->PhysicalSize(logical));
+    backend_->RegisterObject(ObjectCatalog::IdFor(i), logical,
+                             n.stripes->PhysicalSize(logical));
   }
-  for (auto& s : shards_) s->cache->Initialize(clock_.now());
+  cache_->Initialize(clock_.now());
 }
 
 CacheSimulator::~CacheSimulator() = default;
@@ -92,9 +78,8 @@ void CacheSimulator::ReplayUnmeasured() {
   for (const Request& req : trace_.requests) {
     ObjectId id = ObjectCatalog::IdFor(req.object);
     uint64_t size = trace_.catalog.sizes[req.object];
-    CacheManager& cache = Route(id);
-    RequestResult r = req.is_write ? cache.Put(id, size, clock_.now())
-                                   : cache.Get(id, size, clock_.now());
+    RequestResult r = req.is_write ? cache_->Put(id, size, clock_.now())
+                                   : cache_->Get(id, size, clock_.now());
     clock_.Advance(r.latency);
   }
 }
@@ -115,16 +100,12 @@ RunReport CacheSimulator::Run() {
   for (uint64_t i = 0; i < trace_.requests.size(); ++i) {
     while (next_failure < config_.failures.size() &&
            config_.failures[next_failure].at_request == i) {
-      // A device failure hits every shard: the shards partition one
-      // physical array, so losing a device loses its slice everywhere.
       Emit(sim_ev_, clock_.now(), EventSeverity::kWarn, "sim.fail_injected",
            "scripted device failure",
            {{"device", std::to_string(config_.failures[next_failure].device)},
             {"request", std::to_string(i)}});
-      for (auto& s : shards_) {
-        s->cache->OnDeviceFailure(config_.failures[next_failure].device,
-                                  clock_.now());
-      }
+      cache_->OnDeviceFailure(config_.failures[next_failure].device,
+                              clock_.now());
       ++failed_so_far;
       char label[48];
       if (config_.probe_window_requests > 0) {
@@ -148,17 +129,14 @@ RunReport CacheSimulator::Run() {
            "scripted spare insertion",
            {{"device", std::to_string(config_.spares[next_spare].device)},
             {"request", std::to_string(i)}});
-      for (auto& s : shards_) {
-        s->cache->OnSpareInserted(config_.spares[next_spare].device,
-                                  clock_.now());
-      }
+      cache_->OnSpareInserted(config_.spares[next_spare].device,
+                              clock_.now());
       ++next_spare;
     }
 
     const Request& req = trace_.requests[i];
     ObjectId id = ObjectCatalog::IdFor(req.object);
     uint64_t size = trace_.catalog.sizes[req.object];
-    CacheManager& cache = Route(id);
 
     // Closed loop: the next request starts when the previous finished.
     // Open loop: it arrives on schedule and may queue behind the server.
@@ -168,8 +146,8 @@ RunReport CacheSimulator::Run() {
       arrival = measure_start + i * config_.arrival_interval_ns;
       start = std::max(arrival, server_free_);
     }
-    RequestResult r = req.is_write ? cache.Put(id, size, start)
-                                   : cache.Get(id, size, start);
+    RequestResult r = req.is_write ? cache_->Put(id, size, start)
+                                   : cache_->Get(id, size, start);
     server_free_ = start + r.latency;
     SimTime observed = server_free_ - arrival;  // includes queueing
     clock_.AdvanceTo(server_free_);
@@ -179,10 +157,8 @@ RunReport CacheSimulator::Run() {
     // still repair it (the scrub itself charges device time).
     if (config_.scrub_interval_requests > 0 &&
         (i + 1) % config_.scrub_interval_requests == 0) {
-      for (auto& s : shards_) {
-        auto scrub = s->cache->RunScrub(clock_.now());
-        server_free_ = std::max(server_free_, scrub.complete);
-      }
+      auto scrub = cache_->RunScrub(clock_.now());
+      server_free_ = std::max(server_free_, scrub.complete);
       clock_.AdvanceTo(server_free_);
     }
   }
@@ -193,43 +169,12 @@ RunReport CacheSimulator::Run() {
   report.total = metrics.total();
   report.windows = metrics.windows();
   report.dataset_bytes = trace_.catalog.TotalBytes();
-  for (auto& sp : shards_) {
-    ShardInstance& s = *sp;
-    CacheStats cs = s.cache->stats();
-    report.cache.gets += cs.gets;
-    report.cache.hits += cs.hits;
-    report.cache.misses += cs.misses;
-    report.cache.writes += cs.writes;
-    report.cache.evictions += cs.evictions;
-    report.cache.lost_evictions += cs.lost_evictions;
-    report.cache.dirty_lost += cs.dirty_lost;
-    report.cache.degraded_reads += cs.degraded_reads;
-    report.cache.rebuilds += cs.rebuilds;
-    report.cache.flushes += cs.flushes;
-    report.cache.reclassifications += cs.reclassifications;
-    report.cache.verify_failures += cs.verify_failures;
-    report.cache.uncacheable += cs.uncacheable;
-    SpaceStats ss = s.stack.stripes->Space();
-    report.space.user_bytes += ss.user_bytes;
-    report.space.redundancy_bytes += ss.redundancy_bytes;
-    report.space.capacity_bytes += ss.capacity_bytes;
-    report.space.free_bytes += ss.free_bytes;
-    OsdTargetStats os = s.stack.target->stats();
-    report.osd.commands += os.commands;
-    report.osd.reads += os.reads;
-    report.osd.read_misses += os.read_misses;
-    report.osd.writes += os.writes;
-    report.osd.control_messages += os.control_messages;
-    report.osd.degraded_reads += os.degraded_reads;
-    report.osd.sense_errors += os.sense_errors;
-    report.max_wear =
-        std::max(report.max_wear, s.stack.array->MaxWearFraction());
-    report.raw_capacity_bytes += s.stack.array->total_capacity_bytes();
-  }
-  std::vector<const MetricRegistry*> regs;
-  regs.reserve(shards_.size());
-  for (auto& s : shards_) regs.push_back(&s->telemetry);
-  report.telemetry = MetricRegistry::Merged(regs);
+  report.cache = cache_->stats();
+  report.space = stack_.stripes->Space();
+  report.osd = stack_.target->stats();
+  report.max_wear = stack_.array->MaxWearFraction();
+  report.raw_capacity_bytes = stack_.array->total_capacity_bytes();
+  report.telemetry = telemetry_.Snapshot();
   report.trace = tracer_.Stats();
   return report;
 }

@@ -6,14 +6,6 @@
 // wire transport — replays a trace closed-loop, injects device failures /
 // spare insertions at scripted request indices (paper §VI.C), and reports
 // the paper's metrics.
-//
-// With `shards` > 1 the simulator models the sharded server: the object
-// space is hash-partitioned (ShardRouter) across N independent stacks —
-// each with its own flash array, data plane, cache manager, and backend —
-// and the replay routes every request to its object's shard. Replay stays
-// single-threaded under the one virtual clock (the simulator measures
-// cache behavior, not thread scaling), so runs remain deterministic.
-// `shards = 1` is byte-identical to the pre-sharding simulator.
 #pragma once
 
 #include <memory>
@@ -24,7 +16,6 @@
 #include "core/cache_manager.h"
 #include "core/node_stack.h"
 #include "osd/transport.h"
-#include "shard/shard_router.h"
 #include "sim/metrics.h"
 #include "telemetry/metric_registry.h"
 #include "trace/tracer.h"
@@ -32,15 +23,9 @@
 
 namespace reo {
 
-/// Scripted fault events, by request index within the measured run.
-/// With shards > 1 a failure/spare fans out: device `device` fails in
-/// EVERY shard's array (the shards model one physical array partitioned
-/// logically, so a device loss touches every shard's slice).
-struct FailureEvent {
-  uint64_t at_request = 0;
-  DeviceIndex device = 0;
-};
-struct SpareEvent {
+/// A scripted device failure or spare insertion, by request index within
+/// the measured run. It names a device of the array (< num_devices).
+struct DeviceEvent {
   uint64_t at_request = 0;
   DeviceIndex device = 0;
 };
@@ -57,11 +42,6 @@ struct SimulationConfig {
   /// paper-scale benches.
   uint32_t scale_shift = 6;
 
-  /// Serving shards (DESIGN.md "Sharded serving"). Each shard is an
-  /// independent stack over its hash slice of the object space; capacity
-  /// and DRAM budgets split evenly. 1 = the classic single-stack run.
-  size_t shards = 1;
-
   // Device / backend models.
   FlashDeviceConfig device;      ///< capacity_bytes is overridden
   HddConfig hdd;
@@ -71,8 +51,8 @@ struct SimulationConfig {
   CacheManagerConfig cache{.verify_hits = false};
 
   // Fault schedule.
-  std::vector<FailureEvent> failures;
-  std::vector<SpareEvent> spares;
+  std::vector<DeviceEvent> failures;
+  std::vector<DeviceEvent> spares;
 
   /// Replay the full trace once, unmeasured, before the measured pass
   /// ("we first fully warm up the cache", §VI.C).
@@ -104,7 +84,6 @@ struct SimulationConfig {
   /// Durable cache state (DESIGN.md "Persistence & restart recovery").
   /// The default (empty data_dir) is the null backend: no files are
   /// touched and the run is byte-identical to the in-memory simulator.
-  /// With shards > 1, shard K journals under data_dir/shardK.
   PersistenceConfig persistence;
 
   // Fault injection (DESIGN.md "Fault model & partial-failure handling").
@@ -122,9 +101,7 @@ struct SimulationConfig {
   AdmissionConfig admission;
 };
 
-/// Everything a bench/test needs from one run. With shards > 1 every
-/// counter below is the sum across shards, max_wear the max, and
-/// `telemetry` the bucket-level cross-shard merge (MetricRegistry::Merged).
+/// Everything a bench/test needs from one run.
 struct RunReport {
   std::string name;
   WindowMetrics total;
@@ -145,7 +122,8 @@ struct RunReport {
 /// Owns one fully wired system instance and replays one trace through it.
 class CacheSimulator {
  public:
-  /// @param trace must outlive the simulator.
+  /// @param trace must outlive the simulator. Every scripted failure and
+  /// spare must name a device of the array.
   CacheSimulator(const Trace& trace, SimulationConfig config);
   ~CacheSimulator();
 
@@ -155,41 +133,31 @@ class CacheSimulator {
   /// Replays the trace (optionally after a warm-up pass) and reports.
   RunReport Run();
 
-  /// Component access for integration tests and examples: shard `k`'s
-  /// cache manager and serving stack (faults, journal and admission tier
-  /// are null unless configured).
-  CacheManager& cache(size_t k = 0) { return *shards_[k]->cache; }
-  NodeStack& stack(size_t k = 0) { return shards_[k]->stack; }
-  size_t shard_count() const { return shards_.size(); }
+  /// Component access for integration tests and examples: the cache
+  /// manager and the serving stack (faults, journal and admission tier are
+  /// null unless configured).
+  CacheManager& cache() { return *cache_; }
+  NodeStack& stack() { return stack_; }
   /// Tracing sink (spans + event log). Inert unless `enable_tracing`;
   /// export with ChromeTraceJson / TraceReportText after Run().
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
 
  private:
-  /// One shard: the serving stack plus what only the simulator adds.
-  /// Declaration order is destruction-safe (registry before the
-  /// components that cache pointers into it).
-  struct ShardInstance {
-    MetricRegistry telemetry;
-    NodeStack stack;
-    std::unique_ptr<OsdTransport> transport;  ///< only when wire_transport
-    std::unique_ptr<BackendStore> backend;
-    std::unique_ptr<CacheManager> cache;
-  };
-
-  void BuildShard(size_t index, uint64_t raw_capacity);
   void ReplayUnmeasured();
-  CacheManager& Route(ObjectId id) {
-    return *shards_[router_.ShardOf(id)]->cache;
-  }
 
   const Trace& trace_;
   SimulationConfig config_;
 
+  // The serving stack plus what only the simulator adds. Declaration order
+  // is destruction-safe (tracer and registry before the components that
+  // cache pointers into them).
   Tracer tracer_;
-  ShardRouter router_;
-  std::vector<std::unique_ptr<ShardInstance>> shards_;
+  MetricRegistry telemetry_;
+  NodeStack stack_;
+  std::unique_ptr<OsdTransport> transport_;  ///< only when wire_transport
+  std::unique_ptr<BackendStore> backend_;
+  std::unique_ptr<CacheManager> cache_;
   /// Event sink for the injection script ("sim.*"); null when tracing off.
   EventLog* sim_ev_ = nullptr;
   SimClock clock_;

@@ -23,9 +23,11 @@ std::string Us(SimTime t) {
 std::string TrackName(const SpanRecorder& rec) {
   std::string name(to_string(rec.component()));
   if (rec.component() == TraceComponent::kFlashDevice) {
-    name += ".dev" + std::to_string(rec.instance());
+    name += ".dev";
+    name += std::to_string(rec.instance());
   } else if (rec.instance() != 0) {
-    name += "." + std::to_string(rec.instance());
+    name += '.';
+    name += std::to_string(rec.instance());
   }
   return name;
 }

@@ -364,6 +364,22 @@ TEST(CacheManagerTest, UniformHasNoRepairOnRead) {
   EXPECT_FALSE(fx.Get(1).degraded);
 }
 
+TEST(CacheManagerTest, DeviceEventsOutsideTheArrayDoNothing) {
+  CacheFixture fx(ProtectionMode::kUniform1);
+  Tracer tracer;
+  fx.cache->AttachTracing(tracer);
+  fx.Register(1, 8 * kChunk);
+  fx.Get(1);
+  size_t events = tracer.events().size();
+  // The array has devices 0-4: neither call may log, fail or rebuild.
+  fx.cache->OnDeviceFailure(5, fx.clock.now());
+  fx.cache->OnSpareInserted(99, fx.clock.now());
+  EXPECT_EQ(tracer.events().size(), events);
+  EXPECT_EQ(fx.array->healthy_count(), 5u);
+  EXPECT_FALSE(fx.cache->recovery_active());
+  EXPECT_FALSE(fx.Get(1).degraded);
+}
+
 TEST(CacheManagerTest, RecoveryQueryThroughControlObject) {
   CacheFixture fx(ProtectionMode::kReo, 256 * kChunk, 0.25);
   fx.Register(1, 8 * kChunk);

@@ -151,6 +151,22 @@ TEST(PolicyTest, UniformReserveIsUncapped) {
   EXPECT_EQ(p.ReserveBytes(1000), 1000u);
 }
 
+TEST(PolicyTest, ParseNames) {
+  ProtectionMode m = ProtectionMode::kReo;
+  for (auto [name, mode] : std::vector<std::pair<const char*, ProtectionMode>>{
+           {"reo", ProtectionMode::kReo},
+           {"0-parity", ProtectionMode::kUniform0},
+           {"1-parity", ProtectionMode::kUniform1},
+           {"2-parity", ProtectionMode::kUniform2},
+           {"full-repl", ProtectionMode::kFullReplication}}) {
+    EXPECT_TRUE(ParseProtectionMode(name, &m)) << name;
+    EXPECT_EQ(m, mode) << name;
+  }
+  // to_string's display names are not all CLI spellings.
+  EXPECT_FALSE(ParseProtectionMode("Reo", &m));
+  EXPECT_FALSE(ParseProtectionMode("full-replication", &m));
+}
+
 // --- Redundancy level helpers -------------------------------------------------------
 
 TEST(RedundancyLevelTest, ChunkCounts) {

@@ -82,7 +82,9 @@ TEST(HashRingTest, MembershipChangeRemapsAboutOneNthOfKeys) {
     uint32_t now = *ring.OwnerOf(KeyOf(i));
     if (now != before[i]) ++remapped;
     // Consistency: only the removed node's keys may move.
-    if (before[i] != 3) EXPECT_EQ(now, before[i]) << "key " << i;
+    if (before[i] != 3) {
+      EXPECT_EQ(now, before[i]) << "key " << i;
+    }
   }
   // Regression-pin the remap fraction near 1/N = 0.125 (the whole point
   // of consistent hashing; mod-N hashing would remap ~7/8 here).

@@ -136,6 +136,17 @@ TEST(CacheSimulatorTest, WindowPerFailureEvent) {
   EXPECT_EQ(report.total.requests, 600u);
 }
 
+TEST(CacheSimulatorDeathTest, ScheduleMustNameArrayDevices) {
+  auto trace = GenerateMediSyn(TinyWorkload());
+  SimulationConfig cfg;
+  cfg.num_devices = 5;
+  cfg.failures = {{.at_request = 10, .device = 5}};
+  EXPECT_DEATH({ CacheSimulator sim(trace, cfg); }, "REO_CHECK");
+  cfg.failures.clear();
+  cfg.spares = {{.at_request = 10, .device = 5}};
+  EXPECT_DEATH({ CacheSimulator sim(trace, cfg); }, "REO_CHECK");
+}
+
 TEST(CacheSimulatorTest, ProbeWindowsSplitPhases) {
   auto trace = GenerateMediSyn(TinyWorkload());
   SimulationConfig cfg;
@@ -190,91 +201,6 @@ TEST(CacheSimulatorTest, ReportCarriesSystemState) {
   EXPECT_GT(report.space.user_bytes, 0u);
   EXPECT_NEAR(report.space.SpaceEfficiency(), 0.8, 0.05);
   EXPECT_FALSE(FormatReportRow(report).empty());
-}
-
-// --- Sharded replay ---------------------------------------------------------
-
-TEST(CacheSimulatorTest, OneShardIsByteIdenticalToUnsharded) {
-  auto trace = GenerateMediSyn(TinyWorkload());
-  SimulationConfig cfg;
-  cfg.policy = {.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.2};
-  cfg.cache_fraction = 0.2;
-  cfg.chunk_logical_bytes = 8 * 1024;
-  cfg.scale_shift = 0;
-  CacheSimulator plain(trace, cfg);
-  auto base = plain.Run();
-
-  auto sharded_cfg = cfg;
-  sharded_cfg.shards = 1;  // explicit 1 must not change anything
-  CacheSimulator sharded(trace, sharded_cfg);
-  auto got = sharded.Run();
-
-  EXPECT_EQ(got.total.requests, base.total.requests);
-  EXPECT_EQ(got.total.hits, base.total.hits);
-  EXPECT_EQ(got.total.bytes, base.total.bytes);
-  EXPECT_EQ(got.total.end, base.total.end);  // identical virtual timeline
-  EXPECT_EQ(got.cache.gets, base.cache.gets);
-  EXPECT_EQ(got.cache.evictions, base.cache.evictions);
-  EXPECT_EQ(got.osd.commands, base.osd.commands);
-  EXPECT_EQ(got.space.user_bytes, base.space.user_bytes);
-  EXPECT_EQ(got.space.redundancy_bytes, base.space.redundancy_bytes);
-  EXPECT_EQ(got.raw_capacity_bytes, base.raw_capacity_bytes);
-  EXPECT_EQ(got.telemetry.ToJson(), base.telemetry.ToJson());
-}
-
-TEST(CacheSimulatorTest, ShardedRunRoutesPartitionsAndMerges) {
-  auto trace = GenerateMediSyn(TinyWorkload());
-  SimulationConfig cfg;
-  cfg.policy = {.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.2};
-  cfg.cache_fraction = 0.2;
-  cfg.chunk_logical_bytes = 8 * 1024;
-  cfg.scale_shift = 0;
-  cfg.shards = 4;
-  CacheSimulator sim(trace, cfg);
-  EXPECT_EQ(sim.shard_count(), 4u);
-  auto report = sim.Run();
-
-  // Every request was served by exactly one shard; the merged report
-  // accounts for all of them.
-  EXPECT_EQ(report.total.requests, 600u);
-  EXPECT_EQ(report.cache.gets + report.cache.writes, 600u);
-  EXPECT_GT(report.cache.hits, 0u);
-  // All four stacks took traffic (hash spread over 60 objects).
-  for (size_t k = 0; k < 4; ++k) {
-    EXPECT_GT(sim.cache(k).stats().gets + sim.cache(k).stats().writes,
-              0u)
-        << "shard " << k;
-  }
-  // The merged telemetry snapshot equals the per-shard counter sums.
-  uint64_t gets = 0;
-  for (size_t k = 0; k < 4; ++k) gets += sim.cache(k).stats().gets;
-  EXPECT_EQ(report.cache.gets, gets);
-  EXPECT_GT(report.space.capacity_bytes, 0u);
-  EXPECT_FALSE(FormatReportRow(report).empty());
-}
-
-TEST(CacheSimulatorTest, ScriptedFailureFansOutToEveryShard) {
-  auto trace = GenerateMediSyn(TinyWorkload());
-  SimulationConfig cfg;
-  cfg.policy = {.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.2};
-  cfg.cache_fraction = 0.2;
-  cfg.chunk_logical_bytes = 8 * 1024;
-  cfg.scale_shift = 0;
-  cfg.shards = 2;
-  cfg.failures = {{.at_request = 300, .device = 0}};
-  CacheSimulator sim(trace, cfg);
-  auto report = sim.Run();
-  ASSERT_EQ(report.windows.size(), 2u);
-  EXPECT_EQ(report.windows[1].label, "1-failures");
-  // Both shards saw the device failure (each array lost device 0).
-  for (size_t k = 0; k < 2; ++k) {
-    EXPECT_GT(sim.cache(k).stats().rebuilds +
-                  sim.cache(k).stats().lost_evictions +
-                  sim.cache(k).stats().degraded_reads,
-              0u)
-        << "shard " << k;
-  }
-  EXPECT_EQ(report.total.requests, 600u);
 }
 
 TEST(CacheSimulatorTest, VerifyHitsCatchesNothingOnHealthyRun) {

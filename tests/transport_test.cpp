@@ -240,7 +240,9 @@ TEST(WritePolicyTest, WriteThroughPersistsImmediately) {
   EXPECT_EQ(cache.stats().dirty_lost, 0u);
   // Reads hit the clean cached copy and verify.
   auto r = cache.Get(Oid(1), 3 * kChunk, w.latency);
-  if (r.hit) EXPECT_EQ(cache.stats().verify_failures, 0u);
+  if (r.hit) {
+    EXPECT_EQ(cache.stats().verify_failures, 0u);
+  }
 }
 
 TEST(WritePolicyTest, WriteThroughIsSlowerThanWriteBack) {

@@ -19,13 +19,11 @@
 // not valid JSON.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster_initiator.h"
-#include "common/file_util.h"
+#include "common/flags.h"
 #include "server/socket_initiator.h"
 #include "telemetry/json_scan.h"
 #include "telemetry/json_util.h"
@@ -33,32 +31,6 @@
 using namespace reo;
 
 namespace {
-
-void Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options] stats|series|events|health|owners\n"
-      "  --host ADDR        server address (default 127.0.0.1)\n"
-      "  --port N           server port\n"
-      "  --port-file PATH   read the port from PATH (reo_server --port-file)\n"
-      "  --endpoints LIST   probe every node of a cluster; LIST is\n"
-      "                     host:port,host:port,... — prints per-node\n"
-      "                     replies plus a merged (summed) view, and\n"
-      "                     applies --expect-* to every node\n"
-      "  --arg N            series: newest N windows; events: newest N\n"
-      "                     events (default 0 = all retained)\n"
-      "  --timeout-ms N     connect/receive deadline (default 5000)\n"
-      "  --expect-zero PATH assert a numeric field is 0 or absent; PATH is\n"
-      "                     section.metric (\"counters.server.crc_errors\")\n"
-      "                     or a flat health field (\"crc_errors\");\n"
-      "                     repeatable (exit 1 on violation)\n"
-      "  --expect-sum SPEC  assert \"a+b=c\" over numeric fields (same PATH\n"
-      "                     syntax; absent fields count as 0), e.g.\n"
-      "                     counters.admit.graduated+counters.admit.dropped=\n"
-      "                     counters.dram.evictions; repeatable (exit 1)\n"
-      "  --quiet            suppress the JSON body on stdout\n",
-      argv0);
-}
 
 /// Resolves an --expect-zero path: "section.rest" against an object-valued
 /// `section` member first (metric names contain dots, so only the first
@@ -218,97 +190,57 @@ int main(int argc, char** argv) {
   bool quiet = false;
   std::vector<std::string> expect_zero;
   std::vector<std::string> expect_sum;
-  const char* op_name = nullptr;
+  AdminOp op = AdminOp::kHealth;
 
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--host")) {
-      host = next();
-    } else if (!std::strcmp(argv[i], "--port")) {
-      const char* v = next();
-      std::optional<uint16_t> parsed = ParsePort(v);
-      if (!parsed) {
-        std::fprintf(stderr, "--port wants 0-65535, got %s\n", v);
-        return 2;
-      }
-      port = *parsed;
-    } else if (!std::strcmp(argv[i], "--port-file")) {
-      port_file = next();
-    } else if (!std::strcmp(argv[i], "--endpoints")) {
-      endpoints_arg = next();
-    } else if (!std::strcmp(argv[i], "--arg")) {
-      arg = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--timeout-ms")) {
-      timeout_ms = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--expect-zero")) {
-      expect_zero.emplace_back(next());
-    } else if (!std::strcmp(argv[i], "--expect-sum")) {
-      expect_sum.emplace_back(next());
-    } else if (!std::strcmp(argv[i], "--quiet")) {
-      quiet = true;
-    } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
-      Usage(argv[0]);
-      return 0;
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      Usage(argv[0]);
-      return 2;
-    } else if (op_name == nullptr) {
-      op_name = argv[i];
-    } else {
-      std::fprintf(stderr, "more than one command: %s\n", argv[i]);
-      return 2;
-    }
-  }
-  if (op_name == nullptr) {
-    Usage(argv[0]);
+  FlagSet flags;
+  flags.Positional("stats|series|events|health|owners", "the admin command",
+                   [&op](std::string_view v) {
+                     for (AdminOp o : {AdminOp::kStats, AdminOp::kSeries,
+                                       AdminOp::kEvents, AdminOp::kHealth,
+                                       AdminOp::kOwners}) {
+                       if (to_string(o) != v) continue;
+                       op = o;
+                       return std::string();
+                     }
+                     return FlagSet::Wants(
+                         "stats|series|events|health|owners", v);
+                   },
+                   /*required=*/true);
+  flags.String("--host", "ADDR", "server address (default 127.0.0.1)", &host);
+  flags.Uint("--port", "N", "server port", &port);
+  flags.String("--port-file", "PATH",
+               "read the port from PATH (reo_server --port-file)", &port_file);
+  flags.String("--endpoints", "LIST",
+               "probe every node of host:port,...: per-node replies,\n"
+               "a merged (summed) view, --expect-* on every node",
+               &endpoints_arg);
+  flags.Uint("--arg", "N",
+             "stats: shard N-1 alone (0 = merged); series:\n"
+             "newest N windows; events: newest N events\n"
+             "(default 0 = all retained)",
+             &arg);
+  flags.Uint("--timeout-ms", "N", "connect/receive deadline (default 5000)",
+             &timeout_ms);
+  flags.Strings("--expect-zero", "PATH",
+                "assert a section.metric (counters.server.crc_errors)\n"
+                "or flat health field (crc_errors) is 0 or absent\n"
+                "(exit 1 if not); repeatable",
+                &expect_zero);
+  flags.Strings("--expect-sum", "SPEC",
+                "assert \"a+b=c\" over such fields, absent ones 0, e.g.\n"
+                "counters.admit.graduated+counters.admit.dropped=\n"
+                "counters.dram.evictions (exit 1 if not); repeatable",
+                &expect_sum);
+  flags.Switch("--quiet", "suppress the JSON body on stdout", &quiet);
+  flags.ParseOrExit(argc, argv);
+  const std::string op_name(to_string(op));
+
+  auto resolved = ResolveEndpoints(endpoints_arg, host, port, port_file);
+  if (!resolved.ok()) {
+    std::fprintf(stderr, "%s\n", resolved.status().message().c_str());
     return 2;
   }
-  AdminOp op;
-  if (!std::strcmp(op_name, "stats")) op = AdminOp::kStats;
-  else if (!std::strcmp(op_name, "series")) op = AdminOp::kSeries;
-  else if (!std::strcmp(op_name, "events")) op = AdminOp::kEvents;
-  else if (!std::strcmp(op_name, "health")) op = AdminOp::kHealth;
-  else if (!std::strcmp(op_name, "owners")) op = AdminOp::kOwners;
-  else {
-    std::fprintf(stderr, "unknown command %s\n", op_name);
-    return 2;
-  }
-  std::vector<ClusterEndpoint> endpoints;
-  if (!endpoints_arg.empty()) {
-    endpoints = ParseClusterEndpoints(endpoints_arg);
-    if (endpoints.empty()) {
-      std::fprintf(stderr, "bad --endpoints list: %s\n", endpoints_arg.c_str());
-      return 2;
-    }
-  } else {
-    if (!port_file.empty()) {
-      auto text = ReadFileToString(port_file);
-      if (!text.ok()) {
-        std::fprintf(stderr, "port file: %s\n",
-                     text.status().to_string().c_str());
-        return 2;
-      }
-      std::optional<uint16_t> parsed = ParsePort(*text);
-      if (!parsed) {
-        std::fprintf(stderr, "--port-file %s holds no port 0-65535\n",
-                     port_file.c_str());
-        return 2;
-      }
-      port = *parsed;
-    }
-    if (port == 0) {
-      std::fprintf(stderr, "need --port, --port-file, or --endpoints\n");
-      return 2;
-    }
-    endpoints.push_back(ClusterEndpoint{host, port});
-  }
+  const std::vector<ClusterEndpoint>& endpoints = *resolved;
   const bool cluster = endpoints.size() > 1;
 
   // One parsed reply per node; a probe asserts the whole cluster, so any
@@ -328,7 +260,7 @@ int main(int argc, char** argv) {
     }
     auto resp = client.AdminRoundtrip(op, arg);
     if (!resp.ok()) {
-      std::fprintf(stderr, "node %zu %s failed: %s\n", n, op_name,
+      std::fprintf(stderr, "node %zu %s failed: %s\n", n, op_name.c_str(),
                    resp.status().to_string().c_str());
       return 2;
     }
@@ -340,8 +272,8 @@ int main(int argc, char** argv) {
       std::printf("%s\n", resp->json.c_str());
     }
     if (resp->status != 0) {
-      std::fprintf(stderr, "node %zu %s answered status %u: %s\n", n, op_name,
-                   resp->status, resp->json.c_str());
+      std::fprintf(stderr, "node %zu %s answered status %u: %s\n", n,
+                   op_name.c_str(), resp->status, resp->json.c_str());
       return 2;
     }
     JsonDoc::Error error;
@@ -349,7 +281,7 @@ int main(int argc, char** argv) {
     if (!doc) {
       std::fprintf(stderr,
                    "node %zu %s reply is not valid JSON at byte %zu: %s\n", n,
-                   op_name, error.offset, error.reason.c_str());
+                   op_name.c_str(), error.offset, error.reason.c_str());
       return 3;
     }
     docs.push_back(std::move(*doc));

@@ -6,12 +6,12 @@
 //
 //   bench_validate BENCH_serve.json [--min-ops N] [--min-throughput F]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 
 #include "common/file_util.h"
+#include "common/flags.h"
 #include "telemetry/bench_json.h"
 #include "telemetry/json_scan.h"
 
@@ -34,37 +34,22 @@ int AtPath(const JsonDoc& doc, std::string_view path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* path = nullptr;
+  std::string file;
   double min_ops = 1;
   double min_throughput = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--min-ops")) {
-      min_ops = std::atof(next());
-    } else if (!std::strcmp(argv[i], "--min-throughput")) {
-      min_throughput = std::atof(next());
-    } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
-      std::printf("usage: %s FILE [--min-ops N] [--min-throughput F]\n",
-                  argv[0]);
-      return 0;
-    } else if (path == nullptr) {
-      path = argv[i];
-    } else {
-      std::fprintf(stderr, "unexpected argument %s\n", argv[i]);
-      return 2;
-    }
-  }
-  if (path == nullptr) {
-    std::fprintf(stderr, "usage: %s FILE [--min-ops N] [--min-throughput F]\n",
-                 argv[0]);
-    return 2;
-  }
+  FlagSet flags;
+  flags.Positional("FILE", "the BENCH_serve.json report to check",
+                   [&file](std::string_view v) {
+                     file = v;
+                     return std::string();
+                   },
+                   /*required=*/true);
+  flags.Real("--min-ops", "N", "fail below N ops (default 1)", &min_ops, 0.0,
+             std::numeric_limits<double>::max());
+  flags.Real("--min-throughput", "F", "fail below F ops/s (default 0)",
+             &min_throughput, 0.0, std::numeric_limits<double>::max());
+  flags.ParseOrExit(argc, argv);
+  const char* path = file.c_str();
 
   auto contents = ReadFileToString(path);
   if (!contents.ok()) {

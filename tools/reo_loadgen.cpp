@@ -40,7 +40,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <new>
 #include <set>
@@ -52,13 +51,16 @@
 #include "cluster/cluster_initiator.h"
 #include "cluster/recovery_driver.h"
 #include "common/file_util.h"
+#include "common/flags.h"
 #include "common/histogram.h"
 #include "common/rng.h"
+#include "common/units.h"
 #include "common/zipf.h"
 #include "fault/fault_spec.h"
 #include "loadgen_exit.h"
 #include "osd/control_protocol.h"
 #include "server/socket_initiator.h"
+#include "shard/shard_router.h"
 #include "telemetry/bench_json.h"
 #include "telemetry/metric_registry.h"
 
@@ -114,6 +116,10 @@ double ProcessCpuSeconds() {
   return tv(ru.ru_utime) + tv(ru.ru_stime);
 }
 
+/// Most closed-loop connections one run opens: each is a thread.
+constexpr size_t kMaxConnections = 256;
+
+/// The command line; main() declares what each flag means.
 struct Options {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
@@ -124,38 +130,25 @@ struct Options {
   double zipf_skew = 0.9;
   uint64_t object_bytes = 64 * 1024;
   uint64_t seed = 42;
-  /// Shard count of the server under test (reo_server --shards). Purely
-  /// descriptive: it labels the bench report / summary so scaling-curve
-  /// runs are self-describing. The wire protocol is shard-transparent.
-  size_t shards = 1;
+  size_t shards = 1;  ///< only labels the report: the wire is shard-blind
   bool verify = true;
   std::string stats_out;
-  std::string bench_out;  ///< write BENCH_serve.json here (see bench_json.h)
+  std::string bench_out;
 
-  // Crash-testing modes.
-  int write_class = -1;        ///< classify every object via #SETID# (-1: off)
-  uint64_t kill_after = 0;     ///< SIGKILL the server after N acked writes
-  std::string kill_pid_file;   ///< where the server's pid lives
-  std::string ack_manifest;    ///< write acknowledged ranks here
-  std::string verify_manifest; ///< verify-only mode: read ranks from here
+  int write_class = -1;  ///< -1: objects keep the server's default class
+  uint64_t kill_after = 0;
+  std::string kill_pid_file;
+  std::string ack_manifest;
+  std::string verify_manifest;
 
-  /// Chaos mode: the server is running with `reo_server --fault-spec` on
-  /// the same spec file. The loadgen turns on client-side partial-failure
-  /// tolerance (receive deadlines, reconnect-retry, bounded op retries)
-  /// and finishes with a drain-verify pass proving that no acknowledged
-  /// write was lost (exit 4) or corrupted (exit 3) despite the injection.
+  /// Chaos mode: client-side partial-failure tolerance (receive
+  /// deadlines, reconnect-retry, bounded op retries) and a final
+  /// drain-verify of every acknowledged write.
   bool chaos = false;
 
-  /// Cluster mode: route every request through a ClusterInitiator over
-  /// these nodes instead of one SocketInitiator (--cluster host:port,...).
-  std::vector<ClusterEndpoint> cluster;
-  /// Classify rank r into class r % 4 during populate, so every
-  /// redundancy class is represented in the node-kill drill.
+  std::vector<ClusterEndpoint> cluster;  ///< routes via a ClusterInitiator
   bool class_cycle = false;
-  /// Ring index of the node --kill-after SIGKILLs (its pid comes from
-  /// --kill-pid-file). After the burst the loadgen announces the death,
-  /// runs the differentiated cross-node recovery, and drain-verifies.
-  int kill_node = -1;
+  int kill_node = -1;  ///< -1: no node is killed
 };
 
 /// The redundancy class `rank` was assigned at populate, -1 = never
@@ -189,14 +182,18 @@ void KillServer(const Options& opt) {
                  pid_text.status().to_string().c_str());
     return;
   }
-  long pid = std::strtol(pid_text->c_str(), nullptr, 10);
-  if (pid <= 1) {
-    std::fprintf(stderr, "kill: implausible pid %ld\n", pid);
+  std::string_view text = *pid_text;
+  if (text.ends_with('\n')) text.remove_suffix(1);
+  std::optional<uint64_t> pid = ParseUint(text, 2, INT32_MAX);
+  if (!pid) {
+    std::fprintf(stderr, "kill: %s holds no plausible pid\n",
+                 opt.kill_pid_file.c_str());
     return;
   }
-  ::kill(static_cast<pid_t>(pid), SIGKILL);
+  ::kill(static_cast<pid_t>(*pid), SIGKILL);
   g_killed.store(true);
-  std::printf("SIGKILL sent to server pid %ld after %llu acked writes\n", pid,
+  std::printf("SIGKILL sent to server pid %llu after %llu acked writes\n",
+              static_cast<unsigned long long>(*pid),
               static_cast<unsigned long long>(g_acked_writes.load()));
   std::fflush(stdout);
 }
@@ -669,7 +666,13 @@ int VerifyManifest(const Options& opt) {
   std::string line;
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
-    ranks.insert(static_cast<uint32_t>(std::strtoul(line.c_str(), nullptr, 10)));
+    std::optional<uint64_t> rank = ParseUint(line, 0, UINT32_MAX);
+    if (!rank) {
+      std::fprintf(stderr, "manifest %s: bad rank line '%s'\n",
+                   opt.verify_manifest.c_str(), line.c_str());
+      return 1;
+    }
+    ranks.insert(static_cast<uint32_t>(*rank));
   }
   if (!opt.cluster.empty()) {
     // Cluster manifests verify through the ring with the per-class
@@ -721,128 +724,90 @@ int VerifyManifest(const Options& opt) {
   return (missing + mismatched > 0) ? 4 : 0;
 }
 
-void Usage(const char* argv0) {
-  std::printf(
-      "usage: %s --port N [options]\n"
-      "  --host ADDR          server address (default 127.0.0.1)\n"
-      "  --port N             server port (required)\n"
-      "  --connections N      closed-loop connections/threads (default 4)\n"
-      "  --requests N         requests per connection (default 2000)\n"
-      "  --write-ratio F      fraction of writes (default 0.3)\n"
-      "  --objects N          distinct objects (default 1000)\n"
-      "  --zipf S             Zipf popularity skew (default 0.9)\n"
-      "  --object-kb N        object size in KiB (default 64)\n"
-      "  --seed N             RNG seed (default 42)\n"
-      "  --shards N           shard count of the server under test; labels\n"
-      "                       the bench report for scaling curves (default 1)\n"
-      "  --no-verify          skip read-payload content verification\n"
-      "  --stats-out PATH     write the telemetry snapshot JSON\n"
-      "  --bench-out PATH     write the BENCH_serve.json bench report\n"
-      "crash testing:\n"
-      "  --write-class C      classify objects into class C via #SETID#\n"
-      "  --kill-after N       SIGKILL the server after N acked burst writes\n"
-      "  --kill-pid-file PATH file holding the server pid (for --kill-after)\n"
-      "  --ack-manifest PATH  record acknowledged write ranks, one per line\n"
-      "  --verify-manifest PATH  verify-only mode: read each listed rank\n"
-      "                       back and compare contents (exit 4 on loss)\n"
-      "chaos testing:\n"
-      "  --chaos-spec PATH    the fault spec the server is running with\n"
-      "                       (reo_server --fault-spec). Turns on client\n"
-      "                       tolerance (timeouts, reconnect-retry) and a\n"
-      "                       final drain-verify of every acked write:\n"
-      "                       exit 3 on corruption, 4 on acked-write loss\n"
-      "cluster mode:\n"
-      "  --cluster LIST       route through a consistent-hash ring over the\n"
-      "                       comma-separated host:port members (replaces\n"
-      "                       --host/--port)\n"
-      "  --class-cycle        classify rank r into class r%%4 at populate,\n"
-      "                       so the node-kill drill covers every class\n"
-      "  --kill-node K        ring index of the member --kill-after kills\n"
-      "                       (pid from --kill-pid-file); afterwards the\n"
-      "                       loadgen announces the death, runs the\n"
-      "                       differentiated cross-node recovery (class\n"
-      "                       0/1 refetched hot-first; 2/3 clean misses),\n"
-      "                       and drain-verifies per class (exit 3/4)\n",
-      argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--host")) opt.host = next();
-    else if (!std::strcmp(argv[i], "--port")) {
-      const char* v = next();
-      std::optional<uint16_t> port = ParsePort(v);
-      if (!port) {
-        std::fprintf(stderr, "--port wants 0-65535, got %s\n", v);
-        return 2;
-      }
-      opt.port = *port;
-    }
-    else if (!std::strcmp(argv[i], "--connections")) opt.connections = std::strtoull(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--requests")) opt.requests = std::strtoull(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--write-ratio")) opt.write_ratio = std::atof(next());
-    else if (!std::strcmp(argv[i], "--objects")) opt.objects = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
-    else if (!std::strcmp(argv[i], "--zipf")) opt.zipf_skew = std::atof(next());
-    else if (!std::strcmp(argv[i], "--object-kb")) opt.object_bytes = std::strtoull(next(), nullptr, 10) * 1024;
-    else if (!std::strcmp(argv[i], "--seed")) opt.seed = std::strtoull(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--shards")) {
-      opt.shards = std::strtoull(next(), nullptr, 10);
-      if (opt.shards == 0) opt.shards = 1;
-    }
-    else if (!std::strcmp(argv[i], "--no-verify")) opt.verify = false;
-    else if (!std::strcmp(argv[i], "--stats-out")) opt.stats_out = next();
-    else if (!std::strcmp(argv[i], "--bench-out")) opt.bench_out = next();
-    else if (!std::strcmp(argv[i], "--write-class")) opt.write_class = std::atoi(next());
-    else if (!std::strcmp(argv[i], "--kill-after")) opt.kill_after = std::strtoull(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--kill-pid-file")) opt.kill_pid_file = next();
-    else if (!std::strcmp(argv[i], "--ack-manifest")) opt.ack_manifest = next();
-    else if (!std::strcmp(argv[i], "--verify-manifest")) opt.verify_manifest = next();
-    else if (!std::strcmp(argv[i], "--cluster")) {
-      opt.cluster = ParseClusterEndpoints(next());
-      if (opt.cluster.empty()) {
-        std::fprintf(stderr, "bad --cluster list (want host:port,...)\n");
-        return 2;
-      }
-    }
-    else if (!std::strcmp(argv[i], "--class-cycle")) opt.class_cycle = true;
-    else if (!std::strcmp(argv[i], "--kill-node")) opt.kill_node = std::atoi(next());
-    else if (!std::strcmp(argv[i], "--chaos-spec")) {
-      // Validate the spec (same parser the server uses) so a typo fails
-      // here rather than silently running a chaos test with no chaos.
-      auto spec = LoadFaultSpecFile(next());
-      if (!spec.ok()) {
-        std::fprintf(stderr, "bad chaos spec: %s\n",
-                     spec.status().to_string().c_str());
-        return 2;
-      }
-      if (spec->empty()) {
-        std::fprintf(stderr, "chaos spec has no rules\n");
-        return 2;
-      }
-      opt.chaos = true;
-    }
-    else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
-      Usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      Usage(argv[0]);
-      return 2;
-    }
+  FlagSet flags;
+  flags.String("--host", "ADDR", "server address (default 127.0.0.1)",
+               &opt.host);
+  flags.Uint("--port", "N", "server port (required without --cluster)",
+             &opt.port);
+  flags.Uint("--connections", "N",
+             "closed-loop connections, a thread each (default 4)",
+             &opt.connections, {.max = kMaxConnections});
+  flags.Uint("--requests", "N", "requests per connection (default 2000)",
+             &opt.requests);
+  flags.Real("--write-ratio", "F", "fraction of writes (default 0.3)",
+             &opt.write_ratio, 0.0, 1.0);
+  flags.Uint("--objects", "N", "distinct objects (default 1000)",
+             &opt.objects, {.min = 1});
+  flags.Real("--zipf", "S", "Zipf popularity skew (default 0.9)",
+             &opt.zipf_skew, 0.0, std::numeric_limits<double>::max());
+  flags.Uint("--object-kb", "N", "object size in KiB (default 64)",
+             &opt.object_bytes, {.unit = kKiB});
+  flags.Uint("--seed", "N", "RNG seed (default 42)", &opt.seed);
+  flags.Uint("--shards", "N",
+             "shard count of the server under test; labels\n"
+             "the bench report for scaling curves (default 1)",
+             &opt.shards, {.min = 1, .max = kMaxShards});
+  flags.Switch("--no-verify", "skip read-payload content verification",
+               &opt.verify, /*set_to=*/false);
+  flags.String("--stats-out", "PATH", "write the telemetry snapshot JSON",
+               &opt.stats_out);
+  flags.String("--bench-out", "PATH", "write the BENCH_serve.json bench report",
+               &opt.bench_out);
+  flags.Uint("--write-class", "C",
+             "crash testing: #SETID# every object to class C",
+             &opt.write_class, {.max = 3});
+  flags.Uint("--kill-after", "N",
+             "crash testing: SIGKILL the server after N acked writes",
+             &opt.kill_after);
+  flags.String("--kill-pid-file", "PATH",
+               "file holding the server pid (for --kill-after)",
+               &opt.kill_pid_file);
+  flags.String("--ack-manifest", "PATH",
+               "record acknowledged write ranks, one per line",
+               &opt.ack_manifest);
+  flags.String("--verify-manifest", "PATH",
+               "verify-only mode: read each listed rank\n"
+               "back and compare contents (exit 4 on loss)",
+               &opt.verify_manifest);
+  // Loaded with the server's parser, so a typo fails here rather than
+  // silently running a chaos test with no chaos.
+  FaultSpec chaos_spec;
+  flags.Value("--chaos-spec", "PATH",
+              "the server's --fault-spec: turns on client tolerance\n"
+              "(timeouts, reconnect-retry) and a drain-verify of every\n"
+              "acked write (exit 3 on corruption, 4 on loss)",
+              FaultSpecFlag(&chaos_spec));
+  flags.Value("--cluster", "LIST",
+              "route through a consistent-hash ring over these\n"
+              "host:port,... members instead of --host/--port",
+              [&opt](std::string_view v) {
+                opt.cluster = ParseClusterEndpoints(std::string(v));
+                return opt.cluster.empty()
+                           ? FlagSet::Wants("host:port,...", v)
+                           : std::string();
+              });
+  flags.Switch("--class-cycle",
+               "classify rank r into class r%4 at populate,\n"
+               "so the node-kill drill covers every class",
+               &opt.class_cycle);
+  flags.Uint("--kill-node", "K",
+             "ring index of the member --kill-after kills (pid from\n"
+             "--kill-pid-file); then runs the cross-node recovery\n"
+             "(class 0/1 refetched hot-first, 2/3 clean misses) and\n"
+             "drain-verifies per class (exit 3/4)",
+             &opt.kill_node);
+  flags.ParseOrExit(argc, argv);
+  opt.chaos = flags.Given("--chaos-spec");
+  if (opt.chaos && chaos_spec.empty()) {
+    std::fprintf(stderr, "chaos spec has no rules\n");
+    return 2;
   }
   if (opt.port == 0 && opt.cluster.empty()) {
     std::fprintf(stderr, "--port (or --cluster) is required\n");
-    Usage(argv[0]);
     return 2;
   }
   if (opt.kill_node >= 0 &&

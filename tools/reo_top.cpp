@@ -23,37 +23,18 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster_initiator.h"
-#include "common/file_util.h"
+#include "common/flags.h"
 #include "server/socket_initiator.h"
 #include "telemetry/json_scan.h"
 
 using namespace reo;
 
 namespace {
-
-void Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options]\n"
-      "  --host ADDR        server address (default 127.0.0.1)\n"
-      "  --port N           server port\n"
-      "  --port-file PATH   read the port from PATH\n"
-      "  --endpoints LIST   cluster mode: host:port,... — per-node rows\n"
-      "                     plus a merged totals row\n"
-      "  --interval-ms N    poll/redraw interval (default 1000)\n"
-      "  --iterations N     frames to draw, 0 = until interrupted"
-      " (default 0)\n"
-      "  --windows N        sparkline width in series windows (default 30)\n"
-      "  --plain            no ANSI clear; append frames (for CI logs)\n",
-      argv0);
-}
 
 /// Eight-level unicode sparkline of the last `width` values. NaN (empty
 /// window) renders as a space.
@@ -129,7 +110,7 @@ std::vector<double> SumTail(const std::vector<std::vector<double>>& cols) {
 /// that fail to connect or answer render as "down" and are re-dialed
 /// next frame — the loop never exits just because a node died.
 int RunClusterTop(const std::vector<ClusterEndpoint>& endpoints,
-                  uint32_t interval_ms, uint64_t iterations, size_t width,
+                  uint32_t interval_ms, uint64_t iterations, uint32_t width,
                   bool plain) {
   const size_t n = endpoints.size();
   std::vector<std::unique_ptr<SocketInitiator>> clients(n);
@@ -156,8 +137,7 @@ int RunClusterTop(const std::vector<ClusterEndpoint>& endpoints,
       }
       if (!clients[i]) continue;
       auto health = clients[i]->AdminRoundtrip(AdminOp::kHealth);
-      auto series = clients[i]->AdminRoundtrip(
-          AdminOp::kSeries, static_cast<uint32_t>(width));
+      auto series = clients[i]->AdminRoundtrip(AdminOp::kSeries, width);
       if (!health.ok() || health->status != 0) {
         clients[i].reset();  // re-dial next frame
         continue;
@@ -239,77 +219,39 @@ int main(int argc, char** argv) {
   uint16_t port = 0;
   uint32_t interval_ms = 1000;
   uint64_t iterations = 0;
-  size_t width = 30;
+  uint32_t width = 30;
   bool plain = false;
 
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--host")) host = next();
-    else if (!std::strcmp(argv[i], "--port")) {
-      const char* v = next();
-      std::optional<uint16_t> parsed = ParsePort(v);
-      if (!parsed) {
-        std::fprintf(stderr, "--port wants 0-65535, got %s\n", v);
-        return 2;
-      }
-      port = *parsed;
-    }
-    else if (!std::strcmp(argv[i], "--port-file")) port_file = next();
-    else if (!std::strcmp(argv[i], "--endpoints")) endpoints_arg = next();
-    else if (!std::strcmp(argv[i], "--interval-ms"))
-      interval_ms = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
-    else if (!std::strcmp(argv[i], "--iterations"))
-      iterations = std::strtoull(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--windows"))
-      width = std::strtoull(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--plain")) plain = true;
-    else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
-      Usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      Usage(argv[0]);
-      return 2;
-    }
-  }
-  if (!endpoints_arg.empty()) {
-    std::vector<ClusterEndpoint> endpoints =
-        ParseClusterEndpoints(endpoints_arg);
-    if (endpoints.empty()) {
-      std::fprintf(stderr, "bad --endpoints list: %s\n", endpoints_arg.c_str());
-      return 2;
-    }
-    if (endpoints.size() > 1) {
-      return RunClusterTop(endpoints, interval_ms, iterations, width, plain);
-    }
-    host = endpoints[0].host;  // single endpoint: full detail view
-    port = endpoints[0].port;
-  }
-  if (!port_file.empty()) {
-    auto text = ReadFileToString(port_file);
-    if (!text.ok()) {
-      std::fprintf(stderr, "port file: %s\n",
-                   text.status().to_string().c_str());
-      return 2;
-    }
-    std::optional<uint16_t> parsed = ParsePort(*text);
-    if (!parsed) {
-      std::fprintf(stderr, "--port-file %s holds no port 0-65535\n",
-                   port_file.c_str());
-      return 2;
-    }
-    port = *parsed;
-  }
-  if (port == 0) {
-    std::fprintf(stderr, "need --port, --port-file, or --endpoints\n");
+  FlagSet flags;
+  flags.String("--host", "ADDR", "server address (default 127.0.0.1)", &host);
+  flags.Uint("--port", "N", "server port", &port);
+  flags.String("--port-file", "PATH", "read the port from PATH", &port_file);
+  flags.String("--endpoints", "LIST",
+               "cluster mode: host:port,... — per-node rows\n"
+               "plus a merged totals row",
+               &endpoints_arg);
+  // poll() takes the interval as an int.
+  flags.Uint("--interval-ms", "N", "poll/redraw interval (default 1000)",
+             &interval_ms, {.max = INT32_MAX});
+  flags.Uint("--iterations", "N",
+             "frames to draw, 0 = until interrupted (default 0)",
+             &iterations);
+  flags.Uint("--windows", "N", "sparkline width in series windows (default 30)",
+             &width);
+  flags.Switch("--plain", "no ANSI clear; append frames (for CI logs)",
+               &plain);
+  flags.ParseOrExit(argc, argv);
+
+  auto endpoints = ResolveEndpoints(endpoints_arg, host, port, port_file);
+  if (!endpoints.ok()) {
+    std::fprintf(stderr, "%s\n", endpoints.status().message().c_str());
     return 2;
   }
+  if (endpoints->size() > 1) {
+    return RunClusterTop(*endpoints, interval_ms, iterations, width, plain);
+  }
+  host = (*endpoints)[0].host;  // one endpoint: full detail view
+  port = (*endpoints)[0].port;
 
   SocketInitiatorConfig cfg;
   cfg.connect_timeout_ms = 5000;
@@ -325,8 +267,7 @@ int main(int argc, char** argv) {
   for (uint64_t frame = 0; iterations == 0 || frame < iterations; ++frame) {
     auto health = client.AdminRoundtrip(AdminOp::kHealth);
     auto stats = client.AdminRoundtrip(AdminOp::kStats);
-    auto series = client.AdminRoundtrip(
-        AdminOp::kSeries, static_cast<uint32_t>(width));
+    auto series = client.AdminRoundtrip(AdminOp::kSeries, width);
     if (!health.ok() || !stats.ok() || !series.ok()) {
       const Status& bad = !health.ok()   ? health.status()
                           : !stats.ok() ? stats.status()

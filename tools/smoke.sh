@@ -106,15 +106,47 @@ expect_zero_in() {
 
 scenario_trace() {
   "$BUILD/examples/reo_cli" --workload weak --scale-shift 8 \
-    --fail 2000:0 --spare 4000:5 --wire --trace-sample 4 \
+    --fail 2000:0 --spare 4000:0 --wire --trace-sample 4 \
     --trace-out run.json --events-out run.events --stats-out stats.json
   "$BUILD/tools/trace_validate" run.json --min-spans 100 --min-events 5
-  # The event log mentions the injected failure and the spare.
+  # The event log mentions the injected failure, and the spare took the
+  # failed device's slot: all five devices are healthy again.
   grep -q "device.failure" run.events
-  grep -q "spare.inserted" run.events
+  grep "spare.inserted" run.events | grep -q "healthy=5"
+}
+
+# rejects FLAG PROGRAM ARGS...: fails unless PROGRAM (a path under the
+# build directory) exits 2 with FLAG named on stderr. Every case exits
+# while parsing, before it builds a stack or starts a thread.
+rejects() {
+  local flag=$1 program=$2 code=0
+  shift 2
+  "$BUILD/$program" "$@" > rejected.out 2> rejected.err || code=$?
+  if [ "$code" -ne 2 ] || ! grep -q -- "$flag" rejected.err; then
+    echo "$program $*: exit $code, want 2 naming $flag" >&2
+    cat rejected.err >&2
+    exit 1
+  fi
 }
 
 scenario_server() {
+  # A malformed number is a usage error (exit 2), never an abort, a wrapped
+  # value or a server that starts anyway.
+  rejects --devices examples/reo_server --devices abc
+  rejects --chunk-kb examples/reo_server --chunk-kb 0
+  rejects --shards examples/reo_server --shards 99999999999999999999
+  rejects --shards examples/reo_server --shards 65  # kMaxShards + 1
+  rejects --max-connections examples/reo_server --max-connections abc
+  rejects --capacity-mb examples/reo_server --capacity-mb 18000000000000
+  rejects --node-id examples/reo_server --node-id 4294967297
+  rejects --write-ratio examples/reo_cli --write-ratio 2
+  rejects --scale-shift examples/reo_cli --scale-shift 99
+  rejects --fail examples/reo_cli --fail 10:99
+  rejects --connections tools/reo_loadgen --port 1 --connections 257  # kMaxConnections + 1
+  rejects --objects tools/reo_loadgen --port 1 --objects 0
+  rejects --arg tools/admin_probe --port 1 --arg 4294967297 stats
+  rejects --windows tools/reo_top --port 1 --windows 4294967296
+
   start server --capacity-mb 128 --stats-out server-stats.json \
     --events-out server.events
   # reo_loadgen exits 2 on any frame/CRC/decode error it observes.
@@ -455,7 +487,7 @@ EOF
 # of the compared bytes) and reo_cli's trace and event log. The runs use
 # virtual time, so they repeat exactly. About 220 s per build on 4 vCPUs.
 FIGURES="fig5_weak fig6_medium fig7_strong fig8_failure fig9_dirty space_efficiency fault_sweep"
-TRACED_RUN="--workload weak --scale-shift 8 --fail 2000:0 --spare 4000:5
+TRACED_RUN="--workload weak --scale-shift 8 --fail 2000:0 --spare 4000:0
   --wire --trace-sample 4 --trace-out trace.json --events-out events.txt"
 scenario_figures() {
   if [ -z "$PARENT_BUILD" ]; then

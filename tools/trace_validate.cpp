@@ -7,45 +7,30 @@
 //
 //   trace_validate run.json [--min-spans N] [--min-events N]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 
 #include "common/file_util.h"
+#include "common/flags.h"
 #include "telemetry/json_scan.h"
 
 using namespace reo;
 
 int main(int argc, char** argv) {
-  const char* path = nullptr;
+  std::string file;
   uint64_t min_spans = 1;
   uint64_t min_events = 0;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--min-spans")) {
-      min_spans = std::strtoull(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--min-events")) {
-      min_events = std::strtoull(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
-      std::printf("usage: %s FILE [--min-spans N] [--min-events N]\n", argv[0]);
-      return 0;
-    } else if (path == nullptr) {
-      path = argv[i];
-    } else {
-      std::fprintf(stderr, "unexpected argument %s\n", argv[i]);
-      return 2;
-    }
-  }
-  if (path == nullptr) {
-    std::fprintf(stderr, "usage: %s FILE [--min-spans N] [--min-events N]\n",
-                 argv[0]);
-    return 2;
-  }
+  FlagSet flags;
+  flags.Positional("FILE", "the Chrome trace-event JSON to check",
+                   [&file](std::string_view v) {
+                     file = v;
+                     return std::string();
+                   },
+                   /*required=*/true);
+  flags.Uint("--min-spans", "N", "fail below N spans (default 1)", &min_spans);
+  flags.Uint("--min-events", "N", "fail below N instant events (default 0)",
+             &min_events);
+  flags.ParseOrExit(argc, argv);
+  const char* path = file.c_str();
 
   auto contents = ReadFileToString(path);
   if (!contents.ok()) {
