@@ -4,7 +4,6 @@
 
 #include "common/file_util.h"
 #include "osd/command_placement.h"
-#include "osd/control_protocol.h"
 
 namespace reo {
 namespace {
@@ -13,12 +12,6 @@ OsdResponse FailResponse() {
   OsdResponse r;
   r.sense = SenseCode::kFail;
   return r;
-}
-
-/// Safe to replay on another replica: re-executing changes nothing.
-bool IdempotentRead(OsdOp op) {
-  return op == OsdOp::kRead || op == OsdOp::kGetAttr || op == OsdOp::kList ||
-         op == OsdOp::kListCollection;
 }
 
 }  // namespace
@@ -67,18 +60,15 @@ Result<std::vector<ClusterEndpoint>> ResolveEndpoints(
 }
 
 ClusterInitiator::ClusterInitiator(std::vector<ClusterEndpoint> endpoints,
-                                   ClusterInitiatorConfig config)
-    : endpoints_(std::move(endpoints)),
-      config_(config),
-      ring_(config.ring),
-      health_(endpoints_.size(), config.health) {
+                                   SocketInitiatorConfig session)
+    : endpoints_(std::move(endpoints)), health_(endpoints_.size()) {
   sessions_.reserve(endpoints_.size());
   for (uint32_t node = 0; node < endpoints_.size(); ++node) {
-    SocketInitiatorConfig session = config_.session;
+    SocketInitiatorConfig per_node = session;
     // Distinct jitter streams per node so one worker's reconnects to
     // different nodes don't sleep in lockstep either.
-    session.seed = config_.session.seed * 0x9E3779B97F4A7C15ULL + node + 1;
-    sessions_.emplace_back(session);
+    per_node.seed = session.seed * 0x9E3779B97F4A7C15ULL + node + 1;
+    sessions_.emplace_back(per_node);
     ring_.AddNode(node);
   }
 }
@@ -205,13 +195,24 @@ OsdResponse ClusterInitiator::Roundtrip(const OsdCommand& command) {
     for (uint32_t node : ring_.ReplicasOf(where.key, sessions_.size())) {
       if (node == *where.hint_owner) continue;
       if (health_.Usable(node) || EnsureSession(node)) {
-        return RouteSingle(command, where.key, node);
+        return RouteSingle(command, node);
       }
     }
     return FailResponse();
   }
   if (command.op == OsdOp::kWrite && command.id == kControlObject) {
-    return RouteSingle(command, where.key);  // a control message, not data
+    // A control message, not data. A "#SETID#" is a classification: it
+    // runs on the object's owner, which the ring then hints to its
+    // successor so the class outlives the owner.
+    std::optional<uint32_t> owner = PickNode(where.key);
+    bool delivered = false;
+    OsdResponse resp = RouteSingle(command, owner, &delivered);
+    if (delivered && where.set_class) {
+      ObjectMeta& meta = objects_[where.key];
+      meta.class_id = *where.set_class;
+      SendHint(where.key, meta.class_id, meta.reads, *owner);
+    }
+    return resp;
   }
 
   if (IdempotentRead(command.op)) {
@@ -236,13 +237,12 @@ OsdResponse ClusterInitiator::Roundtrip(const OsdCommand& command) {
   // Write-side op: one attempt on the first usable replica, never
   // blindly resent (the ack is the durability contract).
   ++stats_.writes;
-  return RouteSingle(command, command.id);
+  return RouteSingle(command, PickNode(command.id));
 }
 
 OsdResponse ClusterInitiator::RouteSingle(const OsdCommand& command,
-                                          ObjectId route_by,
-                                          std::optional<uint32_t> forced) {
-  std::optional<uint32_t> node = forced ? forced : PickNode(route_by);
+                                          std::optional<uint32_t> node,
+                                          bool* delivered) {
   if (!node) {
     ++stats_.failed_writes;
     return FailResponse();
@@ -250,29 +250,7 @@ OsdResponse ClusterInitiator::RouteSingle(const OsdCommand& command,
   bool transport_failure = false;
   OsdResponse resp = RoundtripOn(*node, command, &transport_failure);
   if (transport_failure) ++stats_.failed_writes;
-  return resp;
-}
-
-OsdResponse ClusterInitiator::Classify(ObjectId id, uint8_t class_id) {
-  std::optional<uint32_t> node = PickNode(id);
-  if (!node) {
-    ++stats_.failed_writes;
-    return FailResponse();
-  }
-  OsdCommand cmd;
-  cmd.op = OsdOp::kWrite;
-  cmd.id = kControlObject;
-  cmd.data = EncodeControlMessage(
-      ControlMessage{SetIdCommand{.target = id, .class_id = class_id}});
-  bool transport_failure = false;
-  OsdResponse resp = RoundtripOn(*node, cmd, &transport_failure);
-  if (transport_failure) {
-    ++stats_.failed_writes;
-    return resp;
-  }
-  ObjectMeta& meta = objects_[id];
-  meta.class_id = class_id;
-  SendHint(id, class_id, meta.reads, *node);
+  if (delivered != nullptr) *delivered = !transport_failure;
   return resp;
 }
 
@@ -282,12 +260,9 @@ void ClusterInitiator::SendHint(ObjectId id, uint8_t class_id,
   for (uint32_t node : replicas) {
     if (node == owner) continue;
     if (!health_.Usable(node) && !EnsureSession(node)) continue;
-    OsdCommand cmd;
-    cmd.op = OsdOp::kWrite;
-    cmd.id = kControlObject;
-    cmd.data = EncodeControlMessage(ControlMessage{OwnerHintCommand{
+    OsdCommand cmd = ControlWriteCommand(OwnerHintCommand{
         .target = id, .class_id = class_id, .hotness = hotness,
-        .owner = owner}});
+        .owner = owner});
     bool transport_failure = false;
     OsdResponse resp = RoundtripOn(node, cmd, &transport_failure);
     if (!transport_failure && resp.sense == SenseCode::kOk) {
@@ -315,11 +290,7 @@ Status ClusterInitiator::AnnounceNodeDown(uint32_t node) {
   }
   health_.MarkDead(node);
   sessions_[node].Close();
-  OsdCommand cmd;
-  cmd.op = OsdOp::kWrite;
-  cmd.id = kControlObject;
-  cmd.data =
-      EncodeControlMessage(ControlMessage{NodeDownCommand{.node = node}});
+  OsdCommand cmd = ControlWriteCommand(NodeDownCommand{.node = node});
   size_t delivered = 0;
   for (uint32_t peer = 0; peer < sessions_.size(); ++peer) {
     if (peer == node) continue;

@@ -2,10 +2,12 @@
 // sessions.
 //
 // Wraps one SocketInitiator per member node behind the consistent-hash
-// ring (hash_ring.h) and the health tracker (node_health.h). Commands
-// route to the key's first *usable* ring replica, so a dead node's keys
-// flow to its ring successor without reconfiguration and flow back when
-// the node revives — membership never mutates, only liveness.
+// ring (hash_ring.h) and the health tracker (node_health.h), and is
+// itself an OsdSession, so OsdInitiator's typed API runs over the whole
+// ring as over one node. Commands route to the key's first *usable* ring
+// replica, so a dead node's keys flow to its ring successor without
+// reconfiguration and flow back when the node revives — membership never
+// mutates, only liveness.
 //
 // Failover mirrors the single-node tolerance contract:
 //   * idempotent reads (kRead/kGetAttr/kList*) that fail at the
@@ -17,12 +19,13 @@
 //     marks the node dead. Acked-object guarantees are thus preserved
 //     per class: an acked class-0/1 write reached a node that fsync'd it.
 //
-// Cluster metadata: Classify() places a "#OWNER#" hint for every
-// classified object on the object's ring successor (the node that will
-// inherit the key if the owner dies — see cluster_directory.h for why
-// that address is the right one), and successful reads re-hint at
-// power-of-two read counts so survivors know hot from cold. Single-
-// threaded by design, like SocketInitiator: one instance per worker.
+// Cluster metadata: every "#SETID#" routed through the ring classifies
+// the object on its owner and places an "#OWNER#" hint on the object's
+// ring successor (the node that will inherit the key if the owner dies —
+// see cluster_directory.h for why that address is the right one), and
+// successful reads re-hint at power-of-two read counts so survivors know
+// hot from cold. Single-threaded by design, like SocketInitiator: one
+// instance per worker.
 #pragma once
 
 #include <cstdint>
@@ -56,12 +59,6 @@ Result<std::vector<ClusterEndpoint>> ResolveEndpoints(
     const std::string& endpoints, const std::string& host, uint16_t port,
     const std::string& port_file);
 
-struct ClusterInitiatorConfig {
-  HashRingConfig ring;
-  NodeHealthConfig health;
-  SocketInitiatorConfig session;  ///< per-node socket posture
-};
-
 struct ClusterInitiatorStats {
   uint64_t commands = 0;
   uint64_t reads = 0;
@@ -74,10 +71,12 @@ struct ClusterInitiatorStats {
   uint64_t announces = 0;        ///< NODEDOWN fan-outs issued
 };
 
-class ClusterInitiator {
+class ClusterInitiator final : public OsdSession {
  public:
+  /// `session` is every per-node socket's posture; each node gets its own
+  /// reconnect-jitter stream derived from its seed.
   ClusterInitiator(std::vector<ClusterEndpoint> endpoints,
-                   ClusterInitiatorConfig config = {});
+                   SocketInitiatorConfig session = {});
 
   /// Connects every session; ok if at least one node is reachable
   /// (unreachable ones are recorded as failures and probed back later).
@@ -97,12 +96,10 @@ class ClusterInitiator {
   /// Routes one command by the placement rule shards share
   /// (osd/command_placement.h) and the failover contract above.
   /// Namespace-wide ops (FORMAT, partition/collection DDL, LIST) fan out
-  /// to every usable node and merge with MergeFanOutResponses.
-  OsdResponse Roundtrip(const OsdCommand& command);
-
-  /// Classifies an object on its live owner (SETID) and, when hinting is
-  /// on, places the #OWNER# hint on the next usable ring replica.
-  OsdResponse Classify(ObjectId id, uint8_t class_id);
+  /// to every usable node and merge with MergeFanOutResponses. A "#SETID#"
+  /// that reaches the object's owner is recorded here (for read-count
+  /// re-hints) and hinted to the next usable ring replica.
+  OsdResponse Roundtrip(const OsdCommand& command) override;
 
   /// Seeds the local object table (class, zero reads) without wire
   /// traffic, so read-count re-hints fire for objects another session
@@ -136,17 +133,18 @@ class ClusterInitiator {
                           bool* transport_failure);
   /// First usable replica for the key, after running due probes.
   std::optional<uint32_t> PickNode(ObjectId id);
-  /// Routes to `forced` or to route_by's first usable replica; a wire
-  /// failure surfaces as failed (the never-blindly-resend leg).
-  OsdResponse RouteSingle(const OsdCommand& command, ObjectId route_by,
-                          std::optional<uint32_t> forced = std::nullopt);
+  /// One attempt on `node` (nullopt: no usable replica); a wire failure
+  /// surfaces as failed (the never-blindly-resend leg). `delivered` tells
+  /// whether the node answered.
+  OsdResponse RouteSingle(const OsdCommand& command,
+                          std::optional<uint32_t> node,
+                          bool* delivered = nullptr);
   OsdResponse FanOut(const OsdCommand& command);
   void SendHint(ObjectId id, uint8_t class_id, uint64_t hotness,
                 uint32_t owner);
   void MaybeRehint(ObjectId id);
 
   std::vector<ClusterEndpoint> endpoints_;
-  ClusterInitiatorConfig config_;
   std::vector<SocketInitiator> sessions_;
   HashRing ring_;
   NodeHealthTracker health_;

@@ -1,20 +1,14 @@
 #include "cluster/recovery_driver.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <unordered_map>
 
+#include "common/flags.h"
 #include "common/recovery_order.h"
+#include "osd/osd_initiator.h"
 #include "telemetry/json_scan.h"
 
 namespace reo {
-namespace {
-
-uint64_t ParseHexField(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 0);  // accepts "0x..." and decimal
-}
-
-}  // namespace
 
 Result<std::vector<RefetchItem>> ClusterRecoveryDriver::Plan(
     uint32_t dead_node, ClusterRecoveryReport& report) {
@@ -33,20 +27,22 @@ Result<std::vector<RefetchItem>> ClusterRecoveryDriver::Plan(
     for (size_t i = 0; i < doc->size(entries); ++i) {
       int e = doc->item(entries, i);
       ++report.entries_scanned;
-      // A field that is missing or out of range skips the entry rather
-      // than wrapping into some other node's, class's or hotness's value.
+      // A field that is missing, malformed or out of range skips the
+      // entry rather than wrapping into some other node's, object's,
+      // class's or hotness's value.
       auto owner = doc->integer(doc->member(e, "owner"), 0, UINT32_MAX);
       auto class_id = doc->integer(doc->member(e, "class"), 0, UINT8_MAX);
       auto hotness = doc->integer(doc->member(e, "hotness"), 0,
                                   JsonDoc::kMaxExactInteger);
-      if (!owner || !class_id || !hotness ||
+      auto pid = ParseHex(doc->str(doc->member(e, "pid")));
+      auto oid = ParseHex(doc->str(doc->member(e, "oid")));
+      if (!owner || !class_id || !hotness || !pid || !oid ||
           static_cast<uint32_t>(*owner) != dead_node) {
         continue;
       }
       ++report.dead_entries;
       RefetchItem item;
-      item.id = ObjectId{ParseHexField(doc->str(doc->member(e, "pid"))),
-                         ParseHexField(doc->str(doc->member(e, "oid")))};
+      item.id = ObjectId{*pid, *oid};
       item.class_id = static_cast<uint8_t>(*class_id);
       item.hotness = static_cast<uint64_t>(*hotness);
       auto [it, inserted] = dead_objects.try_emplace(item.id, item);
@@ -99,27 +95,20 @@ Result<ClusterRecoveryReport> ClusterRecoveryDriver::Recover(
   // 3. Refetch class-0/1 from the backend, hottest first, and write each
   //    through the cluster: routing lands it on the key's new owner —
   //    the hint holder, which emits cluster.refetch on arrival.
+  OsdInitiator initiator(cluster_);
   for (const RefetchItem& item : *plan) {
     auto payload = backend_(item.id);
     if (!payload.ok()) {
       ++report.refetch_failures;
       continue;
     }
-    OsdCommand create;
-    create.op = OsdOp::kCreate;
-    create.id = item.id;
-    create.logical_size = payload->size();
     // The new owner has no record of the object; an exists-failure from
-    // a re-run is fine, the write below is the real verdict.
-    (void)cluster_.Roundtrip(create);
-    (void)cluster_.Classify(item.id, item.class_id);
-
-    OsdCommand write;
-    write.op = OsdOp::kWrite;
-    write.id = item.id;
-    write.logical_size = payload->size();
-    write.data = std::move(*payload);
-    OsdResponse resp = cluster_.Roundtrip(write);
+    // a re-run is fine, the write below is the real verdict. Classifying
+    // through the ring also re-hints the object to its new successor.
+    (void)initiator.CreateObject(item.id, payload->size(), 0);
+    (void)initiator.SetClassId(item.id, item.class_id, 0);
+    OsdResponse resp =
+        initiator.WriteObject(item.id, *payload, payload->size(), 0);
     if (!resp.ok()) {
       ++report.refetch_failures;
       continue;

@@ -19,6 +19,16 @@ std::optional<uint64_t> ParseUint(std::string_view text, uint64_t min,
   return v;
 }
 
+std::optional<uint64_t> ParseHex(std::string_view text) {
+  if (!text.starts_with("0x")) return std::nullopt;
+  text.remove_prefix(2);
+  const char* end = text.data() + text.size();
+  uint64_t v = 0;
+  auto [stop, ec] = std::from_chars(text.data(), end, v, 16);
+  if (ec != std::errc{} || stop != end) return std::nullopt;
+  return v;
+}
+
 std::string FlagSet::Wants(std::string_view accepted, std::string_view value) {
   return "wants " + std::string(accepted) + ", got '" + std::string(value) +
          "'";

@@ -27,6 +27,11 @@ namespace reo {
 std::optional<uint64_t> ParseUint(std::string_view text, uint64_t min = 0,
                                   uint64_t max = UINT64_MAX);
 
+/// `text` as "0x" followed by hex digits (either case) over the whole
+/// token, with no overflow: the form this code writes object ids in.
+/// nullopt for anything else, a bare "0x" included.
+std::optional<uint64_t> ParseHex(std::string_view text);
+
 /// An integer flag's accepted values, inclusive, in the flag's own unit.
 /// The destination receives value * `unit` (kKiB, kMiB), so `max` is also
 /// capped where that product would not fit the destination.

@@ -34,10 +34,6 @@ constexpr double kHotAdmissionHeadroom = 2.0;
 /// request while the recovery queue is non-empty.
 constexpr uint64_t kRecoveryBytesPerRequest = 16ULL << 20;
 
-/// Latency of one fsync'd control-object write (§IV.C.2: "a few dozen
-/// bytes ... completed very quickly").
-constexpr SimTime kControlWriteNs = 150 * kNsPerUs;
-
 /// Write-back delay: a dirty object becomes eligible for background
 /// flushing this long after its write (absorbs overwrites; during this
 /// window the object is Class 1 and replicated). Forced flushes during
@@ -49,18 +45,16 @@ constexpr RetryPolicy kBackendRetry{};
 
 }  // namespace
 
-CacheManager::CacheManager(OsdTarget& target, ReoDataPlane& plane,
+CacheManager::CacheManager(OsdSession& session, ReoDataPlane& plane,
                            BackendStore& backend, CacheManagerConfig config)
-    : initiator_(target),
+    : initiator_(session),
       plane_(plane),
       backend_(backend),
       config_(config),
       classifier_([&s = plane.stripes()](uint64_t size) {
         // Redundancy bytes protecting `size` at the hot level (2-parity).
         return s.FootprintEstimate(size, RedundancyLevel::kParity2) - size;
-      }) {
-  initiator_.set_control_latency(kControlWriteNs);
-}
+      }) {}
 
 void CacheManager::Initialize(SimTime now) {
   (void)initiator_.FormatOsd(plane_.stripes().array().total_capacity_bytes(),

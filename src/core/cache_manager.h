@@ -97,8 +97,9 @@ struct CacheStats {
 
 class CacheManager {
  public:
-  /// All references must outlive the manager.
-  CacheManager(OsdTarget& target, ReoDataPlane& plane, BackendStore& backend,
+  /// `session` is the manager's path to the target (in-process or over
+  /// the modeled wire). All references must outlive the manager.
+  CacheManager(OsdSession& session, ReoDataPlane& plane, BackendStore& backend,
                CacheManagerConfig config);
 
   /// Formats the OSD and installs the Table I metadata objects (Class 0,
@@ -153,9 +154,6 @@ class CacheManager {
   bool recovery_active() const { return plane_.recovery_active(); }
   size_t recovery_backlog() const { return recovery_.size(); }
   ReoDataPlane& plane() { return plane_; }
-  const OsdInitiator& initiator() const { return initiator_; }
-  /// Mutable access for session plumbing (e.g. attaching a wire transport).
-  OsdInitiator& initiator_mutable() { return initiator_; }
 
   /// Sends a #QUERY# control message for an object and returns the sense
   /// code (exercises the paper's query path; used by examples/tests).

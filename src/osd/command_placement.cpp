@@ -23,7 +23,7 @@ CommandPlacement PlaceCommand(const OsdCommand& cmd) {
       auto msg = DecodeControlMessage(cmd.data);
       if (!msg.ok()) break;  // malformed: the control object's home
       if (const auto* set = std::get_if<SetIdCommand>(&*msg)) {
-        return {.key = set->target};
+        return {.key = set->target, .set_class = set->class_id};
       }
       if (const auto* hint = std::get_if<OwnerHintCommand>(&*msg)) {
         // With the object, so its refetch write lands where the hint is.

@@ -9,7 +9,7 @@
 #include <span>
 
 #include "common/object_id.h"
-#include "osd/osd_target.h"
+#include "osd/osd_session.h"
 
 namespace reo {
 
@@ -20,6 +20,10 @@ struct CommandPlacement {
   /// cluster puts the hint on the key's first ring replica other than
   /// that node, so the hint outlives the owner; shards ignore it.
   std::optional<uint32_t> hint_owner;
+  /// Set for a "#SETID#": the class it assigns to the key. A cluster
+  /// records it and hints the key's owner to the ring successor; shards
+  /// ignore it.
+  std::optional<uint8_t> set_class;
 };
 
 /// Where one decoded command runs:

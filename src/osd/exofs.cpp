@@ -1,8 +1,10 @@
 #include "osd/exofs.h"
 
 #include <algorithm>
-#include <charconv>
+#include <optional>
 #include <sstream>
+
+#include "common/flags.h"
 
 namespace reo {
 namespace {
@@ -37,16 +39,10 @@ Result<std::vector<ExofsDirent>> ParseDir(std::string_view text, uint64_t pid) {
     if (!(ls >> kind >> oid_hex >> size >> name) || (kind != 'D' && kind != 'F')) {
       return Status{ErrorCode::kCorrupted, "bad directory entry"};
     }
-    uint64_t oid = 0;
-    std::string_view digits = oid_hex;
-    if (digits.starts_with("0x")) digits.remove_prefix(2);
-    auto [ptr, ec] =
-        std::from_chars(digits.data(), digits.data() + digits.size(), oid, 16);
-    if (ec != std::errc{} || ptr != digits.data() + digits.size()) {
-      return Status{ErrorCode::kCorrupted, "bad oid in directory"};
-    }
+    std::optional<uint64_t> oid = ParseHex(oid_hex);
+    if (!oid) return Status{ErrorCode::kCorrupted, "bad oid in directory"};
     entries.push_back(ExofsDirent{.name = name,
-                                  .object = {pid, oid},
+                                  .object = {pid, *oid},
                                   .is_directory = kind == 'D',
                                   .size = size});
   }
@@ -130,7 +126,11 @@ Status ExofsClient::Mount(SimTime now) {
   if (!(in >> key >> value) || key != "next_oid") {
     return {ErrorCode::kCorrupted, "bad superblock body"};
   }
-  next_oid_ = std::stoull(value, nullptr, 16);
+  // The superblock holds whatever its last writer left, possibly another
+  // client of the same target: a malformed count is corruption.
+  std::optional<uint64_t> next_oid = ParseHex(value);
+  if (!next_oid) return {ErrorCode::kCorrupted, "bad superblock next_oid"};
+  next_oid_ = *next_oid;
   mounted_ = true;
   return Status::Ok();
 }

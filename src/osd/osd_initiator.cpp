@@ -4,8 +4,7 @@ namespace reo {
 
 OsdResponse OsdInitiator::Execute(OsdCommand command) {
   ++stats_.commands_sent;
-  OsdResponse resp = transport_ != nullptr ? transport_->Roundtrip(command)
-                                           : target_.Execute(command);
+  OsdResponse resp = session_.Roundtrip(command);
   if (!resp.ok()) ++stats_.errors;
   return resp;
 }
@@ -118,15 +117,7 @@ OsdResponse OsdInitiator::ListCollection(ObjectId id, SimTime now) {
 
 SenseCode OsdInitiator::SendControl(const ControlMessage& msg, SimTime now) {
   ++stats_.control_writes;
-  OsdCommand c;
-  c.op = OsdOp::kWrite;
-  c.id = kControlObject;
-  c.data = EncodeControlMessage(msg);
-  // §IV.C.2: control messages are written with fsync to reach the target
-  // immediately; the message is a few dozen bytes, so a fixed cost models
-  // the synchronous round trip.
-  c.now = now + control_latency_ns_;
-  return Execute(std::move(c)).sense;
+  return Execute(ControlWriteCommand(msg, now + kControlLatency)).sense;
 }
 
 SenseCode OsdInitiator::SetClassId(ObjectId id, uint8_t cid, SimTime now) {

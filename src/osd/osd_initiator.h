@@ -2,16 +2,17 @@
 //
 // In the paper's prototype the cache manager talks to osd-target through
 // the osd-initiator kernel modules over iSCSI. This class is that
-// initiator: it owns the session to one target, builds well-formed
-// commands (including the §IV.C.2 control-object messages), and offers a
-// typed API so upper layers never touch raw CDBs.
+// initiator's typed front-end: it builds well-formed commands (including
+// the §IV.C.2 control-object messages) and sends them over one OsdSession
+// (osd_session.h), so upper layers never touch raw CDBs. The same code
+// runs in-process, over the modeled wire, over a socket to reo_server and
+// through a cluster ring.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
-#include "osd/osd_target.h"
-#include "osd/transport.h"
+#include "osd/osd_session.h"
 
 namespace reo {
 
@@ -22,11 +23,16 @@ struct OsdInitiatorStats {
   uint64_t errors = 0;  ///< responses with sense != OK
 };
 
-/// Typed command front-end over one OSD target session.
+/// Typed command front-end over one OSD session.
 class OsdInitiator {
  public:
-  /// @param target the service delegate (in-process stand-in for iSCSI).
-  explicit OsdInitiator(OsdTarget& target) : target_(target) {}
+  /// Latency charged per synchronous control-object write: the message is
+  /// a few dozen bytes written with fsync (§IV.C.2), so a fixed cost
+  /// models the round trip.
+  static constexpr SimTime kControlLatency = 150 * kNsPerUs;
+
+  /// @param session the path to the target; must outlive the initiator.
+  explicit OsdInitiator(OsdSession& session) : session_(session) {}
 
   // --- Device / partition management ----------------------------------------
 
@@ -57,7 +63,7 @@ class OsdInitiator {
   // --- Reo control protocol (paper §IV.C.2) -------------------------------------
 
   /// Sends "#SETID#" for `id` with class `cid`. The write is synchronous
-  /// (fsync'd), modeled by `control_latency_ns`.
+  /// (fsync'd), stamped `now + kControlLatency`.
   SenseCode SetClassId(ObjectId id, uint8_t cid, SimTime now);
 
   /// Sends "#QUERY#" about `id`; returns the sense code per Table III.
@@ -69,24 +75,12 @@ class OsdInitiator {
 
   const OsdInitiatorStats& stats() const { return stats_; }
 
-  /// Latency charged per synchronous control-object write.
-  void set_control_latency(SimTime ns) { control_latency_ns_ = ns; }
-  SimTime control_latency() const { return control_latency_ns_; }
-
-  /// Routes all commands through a serialized wire transport (iSCSI
-  /// stand-in) instead of the in-process fast path. The transport must
-  /// outlive the initiator. Pass nullptr to go back in-process.
-  void UseTransport(OsdTransport* transport) { transport_ = transport; }
-  bool using_transport() const { return transport_ != nullptr; }
-
  private:
   OsdResponse Execute(OsdCommand command);
   SenseCode SendControl(const ControlMessage& msg, SimTime now);
 
-  OsdTarget& target_;
-  OsdTransport* transport_ = nullptr;
+  OsdSession& session_;
   OsdInitiatorStats stats_;
-  SimTime control_latency_ns_ = 150 * kNsPerUs;
 };
 
 }  // namespace reo

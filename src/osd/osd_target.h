@@ -19,6 +19,7 @@
 #include "osd/cluster_directory.h"
 #include "osd/control_protocol.h"
 #include "osd/object_store.h"
+#include "osd/osd_session.h"
 #include "osd/sense.h"
 #include "telemetry/metric_registry.h"
 #include "trace/tracer.h"
@@ -82,46 +83,6 @@ class DataPlane {
   }
 };
 
-/// OSD command opcodes (the subset of OSD-2 Reo exercises).
-enum class OsdOp : uint8_t {
-  kFormat,
-  kCreatePartition,
-  kCreate,
-  kWrite,
-  kRead,
-  kRemove,
-  kSetAttr,
-  kGetAttr,
-  kList,
-  kCreateCollection,
-  kRemoveCollection,
-  kListCollection,
-};
-
-/// One CDB-equivalent command.
-struct OsdCommand {
-  OsdOp op = OsdOp::kRead;
-  ObjectId id;
-  uint64_t logical_size = 0;          ///< WRITE: user-visible byte count
-  std::vector<uint8_t> data;          ///< WRITE payload / control message
-  AttributeId attr;                   ///< SET/GET ATTR target
-  std::vector<uint8_t> attr_value;    ///< SET_ATTR value
-  uint64_t capacity_bytes = 0;        ///< FORMAT
-  SimTime now = 0;                    ///< virtual submission time
-};
-
-/// Command result.
-struct OsdResponse {
-  SenseCode sense = SenseCode::kOk;
-  SimTime complete = 0;
-  bool degraded = false;
-  PayloadBuffer data;               ///< READ payload (non-zeroing buffer)
-  std::vector<uint8_t> attr_value;  ///< GET_ATTR value
-  std::vector<uint64_t> list;       ///< LIST / LIST_COLLECTION oids
-
-  bool ok() const { return sense == SenseCode::kOk; }
-};
-
 /// Per-op service counters.
 struct OsdTargetStats {
   uint64_t commands = 0;
@@ -134,14 +95,19 @@ struct OsdTargetStats {
 };
 
 /// The target. Not thread-safe; the simulator is single-threaded by design.
-class OsdTarget {
+/// As a session it is the in-process path: no wire, no link time.
+class OsdTarget final : public OsdSession {
  public:
   /// @param data_plane payload storage; must outlive the target.
   explicit OsdTarget(DataPlane& data_plane);
 
   /// Executes one command and returns its response (never throws; all
-  /// storage conditions surface as sense codes).
+  /// storage conditions surface as sense codes). The server calls this,
+  /// not the virtual Roundtrip.
   OsdResponse Execute(const OsdCommand& command);
+  OsdResponse Roundtrip(const OsdCommand& command) override {
+    return Execute(command);
+  }
 
   ObjectStore& object_store() { return store_; }
   const ObjectStore& object_store() const { return store_; }

@@ -52,14 +52,13 @@ struct TransportStats {
 /// shipped across the link, decoded and executed at the target, and the
 /// encoded response shipped back; the response's completion time includes
 /// both transfers.
-class OsdTransport {
+class OsdTransport final : public OsdSession {
  public:
   /// @param target the remote service; must outlive the transport.
   explicit OsdTransport(OsdTarget& target, NetworkLinkConfig link = {})
       : target_(target), link_(link) {}
 
-  /// Sends one command and waits for the response.
-  OsdResponse Roundtrip(const OsdCommand& command);
+  OsdResponse Roundtrip(const OsdCommand& command) override;
 
   const TransportStats& stats() const { return stats_; }
 

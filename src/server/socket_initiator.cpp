@@ -277,16 +277,6 @@ Result<AdminResponse> SocketInitiator::AdminRoundtrip(AdminOp op,
   return resp;
 }
 
-namespace {
-
-/// Safe to resend blindly: re-executing on the target changes nothing.
-bool IdempotentRead(OsdOp op) {
-  return op == OsdOp::kRead || op == OsdOp::kGetAttr || op == OsdOp::kList ||
-         op == OsdOp::kListCollection;
-}
-
-}  // namespace
-
 uint32_t ReconnectBackoffMs(const SocketInitiatorConfig& config,
                             uint32_t retry, Pcg32& rng) {
   // Cap the exponent before multiplying: 2^retry overflows every integer

@@ -1,8 +1,8 @@
 // SocketInitiator: the client end of the real network path.
 //
-// Mirrors OsdTransport's interface shape — Roundtrip(command) ->
-// response, stats(), AttachTelemetry() — but ships the same encoded
-// bytes over a TCP socket to a ShardedServer instead of a simulated
+// An OsdSession (osd/osd_session.h) like OsdTransport, so OsdInitiator's
+// typed API runs over it unchanged, but it ships the same encoded bytes
+// over a TCP socket to a ShardedServer instead of a simulated
 // NetworkLink. Blocking IO: the load generator and tests run one
 // initiator per closed-loop worker. Send()/Receive() are exposed
 // separately so callers can pipeline several commands onto the wire
@@ -15,7 +15,7 @@
 #include <string_view>
 
 #include "common/rng.h"
-#include "osd/osd_target.h"
+#include "osd/osd_session.h"
 #include "osd/transport.h"
 #include "server/admin_protocol.h"
 #include "server/frame.h"
@@ -69,12 +69,12 @@ uint32_t ReconnectBackoffMs(const SocketInitiatorConfig& config,
 /// for anything else.
 std::optional<uint16_t> ParsePort(std::string_view text);
 
-class SocketInitiator {
+class SocketInitiator final : public OsdSession {
  public:
   SocketInitiator() = default;
   explicit SocketInitiator(const SocketInitiatorConfig& config)
       : config_(config), retry_rng_(config.seed, /*stream=*/0x50c) {}
-  ~SocketInitiator();
+  ~SocketInitiator() override;
 
   SocketInitiator(const SocketInitiator&) = delete;
   SocketInitiator& operator=(const SocketInitiator&) = delete;
@@ -90,7 +90,7 @@ class SocketInitiator {
   /// failure returns a response with sense kFail (matching OsdTransport's
   /// contract); the session is closed. With `max_retries` configured,
   /// idempotent reads transparently reconnect and resend first.
-  OsdResponse Roundtrip(const OsdCommand& command);
+  OsdResponse Roundtrip(const OsdCommand& command) override;
 
   /// Pipelining: ships one command without waiting.
   Status Send(const OsdCommand& command);

@@ -42,18 +42,20 @@ CacheSimulator::CacheSimulator(const Trace& trace, SimulationConfig config)
   backend_ = std::make_unique<BackendStore>(config_.hdd, config_.net);
   if (n.injector) backend_->AttachFaults(n.injector.get());
 
-  cache_ = std::make_unique<CacheManager>(*n.target, *n.plane, *backend_,
+  // The manager speaks to the target through the modeled wire when asked,
+  // else in-process.
+  if (config_.wire_transport) {
+    transport_ = std::make_unique<OsdTransport>(*n.target, config_.net);
+  }
+  OsdSession& session =
+      transport_ ? static_cast<OsdSession&>(*transport_) : *n.target;
+  cache_ = std::make_unique<CacheManager>(session, *n.plane, *backend_,
                                           config_.cache);
   if (n.persist) cache_->AttachPersistence(n.persist.get());
   if (n.failslow) cache_->AttachFaultDetector(n.failslow.get());
   // Graduating objects classify from observed hotness, not the staged
   // cold-start guess.
   if (n.admission) cache_->AttachAdmission(*n.admission);
-
-  if (config_.wire_transport) {
-    transport_ = std::make_unique<OsdTransport>(*n.target, config_.net);
-    cache_->initiator_mutable().UseTransport(transport_.get());
-  }
 
   // The cache manager attaches its recovery scheduler itself.
   cache_->AttachTelemetry(telemetry_);

@@ -22,6 +22,7 @@
 #include "map_data_plane.h"
 #include "osd/cluster_directory.h"
 #include "osd/control_protocol.h"
+#include "osd/osd_initiator.h"
 #include "osd/osd_target.h"
 #include "shard/sharded_server.h"
 #include "trace/event_log.h"
@@ -362,33 +363,25 @@ TEST(ClusterIntegrationTest, ThreeNodeKillDrillPreservesAckedClass01) {
     endpoints.push_back({"127.0.0.1", port});
   }
 
-  ClusterInitiatorConfig ccfg;
-  ccfg.session.receive_timeout_ms = 5000;
-  ClusterInitiator cluster(endpoints, ccfg);
+  ClusterInitiator cluster(endpoints,
+                           SocketInitiatorConfig{.receive_timeout_ms = 5000});
   ASSERT_TRUE(cluster.ConnectAll().ok());
+  OsdInitiator initiator(cluster);
+  ASSERT_TRUE(initiator.FormatOsd(64ull << 20).ok());
 
-  OsdCommand format;
-  format.op = OsdOp::kFormat;
-  format.capacity_bytes = 64ull << 20;
-  ASSERT_TRUE(cluster.Roundtrip(format).ok());
-
-  // Populate: every object created, classified rank%4 (placing its
-  // owner hint on the ring successor), and written on its ring owner.
+  // Populate: every object created, classified rank%4 through the typed
+  // API (the ring places each owner hint on the ring successor), and
+  // written on its ring owner.
   std::set<uint32_t> acked;
   for (uint32_t rank = 0; rank < kDrillObjects; ++rank) {
-    OsdCommand create;
-    create.op = OsdOp::kCreate;
-    create.id = KeyOf(rank);
-    create.logical_size = kDrillBytes;
-    ASSERT_TRUE(cluster.Roundtrip(create).ok()) << "rank " << rank;
+    ASSERT_TRUE(initiator.CreateObject(KeyOf(rank), kDrillBytes, 0).ok())
+        << "rank " << rank;
+    ASSERT_EQ(initiator.SetClassId(KeyOf(rank), rank % 4, 0), SenseCode::kOk)
+        << "rank " << rank;
     ASSERT_TRUE(
-        cluster.Classify(KeyOf(rank), static_cast<uint8_t>(rank % 4)).ok());
-    OsdCommand write;
-    write.op = OsdOp::kWrite;
-    write.id = KeyOf(rank);
-    write.data = DrillPayload(rank);
-    write.logical_size = write.data.size();
-    ASSERT_TRUE(cluster.Roundtrip(write).ok()) << "rank " << rank;
+        initiator.WriteObject(KeyOf(rank), DrillPayload(rank), kDrillBytes, 0)
+            .ok())
+        << "rank " << rank;
     acked.insert(rank);
   }
 

@@ -56,6 +56,25 @@ TEST(ExofsTest, MkFsAndMount) {
   EXPECT_EQ(other.next_oid(), fx.fs->next_oid());
 }
 
+TEST(ExofsTest, MalformedSuperblockMountsAsCorrupt) {
+  ExofsFixture fx;
+  ASSERT_TRUE(fx.fs->MkFs(5 << 20, 0).ok());
+  // Another client of the target left a superblock whose count is not
+  // "0x" and hex digits.
+  for (std::string next_oid : {"zz", "0x1zz", "0x", "0x10000000000000000"}) {
+    std::string body = "exofs-reo v1\nnext_oid " + next_oid + "\n";
+    std::vector<uint8_t> bytes = fx.Bytes(body);
+    bytes.resize(fx.stripes->PhysicalSize(bytes.size()), 0);
+    ASSERT_TRUE(fx.initiator
+                    ->WriteObject(kSuperBlockObject, bytes, body.size(), 0)
+                    .ok());
+    ExofsClient other(*fx.initiator,
+                      [&](uint64_t l) { return fx.stripes->PhysicalSize(l); });
+    EXPECT_EQ(other.Mount(0).code(), ErrorCode::kCorrupted) << next_oid;
+    EXPECT_FALSE(other.mounted());
+  }
+}
+
 TEST(ExofsTest, MountWithoutMkFsFails) {
   ExofsFixture fx;
   EXPECT_FALSE(fx.fs->Mount(0).ok());

@@ -166,5 +166,19 @@ TEST(FlagSetTest, HelpListsEveryDeclaredFlag) {
   }
 }
 
+// Object ids travel as "0x..." text (superblocks, OWNERS dumps); a
+// malformed one must be refused, not read as 0 or as its numeric prefix.
+TEST(ParseHexTest, TakesZeroXAndHexDigitsOverTheWholeToken) {
+  EXPECT_EQ(ParseHex("0x0"), 0u);
+  EXPECT_EQ(ParseHex("0x1f"), 0x1fu);
+  EXPECT_EQ(ParseHex("0xABCdef"), 0xabcdefu);
+  EXPECT_EQ(ParseHex("0xffffffffffffffff"), UINT64_MAX);
+  for (const char* bad :
+       {"", "0x", "1f", "0X1f", "zz", "0x1zz", "0x-1", "0x+1", " 0x1",
+        "0x1 ", "0x10000000000000000"}) {
+    EXPECT_EQ(ParseHex(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace reo

@@ -1,8 +1,10 @@
 // OsdInitiator tests: the typed client API over the target, including the
-// control-protocol helpers, against a real ReoDataPlane stack.
+// control-protocol helpers, against a real ReoDataPlane stack, and what it
+// sends over a recording fake session.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "backend/backend_store.h"
 #include "core/data_plane.h"
@@ -143,12 +145,37 @@ TEST(OsdInitiatorTest, StatsTrackTraffic) {
   EXPECT_GE(st.errors, 1u);
 }
 
+/// A session that records every command it is sent and answers OK.
+class RecordingSession final : public OsdSession {
+ public:
+  OsdResponse Roundtrip(const OsdCommand& command) override {
+    sent.push_back(command);
+    return {};
+  }
+  std::vector<OsdCommand> sent;
+};
+
 TEST(OsdInitiatorTest, ControlLatencyIsCharged) {
-  InitiatorFixture fx;
-  fx.initiator->set_control_latency(12345);
-  EXPECT_EQ(fx.initiator->control_latency(), 12345u);
-  ASSERT_TRUE(fx.initiator->CreateObject(Oid(1), kChunk, 0).ok());
-  EXPECT_EQ(fx.initiator->SetClassId(Oid(1), 3, 0), SenseCode::kOk);
+  RecordingSession session;
+  OsdInitiator initiator(session);
+  constexpr SimTime kNow = 7 * kNsPerMs;
+  ASSERT_TRUE(initiator.CreateObject(Oid(1), kChunk, kNow).ok());
+  EXPECT_EQ(initiator.SetClassId(Oid(1), 3, kNow), SenseCode::kOk);
+  EXPECT_EQ(initiator.QueryRecoveryState(kNow), SenseCode::kOk);
+  ASSERT_EQ(session.sent.size(), 3u);
+
+  // A data command goes out at `now`; each fsync'd control write is
+  // charged 150 us on top.
+  EXPECT_EQ(session.sent[0].now, kNow);
+  for (size_t i : {1, 2}) {
+    EXPECT_EQ(session.sent[i].op, OsdOp::kWrite);
+    EXPECT_EQ(session.sent[i].id, kControlObject);
+    EXPECT_EQ(session.sent[i].now, kNow + 150 * kNsPerUs);
+  }
+  auto setid = DecodeControlMessage(session.sent[1].data);
+  ASSERT_TRUE(setid.ok());
+  EXPECT_EQ(*setid,
+            ControlMessage(SetIdCommand{.target = Oid(1), .class_id = 3}));
 }
 
 TEST(OsdInitiatorTest, PartitionManagement) {

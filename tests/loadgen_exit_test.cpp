@@ -69,5 +69,36 @@ TEST(LoadgenExitTest, VerifyErrorsAreThree) {
   EXPECT_EQ(ExitCode(o), 3);
 }
 
+TEST(LoadgenReadBackTest, VerdictForEveryModeAndClass) {
+  // A miss: loss on one node at every class, and on the ring only for
+  // the classes a node kill must not take (0 and 1).
+  struct Case {
+    bool ring;
+    int class_id;  // -1: never classified
+    ReadBack miss;
+  };
+  for (const Case& c : {Case{false, -1, ReadBack::kLost},
+                        Case{false, 0, ReadBack::kLost},
+                        Case{false, 1, ReadBack::kLost},
+                        Case{false, 2, ReadBack::kLost},
+                        Case{false, 3, ReadBack::kLost},
+                        Case{true, -1, ReadBack::kCleanMiss},
+                        Case{true, 0, ReadBack::kLost},
+                        Case{true, 1, ReadBack::kLost},
+                        Case{true, 2, ReadBack::kCleanMiss},
+                        Case{true, 3, ReadBack::kCleanMiss}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << (c.ring ? "ring" : "one node") << ", class " << c.class_id);
+    EXPECT_EQ(ReadBackVerdict(c.ring, c.class_id, /*served=*/false,
+                              /*bytes_match=*/false),
+              c.miss);
+    // Served bytes are judged alike in every mode and class.
+    EXPECT_EQ(ReadBackVerdict(c.ring, c.class_id, true, true),
+              ReadBack::kIntact);
+    EXPECT_EQ(ReadBackVerdict(c.ring, c.class_id, true, false),
+              ReadBack::kCorrupt);
+  }
+}
+
 }  // namespace
 }  // namespace reo::loadgen

@@ -24,6 +24,7 @@
 
 #include "map_data_plane.h"
 #include "osd/control_protocol.h"
+#include "osd/osd_initiator.h"
 #include "osd/osd_target.h"
 #include "osd/transport.h"
 #include "server/admin_protocol.h"
@@ -146,6 +147,41 @@ TEST_F(ServerTest, CreateWriteReadRemoveRoundTrip) {
   EXPECT_EQ(server_->stats().decode_errors, 0u);
   EXPECT_EQ(server_->stats().requests, 6u);
   EXPECT_EQ(telemetry_.Snapshot().Find("server.requests")->value, 6.0);
+}
+
+// OsdInitiator's typed API, control protocol included, runs over a socket
+// session exactly as over the in-process target.
+TEST_F(ServerTest, TypedInitiatorRunsOverSocketSession) {
+  StartServer();
+  SocketInitiator client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  OsdInitiator initiator(client);
+
+  ASSERT_TRUE(initiator.FormatOsd(1 << 20).ok());
+  ASSERT_TRUE(initiator.CreateObject(kTestObject, 4096, 0).ok());
+  EXPECT_EQ(initiator.SetClassId(kTestObject, 1, 0), SenseCode::kOk);
+  std::vector<uint8_t> payload(4096);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 131);
+  }
+  ASSERT_TRUE(
+      initiator.WriteObject(kTestObject, payload, payload.size(), 0).ok());
+  OsdResponse got = initiator.ReadObject(kTestObject, 0);
+  ASSERT_TRUE(got.ok());
+  ASSERT_GE(got.data.size(), payload.size());
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), got.data.begin()));
+
+  OsdResponse cls = initiator.GetAttr(kTestObject, kAttrClassId, 0);
+  ASSERT_TRUE(cls.ok());
+  EXPECT_EQ(cls.attr_value, (std::vector<uint8_t>{1, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(initiator.Query(kTestObject, /*is_write=*/false, 0, 4096, 0),
+            SenseCode::kOk);
+  EXPECT_EQ(initiator.QueryRecoveryState(0), SenseCode::kOk);
+  EXPECT_EQ(initiator.stats().errors, 0u);
+  EXPECT_EQ(initiator.stats().control_writes, 3u);
+  EXPECT_EQ(client.stats().crc_errors + client.stats().frame_errors +
+                client.stats().decode_errors,
+            0u);
 }
 
 TEST_F(ServerTest, PipelinedRequestsAllAnswerInOrder) {

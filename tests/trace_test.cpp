@@ -150,11 +150,10 @@ struct TracedFixture {
         *stripes,
         RedundancyPolicy({.mode = mode, .reo_reserve_fraction = 0.25}));
     target = std::make_unique<OsdTarget>(*plane);
-    backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
-    cache = std::make_unique<CacheManager>(*target, *plane, *backend,
-                                           CacheManagerConfig{});
     transport = std::make_unique<OsdTransport>(*target);
-    cache->initiator_mutable().UseTransport(transport.get());
+    backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
+    cache = std::make_unique<CacheManager>(*transport, *plane, *backend,
+                                           CacheManagerConfig{});
 
     cache->AttachTracing(tracer);
     plane->AttachTracing(tracer);
@@ -188,9 +187,9 @@ struct TracedFixture {
   std::unique_ptr<StripeManager> stripes;
   std::unique_ptr<ReoDataPlane> plane;
   std::unique_ptr<OsdTarget> target;
+  std::unique_ptr<OsdTransport> transport;
   std::unique_ptr<BackendStore> backend;
   std::unique_ptr<CacheManager> cache;
-  std::unique_ptr<OsdTransport> transport;
   std::unordered_map<uint64_t, uint64_t> sizes;
   SimClock clock;
 };

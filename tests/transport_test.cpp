@@ -151,9 +151,8 @@ struct WireStack {
     target = std::make_unique<OsdTarget>(*plane);
     transport = std::make_unique<OsdTransport>(*target);
     backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
-    cache = std::make_unique<CacheManager>(*target, *plane, *backend,
+    cache = std::make_unique<CacheManager>(*transport, *plane, *backend,
                                            CacheManagerConfig{});
-    cache->initiator_mutable().UseTransport(transport.get());
     cache->Initialize(0);
   }
 

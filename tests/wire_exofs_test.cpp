@@ -29,8 +29,7 @@ struct WireFsFixture {
                                     .reo_reserve_fraction = 0.3}));
     target = std::make_unique<OsdTarget>(*plane);
     transport = std::make_unique<OsdTransport>(*target);
-    initiator = std::make_unique<OsdInitiator>(*target);
-    initiator->UseTransport(transport.get());
+    initiator = std::make_unique<OsdInitiator>(*transport);
     fs = std::make_unique<ExofsClient>(
         *initiator, [this](uint64_t l) { return stripes->PhysicalSize(l); });
   }

@@ -12,8 +12,13 @@
 //      below do not apply.
 //   2  wire corruption (CRC / framing / decode errors).
 //   3  read-payload verification mismatches.
-//   0  clean run (chaos drain-verify, when enabled, runs after this and
-//      has its own codes).
+//   0  clean run.
+//
+// A read-back of acked ranks (--verify-manifest, and the drain-verify
+// after a chaos run or a node-kill drill) runs after a clean run and
+// judges each rank with ReadBackVerdict: 1 if a one-node connection
+// drops outside chaos mode, else 2 on wire corruption, 3 on a corrupt
+// payload, 4 on a lost acked object.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +39,28 @@ inline int ExitCode(const RunOutcome& o) {
   if (o.wire_errors > 0) return 2;
   if (o.verify_errors > 0) return 3;
   return 0;
+}
+
+/// What reading back one acked rank found.
+enum class ReadBack : uint8_t {
+  kIntact,     ///< served with the bytes that were written
+  kCleanMiss,  ///< not served, and allowed to be
+  kLost,       ///< not served, and it had to be
+  kCorrupt,    ///< served with other bytes
+};
+
+/// The verdict on one acked rank of class `class_id` (-1: never
+/// classified) read back on one node or through the ring. Served bytes
+/// that differ are corruption in every mode. On one node a miss is loss
+/// at any class: the server keeps every write it acked. On the ring a
+/// node kill may take a clean object (class 2, 3 or unclassified) with
+/// it, which the cache refills from the backend; class 0 and 1 must
+/// survive.
+inline ReadBack ReadBackVerdict(bool ring, int class_id, bool served,
+                                bool bytes_match) {
+  if (served) return bytes_match ? ReadBack::kIntact : ReadBack::kCorrupt;
+  if (ring && class_id != 0 && class_id != 1) return ReadBack::kCleanMiss;
+  return ReadBack::kLost;
 }
 
 }  // namespace reo::loadgen

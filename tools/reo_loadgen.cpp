@@ -20,8 +20,11 @@
 //   reo_loadgen --port N --write-class 1 --write-ratio 1.0
 //       --kill-after 200 --kill-pid-file server.pid --ack-manifest acks.txt
 //   # after restart: verify every acknowledged object is readable with
-//   # the correct contents (exit 4 on any loss):
+//   # the correct contents (exit 3 on a corrupt payload, 4 on any loss):
 //   reo_loadgen --port N --verify-manifest acks.txt
+//
+// Every phase (populate, the workers, a read-back) speaks OSD through one
+// session: a SocketInitiator for --port, a ClusterInitiator for --cluster.
 //
 // Cluster mode (used by the cluster smoke scenario): workers route through
 // a consistent-hash ClusterInitiator over the listed nodes; --kill-node
@@ -40,14 +43,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
-#include <new>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "cluster/cluster_initiator.h"
 #include "cluster/recovery_driver.h"
 #include "common/file_util.h"
@@ -58,48 +61,11 @@
 #include "common/zipf.h"
 #include "fault/fault_spec.h"
 #include "loadgen_exit.h"
-#include "osd/control_protocol.h"
+#include "osd/osd_initiator.h"
 #include "server/socket_initiator.h"
 #include "shard/shard_router.h"
 #include "telemetry/bench_json.h"
 #include "telemetry/metric_registry.h"
-
-// --- Allocation counting ----------------------------------------------------
-//
-// The bench report's allocations/op comes from a global operator new
-// counter: every heap allocation in this binary (workers, framing, the
-// initiator) bumps it. Relaxed atomics keep the overhead to one uncontended
-// RMW per allocation — noise next to malloc itself.
-
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-
-void* operator new[](std::size_t size, const std::nothrow_t& nt) noexcept {
-  return ::operator new(size, nt);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 using namespace reo;
 
@@ -157,16 +123,6 @@ struct Options {
 int ClassOfRank(const Options& opt, uint32_t rank) {
   if (opt.class_cycle) return static_cast<int>(rank % 4);
   return opt.write_class;
-}
-
-/// Client-side tolerance posture for chaos runs.
-SocketInitiatorConfig ChaosInitiatorConfig(const Options& opt, uint64_t salt) {
-  SocketInitiatorConfig cfg;
-  cfg.receive_timeout_ms = 15000;
-  cfg.max_retries = 4;
-  cfg.retry_backoff_ms = 20;
-  cfg.seed = opt.seed + salt;
-  return cfg;
 }
 
 /// Acknowledged-write bookkeeping shared by the worker threads.
@@ -227,13 +183,11 @@ std::vector<uint8_t> PayloadFor(uint32_t rank, uint64_t bytes) {
   return data;
 }
 
-OsdCommand MakeWrite(uint32_t rank, uint64_t bytes) {
-  OsdCommand c;
-  c.op = OsdOp::kWrite;
-  c.id = IdForRank(rank);
-  c.logical_size = bytes;
-  c.data = PayloadFor(rank, bytes);
-  return c;
+/// Whether a read answer holds `want`. The server may return chunk-padded
+/// payloads; the logical-size prefix must match exactly.
+bool HoldsPayload(std::span<const uint8_t> got, std::span<const uint8_t> want) {
+  return got.size() >= want.size() &&
+         std::equal(want.begin(), want.end(), got.begin());
 }
 
 /// Per-rank payload cache for the timed run. PayloadFor is deterministic
@@ -255,40 +209,111 @@ class PayloadCache {
   std::vector<std::vector<uint8_t>> payloads_;
 };
 
+/// One phase's path to the system under test: a SocketInitiator for
+/// --port, or a ClusterInitiator over the --cluster ring. Every phase
+/// speaks OSD through it, so each phase exists once for both.
+///
+/// On one node under --chaos-spec, a command that gets a non-OK answer is
+/// sent up to `attempts` times in all, reconnecting a dropped connection
+/// first: loadgen payloads are content-stable per rank, so any resend is
+/// safe. The ring re-routes around a dead node on its own.
+class Client final : public OsdSession {
+ public:
+  /// `salt` keeps each client's reconnect-jitter streams distinct.
+  Client(const Options& opt, uint64_t salt, int attempts = 1)
+      : opt_(opt), attempts_(opt.chaos ? attempts : 1) {
+    SocketInitiatorConfig cfg;
+    cfg.seed = opt.seed + salt;
+    // A receive deadline, so a killed or faulty node fails fast instead of
+    // hanging a phase.
+    if (opt.chaos || !opt.cluster.empty()) cfg.receive_timeout_ms = 15000;
+    if (!opt.cluster.empty()) {
+      ring_.emplace(opt.cluster, cfg);
+      // Every client knows the classes populate assigns, so power-of-two
+      // read counts re-hint hotness to the survivors (hot-before-cold
+      // refetch).
+      for (uint32_t rank = 0; rank < opt.objects; ++rank) {
+        int cls = ClassOfRank(opt, rank);
+        if (cls >= 0) {
+          ring_->NoteObject(IdForRank(rank), static_cast<uint8_t>(cls));
+        }
+      }
+      return;
+    }
+    if (opt.chaos) {  // reconnect-retry of idempotent reads
+      cfg.max_retries = 4;
+      cfg.retry_backoff_ms = 20;
+    }
+    node_.emplace(cfg);
+  }
+
+  Status Connect() {
+    return node_ ? node_->Connect(opt_.host, opt_.port) : ring_->ConnectAll();
+  }
+
+  OsdResponse Roundtrip(const OsdCommand& command) override {
+    if (ring_) return ring_->Roundtrip(command);
+    OsdResponse resp = node_->Roundtrip(command);
+    for (int r = 1; !resp.ok() && r < attempts_; ++r) {
+      if (lost() && !Reconnect().ok()) break;
+      resp = node_->Roundtrip(command);
+    }
+    return resp;
+  }
+
+  /// A one-node connection that dropped; never true on the ring.
+  bool lost() const { return node_ && !node_->connected(); }
+  Status Reconnect() { return node_->Connect(opt_.host, opt_.port); }
+
+  ClusterInitiator* ring() { return ring_ ? &*ring_ : nullptr; }
+  SocketInitiatorStats wire() const {
+    return node_ ? node_->stats() : ring_->WireStats();
+  }
+  ClusterInitiatorStats cluster() const {
+    return ring_ ? ring_->stats() : ClusterInitiatorStats{};
+  }
+  uint64_t wire_errors() const {
+    SocketInitiatorStats w = wire();
+    return w.crc_errors + w.frame_errors + w.decode_errors;
+  }
+
+ private:
+  const Options& opt_;
+  int attempts_;
+  std::optional<SocketInitiator> node_;
+  std::optional<ClusterInitiator> ring_;
+};
+
+/// One closed-loop connection. On the ring, mid-run failures are the point
+/// of the node-kill drill: a failed op counts as a sense error (or,
+/// post-kill, as expected fallout) and the loop keeps going while the
+/// ring re-routes around the dead node.
 void Worker(const Options& opt, const ZipfSampler& zipf,
             const PayloadCache& payloads, size_t index, WorkerResult* out) {
-  SocketInitiator client(opt.chaos
-                             ? ChaosInitiatorConfig(opt, 0x100 + index)
-                             : SocketInitiatorConfig{});
-  Status st = client.Connect(opt.host, opt.port);
+  Client client(opt, 0x100 + index);
+  Status st = client.Connect();
   if (!st.ok()) {
     out->fatal = st;
     return;
   }
+  OsdInitiator initiator(client);
   Pcg32 rng(opt.seed + 0x1000 + index, /*stream=*/index);
   for (uint64_t i = 0; i < opt.requests; ++i) {
     uint32_t rank = zipf.Sample(rng);
     bool is_write = rng.NextDouble() < opt.write_ratio;
-    OsdCommand cmd;
-    if (is_write) {
-      std::span<const uint8_t> p = payloads.Of(rank);
-      cmd.op = OsdOp::kWrite;
-      cmd.id = IdForRank(rank);
-      cmd.logical_size = p.size();
-      cmd.data.assign(p.begin(), p.end());
-    } else {
-      cmd.op = OsdOp::kRead;
-      cmd.id = IdForRank(rank);
-    }
+    ObjectId id = IdForRank(rank);
     auto start = std::chrono::steady_clock::now();
-    OsdResponse resp = client.Roundtrip(cmd);
+    OsdResponse resp =
+        is_write ? initiator.WriteObject(id, payloads.Of(rank),
+                                         opt.object_bytes, 0)
+                 : initiator.ReadObject(id, 0);
     double us = std::chrono::duration<double, std::micro>(
                     std::chrono::steady_clock::now() - start)
                     .count();
-    if (!client.connected()) {
+    if (client.lost()) {
       // In chaos mode a dropped session is a tolerable fault: re-establish
       // and keep going (the failed op already counted as a sense error).
-      if (opt.chaos && client.Connect(opt.host, opt.port).ok()) {
+      if (opt.chaos && client.Reconnect().ok()) {
         ++out->sense_errors;
         continue;
       }
@@ -305,258 +330,63 @@ void Worker(const Options& opt, const ZipfSampler& zipf,
       // This response means the server committed (and, for replicated
       // classes, fsynced) the write before answering: from here on a crash
       // must not lose it. Record it, and pull the trigger at the threshold.
+      // A write the ring could not place is not acked, and never blindly
+      // resent to another node.
       out->acked_ranks.push_back(rank);
       uint64_t acked = g_acked_writes.fetch_add(1) + 1;
       if (opt.kill_after > 0 && acked == opt.kill_after) KillServer(opt);
     }
     if (!resp.ok()) {
       if (!g_killed.load()) ++out->sense_errors;
-    } else if (!is_write && opt.verify) {
-      // The server may return chunk-padded payloads; the logical-size
-      // prefix must match exactly. Compare against the cache — no
-      // allocation or regeneration on the timed path.
-      std::span<const uint8_t> want = payloads.Of(rank);
-      if (resp.data.size() < want.size() ||
-          !std::equal(want.begin(), want.end(), resp.data.begin())) {
-        ++out->verify_errors;
-      }
+    } else if (!is_write && opt.verify &&
+               !HoldsPayload(resp.data, payloads.Of(rank))) {
+      // Compared against the cache: no allocation or regeneration on the
+      // timed path.
+      ++out->verify_errors;
     }
   }
-  out->wire = client.stats();
+  out->wire = client.wire();
+  out->cluster = client.cluster();
 }
 
-/// One command with bounded application-level retries (chaos mode only).
-/// Loadgen write payloads are content-stable per rank, so replaying any of
-/// these commands is safe.
-OsdResponse RoundtripWithRetry(const Options& opt, SocketInitiator& client,
-                               const OsdCommand& cmd, int attempts) {
-  OsdResponse resp = client.Roundtrip(cmd);
-  for (int r = 1; !resp.ok() && opt.chaos && r < attempts; ++r) {
-    if (!client.connected() && !client.Connect(opt.host, opt.port).ok()) break;
-    resp = client.Roundtrip(cmd);
-  }
-  return resp;
-}
-
-/// Reads back every acknowledged write after the chaos run and proves the
-/// reliability contract: nothing acked may be missing or wrong, no matter
-/// what the fault spec injected underneath.
-int ChaosDrainVerify(const Options& opt, const std::set<uint32_t>& acked) {
-  SocketInitiator client(ChaosInitiatorConfig(opt, 0xd7a1));
-  Status st = client.Connect(opt.host, opt.port);
-  if (!st.ok()) {
-    std::fprintf(stderr, "chaos drain-verify connect failed: %s\n",
-                 st.to_string().c_str());
-    return 1;
-  }
-  uint64_t missing = 0, mismatched = 0;
-  for (uint32_t rank : acked) {
-    OsdCommand read;
-    read.op = OsdOp::kRead;
-    read.id = IdForRank(rank);
-    OsdResponse resp = RoundtripWithRetry(opt, client, read, 6);
-    if (!resp.ok()) {
-      ++missing;
-      std::fprintf(stderr, "rank %u: acked write unreadable under chaos"
-                   " (sense %s)\n", rank,
-                   std::string(to_string(resp.sense)).c_str());
-      continue;
-    }
-    std::vector<uint8_t> want = PayloadFor(rank, opt.object_bytes);
-    if (resp.data.size() < want.size() ||
-        !std::equal(want.begin(), want.end(), resp.data.begin())) {
-      ++mismatched;
-      std::fprintf(stderr, "rank %u: payload corrupt under chaos\n", rank);
-    }
-  }
-  std::printf("chaos drain-verify: %zu acked objects, %llu missing,"
-              " %llu corrupt\n", acked.size(),
-              static_cast<unsigned long long>(missing),
-              static_cast<unsigned long long>(mismatched));
-  if (mismatched > 0) return 3;
-  if (missing > 0) return 4;
-  return 0;
-}
-
-/// Assigns `class_id` to the object via the #SETID# control channel, the
-/// same path the cache manager's classifier uses.
-Status Classify(const Options& opt, SocketInitiator& client, uint32_t rank,
-                uint8_t class_id) {
-  OsdCommand ctl;
-  ctl.op = OsdOp::kWrite;
-  ctl.id = kControlObject;
-  ctl.data = EncodeControlMessage(
-      SetIdCommand{.target = IdForRank(rank), .class_id = class_id});
-  ctl.logical_size = ctl.data.size();
-  if (!RoundtripWithRetry(opt, client, ctl, 4).ok()) {
-    return Status{ErrorCode::kInternal,
-                  "SETID failed for rank " + std::to_string(rank)};
-  }
-  return Status::Ok();
-}
-
-/// Writes every object once so the measured phase reads warm data.
-/// Populate writes count as acknowledged too: the server committed them.
-Status Populate(const Options& opt, std::vector<uint32_t>* acked_ranks) {
-  SocketInitiator client(opt.chaos ? ChaosInitiatorConfig(opt, 0x90b)
-                                   : SocketInitiatorConfig{});
-  REO_RETURN_IF_ERROR(client.Connect(opt.host, opt.port));
-
+/// Writes every object once so the measured phase reads warm data: FORMAT
+/// (on every ring member), then each rank created, classified (the same
+/// #SETID# path the cache manager's classifier uses; on the ring it also
+/// hints the owner to the ring successor) and written. Populate writes
+/// count as acknowledged too: the server committed them.
+Status Populate(const Options& opt, std::vector<uint32_t>& acked_ranks) {
+  Client client(opt, 0x90b, /*attempts=*/4);
+  REO_RETURN_IF_ERROR(client.Connect());
+  OsdInitiator initiator(client);
   // FORMAT also creates the first user partition (exofs convention).
-  OsdCommand format;
-  format.op = OsdOp::kFormat;
-  format.capacity_bytes = 4 * opt.objects * opt.object_bytes;
-  if (!client.Roundtrip(format).ok()) {
+  if (!initiator.FormatOsd(4 * opt.objects * opt.object_bytes).ok()) {
     return Status{ErrorCode::kInternal, "FORMAT failed"};
   }
-
   for (uint32_t rank = 0; rank < opt.objects; ++rank) {
-    OsdCommand create;
-    create.op = OsdOp::kCreate;
-    create.id = IdForRank(rank);
-    create.logical_size = opt.object_bytes;
-    if (!RoundtripWithRetry(opt, client, create, 4).ok()) {
+    ObjectId id = IdForRank(rank);
+    if (!initiator.CreateObject(id, opt.object_bytes, 0).ok()) {
       return Status{ErrorCode::kInternal,
                     "CREATE failed for rank " + std::to_string(rank)};
     }
     int cls = ClassOfRank(opt, rank);
-    if (cls >= 0) {
-      REO_RETURN_IF_ERROR(
-          Classify(opt, client, rank, static_cast<uint8_t>(cls)));
+    if (cls >= 0 && initiator.SetClassId(id, static_cast<uint8_t>(cls), 0) !=
+                        SenseCode::kOk) {
+      return Status{ErrorCode::kInternal,
+                    "SETID failed for rank " + std::to_string(rank)};
     }
-    OsdResponse wr =
-        RoundtripWithRetry(opt, client, MakeWrite(rank, opt.object_bytes), 4);
+    OsdResponse wr = initiator.WriteObject(
+        id, PayloadFor(rank, opt.object_bytes), opt.object_bytes, 0);
     if (!wr.ok()) {
       return Status{ErrorCode::kInternal,
                     "populate WRITE failed for rank " + std::to_string(rank) +
                         " (sense " + std::string(to_string(wr.sense)) + ")"};
     }
-    if (acked_ranks != nullptr) acked_ranks->push_back(rank);
+    acked_ranks.push_back(rank);
   }
-  const SocketInitiatorStats& w = client.stats();
-  if (w.crc_errors + w.frame_errors + w.decode_errors > 0) {
+  if (client.wire_errors() > 0) {
     return Status{ErrorCode::kCorrupted, "wire errors during populate"};
   }
   return Status::Ok();
-}
-
-// --- Cluster mode -----------------------------------------------------------
-
-/// Cluster client posture: receive deadlines so a killed node fails fast
-/// instead of hanging a worker; per-instance seeds keep the reconnect
-/// jitter streams distinct (on top of the per-node streams inside).
-ClusterInitiatorConfig ClusterConfigFor(const Options& opt, uint64_t salt) {
-  ClusterInitiatorConfig cfg;
-  cfg.session.receive_timeout_ms = 15000;
-  cfg.session.seed = opt.seed + salt;
-  return cfg;
-}
-
-/// Cluster populate: FORMAT fans out to every member; each object is
-/// then created + classified (placing its #OWNER# hint on the ring
-/// successor) + written on its ring owner. Runs pre-kill on a healthy
-/// cluster, so failures are setup errors, not tolerated faults.
-Status ClusterPopulate(const Options& opt, std::vector<uint32_t>* acked_ranks) {
-  ClusterInitiator cluster(opt.cluster, ClusterConfigFor(opt, 0x90b));
-  REO_RETURN_IF_ERROR(cluster.ConnectAll());
-  OsdCommand format;
-  format.op = OsdOp::kFormat;
-  format.capacity_bytes = 4 * opt.objects * opt.object_bytes;
-  if (!cluster.Roundtrip(format).ok()) {
-    return Status{ErrorCode::kInternal, "cluster FORMAT failed"};
-  }
-  for (uint32_t rank = 0; rank < opt.objects; ++rank) {
-    OsdCommand create;
-    create.op = OsdOp::kCreate;
-    create.id = IdForRank(rank);
-    create.logical_size = opt.object_bytes;
-    if (!cluster.Roundtrip(create).ok()) {
-      return Status{ErrorCode::kInternal,
-                    "cluster CREATE failed for rank " + std::to_string(rank)};
-    }
-    int cls = ClassOfRank(opt, rank);
-    if (cls >= 0 &&
-        !cluster.Classify(IdForRank(rank), static_cast<uint8_t>(cls)).ok()) {
-      return Status{ErrorCode::kInternal,
-                    "cluster SETID failed for rank " + std::to_string(rank)};
-    }
-    if (!cluster.Roundtrip(MakeWrite(rank, opt.object_bytes)).ok()) {
-      return Status{ErrorCode::kInternal,
-                    "cluster populate WRITE failed for rank " +
-                        std::to_string(rank)};
-    }
-    if (acked_ranks != nullptr) acked_ranks->push_back(rank);
-  }
-  SocketInitiatorStats w = cluster.WireStats();
-  if (w.crc_errors + w.frame_errors + w.decode_errors > 0) {
-    return Status{ErrorCode::kCorrupted, "wire errors during cluster populate"};
-  }
-  return Status::Ok();
-}
-
-/// Cluster-mode worker: the same closed loop as Worker, routed through
-/// the ring with failover. Mid-run failures are the point of the drill:
-/// a failed op counts as a sense error (or, post-kill, as expected
-/// fallout) and the loop keeps going — the ClusterInitiator re-routes
-/// around the dead node on its own.
-void ClusterWorker(const Options& opt, const ZipfSampler& zipf,
-                   const PayloadCache& payloads, size_t index,
-                   WorkerResult* out) {
-  ClusterInitiator cluster(opt.cluster, ClusterConfigFor(opt, 0x100 + index));
-  Status st = cluster.ConnectAll();
-  if (!st.ok()) {
-    out->fatal = st;
-    return;
-  }
-  // Seed the classes populate assigned, so power-of-two read counts
-  // re-hint hotness to the survivors (hot-before-cold refetch ordering).
-  for (uint32_t rank = 0; rank < opt.objects; ++rank) {
-    int cls = ClassOfRank(opt, rank);
-    if (cls >= 0) cluster.NoteObject(IdForRank(rank), static_cast<uint8_t>(cls));
-  }
-  Pcg32 rng(opt.seed + 0x1000 + index, /*stream=*/index);
-  for (uint64_t i = 0; i < opt.requests; ++i) {
-    uint32_t rank = zipf.Sample(rng);
-    bool is_write = rng.NextDouble() < opt.write_ratio;
-    OsdCommand cmd;
-    if (is_write) {
-      std::span<const uint8_t> p = payloads.Of(rank);
-      cmd.op = OsdOp::kWrite;
-      cmd.id = IdForRank(rank);
-      cmd.logical_size = p.size();
-      cmd.data.assign(p.begin(), p.end());
-    } else {
-      cmd.op = OsdOp::kRead;
-      cmd.id = IdForRank(rank);
-    }
-    auto start = std::chrono::steady_clock::now();
-    OsdResponse resp = cluster.Roundtrip(cmd);
-    double us = std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    (is_write ? out->write_us : out->read_us).Add(us);
-    out->all_us.Add(us);
-    ++(is_write ? out->writes : out->reads);
-    if (is_write && resp.ok()) {
-      // Same ack contract as single-node: the owning node committed (and
-      // for class 0/1, fsync'd) before answering. A write the ring could
-      // not place is NOT acked — never blindly resent to another node.
-      out->acked_ranks.push_back(rank);
-      uint64_t acked = g_acked_writes.fetch_add(1) + 1;
-      if (opt.kill_after > 0 && acked == opt.kill_after) KillServer(opt);
-    }
-    if (!resp.ok()) {
-      if (!g_killed.load()) ++out->sense_errors;
-    } else if (!is_write && opt.verify) {
-      std::span<const uint8_t> want = payloads.Of(rank);
-      if (resp.data.size() < want.size() ||
-          !std::equal(want.begin(), want.end(), resp.data.begin())) {
-        ++out->verify_errors;
-      }
-    }
-  }
-  out->wire = cluster.WireStats();
-  out->cluster = cluster.stats();
 }
 
 /// The "backend" of the node-kill drill: the deterministic payload
@@ -572,69 +402,18 @@ Result<std::vector<uint8_t>> OriginFetch(const Options& opt, ObjectId id) {
   return PayloadFor(static_cast<uint32_t>(id.oid - base), opt.object_bytes);
 }
 
-/// Reads each acked rank back through the ring and applies the per-class
-/// contract: class 0/1 must be served with exact bytes (post-recovery,
-/// without any backend fall-through); class 2/3 may degrade to clean
-/// misses; anything served must byte-match. Exit 3 corrupt, 4 lost.
-int ClusterVerifyRanks(const Options& opt, ClusterInitiator& cluster,
-                       const std::set<uint32_t>& ranks, const char* label) {
-  uint64_t missing = 0, mismatched = 0, degraded = 0;
-  for (uint32_t rank : ranks) {
-    OsdCommand read;
-    read.op = OsdOp::kRead;
-    read.id = IdForRank(rank);
-    OsdResponse resp = cluster.Roundtrip(read);
-    int cls = ClassOfRank(opt, rank);
-    if (!resp.ok()) {
-      if (cls == 0 || cls == 1) {
-        ++missing;
-        std::fprintf(stderr,
-                     "rank %u (class %d): acked object lost in %s (sense"
-                     " %s)\n", rank, cls, label,
-                     std::string(to_string(resp.sense)).c_str());
-      } else {
-        ++degraded;  // clean miss: the cache refills it from the backend
-      }
-      continue;
-    }
-    std::vector<uint8_t> want = PayloadFor(rank, opt.object_bytes);
-    if (resp.data.size() < want.size() ||
-        !std::equal(want.begin(), want.end(), resp.data.begin())) {
-      ++mismatched;
-      std::fprintf(stderr, "rank %u (class %d): payload corrupt in %s\n",
-                   rank, cls, label);
-    }
-  }
-  std::printf("%s: %zu acked objects, %llu lost (class 0/1), %llu corrupt,"
-              " %llu degraded to clean misses (class 2/3)\n",
-              label, ranks.size(), static_cast<unsigned long long>(missing),
-              static_cast<unsigned long long>(mismatched),
-              static_cast<unsigned long long>(degraded));
-  if (mismatched > 0) return 3;
-  if (missing > 0) return 4;
-  return 0;
-}
-
-/// Post-kill phase of the node-kill drill: announce the death to the
-/// survivors, run the differentiated cross-node recovery (class 0/1
-/// refetched from the origin, class 0 before 1, hot before cold; 2/3
-/// degrade), then drain-verify every acked object per class.
-int ClusterRecoverAndVerify(const Options& opt,
-                            const std::set<uint32_t>& acked) {
-  ClusterInitiator cluster(opt.cluster, ClusterConfigFor(opt, 0xd7a1));
-  Status st = cluster.ConnectAll();
-  if (!st.ok()) {
-    std::fprintf(stderr, "cluster recovery connect failed: %s\n",
-                 st.to_string().c_str());
-    return 1;
-  }
+/// The node-kill drill after the kill: announce the death to the
+/// survivors and run the cross-node differentiated recovery (class 0/1
+/// refetched from the origin, class 0 before 1, hot before cold; class
+/// 2/3 degrade to clean misses).
+bool RecoverDeadNode(const Options& opt, ClusterInitiator& ring) {
   ClusterRecoveryDriver driver(
-      cluster, [&opt](ObjectId id) { return OriginFetch(opt, id); });
+      ring, [&opt](ObjectId id) { return OriginFetch(opt, id); });
   auto report = driver.Recover(static_cast<uint32_t>(opt.kill_node));
   if (!report.ok()) {
     std::fprintf(stderr, "cluster recovery failed: %s\n",
                  report.status().to_string().c_str());
-    return 1;
+    return false;
   }
   std::printf("cluster recovery: %llu survivors answered OWNERS, %llu"
               " dead-node objects; refetched %llu class-0 + %llu class-1"
@@ -647,12 +426,69 @@ int ClusterRecoverAndVerify(const Options& opt,
               static_cast<unsigned long long>(report->clean_miss_class2),
               static_cast<unsigned long long>(report->clean_miss_class3),
               static_cast<unsigned long long>(report->refetch_failures));
-  return ClusterVerifyRanks(opt, cluster, acked, "cluster drain-verify");
+  return true;
 }
 
-/// Verify-only mode: reads every rank listed in the manifest back and
-/// checks contents against the deterministic payload. Any acknowledged
-/// object that is missing or wrong after a restart is durability loss.
+/// Reads every rank in `ranks` back and judges each with ReadBackVerdict
+/// (loadgen_exit.h), after the cross-node recovery of --kill-node when
+/// `recover` is set. Exit 1 when the client cannot connect or a one-node
+/// connection drops outside chaos mode, else 2 on wire corruption, 3 on a
+/// corrupt payload, 4 on a lost acked object, 0 when all is well.
+int ReadBack(const Options& opt, uint64_t salt, const std::set<uint32_t>& ranks,
+             const char* label, bool recover = false) {
+  Client client(opt, salt, /*attempts=*/6);
+  Status st = client.Connect();
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s: connect failed: %s\n", label,
+                 st.to_string().c_str());
+    return 1;
+  }
+  if (recover && !RecoverDeadNode(opt, *client.ring())) return 1;
+  OsdInitiator initiator(client);
+  uint64_t lost = 0, corrupt = 0, clean_misses = 0;
+  for (uint32_t rank : ranks) {
+    OsdResponse resp = initiator.ReadObject(IdForRank(rank), 0);
+    if (client.lost() && !opt.chaos) {
+      std::fprintf(stderr, "%s: connection lost\n", label);
+      return 1;
+    }
+    int cls = ClassOfRank(opt, rank);
+    bool match = resp.ok() &&
+                 HoldsPayload(resp.data, PayloadFor(rank, opt.object_bytes));
+    switch (loadgen::ReadBackVerdict(client.ring() != nullptr, cls, resp.ok(),
+                                     match)) {
+      case loadgen::ReadBack::kIntact:
+        break;
+      case loadgen::ReadBack::kCleanMiss:
+        ++clean_misses;  // the cache refills it from the backend
+        break;
+      case loadgen::ReadBack::kLost:
+        ++lost;
+        std::fprintf(stderr, "rank %u (class %d): acked object lost in %s"
+                     " (sense %s)\n", rank, cls, label,
+                     std::string(to_string(resp.sense)).c_str());
+        break;
+      case loadgen::ReadBack::kCorrupt:
+        ++corrupt;
+        std::fprintf(stderr, "rank %u (class %d): payload corrupt in %s\n",
+                     rank, cls, label);
+        break;
+    }
+  }
+  std::printf("%s: %zu acked objects, %llu lost, %llu corrupt, %llu clean"
+              " misses\n", label, ranks.size(),
+              static_cast<unsigned long long>(lost),
+              static_cast<unsigned long long>(corrupt),
+              static_cast<unsigned long long>(clean_misses));
+  if (client.wire_errors() > 0) return 2;
+  if (corrupt > 0) return 3;
+  if (lost > 0) return 4;
+  return 0;
+}
+
+/// Verify-only mode: reads back every rank the manifest lists. Any
+/// acknowledged object that is missing or wrong after a restart is
+/// durability loss.
 int VerifyManifest(const Options& opt) {
   auto text = ReadFileToString(opt.verify_manifest);
   if (!text.ok()) {
@@ -674,54 +510,7 @@ int VerifyManifest(const Options& opt) {
     }
     ranks.insert(static_cast<uint32_t>(*rank));
   }
-  if (!opt.cluster.empty()) {
-    // Cluster manifests verify through the ring with the per-class
-    // contract (a killed member may still be down when this runs).
-    ClusterInitiator cluster(opt.cluster, ClusterConfigFor(opt, 0x3e1f));
-    Status st = cluster.ConnectAll();
-    if (!st.ok()) {
-      std::fprintf(stderr, "cluster connect failed: %s\n",
-                   st.to_string().c_str());
-      return 1;
-    }
-    return ClusterVerifyRanks(opt, cluster, ranks, "cluster manifest-verify");
-  }
-  SocketInitiator client;
-  Status st = client.Connect(opt.host, opt.port);
-  if (!st.ok()) {
-    std::fprintf(stderr, "connect failed: %s\n", st.to_string().c_str());
-    return 1;
-  }
-  uint64_t missing = 0, mismatched = 0;
-  for (uint32_t rank : ranks) {
-    OsdCommand read;
-    read.op = OsdOp::kRead;
-    read.id = IdForRank(rank);
-    OsdResponse resp = client.Roundtrip(read);
-    if (!client.connected()) {
-      std::fprintf(stderr, "connection lost during verify\n");
-      return 1;
-    }
-    if (!resp.ok()) {
-      ++missing;
-      std::fprintf(stderr, "rank %u: acked write missing after restart"
-                   " (sense %s)\n", rank,
-                   std::string(to_string(resp.sense)).c_str());
-      continue;
-    }
-    std::vector<uint8_t> want = PayloadFor(rank, opt.object_bytes);
-    if (resp.data.size() < want.size() ||
-        !std::equal(want.begin(), want.end(), resp.data.begin())) {
-      ++mismatched;
-      std::fprintf(stderr, "rank %u: payload mismatch after restart\n", rank);
-    }
-  }
-  const SocketInitiatorStats& w = client.stats();
-  std::printf("verified %zu acked objects: %llu missing, %llu mismatched\n",
-              ranks.size(), static_cast<unsigned long long>(missing),
-              static_cast<unsigned long long>(mismatched));
-  if (w.crc_errors + w.frame_errors + w.decode_errors > 0) return 2;
-  return (missing + mismatched > 0) ? 4 : 0;
+  return ReadBack(opt, 0x3e1f, ranks, "manifest verify");
 }
 
 }  // namespace
@@ -770,8 +559,8 @@ int main(int argc, char** argv) {
                "record acknowledged write ranks, one per line",
                &opt.ack_manifest);
   flags.String("--verify-manifest", "PATH",
-               "verify-only mode: read each listed rank\n"
-               "back and compare contents (exit 4 on loss)",
+               "verify-only mode: read each listed rank back and\n"
+               "compare contents (exit 3 on corruption, 4 on loss)",
                &opt.verify_manifest);
   // Loaded with the server's parser, so a typo fails here rather than
   // silently running a chaos test with no chaos.
@@ -823,8 +612,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<uint32_t> populate_acks;
-  Status setup = opt.cluster.empty() ? Populate(opt, &populate_acks)
-                                     : ClusterPopulate(opt, &populate_acks);
+  Status setup = Populate(opt, populate_acks);
   if (!setup.ok()) {
     std::fprintf(stderr, "populate failed: %s\n", setup.to_string().c_str());
     return 1;
@@ -839,15 +627,14 @@ int main(int argc, char** argv) {
   ZipfSampler zipf(opt.objects, opt.zipf_skew);
   PayloadCache payloads(opt.objects, opt.object_bytes);
   std::vector<WorkerResult> results(opt.connections);
-  uint64_t allocs_before = g_allocations.load(std::memory_order_relaxed);
+  uint64_t allocs_before = loadgen::AllocationCount();
   double cpu_before = ProcessCpuSeconds();
   auto bench_start = std::chrono::steady_clock::now();
   {
     std::vector<std::thread> threads;
     threads.reserve(opt.connections);
     for (size_t i = 0; i < opt.connections; ++i) {
-      threads.emplace_back(opt.cluster.empty() ? Worker : ClusterWorker,
-                           std::cref(opt), std::cref(zipf),
+      threads.emplace_back(Worker, std::cref(opt), std::cref(zipf),
                            std::cref(payloads), i, &results[i]);
     }
     for (auto& t : threads) t.join();
@@ -857,7 +644,7 @@ int main(int argc, char** argv) {
                            .count();
   double cpu_sec = ProcessCpuSeconds() - cpu_before;
   uint64_t allocs =
-      g_allocations.load(std::memory_order_relaxed) - allocs_before;
+      loadgen::AllocationCount() - allocs_before;
 
   // Merge the per-thread results into one registry; everything reported
   // below is read back out of its snapshot.
@@ -996,13 +783,13 @@ int main(int argc, char** argv) {
     }
     std::printf("telemetry snapshot -> %s\n", opt.stats_out.c_str());
   }
+  // Every rank any connection saw acknowledged, deduped: the exact set a
+  // read-back must find intact.
+  std::set<uint32_t> acked(populate_acks.begin(), populate_acks.end());
+  for (const WorkerResult& r : results) {
+    acked.insert(r.acked_ranks.begin(), r.acked_ranks.end());
+  }
   if (!opt.ack_manifest.empty()) {
-    // Every rank any connection saw acknowledged, deduped: the exact set
-    // the post-restart verify pass must find intact.
-    std::set<uint32_t> acked(populate_acks.begin(), populate_acks.end());
-    for (const WorkerResult& r : results) {
-      acked.insert(r.acked_ranks.begin(), r.acked_ranks.end());
-    }
     std::ostringstream manifest;
     for (uint32_t rank : acked) manifest << rank << "\n";
     Status wf = WriteFileAtomic(opt.ack_manifest, manifest.str());
@@ -1031,26 +818,11 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(opt.kill_after));
   }
   if (code != 0) return code;
-  if (outcome.kill_mode) {
-    // Cluster kill mode keeps going: the survivors are still serving, so
-    // the cross-node recovery and the per-class drain-verify run now.
-    if (!opt.cluster.empty() && opt.kill_node >= 0) {
-      std::set<uint32_t> acked(populate_acks.begin(), populate_acks.end());
-      for (const WorkerResult& r : results) {
-        acked.insert(r.acked_ranks.begin(), r.acked_ranks.end());
-      }
-      return ClusterRecoverAndVerify(opt, acked);
-    }
-    // Single-node kill mode ends here: the server is gone, nothing to
-    // drain.
-    return 0;
-  }
-  if (opt.chaos) {
-    std::set<uint32_t> acked(populate_acks.begin(), populate_acks.end());
-    for (const WorkerResult& r : results) {
-      acked.insert(r.acked_ranks.begin(), r.acked_ranks.end());
-    }
-    return ChaosDrainVerify(opt, acked);
-  }
-  return 0;
+  // What is left is a read-back of every acked rank: after a node kill,
+  // once the survivors have recovered the dead node's objects; after a
+  // chaos run, to show the faults lost nothing. A killed single server is
+  // gone, with nothing left to read.
+  bool recover = outcome.kill_mode && opt.kill_node >= 0;
+  if (!recover && (outcome.kill_mode || !opt.chaos)) return 0;
+  return ReadBack(opt, 0xd7a1, acked, "drain-verify", recover);
 }

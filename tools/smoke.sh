@@ -95,6 +95,17 @@ chaos_spec() {
 EOF
 }
 
+# expect_exit CODE COMMAND...: fails unless COMMAND exits with CODE.
+expect_exit() {
+  local want=$1 code=0
+  shift
+  "$@" || code=$?
+  if [ "$code" -ne "$want" ]; then
+    echo "$*: exit $code, want $want" >&2
+    exit 1
+  fi
+}
+
 # Fails unless FILE's flat JSON holds "KEY":0 for every KEY given.
 expect_zero_in() {
   local file=$1 key
@@ -194,8 +205,15 @@ scenario_crash_recovery() {
   test -s acked.txt
   start server --capacity-mb 128 --data-dir state \
     --stats-out restart-stats.json --events-out restart.events
-  # Exit 4 = acked object missing or payload mismatch after restart.
+  # Exit 3 = payload mismatch, 4 = acked object missing after restart.
   loadgen --port "$(port server)" --verify-manifest acked.txt
+  # A failed read-back fails the run: a rank that was never written is
+  # lost, and a payload shorter than the one expected is corrupt.
+  echo 999999 > never-written.txt
+  expect_exit 4 loadgen --port "$(port server)" \
+    --verify-manifest never-written.txt
+  expect_exit 3 loadgen --port "$(port server)" --verify-manifest acked.txt \
+    --object-kb 128
   drain server
   expect_zero_in restart-stats.json persist.verify_failures \
     persist.commit_errors
