@@ -46,7 +46,7 @@ void Drill(ProtectionMode mode, double reserve, const char* label) {
                 w.AvgLatencyMs());
   }
   std::printf("  rebuilt %llu objects, %llu lost, dirty lost %llu\n",
-              static_cast<unsigned long long>(report.cache.rebuilds),
+              static_cast<unsigned long long>(report.rebuilds),
               static_cast<unsigned long long>(report.cache.lost_evictions),
               static_cast<unsigned long long>(report.cache.dirty_lost));
 }
@@ -75,7 +75,7 @@ int main() {
   auto report = sim.Run();
   std::printf("\nspare drill: device 4 failed @100, spare inserted @200\n");
   std::printf("  rebuilt %llu objects; backlog at end: %zu\n",
-              static_cast<unsigned long long>(report.cache.rebuilds),
-              sim.cache().recovery_backlog());
+              static_cast<unsigned long long>(report.rebuilds),
+              sim.stack().failure->backlog());
   return 0;
 }

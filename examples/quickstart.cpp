@@ -22,12 +22,13 @@ int main() {
   ReoDataPlane plane(stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
                                                 .reo_reserve_fraction = 0.20}));
 
-  // 4. OSD target + backend store + cache manager.
+  // 4. OSD target, failure plane, backend store and cache manager.
   OsdTarget target(plane);
+  FailurePlane failure(plane);
   BackendStore backend(HddConfig{}, NetworkLinkConfig{});
   CacheManagerConfig cache_cfg;
   cache_cfg.hhot_refresh_interval = 50;
-  CacheManager cache(target, plane, backend, cache_cfg);
+  CacheManager cache(target, plane, failure, backend, cache_cfg);
   cache.Initialize(0);
 
   // Populate a small backend catalog.
@@ -71,7 +72,7 @@ int main() {
   }
 
   // A device failure: hot data keeps serving, cold data refetches.
-  cache.OnDeviceFailure(2, clock.now());
+  failure.OnDeviceFailure(2, clock.now());
   ObjectId hot{kFirstUserId, 0x20000};
   auto r = cache.Get(hot, kSize, clock.now());
   std::printf("  after failure   : hot object %s (degraded=%d)\n",

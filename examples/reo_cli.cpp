@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
              "write-credit budget in MiB/s (default 64)",
              &cfg.admission.flash_write_budget_bps, {.unit = kMiB});
   flags.Switch("--failslow-demote", "demote devices flagged fail-slow",
-               &cfg.cache.failslow_demote);
+               &cfg.failslow_demote);
   flags.Switch("--warmup", "unmeasured warm-up pass first", &cfg.warmup_pass);
   flags.Switch("--verify", "CRC-verify every hit", &cfg.cache.verify_hits);
   flags.Switch("--stats", "same as stats", &dump_stats);
@@ -274,7 +274,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report.cache.hits),
               static_cast<unsigned long long>(report.cache.misses),
               static_cast<unsigned long long>(report.cache.evictions),
-              static_cast<unsigned long long>(report.cache.rebuilds),
+              static_cast<unsigned long long>(report.rebuilds),
               static_cast<unsigned long long>(report.cache.flushes),
               static_cast<unsigned long long>(report.cache.dirty_lost));
   std::printf("space: eff=%.1f%% (user %.1f MB + redundancy %.1f MB), wear %.4f%%\n",

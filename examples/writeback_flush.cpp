@@ -21,8 +21,9 @@ int main() {
   ReoDataPlane plane(stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
                                                 .reo_reserve_fraction = 0.4}));
   OsdTarget target(plane);
+  FailurePlane failure(plane);
   BackendStore backend(HddConfig{}, NetworkLinkConfig{});
-  CacheManager cache(target, plane, backend, CacheManagerConfig{});
+  CacheManager cache(target, plane, failure, backend, CacheManagerConfig{});
   cache.Initialize(0);
 
   const uint64_t kSize = 512 * 1024;
@@ -58,7 +59,7 @@ int main() {
   clock.Advance(r1.latency);
   auto r2 = cache.Put(oid(1), kSize, clock.now());
   clock.Advance(r2.latency);
-  for (DeviceIndex d = 0; d < 4; ++d) cache.OnDeviceFailure(d, clock.now());
+  for (DeviceIndex d = 0; d < 4; ++d) failure.OnDeviceFailure(d, clock.now());
 
   auto g = cache.Get(oid(0), kSize, clock.now());
   std::printf("  after 4 device failures: dirty obj0 %s, dirty lost = %llu\n",

@@ -47,16 +47,11 @@ namespace {
 /// fixable).
 bool PoorlyPlaced(const Stripe& stripe, const FlashArray& array) {
   std::vector<uint32_t> per_device(array.size(), 0);
-  size_t live = 0;
   for (const auto* chunks : {&stripe.data, &stripe.redundancy}) {
     for (const auto& c : *chunks) {
-      if (!c.lost) {
-        ++per_device[c.device];
-        ++live;
-      }
+      if (!c.lost) ++per_device[c.device];
     }
   }
-  (void)live;
   bool has_duplicate = false;
   bool has_empty_healthy = false;
   for (DeviceIndex d = 0; d < array.size(); ++d) {

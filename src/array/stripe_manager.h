@@ -98,7 +98,7 @@ enum class ObjectSurvival : uint8_t {
   kLost,         ///< at least one chunk irrecoverable
 };
 
-/// Entry in the failure report handed to the cache manager.
+/// Entry in the failure report handed to the failure plane.
 struct AffectedObject {
   ObjectId id;
   ObjectSurvival survival = ObjectSurvival::kIntact;

@@ -30,10 +30,6 @@ constexpr size_t kReclassPerRequest = 2;
 /// redundancy usage.
 constexpr double kHotAdmissionHeadroom = 2.0;
 
-/// Background reconstruction pacing: logical bytes rebuilt per client
-/// request while the recovery queue is non-empty.
-constexpr uint64_t kRecoveryBytesPerRequest = 16ULL << 20;
-
 /// Write-back delay: a dirty object becomes eligible for background
 /// flushing this long after its write (absorbs overwrites; during this
 /// window the object is Class 1 and replicated). Forced flushes during
@@ -46,15 +42,38 @@ constexpr RetryPolicy kBackendRetry{};
 }  // namespace
 
 CacheManager::CacheManager(OsdSession& session, ReoDataPlane& plane,
-                           BackendStore& backend, CacheManagerConfig config)
+                           FailurePlane& failure, BackendStore& backend,
+                           CacheManagerConfig config)
     : initiator_(session),
       plane_(plane),
+      failure_(failure),
       backend_(backend),
       config_(config),
       classifier_([&s = plane.stripes()](uint64_t size) {
         // Redundancy bytes protecting `size` at the hot level (2-parity).
         return s.FootprintEstimate(size, RedundancyLevel::kParity2) - size;
-      }) {}
+      }) {
+  failure_.SetOwner({
+      .describe = [this](ObjectId id) -> std::optional<TrackedObject> {
+        auto it = entries_.find(id);
+        if (it == entries_.end()) return std::nullopt;
+        return TrackedObject{.cls = it->second.cls,
+                             .h = StateOf(id, it->second).H(),
+                             .logical_size = it->second.logical_size};
+      },
+      .lose = [this](ObjectId id, SimTime now) { LoseObject(id, now); },
+      .lose_all =
+          [this](SimTime now) {
+            std::vector<ObjectId> resident;
+            resident.reserve(entries_.size());
+            for (const auto& [id, e] : entries_) resident.push_back(id);
+            for (ObjectId id : resident) LoseObject(id, now);
+            flush_queue_.clear();
+          },
+  });
+}
+
+CacheManager::~CacheManager() { failure_.SetOwner({}); }
 
 void CacheManager::Initialize(SimTime now) {
   (void)initiator_.FormatOsd(plane_.stripes().array().total_capacity_bytes(),
@@ -96,7 +115,6 @@ void CacheManager::AttachTelemetry(MetricRegistry& registry) {
   tel_.verify_failures = &registry.GetCounter("cache.verify_failures");
   tel_.backend_retry_attempts = &registry.GetCounter("retry.backend.attempts");
   tel_.backend_retry_exhausted = &registry.GetCounter("retry.backend.exhausted");
-  tel_.failslow_demotions = &registry.GetCounter("failslow.demotions");
   tel_.hit_latency_us = &registry.GetHistogram("cache.latency.hit_us");
   tel_.miss_latency_us = &registry.GetHistogram("cache.latency.miss_us");
   tel_.degraded_latency_us = &registry.GetHistogram("cache.latency.degraded_us");
@@ -106,8 +124,6 @@ void CacheManager::AttachTelemetry(MetricRegistry& registry) {
   tel_.h_hot = &registry.GetGauge("cache.h_hot");
   PublishResidency();
   Set(tel_.h_hot, classifier_.h_hot());
-  // recovery_ is owned here, so this is the scheduler's only attach path.
-  recovery_.AttachTelemetry(registry);
 }
 
 void CacheManager::AttachTracing(Tracer& tracer) {
@@ -120,16 +136,6 @@ void CacheManager::AttachTracing(Tracer& tracer) {
 void CacheManager::PublishResidency() {
   Set(tel_.resident_bytes, static_cast<double>(resident_bytes_));
   Set(tel_.resident_objects, static_cast<double>(entries_.size()));
-}
-
-void CacheManager::FinishRecoveryIfDrained(SimTime now) {
-  if (!recovery_.empty()) return;
-  if (plane_.recovery_active()) {
-    Emit(ev_, now, EventSeverity::kInfo, "recovery.complete",
-         "recovery queue drained",
-         {{"rebuilds", std::to_string(stats_.rebuilds)}});
-  }
-  plane_.set_recovery_active(false);
 }
 
 ObjectState CacheManager::StateOf(ObjectId id, const Entry& e) const {
@@ -219,7 +225,7 @@ RequestResult CacheManager::Get(ObjectId id, uint64_t logical_size, SimTime now)
   res.bytes = logical_size;
   RequestTrace trace(tracer_, trace_root_, TraceOp::kGet, now, id.oid);
 
-  if (array_unusable_) {
+  if (failure_.array_unusable()) {
     // The striped volume is gone: every request goes to the backend.
     ++stats_.misses;
     ++stats_.uncacheable;
@@ -291,24 +297,11 @@ RequestResult CacheManager::Get(ObjectId id, uint64_t logical_size, SimTime now)
         }
       }
 
-      if (resp.degraded && plane_.policy().mode() == ProtectionMode::kReo) {
-        // On-demand recovery first (§IV.D): repair this object now so the
-        // next access is clean, and drop it from the background queue —
-        // unless the data plane already repaired a latent CRC error in
-        // place (it still answers degraded). Uniform (block-based)
-        // protection has no object-level repair: it pays the
-        // reconstruction on every degraded access until a spare arrives
-        // and the block-level rebuild reaches the data.
-        if (plane_.stripes().SurvivalOf(id) == ObjectSurvival::kIntact) {
-          recovery_.Remove(id);
-        } else if (auto done = RebuildQueued(id, it->second.cls, resp.complete,
-                                             /*on_demand=*/true,
-                                             "on-demand repair-on-read");
-                   done.ok()) {
+      if (resp.degraded) {
+        if (auto done = failure_.RepairOnRead(id, resp.complete, now)) {
           trace.set_flags(kSpanOnDemand);
           trace.Cover(*done);  // repair rides on this request
         }
-        FinishRecoveryIfDrained(now);
       }
 
       MaybeRefresh(now);
@@ -379,7 +372,7 @@ RequestResult CacheManager::Put(ObjectId id, uint64_t logical_size, SimTime now)
   backend_.RegisterObject(id, logical_size, physical);
 
   uint64_t version = next_version_++;
-  if (array_unusable_) {
+  if (failure_.array_unusable()) {
     ++stats_.uncacheable;
     Inc(tel_.uncacheable);
     trace.set_op(TraceOp::kPutUncacheable);
@@ -394,30 +387,11 @@ RequestResult CacheManager::Put(ObjectId id, uint64_t logical_size, SimTime now)
   // Whole-object overwrite: drop the old copy (its pending flush, if any,
   // is superseded) and admit the new version as dirty.
   if (auto it = entries_.find(id); it != entries_.end() && !it->second.metadata) {
-    recovery_.Remove(id);
+    failure_.Forget(id);
     (void)lru_.Remove(id);
     resident_bytes_ -= it->second.logical_size;
     entries_.erase(it);
     (void)initiator_.RemoveObject(id, now);
-  }
-
-  if (config_.write_policy == WritePolicy::kWriteThrough) {
-    // Persist first; the cached copy is clean from the start.
-    trace.set_op(TraceOp::kPutWriteThrough);
-    auto done = backend_.Flush(id, version, now);
-    res.latency = done.ok() ? *done - now : 0;
-    if (done.ok()) trace.set_end(*done);
-    Observe(tel_.write_latency_us, static_cast<double>(res.latency) / 1e3);
-    SimTime io_complete = now;
-    if (!Admit(id, logical_size, payload, version, /*dirty=*/false, now,
-               io_complete)) {
-      ++stats_.uncacheable;
-      Inc(tel_.uncacheable);
-    }
-    trace.Cover(io_complete);
-    MaybeRefresh(now);
-    AdvanceBackground(now);
-    return res;
   }
 
   SimTime io_complete = now;
@@ -554,7 +528,7 @@ void CacheManager::EvictObject(ObjectId id, SimTime now, bool lost) {
   resident_bytes_ -= it->second.logical_size;
   entries_.erase(it);
   (void)lru_.Remove(id);
-  recovery_.Remove(id);
+  failure_.Forget(id);
   (void)initiator_.RemoveObject(id, now);
   PublishResidency();
 }
@@ -603,28 +577,10 @@ Result<BackendFetch> CacheManager::FetchWithRetry(ObjectId id, SimTime now) {
   return fetch;
 }
 
-void CacheManager::PollFailSlow(SimTime now) {
-  if (failslow_ == nullptr) return;
-  for (FaultDeviceIndex d : failslow_->TakeFlagged()) {
-    if (!config_.failslow_demote) continue;  // detection/events only
-    Inc(tel_.failslow_demotions);
-    Emit(ev_, now, EventSeverity::kWarn, "device.failslow_demoted",
-         "fail-slow device proactively demoted; spare swapped in",
-         {{"device", std::to_string(d)}});
-    // Treat the limping device as failed: the usual differentiated
-    // recovery rebuilds its data onto the healthy set, and a fresh spare
-    // takes its array slot. Resetting the detector gives the replacement
-    // device a clean latency history.
-    OnDeviceFailure(static_cast<DeviceIndex>(d), now);
-    OnSpareInserted(static_cast<DeviceIndex>(d), now);
-    failslow_->Reset(d);
-  }
-}
-
 void CacheManager::AdvanceBackground(SimTime now) {
   // React to fail-slow detections before scheduling other background work
   // (a demotion enqueues recovery that the budget below starts draining).
-  PollFailSlow(now);
+  failure_.CheckFailSlow(now);
   // Flusher: drain eligible dirty objects while the (virtual) flusher is
   // idle. The queue is in write order, so ready times are monotone.
   while (!flush_queue_.empty() && flusher_busy_until_ <= now &&
@@ -641,10 +597,7 @@ void CacheManager::AdvanceBackground(SimTime now) {
     // moment we happen to observe the queue.
     FlushObject(pf.id, it->second, std::max(pf.ready_time, flusher_busy_until_));
   }
-  // Paced background reconstruction.
-  if (!recovery_.empty()) {
-    RunRecovery(now, DataClass::kColdClean, kRecoveryBytesPerRequest);
-  }
+  failure_.AdvanceRecovery(now);  // paced background reconstruction
   // Paced reclassification (re-encode) maintenance.
   size_t applied = 0;
   while (!reclass_queue_.empty() && applied < kReclassPerRequest) {
@@ -738,198 +691,6 @@ void CacheManager::RefreshClassification(SimTime now) {
       ++queued;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Failure plane
-// ---------------------------------------------------------------------------
-
-void CacheManager::OnDeviceFailure(DeviceIndex device, SimTime now) {
-  // No such device: nothing failed, so nothing to log or recover.
-  if (device >= plane_.stripes().array().size()) return;
-  // Failure handling is always traced (force): it is rare and is exactly
-  // what the recovery timeline exists to explain.
-  RequestTrace trace(tracer_, trace_root_, TraceOp::kFailureHandling, now,
-                     /*object=*/0, /*force=*/true);
-  auto& stripes = plane_.stripes();
-  (void)stripes.array().FailDevice(device);
-  auto affected = stripes.OnDeviceFailure(device);
-  Emit(ev_, now, EventSeverity::kError, "device.failure", "device shot down",
-       {{"device", std::to_string(device)},
-        {"affected_objects", std::to_string(affected.size())},
-        {"healthy_left", std::to_string(stripes.array().healthy_count())}});
-
-  // Uniform protection is RAID-style striping: once the failure count
-  // exceeds the parity tolerance, the whole volume is gone — not just the
-  // resident data, the array itself is unusable until re-formatted
-  // (paper §VI.C). Object-based Reo never enters this state.
-  if (plane_.policy().mode() != ProtectionMode::kReo) {
-    auto& array = stripes.array();
-    size_t failed = array.size() - array.healthy_count();
-    size_t tolerance = FailuresSurvived(
-        plane_.policy().LevelFor(DataClass::kColdClean), array.size());
-    if (failed > tolerance) {
-      array_unusable_ = true;
-      Emit(ev_, now, EventSeverity::kError, "array.unusable",
-           "uniform-protection volume lost beyond parity tolerance",
-           {{"failed", std::to_string(failed)},
-            {"tolerance", std::to_string(tolerance)}});
-      std::vector<ObjectId> resident;
-      resident.reserve(entries_.size());
-      for (const auto& [id, e] : entries_) resident.push_back(id);
-      for (ObjectId id : resident) LoseObject(id, now);
-      recovery_.Clear();
-      flush_queue_.clear();
-      plane_.set_recovery_active(false);
-      return;
-    }
-  }
-
-  for (const auto& a : affected) {
-    auto it = entries_.find(a.id);
-    if (it == entries_.end()) continue;
-    switch (a.survival) {
-      case ObjectSurvival::kIntact:
-        break;
-      case ObjectSurvival::kLost:
-        LoseObject(a.id, now);
-        break;
-      case ObjectSurvival::kRecoverable:
-        // Differentiated recovery is Reo's mechanism (§IV.D). Uniform
-        // protection reconstructs only when a spare is inserted, block by
-        // block — see OnSpareInserted.
-        if (plane_.policy().mode() == ProtectionMode::kReo) {
-          recovery_.Enqueue(a.id, it->second.cls, StateOf(a.id, it->second).H(),
-                            a.lost_bytes);
-        }
-        break;
-    }
-  }
-  if (!recovery_.empty()) plane_.set_recovery_active(true);
-
-  // §IV.D: "prioritized recovery minimizes this vulnerable window by
-  // reconstructing the most important data first to create additional
-  // data redundancy ... as quickly as possible." Class 0/1 (metadata,
-  // dirty) are small and their loss is permanent, so they are re-protected
-  // synchronously at failure time; classes 2/3 recover at the background
-  // pace.
-  trace.Cover(RunRecovery(now, DataClass::kDirty, UINT64_MAX));
-}
-
-void CacheManager::OnSpareInserted(DeviceIndex device, SimTime now) {
-  if (device >= plane_.stripes().array().size()) return;  // no such slot
-  RequestTrace trace(tracer_, trace_root_, TraceOp::kSpareHandling, now,
-                     /*object=*/0, /*force=*/true);
-  (void)plane_.stripes().array().ReplaceDevice(device);
-  Emit(ev_, now, EventSeverity::kInfo, "spare.inserted",
-       "fresh spare swapped into array position",
-       {{"device", std::to_string(device)},
-        {"healthy", std::to_string(plane_.stripes().array().healthy_count())}});
-  if (array_unusable_ &&
-      plane_.stripes().array().healthy_count() == plane_.stripes().array().size()) {
-    // A fully repaired uniform array comes back empty (re-formatted).
-    array_unusable_ = false;
-    return;
-  }
-  if (plane_.policy().mode() != ProtectionMode::kReo) {
-    // Traditional block-based reconstruction "simply rebuilds the entire
-    // storage from block 0" (§IV.D): every damaged object, with no
-    // priority by importance. All share one class and H, so the recovery
-    // order falls to its tie-break: ObjectId order.
-    for (ObjectId id : plane_.stripes().DamagedObjects()) {
-      recovery_.Enqueue(id, DataClass::kColdClean, 0.0,
-                        plane_.stripes().LogicalSizeOf(id).value_or(0));
-    }
-    if (!recovery_.empty()) plane_.set_recovery_active(true);
-    return;
-  }
-  // Stripes rebuilt at reduced width keep several chunks on one device;
-  // with the width restored, fault isolation must be restored too, most
-  // important data first (replicated metadata/dirty are the worst case —
-  // all their copies may sit on one surviving device).
-  for (ObjectId id : plane_.stripes().PoorlyPlacedObjects()) {
-    auto it = entries_.find(id);
-    if (it == entries_.end()) continue;
-    recovery_.Enqueue(id, it->second.cls, StateOf(id, it->second).H(),
-                      it->second.logical_size);
-  }
-  if (!recovery_.empty()) plane_.set_recovery_active(true);
-  trace.Cover(RunRecovery(now, DataClass::kDirty, UINT64_MAX));
-}
-
-Result<SimTime> CacheManager::RebuildQueued(ObjectId id, DataClass cls,
-                                            SimTime at, bool on_demand,
-                                            const char* message) {
-  auto rb = plane_.stripes().RebuildObject(id, at);
-  if (!rb.ok()) {
-    if (rb.code() == ErrorCode::kUnrecoverable) {
-      recovery_.Remove(id);
-      LoseObject(id, at);
-    }
-    return rb.status();
-  }
-  double rebuild_us =
-      static_cast<double>(rb->complete > at ? rb->complete - at : 0) / 1e3;
-  recovery_.RecordRebuild(cls, on_demand, rebuild_us);
-  Emit(ev_, at, EventSeverity::kInfo, "recovery.rebuild", message,
-       {{"object", id.ToString()},
-        {"class", std::to_string(static_cast<int>(cls))},
-        {"mode", on_demand ? "on-demand" : "background"},
-        {"latency_us", std::to_string(rebuild_us)}});
-  recovery_.Remove(id);
-  ++stats_.rebuilds;
-  return rb->complete;
-}
-
-SimTime CacheManager::RunRecovery(SimTime now, DataClass max_class,
-                                  uint64_t byte_budget) {
-  const bool on_demand = max_class < DataClass::kColdClean;
-  const char* message = on_demand ? "critical-class rebuild at failure time"
-                                  : "paced background rebuild";
-  SimTime last = now;
-  uint64_t rebuilt = 0;
-  while (rebuilt < byte_budget) {
-    auto next = recovery_.Peek();
-    if (!next) break;
-    auto it = entries_.find(*next);
-    if (it == entries_.end()) {
-      recovery_.Pop();
-      continue;
-    }
-    if (it->second.cls > max_class) break;  // the queue is class-ordered
-    uint64_t bytes = it->second.logical_size;
-    auto done = RebuildQueued(*next, it->second.cls, now, on_demand, message);
-    if (done.ok()) {
-      last = std::max(last, *done);
-      rebuilt += bytes;
-    } else if (done.code() != ErrorCode::kUnrecoverable) {
-      break;  // transient (e.g. no space): keep it queued, retry later
-    }
-  }
-  FinishRecoveryIfDrained(now);
-  return last;
-}
-
-SimTime CacheManager::DrainRecovery(SimTime now) {
-  RequestTrace trace(tracer_, trace_root_, TraceOp::kRecoveryDrain, now,
-                     /*object=*/0, /*force=*/true);
-  trace.Cover(RunRecovery(now, DataClass::kColdClean, UINT64_MAX));
-  return now;
-}
-
-StripeManager::ScrubReport CacheManager::RunScrub(SimTime now) {
-  RequestTrace trace(tracer_, trace_root_, TraceOp::kScrub, now,
-                     /*object=*/0, /*force=*/true);
-  auto report = plane_.stripes().Scrub(now);
-  trace.Cover(report.complete);
-  Emit(ev_, now, EventSeverity::kInfo, "scrub.complete",
-       "full-array scrub pass",
-       {{"scanned", std::to_string(report.chunks_scanned)},
-        {"corrupt", std::to_string(report.corrupt_found)},
-        {"repaired", std::to_string(report.chunks_repaired)},
-        {"lost", std::to_string(report.lost.size())}});
-  for (ObjectId id : report.lost) LoseObject(id, now);
-  return report;
 }
 
 }  // namespace reo

@@ -8,9 +8,9 @@
 //     delivered to the target through #SETID# control messages (§IV.C.2);
 //   * write-back caching with a background flusher (dirty objects are
 //     Class 1 until flushed, then reclassified);
-//   * failure reaction: evicting lost objects, queueing recoverable ones
-//     for differentiated recovery (§IV.D), repair-on-read for on-demand
-//     accesses, and paced background reconstruction.
+//   * the owner side of the stack's FailurePlane (core/failure_plane.h):
+//     it tells the plane each cached object's class and H, evicts what the
+//     plane finds lost, and asks for repair-on-read on degraded hits.
 //
 // All traffic to the target flows through an OsdInitiator session, exactly
 // as the paper's initiator-side cache manager talks to osd-target.
@@ -23,11 +23,10 @@
 #include "backend/backend_store.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
-#include "fault/failslow.h"
 #include "core/classifier.h"
 #include "core/data_plane.h"
+#include "core/failure_plane.h"
 #include "core/lru.h"
-#include "core/recovery_scheduler.h"
 #include "osd/osd_initiator.h"
 #include "osd/osd_target.h"
 #include "telemetry/metric_registry.h"
@@ -35,15 +34,7 @@
 
 namespace reo {
 
-/// How client writes reach the backend (cf. the write-policy design space
-/// the paper cites [18]; Reo's evaluation uses write-back).
-enum class WritePolicy : uint8_t {
-  kWriteBack,     ///< absorb in cache as Class 1, flush asynchronously
-  kWriteThrough,  ///< persist to the backend first, cache a clean copy
-};
-
 struct CacheManagerConfig {
-  WritePolicy write_policy = WritePolicy::kWriteBack;
   /// Requests between adaptive H_hot refreshes (§IV.C.1 "updated
   /// periodically"). 0 disables refresh.
   uint64_t hhot_refresh_interval = 2000;
@@ -52,16 +43,13 @@ struct CacheManagerConfig {
   /// Admit new (clean) objects while the array is degraded (a failed
   /// device with no spare). On by default: the surviving devices still
   /// form a working object store, so the cache re-warms (an unusable
-  /// uniform RAID volume is handled separately — see array_unusable()).
+  /// uniform RAID volume is handled separately — see
+  /// FailurePlane::array_unusable()).
   /// Set false to freeze the cache contents during failures, which makes
   /// post-failure hit ratios reflect exactly the data each policy
   /// protected (used by the failure benches' probe analysis). Writes
   /// (dirty data) are always absorbed — write-back safety never pauses.
   bool admit_while_degraded = true;
-  /// When a FailSlowDetector flags a device, proactively demote it: treat
-  /// it as failed, swap in a spare at the same index, and run the normal
-  /// differentiated recovery. Off by default (detection/events only).
-  bool failslow_demote = false;
 };
 
 /// Outcome of one client request against the cache.
@@ -84,7 +72,6 @@ struct CacheStats {
   uint64_t lost_evictions = 0;   ///< evicted because a failure destroyed them
   uint64_t dirty_lost = 0;       ///< permanent data loss events
   uint64_t degraded_reads = 0;
-  uint64_t rebuilds = 0;         ///< objects reconstructed (bg + on-demand)
   uint64_t flushes = 0;
   uint64_t reclassifications = 0;
   uint64_t verify_failures = 0;
@@ -98,9 +85,15 @@ struct CacheStats {
 class CacheManager {
  public:
   /// `session` is the manager's path to the target (in-process or over
-  /// the modeled wire). All references must outlive the manager.
-  CacheManager(OsdSession& session, ReoDataPlane& plane, BackendStore& backend,
-               CacheManagerConfig config);
+  /// the modeled wire); `failure` is the same stack's failure plane, whose
+  /// owner the manager becomes. All references must outlive the manager.
+  CacheManager(OsdSession& session, ReoDataPlane& plane, FailurePlane& failure,
+               BackendStore& backend, CacheManagerConfig config);
+  /// Uninstalls the owner hooks, which point at this manager.
+  ~CacheManager();
+
+  CacheManager(const CacheManager&) = delete;
+  CacheManager& operator=(const CacheManager&) = delete;
 
   /// Formats the OSD and installs the Table I metadata objects (Class 0,
   /// replicated). Call once before serving.
@@ -114,46 +107,17 @@ class CacheManager {
   /// cache as dirty (Class 1) and flushed to the backend asynchronously.
   RequestResult Put(ObjectId id, uint64_t logical_size, SimTime now);
 
-  /// Progress background work (flusher, paced reconstruction). Called
+  /// Progress background work: fail-slow polling, the flusher, paced
+  /// reconstruction and reclassification, in that order. Called
   /// automatically after each request; exposed for tests and idle periods.
   void AdvanceBackground(SimTime now);
-
-  // --- Failure plane ---------------------------------------------------------
-
-  /// Device shootdown (paper §VI.C): marks data lost, evicts unrecoverable
-  /// objects, queues recoverable ones for differentiated recovery. An
-  /// index the array lacks does nothing.
-  void OnDeviceFailure(DeviceIndex device, SimTime now);
-
-  /// Spare insertion: swaps in an empty device; reconstruction will start
-  /// placing rebuilt chunks on it. An index the array lacks does nothing.
-  void OnSpareInserted(DeviceIndex device, SimTime now);
-
-  /// Drains the whole recovery queue immediately (end-of-run barrier or
-  /// explicit "rebuild now" tooling). Returns completion time.
-  SimTime DrainRecovery(SimTime now);
-
-  /// Runs a full scrub pass over the flash array: latent corruption is
-  /// repaired from redundancy where possible; objects damaged beyond
-  /// their protection are evicted (dirty ones count as permanent loss).
-  StripeManager::ScrubReport RunScrub(SimTime now);
 
   // --- Introspection ---------------------------------------------------------
 
   const CacheStats& stats() const { return stats_; }
-  /// True when a uniform-protection array has lost more devices than its
-  /// parity tolerates: RAID-style striping makes the whole volume unusable
-  /// (§VI.C: "a cache with uniform data protection ... becomes completely
-  /// unusable, with a hit ratio of 0%"). Reo never bricks — object-based
-  /// management keeps the surviving objects addressable.
-  bool array_unusable() const { return array_unusable_; }
   size_t resident_objects() const { return entries_.size(); }
   uint64_t resident_bytes() const { return resident_bytes_; }
   double h_hot() const { return classifier_.h_hot(); }
-  const AdaptiveHotClassifier& classifier() const { return classifier_; }
-  bool recovery_active() const { return plane_.recovery_active(); }
-  size_t recovery_backlog() const { return recovery_.size(); }
-  ReoDataPlane& plane() { return plane_; }
 
   /// Sends a #QUERY# control message for an object and returns the sense
   /// code (exercises the paper's query path; used by examples/tests).
@@ -161,16 +125,14 @@ class CacheManager {
 
   /// Registers cache metrics ("cache.*": per-class hit/miss/eviction
   /// counts, hit/miss/degraded/write latency histograms, residency gauges)
-  /// plus the recovery scheduler's ("recovery.*"), and begins hot-path
-  /// updates.
+  /// and begins hot-path updates.
   void AttachTelemetry(MetricRegistry& registry);
 
   /// Resolves tracing sinks: the manager opens the root span of every
-  /// client request (Get/Put) and of every failure-plane entry point, and
-  /// emits the structured events (device failures, rebuilds, eviction
+  /// client request (Get/Put) and emits its structured events (eviction
   /// storms, reclassification refreshes). Fans out to the backend; the
-  /// stack below (data plane, target) attaches through NodeStack, and the
-  /// simulator attaches the wire transport separately.
+  /// stack below (data plane, target, failure plane) attaches through
+  /// NodeStack, and the simulator attaches the wire transport separately.
   void AttachTracing(Tracer& tracer);
 
   /// Streams classification knowledge into the durable journal — per-object
@@ -178,12 +140,6 @@ class CacheManager {
   /// a restart restores hot-before-cold inside the clean classes and
   /// resumes with a warm threshold. Null (the default) is a no-op.
   void AttachPersistence(PersistenceManager* persist) { persist_ = persist; }
-
-  /// Polls the detector during background advancement; with
-  /// `failslow_demote` set, flagged devices are demoted (failed + spare
-  /// swapped in) so a limping device cannot drag down the whole array.
-  /// The detector must outlive the manager.
-  void AttachFaultDetector(FailSlowDetector* detector) { failslow_ = detector; }
 
   /// Installs the classification hook on the DRAM admission tier: an
   /// object graduating to flash is classified from its *observed* access
@@ -211,9 +167,6 @@ class CacheManager {
   /// Backend fetch with bounded retry on transient (kIoError) failures.
   Result<BackendFetch> FetchWithRetry(ObjectId id, SimTime now);
 
-  /// Drains the fail-slow detector; demotes flagged devices when enabled.
-  void PollFailSlow(SimTime now);
-
   /// Admits a fetched/written object. Returns false if it cannot fit even
   /// after evicting everything evictable.
   bool Admit(ObjectId id, uint64_t logical_size,
@@ -237,28 +190,11 @@ class CacheManager {
   void RefreshClassification(SimTime now);
   void MaybeRefresh(SimTime now);
 
-  /// The one rebuild step: reconstructs `id` (of class `cls`) starting at
-  /// `at`, records it with the scheduler, emits `recovery.rebuild` at `at`
-  /// (mode "on-demand" or "background", with `message`), counts it and
-  /// drops the object from the recovery queue. An unrecoverable object is
-  /// lost (LoseObject); a transient failure (kIoError, kNoSpace) leaves
-  /// the queue as it was, for a later pass. Returns the completion time.
-  Result<SimTime> RebuildQueued(ObjectId id, DataClass cls, SimTime at,
-                                bool on_demand, const char* message);
-
-  /// The one recovery loop: rebuilds queued objects in recovery order
-  /// until the queue reaches a class above `max_class`, `byte_budget`
-  /// logical bytes are rebuilt, or a transient failure stops the pass.
-  /// A class-limited pass is the failure-time rebuild of the critical
-  /// classes and counts as on-demand; an unlimited one is background work.
-  /// Returns the completion time of the last rebuild (`now` if none ran).
-  SimTime RunRecovery(SimTime now, DataClass max_class, uint64_t byte_budget);
-
   OsdInitiator initiator_;
   ReoDataPlane& plane_;
+  FailurePlane& failure_;
   BackendStore& backend_;
   PersistenceManager* persist_ = nullptr;
-  FailSlowDetector* failslow_ = nullptr;
   CacheManagerConfig config_;
   Pcg32 backend_retry_rng_{0x5eed, 0xbac0};
 
@@ -267,7 +203,6 @@ class CacheManager {
   uint64_t resident_bytes_ = 0;
 
   AdaptiveHotClassifier classifier_;
-  RecoveryScheduler recovery_;
   struct PendingFlush {
     ObjectId id;
     uint64_t version;
@@ -294,7 +229,6 @@ class CacheManager {
     Counter* verify_failures = nullptr;
     Counter* backend_retry_attempts = nullptr;
     Counter* backend_retry_exhausted = nullptr;
-    Counter* failslow_demotions = nullptr;
     ShardedHistogram* hit_latency_us = nullptr;
     ShardedHistogram* miss_latency_us = nullptr;
     ShardedHistogram* degraded_latency_us = nullptr;
@@ -306,10 +240,6 @@ class CacheManager {
 
   void PublishResidency();
 
-  /// Emits "recovery.complete" once when the queue drains after failure
-  /// work (and clears the plane's recovery-active flag).
-  void FinishRecoveryIfDrained(SimTime now);
-
   Telemetry tel_;
 
   // Tracing sinks (null when un-attached; each use costs one branch).
@@ -319,7 +249,6 @@ class CacheManager {
   CacheStats stats_;
   uint64_t request_counter_ = 0;
   uint64_t next_version_ = 1;
-  bool array_unusable_ = false;
   /// Set when a hot upgrade bounced off the reserve (0x67); suppresses
   /// hit-time upgrade attempts until the next refresh frees budget.
   bool reserve_full_hint_ = false;

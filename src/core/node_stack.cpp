@@ -64,10 +64,13 @@ Result<NodeStack> NodeStack::Build(const NodeStackConfig& config, size_t index,
     if (s.persist) s.persist->AttachFaults(s.injector.get());
     s.plane->ConfigureRetry(s.plane->retry_policy(), spec.seed);
   }
+  s.failure = std::make_unique<FailurePlane>(*s.plane, s.failslow.get(),
+                                             config.failslow_demote);
 
   if (MetricRegistry* reg = sinks.registry) {
     s.array->AttachTelemetry(*reg);
     s.plane->AttachTelemetry(*reg);  // and the stripe manager's
+    s.failure->AttachTelemetry(*reg);
     s.target->AttachTelemetry(*reg);
     if (s.admission) s.admission->AttachTelemetry(*reg);
     if (s.cluster) s.cluster->AttachTelemetry(*reg);
@@ -77,6 +80,7 @@ Result<NodeStack> NodeStack::Build(const NodeStackConfig& config, size_t index,
   }
   if (EventLog* ev = sinks.events) {
     s.plane->AttachEvents(*ev);  // and the stripe manager's
+    s.failure->AttachEvents(*ev);
     if (s.admission) s.admission->AttachEvents(*ev);
     if (s.cluster) s.cluster->AttachEvents(*ev);
     if (s.injector) s.injector->AttachEvents(*ev);
@@ -85,6 +89,7 @@ Result<NodeStack> NodeStack::Build(const NodeStackConfig& config, size_t index,
   }
   if (Tracer* tracer = sinks.tracer) {
     s.plane->AttachTracing(*tracer);  // reaches the stripes and every device
+    s.failure->AttachTracing(*tracer);
     s.target->AttachTracing(*tracer);
   }
   return s;

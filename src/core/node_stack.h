@@ -2,11 +2,11 @@
 //
 // flash array -> stripe manager -> differentiated-redundancy data plane
 // -> (DRAM admission tier) -> OSD target, plus what hangs off it: the
-// fault injector and fail-slow detector, the durable journal, and the
-// cluster directory. reo_server builds one stack per serving shard and
-// hands the targets to ShardedServer; CacheSimulator builds one (stack 0
-// of 1) and adds only the backend, the cache manager and the wire
-// transport on top.
+// failure plane, the fault injector and fail-slow detector, the durable
+// journal, and the cluster directory. reo_server builds one stack per
+// serving shard and hands the targets to ShardedServer; CacheSimulator
+// builds one (stack 0 of 1) and adds only the backend, the cache manager
+// and the wire transport on top.
 //
 // A node's N stacks partition one node: stack k of N gets 1/N of the
 // capacity and DRAM budgets, reseeds its fault injector with seed + k (so
@@ -20,6 +20,7 @@
 
 #include "admit/admission_tier.h"
 #include "core/data_plane.h"
+#include "core/failure_plane.h"
 #include "core/policy.h"
 #include "fault/failslow.h"
 #include "fault/fault_injector.h"
@@ -52,6 +53,11 @@ struct NodeStackConfig {
   /// Fault rules; empty builds no injector and no fail-slow detector.
   FaultSpec faults;
   FailSlowConfig failslow;
+  /// When the fail-slow detector flags a device, proactively demote it:
+  /// treat it as failed, swap in a spare at the same index, and run the
+  /// normal differentiated recovery. Off by default (detection/events
+  /// only).
+  bool failslow_demote = false;
   /// Durable state; an empty data_dir keeps the stack in memory.
   PersistenceConfig persistence;
   /// Cluster mode: a directory for this node id sits behind the target.
@@ -83,6 +89,8 @@ struct NodeStack {
   std::unique_ptr<FlashArray> array;
   std::unique_ptr<StripeManager> stripes;
   std::unique_ptr<ReoDataPlane> plane;
+  /// Device failure, spares, scrub, fail-slow demotion and recovery.
+  std::unique_ptr<FailurePlane> failure;
   std::unique_ptr<AdmissionTier> admission;  ///< null without a DRAM share
   std::unique_ptr<OsdTarget> target;
 };

@@ -45,7 +45,7 @@ class RecoveryScheduler {
   /// histograms.
   void AttachTelemetry(MetricRegistry& registry);
 
-  /// Records one completed reconstruction. The cache manager performs the
+  /// Records one completed reconstruction. The failure plane performs the
   /// rebuild IO (on-demand at access/failure time, or paced background
   /// work) and reports it here so recovery telemetry lives with the
   /// scheduler that ordered it.

@@ -3,8 +3,8 @@
 // device's service time feeds an EWMA; every check interval the EWMA is
 // compared against the median EWMA across devices. A device that stays
 // above `outlier_factor x median` for `sustain_checks` consecutive checks
-// is flagged once — the cache layer then demotes it like a failed device
-// and recovers onto a spare.
+// is flagged once — the stack's failure plane can then demote it like a
+// failed device and recover onto a spare.
 #pragma once
 
 #include <cstdint>

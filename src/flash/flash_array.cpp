@@ -39,6 +39,9 @@ Status FlashArray::FailDevice(DeviceIndex i) {
 
 Status FlashArray::ReplaceDevice(DeviceIndex i) {
   if (i >= devices_.size()) return {ErrorCode::kNotFound, "no such device"};
+  // A healthy device still holds chunks the stripes name by slot id; a
+  // fresh device would hand those ids to new writes.
+  if (devices_[i]->healthy()) return {ErrorCode::kInvalidArgument, "not failed"};
   devices_[i]->Replace();
   Set(tel_healthy_, static_cast<double>(healthy_count()));
   return Status::Ok();

@@ -31,7 +31,8 @@ class FlashArray {
   /// Shoots down device `i` (paper §VI.C "shootdown" command).
   Status FailDevice(DeviceIndex i);
 
-  /// Replaces device `i` with a fresh spare (empty, healthy, zero wear).
+  /// Replaces failed device `i` with a fresh spare (empty, healthy, zero
+  /// wear). A healthy device is refused with kInvalidArgument.
   Status ReplaceDevice(DeviceIndex i);
 
   /// Aggregate logical capacity across all devices (healthy or not).

@@ -1,7 +1,6 @@
 #include "flash/flash_device.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/crc32c.h"
 
@@ -9,41 +8,16 @@ namespace reo {
 
 FlashDevice::FlashDevice(FlashDeviceConfig config) : config_(config) {
   REO_CHECK(config_.capacity_bytes > 0);
-  if (config_.model_ftl) InitFtl();
-}
-
-void FlashDevice::InitFtl() {
-  // Size the FTL so its logical page space covers the device capacity.
-  FtlConfig fc;
-  fc.gc_policy = config_.ftl_gc_policy;
-  uint64_t block_bytes = static_cast<uint64_t>(fc.page_bytes) * fc.pages_per_block;
-  // 30 % logical headroom over the slot capacity: the lpn-range allocator
-  // reuses freed ranges per size class, so mixed chunk sizes can leave
-  // some ranges parked on freelists.
-  uint64_t needed_pages =
-      (config_.capacity_bytes + config_.capacity_bytes / 3 + fc.page_bytes - 1) /
-      fc.page_bytes;
-  uint64_t physical_pages = static_cast<uint64_t>(
-      std::ceil(static_cast<double>(needed_pages) / (1.0 - fc.over_provisioning)));
-  fc.block_count = static_cast<uint32_t>(
-      std::max<uint64_t>(8, (physical_pages * fc.page_bytes + block_bytes - 1) /
-                                block_bytes));
-  ftl_ = std::make_unique<Ftl>(fc);
-  lpn_bump_ = 0;
-  lpn_free_.clear();
 }
 
 void FlashDevice::AttachTelemetry(MetricRegistry& registry,
                                   const std::string& prefix) {
-  tel_registry_ = &registry;
-  tel_prefix_ = prefix;
   tel_reads_ = &registry.GetCounter(prefix + ".reads");
   tel_writes_ = &registry.GetCounter(prefix + ".writes");
   tel_erases_ = &registry.GetCounter(prefix + ".erases");
   tel_bytes_read_ = &registry.GetGauge(prefix + ".bytes_read");
   tel_bytes_written_ = &registry.GetGauge(prefix + ".bytes_written");
   tel_wear_ = &registry.GetGauge(prefix + ".wear_fraction");
-  if (ftl_) ftl_->AttachTelemetry(registry, prefix + ".ftl");
 }
 
 void FlashDevice::AttachTracing(Tracer& tracer, uint8_t array_index) {
@@ -56,39 +30,6 @@ void FlashDevice::AttachFaults(FaultInjector* injector,
   faults_ = injector;
   failslow_ = detector;
   fault_index_ = array_index;
-}
-
-Status FlashDevice::FtlWriteSlot(Slot& s) {
-  if (s.page_count == 0) {
-    // First write: allocate a contiguous lpn range (reusing a freed range
-    // of the same size if available).
-    auto pages = static_cast<uint32_t>(
-        (s.logical_bytes + ftl_->config().page_bytes - 1) /
-        ftl_->config().page_bytes);
-    pages = std::max(pages, 1u);
-    if (pages < lpn_free_.size() && !lpn_free_[pages].empty()) {
-      s.lpn_base = lpn_free_[pages].back();
-      lpn_free_[pages].pop_back();
-    } else {
-      s.lpn_base = lpn_bump_;
-      lpn_bump_ += pages;
-    }
-    s.page_count = pages;
-  }
-  for (uint32_t p = 0; p < s.page_count; ++p) {
-    REO_RETURN_IF_ERROR(ftl_->WritePage(s.lpn_base + p));
-  }
-  return Status::Ok();
-}
-
-void FlashDevice::FtlTrimSlot(Slot& s) {
-  if (s.page_count == 0) return;
-  for (uint32_t p = 0; p < s.page_count; ++p) {
-    (void)ftl_->TrimPage(s.lpn_base + p);
-  }
-  if (lpn_free_.size() <= s.page_count) lpn_free_.resize(s.page_count + 1);
-  lpn_free_[s.page_count].push_back(s.lpn_base);
-  s.page_count = 0;
 }
 
 Result<SlotId> FlashDevice::AllocateSlot(uint64_t logical_bytes) {
@@ -120,7 +61,6 @@ Status FlashDevice::FreeSlot(SlotId slot) {
     return {ErrorCode::kNotFound, "no such slot"};
   }
   Slot& s = slots_[slot];
-  if (ftl_) FtlTrimSlot(s);
   used_bytes_ -= s.logical_bytes;
   --live_slots_;
   s = Slot{};
@@ -155,18 +95,6 @@ Status FlashDevice::WriteSlot(SlotId slot, std::span<const uint8_t> payload) {
   }
   ++wear_.io_writes;
   Inc(tel_writes_);
-  if (ftl_) {
-    // Wear comes from the FTL: GC write amplification and real erases.
-    REO_RETURN_IF_ERROR(FtlWriteSlot(s));
-    wear_.bytes_written =
-        ftl_->stats().nand_pages_written * ftl_->config().page_bytes;
-    wear_.erase_cycles = ftl_->stats().erases;
-    Inc(tel_erases_, wear_.erase_cycles - tel_published_erases_);
-    tel_published_erases_ = wear_.erase_cycles;
-    Set(tel_bytes_written_, static_cast<double>(wear_.bytes_written));
-    Set(tel_wear_, wear_.WearFraction(config_));
-    return Status::Ok();
-  }
   // Flat model: programming `logical_bytes` eventually forces that many
   // bytes of erasure (write amplification factor 1).
   wear_.bytes_written += s.logical_bytes;
@@ -280,16 +208,11 @@ void FlashDevice::Replace() {
   wear_ = FlashWearStats{};
   pending_erase_bytes_ = 0;
   state_ = DeviceState::kHealthy;
-  if (config_.model_ftl) InitFtl();  // a spare arrives with zero wear
-  tel_published_erases_ = 0;
-  if (tel_registry_) {
-    // Fresh gauges for the fresh device; the new FTL re-attaches under the
-    // same prefix so its counters continue at this array position.
-    Set(tel_bytes_read_, 0.0);
-    Set(tel_bytes_written_, 0.0);
-    Set(tel_wear_, 0.0);
-    if (ftl_) ftl_->AttachTelemetry(*tel_registry_, tel_prefix_ + ".ftl");
-  }
+  // Fresh gauges for the fresh device; counters continue at this array
+  // position.
+  Set(tel_bytes_read_, 0.0);
+  Set(tel_bytes_written_, 0.0);
+  Set(tel_wear_, 0.0);
 }
 
 }  // namespace reo

@@ -16,13 +16,10 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "common/sim_clock.h"
 #include "common/status.h"
 #include "fault/failslow.h"
 #include "fault/fault_injector.h"
-#include "flash/ftl.h"
 #include "telemetry/metric_registry.h"
 #include "trace/tracer.h"
 
@@ -44,12 +41,6 @@ struct FlashDeviceConfig {
   SimTime write_fixed_ns = 100 * kNsPerUs;
   uint64_t erase_block_bytes = 4ULL << 20;  ///< wear-accounting granularity
   uint32_t pe_cycle_limit = 3000;  ///< endurance rating (P/E cycles)
-
-  /// Route writes/frees through a page-mapped FTL model (flash/ftl.h):
-  /// wear then reflects garbage-collection write amplification instead of
-  /// the flat factor-1 estimate. Slower; off by default.
-  bool model_ftl = false;
-  GcPolicy ftl_gc_policy = GcPolicy::kGreedy;
 };
 
 enum class DeviceState : uint8_t {
@@ -141,10 +132,6 @@ class FlashDevice {
 
   const FlashWearStats& wear() const { return wear_; }
 
-  /// The FTL model, when enabled (nullptr otherwise). Exposes write
-  /// amplification, GC counters, and per-block wear.
-  const Ftl* ftl() const { return ftl_.get(); }
-
   /// Registers this device's metrics under `prefix` (e.g. "flash.dev0")
   /// and begins hot-path updates. Survives Fail/Replace: a spare swapped
   /// in at this position keeps reporting under the same names (counters
@@ -169,8 +156,6 @@ class FlashDevice {
     bool allocated = false;
     uint64_t logical_bytes = 0;
     uint32_t crc = 0;
-    uint64_t lpn_base = 0;   ///< first FTL page (model_ftl only)
-    uint32_t page_count = 0;
     std::vector<uint8_t> payload;
   };
 
@@ -179,10 +164,6 @@ class FlashDevice {
   /// the payload's size the CRC is taken while the payload is copied there.
   Result<std::span<const uint8_t>> CheckedRead(SlotId slot,
                                                std::span<uint8_t> out);
-
-  void InitFtl();
-  Status FtlWriteSlot(Slot& s);
-  void FtlTrimSlot(Slot& s);
 
   FlashDeviceConfig config_;
   DeviceState state_ = DeviceState::kHealthy;
@@ -194,22 +175,13 @@ class FlashDevice {
   FlashWearStats wear_;
   uint64_t pending_erase_bytes_ = 0;  // accumulates toward erase cycles
 
-  // FTL integration (model_ftl): logical-page-space allocator state.
-  std::unique_ptr<Ftl> ftl_;
-  uint64_t lpn_bump_ = 0;  ///< next never-used lpn
-  std::vector<std::vector<uint64_t>> lpn_free_;  ///< freelists by page count
-
-  // Telemetry (null when un-attached). Registry/prefix are remembered so a
-  // replacement FTL re-attaches after a spare swap.
-  MetricRegistry* tel_registry_ = nullptr;
-  std::string tel_prefix_;
+  // Telemetry (null when un-attached).
   Counter* tel_reads_ = nullptr;
   Counter* tel_writes_ = nullptr;
   Counter* tel_erases_ = nullptr;
   Gauge* tel_bytes_read_ = nullptr;
   Gauge* tel_bytes_written_ = nullptr;
   Gauge* tel_wear_ = nullptr;
-  uint64_t tel_published_erases_ = 0;  ///< FTL erase count already exported
 
   // Tracing (null when un-attached): SubmitIo records one leaf span per IO
   // on this device's track, [queue-adjusted begin, completion].

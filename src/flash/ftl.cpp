@@ -29,15 +29,6 @@ Ftl::Ftl(FtlConfig config) : config_(config) {
   map_.assign(static_cast<size_t>(logical_pages_), {~0u, ~0u});
 }
 
-void Ftl::AttachTelemetry(MetricRegistry& registry, const std::string& prefix) {
-  tel_host_writes_ = &registry.GetCounter(prefix + ".host_pages_written");
-  tel_nand_writes_ = &registry.GetCounter(prefix + ".nand_pages_written");
-  tel_gc_runs_ = &registry.GetCounter(prefix + ".gc_runs");
-  tel_gc_relocated_ = &registry.GetCounter(prefix + ".gc_pages_relocated");
-  tel_write_amp_ = &registry.GetGauge(prefix + ".write_amp");
-  tel_write_amp_->Set(stats_.WriteAmplification());
-}
-
 bool Ftl::IsMapped(uint64_t lpn) const {
   return lpn < logical_pages_ && map_[static_cast<size_t>(lpn)].first != ~0u;
 }
@@ -69,7 +60,6 @@ void Ftl::AppendPage(uint64_t lpn, uint32_t& frontier) {
   b.seq = ++seq_;
   map_[static_cast<size_t>(lpn)] = {frontier, page};
   ++stats_.nand_pages_written;
-  Inc(tel_nand_writes_);
 }
 
 uint32_t Ftl::PickVictim() const {
@@ -137,7 +127,6 @@ void Ftl::RunGc() {
   uint32_t gc_room = config_.pages_per_block - blocks_[gc_block_].next_page;
   if (v.valid > gc_room && free_blocks_.empty()) return;
   ++stats_.gc_runs;
-  Inc(tel_gc_runs_);
 
   for (uint32_t p = 0; p < config_.pages_per_block; ++p) {
     uint64_t lpn = v.page_lpn[p];
@@ -146,7 +135,6 @@ void Ftl::RunGc() {
     --v.valid;
     AppendPage(lpn, gc_block_);
     ++stats_.gc_pages_relocated;
-    Inc(tel_gc_relocated_);
   }
 
   // Erase the victim.
@@ -186,8 +174,6 @@ Status Ftl::WritePage(uint64_t lpn) {
   }
   AppendPage(lpn, host_block_);
   ++stats_.host_pages_written;
-  Inc(tel_host_writes_);
-  Set(tel_write_amp_, stats_.WriteAmplification());
   return Status::Ok();
 }
 

@@ -5,17 +5,15 @@
 // amplified by garbage collection. This FTL models that machinery —
 // out-of-place page writes, per-block validity tracking, GC with
 // selectable victim policies, TRIM — and reports write amplification and
-// wear-leveling quality. FlashDevice can route its write accounting
-// through an Ftl (FlashDeviceConfig::model_ftl) so device wear reflects GC
-// traffic instead of a flat factor-1 estimate.
+// wear-leveling quality. It stands alone: bench/ablation_ftl compares the
+// GC policies on it, while FlashDevice keeps a flat factor-1 wear estimate.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "telemetry/metric_registry.h"
 
 namespace reo {
 
@@ -64,11 +62,6 @@ class Ftl {
 
   const FtlConfig& config() const { return config_; }
   const FtlStats& stats() const { return stats_; }
-
-  /// Registers this FTL's metrics under `prefix` (e.g. "flash.dev0.ftl")
-  /// and begins hot-path updates. Counters are cumulative per name: a
-  /// replacement FTL attaching to the same prefix continues them.
-  void AttachTelemetry(MetricRegistry& registry, const std::string& prefix);
 
   /// Logical pages exposed to the host (capacity minus over-provisioning).
   uint64_t logical_pages() const { return logical_pages_; }
@@ -127,13 +120,6 @@ class Ftl {
   uint64_t mapped_pages_ = 0;
   uint64_t seq_ = 0;
   FtlStats stats_;
-
-  // Telemetry (null when un-attached).
-  Counter* tel_host_writes_ = nullptr;
-  Counter* tel_nand_writes_ = nullptr;
-  Counter* tel_gc_runs_ = nullptr;
-  Counter* tel_gc_relocated_ = nullptr;
-  Gauge* tel_write_amp_ = nullptr;
 };
 
 }  // namespace reo

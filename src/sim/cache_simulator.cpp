@@ -25,6 +25,7 @@ CacheSimulator::CacheSimulator(const Trace& trace, SimulationConfig config)
   sc.admission = config_.admission;
   sc.faults = config_.faults;
   sc.failslow = config_.failslow;
+  sc.failslow_demote = config_.failslow_demote;
   sc.persistence = config_.persistence;
   NodeStackSinks sinks{.registry = &telemetry_};
   if (config_.enable_tracing) {
@@ -49,15 +50,13 @@ CacheSimulator::CacheSimulator(const Trace& trace, SimulationConfig config)
   }
   OsdSession& session =
       transport_ ? static_cast<OsdSession&>(*transport_) : *n.target;
-  cache_ = std::make_unique<CacheManager>(session, *n.plane, *backend_,
-                                          config_.cache);
+  cache_ = std::make_unique<CacheManager>(session, *n.plane, *n.failure,
+                                          *backend_, config_.cache);
   if (n.persist) cache_->AttachPersistence(n.persist.get());
-  if (n.failslow) cache_->AttachFaultDetector(n.failslow.get());
   // Graduating objects classify from observed hotness, not the staged
   // cold-start guess.
   if (n.admission) cache_->AttachAdmission(*n.admission);
 
-  // The cache manager attaches its recovery scheduler itself.
   cache_->AttachTelemetry(telemetry_);
   if (transport_) transport_->AttachTelemetry(telemetry_);
   if (config_.enable_tracing) {
@@ -106,8 +105,8 @@ RunReport CacheSimulator::Run() {
            "scripted device failure",
            {{"device", std::to_string(config_.failures[next_failure].device)},
             {"request", std::to_string(i)}});
-      cache_->OnDeviceFailure(config_.failures[next_failure].device,
-                              clock_.now());
+      stack_.failure->OnDeviceFailure(config_.failures[next_failure].device,
+                                      clock_.now());
       ++failed_so_far;
       char label[48];
       if (config_.probe_window_requests > 0) {
@@ -131,8 +130,8 @@ RunReport CacheSimulator::Run() {
            "scripted spare insertion",
            {{"device", std::to_string(config_.spares[next_spare].device)},
             {"request", std::to_string(i)}});
-      cache_->OnSpareInserted(config_.spares[next_spare].device,
-                              clock_.now());
+      stack_.failure->OnSpareInserted(config_.spares[next_spare].device,
+                                      clock_.now());
       ++next_spare;
     }
 
@@ -159,7 +158,7 @@ RunReport CacheSimulator::Run() {
     // still repair it (the scrub itself charges device time).
     if (config_.scrub_interval_requests > 0 &&
         (i + 1) % config_.scrub_interval_requests == 0) {
-      auto scrub = cache_->RunScrub(clock_.now());
+      auto scrub = stack_.failure->RunScrub(clock_.now());
       server_free_ = std::max(server_free_, scrub.complete);
       clock_.AdvanceTo(server_free_);
     }
@@ -172,6 +171,7 @@ RunReport CacheSimulator::Run() {
   report.windows = metrics.windows();
   report.dataset_bytes = trace_.catalog.TotalBytes();
   report.cache = cache_->stats();
+  report.rebuilds = stack_.failure->rebuilds();
   report.space = stack_.stripes->Space();
   report.osd = stack_.target->stats();
   report.max_wear = stack_.array->MaxWearFraction();

@@ -92,6 +92,8 @@ struct SimulationConfig {
   FaultSpec faults;
   /// Fail-slow detection thresholds (only used when `faults` is non-empty).
   FailSlowConfig failslow;
+  /// Demote a device the detector flags (NodeStackConfig::failslow_demote).
+  bool failslow_demote = false;
   /// When > 0, run a full scrub pass every N measured requests.
   uint64_t scrub_interval_requests = 0;
 
@@ -107,6 +109,7 @@ struct RunReport {
   WindowMetrics total;
   std::vector<WindowMetrics> windows;  ///< segmented at failure events
   CacheStats cache;
+  uint64_t rebuilds = 0;  ///< objects reconstructed (bg + on-demand)
   SpaceStats space;
   OsdTargetStats osd;
   double max_wear = 0.0;
@@ -135,7 +138,8 @@ class CacheSimulator {
 
   /// Component access for integration tests and examples: the cache
   /// manager and the serving stack (faults, journal and admission tier are
-  /// null unless configured).
+  /// null unless configured). Scripted failures, spares and scrubs run
+  /// through `stack().failure`.
   CacheManager& cache() { return *cache_; }
   NodeStack& stack() { return stack_; }
   /// Tracing sink (spans + event log). Inert unless `enable_tracing`;

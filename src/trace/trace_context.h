@@ -64,7 +64,6 @@ enum class TraceOp : uint8_t {
   kGetUncacheable,   ///< served straight from the backend (array unusable)
   kPut,              ///< write, outcome not yet known
   kPutWriteBack,     ///< absorbed dirty
-  kPutWriteThrough,
   kPutUncacheable,
   // Root spans for non-request work.
   kFailureHandling,  ///< device shootdown reaction
@@ -97,7 +96,6 @@ constexpr std::string_view to_string(TraceOp op) {
     case TraceOp::kGetUncacheable: return "get.uncacheable";
     case TraceOp::kPut: return "put";
     case TraceOp::kPutWriteBack: return "put.writeback";
-    case TraceOp::kPutWriteThrough: return "put.writethrough";
     case TraceOp::kPutUncacheable: return "put.uncacheable";
     case TraceOp::kFailureHandling: return "failure.handle";
     case TraceOp::kSpareHandling: return "spare.handle";

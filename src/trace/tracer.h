@@ -98,8 +98,8 @@ class Tracer {
 };
 
 /// RAII root-span guard. The cache manager opens one per client request
-/// (Get/Put) and per failure-plane entry point; everything the request
-/// touches nests under it. Inert when `tracer` is null or the request is
+/// (Get/Put), and the failure plane one per device event, drain or scrub;
+/// everything the request touches nests under it. Inert when `tracer` is null or the request is
 /// not sampled.
 class RequestTrace {
  public:

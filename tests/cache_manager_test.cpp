@@ -30,11 +30,13 @@ struct CacheFixture {
         *stripes,
         RedundancyPolicy({.mode = mode, .reo_reserve_fraction = reserve}));
     target = std::make_unique<OsdTarget>(*plane);
+    failure = std::make_unique<FailurePlane>(*plane);
     backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
     CacheManagerConfig cfg;
     cfg.hhot_refresh_interval = 10;
     cfg.verify_hits = true;
-    cache = std::make_unique<CacheManager>(*target, *plane, *backend, cfg);
+    cache = std::make_unique<CacheManager>(*target, *plane, *failure, *backend,
+                                           cfg);
     cache->Initialize(0);
   }
 
@@ -58,6 +60,7 @@ struct CacheFixture {
   std::unique_ptr<StripeManager> stripes;
   std::unique_ptr<ReoDataPlane> plane;
   std::unique_ptr<OsdTarget> target;
+  std::unique_ptr<FailurePlane> failure;
   std::unique_ptr<BackendStore> backend;
   std::unique_ptr<CacheManager> cache;
   std::unordered_map<uint64_t, uint64_t> sizes;
@@ -159,7 +162,7 @@ TEST(CacheManagerTest, DirtySurvivesFourFailuresUnderReo) {
   fx.Put(1);
   // Replicated across 5 devices: kill 4, the dirty copy must survive.
   for (DeviceIndex d = 0; d < 4; ++d) {
-    fx.cache->OnDeviceFailure(d, fx.clock.now());
+    fx.failure->OnDeviceFailure(d, fx.clock.now());
   }
   EXPECT_EQ(fx.cache->stats().dirty_lost, 0u);
   auto h = fx.Get(1);
@@ -172,7 +175,7 @@ TEST(CacheManagerTest, ColdDataLostOnFirstFailureUnderReo) {
   fx.Register(1, 10 * kChunk);
   fx.Get(1);  // admitted cold (initial H_hot = +inf)
   ASSERT_EQ(*fx.stripes->LevelOf(Oid(1)), RedundancyLevel::kNone);
-  fx.cache->OnDeviceFailure(0, fx.clock.now());
+  fx.failure->OnDeviceFailure(0, fx.clock.now());
   EXPECT_GE(fx.cache->stats().lost_evictions, 1u);
   auto r = fx.Get(1);  // refetched from backend
   EXPECT_FALSE(r.hit);
@@ -182,7 +185,7 @@ TEST(CacheManagerTest, UniformParityServesDegradedReads) {
   CacheFixture fx(ProtectionMode::kUniform2);
   fx.Register(1, 9 * kChunk);
   fx.Get(1);
-  fx.cache->OnDeviceFailure(0, fx.clock.now());
+  fx.failure->OnDeviceFailure(0, fx.clock.now());
   auto r = fx.Get(1);
   EXPECT_TRUE(r.hit);
   // Either served degraded, or already repaired by background recovery
@@ -197,11 +200,11 @@ TEST(CacheManagerTest, DirtyDataReprotectedSynchronouslyAtFailure) {
   CacheFixture fx(ProtectionMode::kReo);
   fx.Register(1, 8 * kChunk);
   fx.Put(1);
-  fx.cache->OnDeviceFailure(0, fx.clock.now());
-  EXPECT_GE(fx.cache->stats().rebuilds, 1u);
+  fx.failure->OnDeviceFailure(0, fx.clock.now());
+  EXPECT_GE(fx.failure->rebuilds(), 1u);
   EXPECT_EQ(fx.stripes->SurvivalOf(Oid(1)), ObjectSurvival::kIntact);
   // It survives a second failure immediately (no vulnerable window).
-  fx.cache->OnDeviceFailure(1, fx.clock.now());
+  fx.failure->OnDeviceFailure(1, fx.clock.now());
   auto r = fx.Get(1);
   EXPECT_TRUE(r.hit);
   EXPECT_EQ(fx.cache->stats().dirty_lost, 0u);
@@ -217,15 +220,15 @@ TEST(CacheManagerTest, OnDemandRepairClearsBacklog) {
   for (int i = 0; i < 12; ++i) fx.Get(1);
   ASSERT_EQ(*fx.stripes->LevelOf(Oid(1)), RedundancyLevel::kParity2);
 
-  fx.cache->OnDeviceFailure(0, fx.clock.now());
-  ASSERT_TRUE(fx.cache->recovery_active());
-  uint64_t rebuilds_before = fx.cache->stats().rebuilds;
+  fx.failure->OnDeviceFailure(0, fx.clock.now());
+  ASSERT_TRUE(fx.plane->recovery_active());
+  uint64_t rebuilds_before = fx.failure->rebuilds();
   auto r = fx.Get(1);  // degraded read triggers repair-on-read
   EXPECT_TRUE(r.hit);
-  EXPECT_GE(fx.cache->stats().rebuilds, rebuilds_before + 1);
+  EXPECT_GE(fx.failure->rebuilds(), rebuilds_before + 1);
   // Once everything recoverable is rebuilt, recovery ends (sense 0x66).
-  fx.cache->DrainRecovery(fx.clock.now());
-  EXPECT_FALSE(fx.cache->recovery_active());
+  fx.failure->DrainRecovery(fx.clock.now());
+  EXPECT_FALSE(fx.plane->recovery_active());
   EXPECT_EQ(fx.stripes->SurvivalOf(Oid(1)), ObjectSurvival::kIntact);
 }
 
@@ -239,9 +242,9 @@ TEST(CacheManagerTest, FailedRepairOnReadKeepsObjectQueued) {
   for (int i = 0; i < 12; ++i) fx.Get(1);
   ASSERT_EQ(*fx.stripes->LevelOf(Oid(1)), RedundancyLevel::kParity2);
 
-  fx.cache->OnDeviceFailure(0, fx.clock.now());
-  ASSERT_EQ(fx.cache->recovery_backlog(), 1u);  // class 0 rebuilt already
-  ASSERT_TRUE(fx.cache->recovery_active());
+  fx.failure->OnDeviceFailure(0, fx.clock.now());
+  ASSERT_EQ(fx.failure->backlog(), 1u);  // class 0 rebuilt already
+  ASSERT_TRUE(fx.plane->recovery_active());
 
   FaultInjector injector(FaultSpec{
       .rules = {FaultRule{.site = FaultSite::kFlashWriteTransient,
@@ -251,17 +254,17 @@ TEST(CacheManagerTest, FailedRepairOnReadKeepsObjectQueued) {
   EXPECT_TRUE(r.hit);
   EXPECT_TRUE(r.degraded);
   EXPECT_GT(injector.injected(FaultSite::kFlashWriteTransient), 0u);
-  EXPECT_EQ(fx.cache->recovery_backlog(), 1u);
-  EXPECT_TRUE(fx.cache->recovery_active());
+  EXPECT_EQ(fx.failure->backlog(), 1u);
+  EXPECT_TRUE(fx.plane->recovery_active());
   EXPECT_EQ(fx.cache->QueryObject(kControlObject, false, 0, fx.clock.now()),
             SenseCode::kRecoveryStarts);
   EXPECT_EQ(fx.stripes->SurvivalOf(Oid(1)), ObjectSurvival::kRecoverable);
 
   // Once the writes succeed again, the queued object is rebuilt.
   fx.array->AttachFaults(nullptr, nullptr);
-  fx.cache->DrainRecovery(fx.clock.now());
-  EXPECT_EQ(fx.cache->recovery_backlog(), 0u);
-  EXPECT_FALSE(fx.cache->recovery_active());
+  fx.failure->DrainRecovery(fx.clock.now());
+  EXPECT_EQ(fx.failure->backlog(), 0u);
+  EXPECT_FALSE(fx.plane->recovery_active());
   EXPECT_EQ(fx.stripes->SurvivalOf(Oid(1)), ObjectSurvival::kIntact);
 }
 
@@ -272,6 +275,8 @@ TEST(CacheManagerTest, RepairedLatentChunkIsNotRebuiltAgain) {
   CacheFixture fx;
   Tracer tracer;
   fx.cache->AttachTracing(tracer);
+  fx.failure->AttachEvents(tracer.events());
+  fx.failure->AttachTracing(tracer);
   fx.Register(1, 2 * kChunk);
   FaultInjector injector(FaultSpec{
       .rules = {FaultRule{.site = FaultSite::kFlashLatent,
@@ -286,7 +291,7 @@ TEST(CacheManagerTest, RepairedLatentChunkIsNotRebuiltAgain) {
   EXPECT_TRUE(r.hit);
   ASSERT_TRUE(r.degraded);
   EXPECT_EQ(fx.stripes->SurvivalOf(Oid(1)), ObjectSurvival::kIntact);
-  EXPECT_EQ(fx.cache->stats().rebuilds, 0u);
+  EXPECT_EQ(fx.failure->rebuilds(), 0u);
   size_t rebuild_events = 0;
   for (const LoggedEvent& ev : tracer.events().events()) {
     if (ev.category == "recovery.rebuild") ++rebuild_events;
@@ -348,18 +353,18 @@ TEST(CacheManagerTest, UniformHasNoRepairOnRead) {
   CacheFixture fx(ProtectionMode::kUniform1);
   fx.Register(1, 8 * kChunk);
   fx.Get(1);
-  fx.cache->OnDeviceFailure(0, fx.clock.now());
+  fx.failure->OnDeviceFailure(0, fx.clock.now());
   auto r1 = fx.Get(1);
   auto r2 = fx.Get(1);
   EXPECT_TRUE(r1.hit);
   EXPECT_TRUE(r1.degraded);
   EXPECT_TRUE(r2.degraded);  // still degraded: no object-level repair
-  EXPECT_EQ(fx.cache->stats().rebuilds, 0u);
+  EXPECT_EQ(fx.failure->rebuilds(), 0u);
   // Spare insertion starts the block-level rebuild.
-  fx.cache->OnSpareInserted(0, fx.clock.now());
-  ASSERT_TRUE(fx.cache->recovery_active());
-  fx.cache->DrainRecovery(fx.clock.now());
-  EXPECT_GE(fx.cache->stats().rebuilds, 1u);
+  fx.failure->OnSpareInserted(0, fx.clock.now());
+  ASSERT_TRUE(fx.plane->recovery_active());
+  fx.failure->DrainRecovery(fx.clock.now());
+  EXPECT_GE(fx.failure->rebuilds(), 1u);
   EXPECT_EQ(fx.stripes->SurvivalOf(Oid(1)), ObjectSurvival::kIntact);
   EXPECT_FALSE(fx.Get(1).degraded);
 }
@@ -368,16 +373,41 @@ TEST(CacheManagerTest, DeviceEventsOutsideTheArrayDoNothing) {
   CacheFixture fx(ProtectionMode::kUniform1);
   Tracer tracer;
   fx.cache->AttachTracing(tracer);
+  fx.failure->AttachEvents(tracer.events());
+  fx.failure->AttachTracing(tracer);
   fx.Register(1, 8 * kChunk);
   fx.Get(1);
   size_t events = tracer.events().size();
   // The array has devices 0-4: neither call may log, fail or rebuild.
-  fx.cache->OnDeviceFailure(5, fx.clock.now());
-  fx.cache->OnSpareInserted(99, fx.clock.now());
+  fx.failure->OnDeviceFailure(5, fx.clock.now());
+  fx.failure->OnSpareInserted(99, fx.clock.now());
   EXPECT_EQ(tracer.events().size(), events);
   EXPECT_EQ(fx.array->healthy_count(), 5u);
-  EXPECT_FALSE(fx.cache->recovery_active());
+  EXPECT_FALSE(fx.plane->recovery_active());
   EXPECT_FALSE(fx.Get(1).degraded);
+}
+
+TEST(CacheManagerTest, SpareForHealthyDeviceLeavesDataIntact) {
+  // A spare goes in only for a failed device. Swapping out a healthy one
+  // would hand the slot ids its chunks still occupy to new writes, and a
+  // later read would return another object's bytes with a matching CRC.
+  CacheFixture fx(ProtectionMode::kReo, 256 * kChunk, 0.25);
+  for (uint64_t n = 1; n <= 32; ++n) fx.Register(n, (1 + n % 4) * kChunk);
+  for (uint64_t n = 1; n <= 16; ++n) {
+    if (n % 2 == 0) {
+      fx.Put(n);
+    } else {
+      fx.Get(n);
+    }
+  }
+  fx.failure->OnSpareInserted(2, fx.clock.now());
+  EXPECT_EQ(fx.array->healthy_count(), 5u);
+  // Replicated writes put chunks on every device, device 2 included.
+  for (uint64_t n = 17; n <= 32; ++n) fx.Put(n);
+  for (uint64_t n = 1; n <= 32; ++n) fx.Get(n);
+  EXPECT_EQ(fx.cache->stats().verify_failures, 0u);
+  EXPECT_EQ(fx.cache->stats().lost_evictions, 0u);
+  EXPECT_EQ(fx.cache->stats().hits, 32u);
 }
 
 TEST(CacheManagerTest, RecoveryQueryThroughControlObject) {
@@ -388,10 +418,10 @@ TEST(CacheManagerTest, RecoveryQueryThroughControlObject) {
   ASSERT_EQ(*fx.stripes->LevelOf(Oid(1)), RedundancyLevel::kParity2);
   EXPECT_EQ(fx.cache->QueryObject(kControlObject, false, 0, fx.clock.now()),
             SenseCode::kOk);
-  fx.cache->OnDeviceFailure(0, fx.clock.now());
+  fx.failure->OnDeviceFailure(0, fx.clock.now());
   EXPECT_EQ(fx.cache->QueryObject(kControlObject, false, 0, fx.clock.now()),
             SenseCode::kRecoveryStarts);
-  fx.cache->DrainRecovery(fx.clock.now());
+  fx.failure->DrainRecovery(fx.clock.now());
   EXPECT_EQ(fx.cache->QueryObject(kControlObject, false, 0, fx.clock.now()),
             SenseCode::kOk);
 }
@@ -402,7 +432,7 @@ TEST(CacheManagerTest, QueryObjectSenses) {
   fx.Get(1);
   EXPECT_EQ(fx.cache->QueryObject(Oid(1), false, 0, fx.clock.now()), SenseCode::kOk);
   // Cold object lost after a failure: query reports 0x63.
-  fx.cache->OnDeviceFailure(0, fx.clock.now());
+  fx.failure->OnDeviceFailure(0, fx.clock.now());
   SenseCode s = fx.cache->QueryObject(Oid(1), false, 0, fx.clock.now());
   // The object was evicted on loss, so either corrupted (still reported
   // during teardown) or absent (kFail).
@@ -421,7 +451,7 @@ TEST(CacheManagerTest, HotObjectsGetParityAfterRefresh) {
   EXPECT_GT(fx.cache->stats().reclassifications, 0u);
   EXPECT_EQ(*fx.stripes->LevelOf(Oid(1)), RedundancyLevel::kParity2);
   // Hot data survives a failure.
-  fx.cache->OnDeviceFailure(0, fx.clock.now());
+  fx.failure->OnDeviceFailure(0, fx.clock.now());
   auto r = fx.Get(1);
   EXPECT_TRUE(r.hit);
 }

@@ -35,11 +35,13 @@ class CacheSoak : public ::testing::TestWithParam<uint64_t> {
         *stripes_, RedundancyPolicy({.mode = ProtectionMode::kReo,
                                      .reo_reserve_fraction = 0.25}));
     target_ = std::make_unique<OsdTarget>(*plane_);
+    failure_ = std::make_unique<FailurePlane>(*plane_);
     backend_ = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
     CacheManagerConfig cfg;
     cfg.hhot_refresh_interval = 50;
     cfg.verify_hits = true;  // every hit is content-checked
-    cache_ = std::make_unique<CacheManager>(*target_, *plane_, *backend_, cfg);
+    cache_ = std::make_unique<CacheManager>(*target_, *plane_, *failure_,
+                                            *backend_, cfg);
     cache_->Initialize(0);
     for (uint64_t n = 0; n < kObjects; ++n) {
       uint64_t logical = (1 + (n % 7)) * kChunk;
@@ -54,6 +56,7 @@ class CacheSoak : public ::testing::TestWithParam<uint64_t> {
   std::unique_ptr<StripeManager> stripes_;
   std::unique_ptr<ReoDataPlane> plane_;
   std::unique_ptr<OsdTarget> target_;
+  std::unique_ptr<FailurePlane> failure_;
   std::unique_ptr<BackendStore> backend_;
   std::unique_ptr<CacheManager> cache_;
   std::unordered_map<uint64_t, uint64_t> sizes_;
@@ -80,14 +83,14 @@ TEST_P(CacheSoak, EverythingStaysConsistent) {
         auto healthy = array_->HealthyDevices();
         DeviceIndex d =
             healthy[rng.NextBounded(static_cast<uint32_t>(healthy.size()))];
-        cache_->OnDeviceFailure(d, clock_.now());
+        failure_->OnDeviceFailure(d, clock_.now());
         ++failed;
       }
     } else if (op < 96) {
       // Insert a spare for some failed device.
       for (DeviceIndex d = 0; d < array_->size(); ++d) {
         if (!array_->device(d).healthy()) {
-          cache_->OnSpareInserted(d, clock_.now());
+          failure_->OnSpareInserted(d, clock_.now());
           --failed;
           break;
         }
@@ -98,9 +101,9 @@ TEST_P(CacheSoak, EverythingStaysConsistent) {
       DeviceIndex d =
           healthy[rng.NextBounded(static_cast<uint32_t>(healthy.size()))];
       (void)array_->device(d).CorruptSlot(rng.NextBounded(64), rng.Next());
-      (void)cache_->RunScrub(clock_.now());
+      (void)failure_->RunScrub(clock_.now());
     } else {
-      cache_->DrainRecovery(clock_.now());
+      failure_->DrainRecovery(clock_.now());
     }
 
     // Standing invariants.
@@ -110,12 +113,12 @@ TEST_P(CacheSoak, EverythingStaysConsistent) {
 
   // Quiesce: flush everything, repair everything, then re-read the world.
   for (DeviceIndex d = 0; d < array_->size(); ++d) {
-    if (!array_->device(d).healthy()) cache_->OnSpareInserted(d, clock_.now());
+    if (!array_->device(d).healthy()) failure_->OnSpareInserted(d, clock_.now());
   }
-  cache_->DrainRecovery(clock_.now());
+  failure_->DrainRecovery(clock_.now());
   clock_.Advance(120 * kNsPerSec);
   cache_->AdvanceBackground(clock_.now());
-  (void)cache_->RunScrub(clock_.now());
+  (void)failure_->RunScrub(clock_.now());
   EXPECT_TRUE(stripes_->DamagedObjects().empty());
 
   for (uint64_t n = 0; n < kObjects; ++n) {

@@ -526,10 +526,12 @@ struct CacheFaultFixture {
                                     .reo_reserve_fraction = 0.25}));
     plane->ConfigureRetry(RetryPolicy{}, /*seed=*/7);
     target = std::make_unique<OsdTarget>(*plane);
+    failure = std::make_unique<FailurePlane>(*plane);
     backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
     CacheManagerConfig cfg;
     cfg.verify_hits = true;
-    cache = std::make_unique<CacheManager>(*target, *plane, *backend, cfg);
+    cache = std::make_unique<CacheManager>(*target, *plane, *failure, *backend,
+                                           cfg);
     cache->Initialize(0);
   }
 
@@ -550,6 +552,7 @@ struct CacheFaultFixture {
   std::unique_ptr<StripeManager> stripes;
   std::unique_ptr<ReoDataPlane> plane;
   std::unique_ptr<OsdTarget> target;
+  std::unique_ptr<FailurePlane> failure;
   std::unique_ptr<BackendStore> backend;
   std::unique_ptr<CacheManager> cache;
   std::unique_ptr<FaultInjector> injector;
@@ -734,7 +737,7 @@ TEST(FaultSimulationTest, FailSlowDeviceIsFlaggedAndDemoted) {
     {"site": "flash.failslow", "probability": 1.0, "device": 1,
      "slow_factor": 30.0}]})");
   cfg.failslow = QuickDetect();
-  cfg.cache.failslow_demote = true;
+  cfg.failslow_demote = true;
 
   CacheSimulator sim(trace, cfg);
   RunReport report = sim.Run();
@@ -757,7 +760,7 @@ TEST(FaultSimulationTest, FailSlowFlagWithoutDemotionIsAdvisory) {
     {"site": "flash.failslow", "probability": 1.0, "device": 1,
      "slow_factor": 30.0}]})");
   cfg.failslow = QuickDetect();
-  cfg.cache.failslow_demote = false;
+  cfg.failslow_demote = false;
 
   CacheSimulator sim(trace, cfg);
   RunReport report = sim.Run();

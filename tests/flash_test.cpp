@@ -203,8 +203,12 @@ TEST(FlashArrayTest, FailAndReplace) {
   EXPECT_EQ(arr.HealthyDevices(), (std::vector<DeviceIndex>{0, 2}));
   // Double-fail rejected.
   EXPECT_EQ(arr.FailDevice(1).code(), ErrorCode::kInvalidArgument);
+  // A spare only replaces a failed device: a healthy one still holds
+  // chunks that the stripes name by slot id.
+  EXPECT_EQ(arr.ReplaceDevice(0).code(), ErrorCode::kInvalidArgument);
   ASSERT_TRUE(arr.ReplaceDevice(1).ok());
   EXPECT_EQ(arr.healthy_count(), 3u);
+  EXPECT_EQ(arr.ReplaceDevice(1).code(), ErrorCode::kInvalidArgument);
 }
 
 TEST(FlashArrayTest, BoundsChecked) {

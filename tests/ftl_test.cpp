@@ -1,9 +1,8 @@
 // FTL model tests: mapping semantics, GC correctness, write amplification
-// behaviour, TRIM, wear accounting, and the FlashDevice integration.
+// behaviour, TRIM and wear accounting.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "flash/flash_device.h"
 #include "flash/ftl.h"
 
 namespace reo {
@@ -170,81 +169,6 @@ TEST(FtlTest, ErasesAreCounted) {
   for (uint32_t e : ftl.erase_counts()) total += e;
   EXPECT_EQ(total, ftl.stats().erases);
   EXPECT_GE(ftl.WearSpread(), 1.0);
-}
-
-// --- FlashDevice integration -------------------------------------------------
-
-TEST(FtlDeviceTest, WearReflectsAmplification) {
-  FlashDeviceConfig cfg;
-  cfg.capacity_bytes = 2 << 20;
-  cfg.model_ftl = true;
-  FlashDevice dev(cfg);
-  ASSERT_NE(dev.ftl(), nullptr);
-
-  // Overwrite a small set of slots repeatedly: the device keeps working
-  // and FTL wear counters move.
-  Pcg32 rng(3);
-  std::vector<SlotId> slots;
-  for (int i = 0; i < 16; ++i) {
-    auto s = dev.AllocateSlot(64 * 1024);
-    ASSERT_TRUE(s.ok());
-    slots.push_back(*s);
-  }
-  std::vector<uint8_t> payload(64, 0xAB);
-  for (int i = 0; i < 600; ++i) {
-    ASSERT_TRUE(dev.WriteSlot(slots[rng.NextBounded(16)], payload).ok());
-  }
-  EXPECT_GT(dev.ftl()->stats().host_pages_written, 0u);
-  EXPECT_GE(dev.ftl()->stats().WriteAmplification(), 1.0);
-  EXPECT_EQ(dev.wear().erase_cycles, dev.ftl()->stats().erases);
-  EXPECT_GT(dev.wear().bytes_written, 0u);
-}
-
-TEST(FtlDeviceTest, FreeSlotTrims) {
-  FlashDeviceConfig cfg;
-  cfg.capacity_bytes = 1 << 20;
-  cfg.model_ftl = true;
-  FlashDevice dev(cfg);
-  auto s = dev.AllocateSlot(32 * 1024);
-  ASSERT_TRUE(s.ok());
-  ASSERT_TRUE(dev.WriteSlot(*s, std::vector<uint8_t>(32, 1)).ok());
-  uint64_t mapped = dev.ftl()->mapped_pages();
-  EXPECT_GT(mapped, 0u);
-  ASSERT_TRUE(dev.FreeSlot(*s).ok());
-  EXPECT_EQ(dev.ftl()->mapped_pages(), 0u);
-}
-
-TEST(FtlDeviceTest, ReplaceResetsFtl) {
-  FlashDeviceConfig cfg;
-  cfg.capacity_bytes = 1 << 20;
-  cfg.model_ftl = true;
-  FlashDevice dev(cfg);
-  auto s = dev.AllocateSlot(8192);
-  ASSERT_TRUE(s.ok());
-  ASSERT_TRUE(dev.WriteSlot(*s, std::vector<uint8_t>(8, 1)).ok());
-  dev.Fail();
-  dev.Replace();
-  ASSERT_NE(dev.ftl(), nullptr);
-  EXPECT_EQ(dev.ftl()->mapped_pages(), 0u);
-  EXPECT_EQ(dev.ftl()->stats().host_pages_written, 0u);
-}
-
-TEST(FtlDeviceTest, SlotChurnDoesNotLeakLpnSpace) {
-  FlashDeviceConfig cfg;
-  cfg.capacity_bytes = 1 << 20;
-  cfg.model_ftl = true;
-  FlashDevice dev(cfg);
-  std::vector<uint8_t> payload(16, 7);
-  // Allocate/free mixed-size slots far beyond the capacity in aggregate;
-  // freed lpn ranges must be reused.
-  Pcg32 rng(21);
-  for (int i = 0; i < 2000; ++i) {
-    uint64_t bytes = (1 + rng.NextBounded(12)) * 8192;
-    auto s = dev.AllocateSlot(bytes);
-    ASSERT_TRUE(s.ok()) << i;
-    ASSERT_TRUE(dev.WriteSlot(*s, payload).ok()) << i;
-    ASSERT_TRUE(dev.FreeSlot(*s).ok());
-  }
 }
 
 }  // namespace

@@ -164,10 +164,10 @@ TEST(IntegrationTest, SpareInsertionEnablesFullRecovery) {
   cfg.spares = {{.at_request = 600, .device = 3}};
   CacheSimulator sim(trace, cfg);
   auto report = sim.Run();
-  EXPECT_GT(report.cache.rebuilds, 0u);
+  EXPECT_GT(report.rebuilds, 0u);
   // With a spare and 1 parity everything recoverable is eventually rebuilt.
   CacheSimulator* s = &sim;
-  s->cache().DrainRecovery(0);
+  s->stack().failure->DrainRecovery(0);
   EXPECT_TRUE(s->stack().stripes->DamagedObjects().empty());
 }
 

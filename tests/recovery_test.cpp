@@ -153,14 +153,17 @@ TEST(RecoveryTimelineTest, EventLogShowsDifferentiatedOrder) {
       *stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
                                   .reo_reserve_fraction = 0.25}));
   auto target = std::make_unique<OsdTarget>(*plane);
+  auto failure = std::make_unique<FailurePlane>(*plane);
   auto backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
   CacheManagerConfig cfg;
   cfg.hhot_refresh_interval = 10;
-  auto cache =
-      std::make_unique<CacheManager>(*target, *plane, *backend, cfg);
+  auto cache = std::make_unique<CacheManager>(*target, *plane, *failure,
+                                              *backend, cfg);
   Tracer tracer;
   cache->AttachTracing(tracer);
   plane->AttachTracing(tracer);
+  failure->AttachEvents(tracer.events());
+  failure->AttachTracing(tracer);
   cache->Initialize(0);
 
   SimClock clock;
@@ -177,8 +180,8 @@ TEST(RecoveryTimelineTest, EventLogShowsDifferentiatedOrder) {
   ASSERT_EQ(*stripes->LevelOf(Oid(2)), RedundancyLevel::kParity2);
   run([&](SimTime t) { return cache->Get(Oid(3), 8 * kChunk, t); });
 
-  cache->OnDeviceFailure(0, clock.now());
-  cache->DrainRecovery(clock.now());
+  failure->OnDeviceFailure(0, clock.now());
+  failure->DrainRecovery(clock.now());
 
   const auto& events = tracer.events().events();
   int failure_at = -1, complete_at = -1;

@@ -232,8 +232,9 @@ TEST(ScrubberTest, CacheManagerEvictsScrubLosses) {
   ReoDataPlane plane(stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
                                                 .reo_reserve_fraction = 0.2}));
   OsdTarget target(plane);
+  FailurePlane failure(plane);
   BackendStore backend(HddConfig{}, NetworkLinkConfig{});
-  CacheManager cache(target, plane, backend, CacheManagerConfig{});
+  CacheManager cache(target, plane, failure, backend, CacheManagerConfig{});
   cache.Initialize(0);
 
   backend.RegisterObject(Oid(1), 5 * kChunk, stripes.PhysicalSize(5 * kChunk));
@@ -250,7 +251,7 @@ TEST(ScrubberTest, CacheManagerEvictsScrubLosses) {
     }
   }
   ASSERT_TRUE(corrupted);
-  auto report = cache.RunScrub(0);
+  auto report = failure.RunScrub(0);
   EXPECT_EQ(report.corrupt_found, 1u);
   // Either it hit a replicated metadata chunk (repaired) or the cold
   // object (evicted); both leave the cache consistent.

@@ -239,12 +239,10 @@ TEST(MetricRegistryTest, CsvEscapesDelimitersInNames) {
 
 TEST(MetricRegistryTest, DeviceCountersSurviveSpareReplacement) {
   // A spare swapped into an array position must keep reporting under the
-  // same metric names (counters are position-lifetime, not device-lifetime)
-  // — including the FTL, which Replace() recreates.
+  // same metric names (counters are position-lifetime, not device-lifetime).
   MetricRegistry reg;
   FlashDeviceConfig cfg;
   cfg.capacity_bytes = 1 << 20;
-  cfg.model_ftl = true;
   FlashDevice dev(cfg);
   dev.AttachTelemetry(reg, "flash.dev0");
 
@@ -258,12 +256,11 @@ TEST(MetricRegistryTest, DeviceCountersSurviveSpareReplacement) {
   dev.Fail();
   dev.Replace();
 
-  // Same registry entries, still wired to the fresh device + FTL.
+  // Same registry entries, still wired to the fresh device.
   auto slot2 = dev.AllocateSlot(4096);
   ASSERT_TRUE(slot2.ok());
   ASSERT_TRUE(dev.WriteSlot(*slot2, payload).ok());
   EXPECT_GT(reg.GetCounter("flash.dev0.writes").value(), writes_before);
-  EXPECT_GT(reg.GetCounter("flash.dev0.ftl.host_pages_written").value(), 0u);
   EXPECT_EQ(reg.name_collisions(), 0u);
 }
 

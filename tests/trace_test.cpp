@@ -151,12 +151,15 @@ struct TracedFixture {
         RedundancyPolicy({.mode = mode, .reo_reserve_fraction = 0.25}));
     target = std::make_unique<OsdTarget>(*plane);
     transport = std::make_unique<OsdTransport>(*target);
+    failure = std::make_unique<FailurePlane>(*plane);
     backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
-    cache = std::make_unique<CacheManager>(*transport, *plane, *backend,
-                                           CacheManagerConfig{});
+    cache = std::make_unique<CacheManager>(*transport, *plane, *failure,
+                                           *backend, CacheManagerConfig{});
 
     cache->AttachTracing(tracer);
     plane->AttachTracing(tracer);
+    failure->AttachEvents(tracer.events());
+    failure->AttachTracing(tracer);
     target->AttachTracing(tracer);
     transport->AttachTracing(tracer);
     cache->Initialize(0);
@@ -188,6 +191,7 @@ struct TracedFixture {
   std::unique_ptr<ReoDataPlane> plane;
   std::unique_ptr<OsdTarget> target;
   std::unique_ptr<OsdTransport> transport;
+  std::unique_ptr<FailurePlane> failure;
   std::unique_ptr<BackendStore> backend;
   std::unique_ptr<CacheManager> cache;
   std::unordered_map<uint64_t, uint64_t> sizes;
@@ -201,7 +205,7 @@ TEST(TraceIntegrationTest, DegradedReadTraceNestsAcrossAllLayers) {
   TracedFixture fx;
   fx.Register(1, 8 * kChunk);
   ASSERT_FALSE(fx.Get(1).hit);
-  fx.cache->OnDeviceFailure(0, fx.clock.now());
+  fx.failure->OnDeviceFailure(0, fx.clock.now());
 
   auto r = fx.Get(1);
   ASSERT_TRUE(r.hit);
@@ -271,7 +275,7 @@ TEST(TraceIntegrationTest, FailureEmitsEventsAndForcedTrace) {
   uint64_t sampled_before = fx.tracer.Stats().traces_sampled;
   EXPECT_EQ(sampled_before, 1u);
 
-  fx.cache->OnDeviceFailure(0, fx.clock.now());
+  fx.failure->OnDeviceFailure(0, fx.clock.now());
   // The failure-plane root is forced past the sampler...
   EXPECT_GT(fx.tracer.Stats().traces_sampled, sampled_before);
   // ...and the structured events are on the log.
@@ -290,9 +294,9 @@ TEST(TraceIntegrationTest, ChromeTraceJsonIsWellFormed) {
   fx.Register(2, 4 * kChunk);
   fx.Get(1);
   fx.Get(2);
-  fx.cache->OnDeviceFailure(0, fx.clock.now());
+  fx.failure->OnDeviceFailure(0, fx.clock.now());
   fx.Get(1);
-  fx.cache->DrainRecovery(fx.clock.now());
+  fx.failure->DrainRecovery(fx.clock.now());
 
   std::string json = ChromeTraceJson(fx.tracer);
   // Chrome trace-event phases, counted the way trace_validate does.

@@ -150,9 +150,10 @@ struct WireStack {
                                     .reo_reserve_fraction = 0.3}));
     target = std::make_unique<OsdTarget>(*plane);
     transport = std::make_unique<OsdTransport>(*target);
+    failure = std::make_unique<FailurePlane>(*plane);
     backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
-    cache = std::make_unique<CacheManager>(*transport, *plane, *backend,
-                                           CacheManagerConfig{});
+    cache = std::make_unique<CacheManager>(*transport, *plane, *failure,
+                                           *backend, CacheManagerConfig{});
     cache->Initialize(0);
   }
 
@@ -161,6 +162,7 @@ struct WireStack {
   std::unique_ptr<ReoDataPlane> plane;
   std::unique_ptr<OsdTarget> target;
   std::unique_ptr<OsdTransport> transport;
+  std::unique_ptr<FailurePlane> failure;
   std::unique_ptr<BackendStore> backend;
   std::unique_ptr<CacheManager> cache;
 };
@@ -198,8 +200,9 @@ TEST(TransportStackTest, WireAddsLatency) {
   ReoDataPlane plane(stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
                                                 .reo_reserve_fraction = 0.3}));
   OsdTarget target(plane);
+  FailurePlane failure(plane);
   BackendStore backend(HddConfig{}, NetworkLinkConfig{});
-  CacheManager cache(target, plane, backend, CacheManagerConfig{});
+  CacheManager cache(target, plane, failure, backend, CacheManagerConfig{});
   cache.Initialize(0);
   backend.RegisterObject(Oid(1), 4 * kChunk, stripes.PhysicalSize(4 * kChunk));
   (void)cache.Get(Oid(1), 4 * kChunk, 0);
@@ -208,61 +211,6 @@ TEST(TransportStackTest, WireAddsLatency) {
   EXPECT_TRUE(wire_hit.hit);
   EXPECT_TRUE(local_hit.hit);
   EXPECT_GT(wire_hit.latency, local_hit.latency);
-}
-
-// --- Write-through policy -------------------------------------------------------
-
-TEST(WritePolicyTest, WriteThroughPersistsImmediately) {
-  FlashDeviceConfig dev;
-  dev.capacity_bytes = 1 << 20;
-  FlashArray array(5, dev);
-  StripeManager stripes(array, {.chunk_logical_bytes = kChunk, .scale_shift = 0});
-  ReoDataPlane plane(stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                                .reo_reserve_fraction = 0.3}));
-  OsdTarget target(plane);
-  BackendStore backend(HddConfig{}, NetworkLinkConfig{});
-  CacheManagerConfig cfg;
-  cfg.write_policy = WritePolicy::kWriteThrough;
-  CacheManager cache(target, plane, backend, cfg);
-  cache.Initialize(0);
-  backend.RegisterObject(Oid(1), 3 * kChunk, stripes.PhysicalSize(3 * kChunk));
-
-  auto w = cache.Put(Oid(1), 3 * kChunk, 0);
-  EXPECT_TRUE(w.is_write);
-  // Backend already has the new version; the cached copy is clean.
-  EXPECT_GT(*backend.VersionOf(Oid(1)), 0u);
-  EXPECT_EQ(backend.flush_count(), 1u);
-  EXPECT_NE(*stripes.LevelOf(Oid(1)), RedundancyLevel::kReplicate);
-  // A failure can never lose dirty data: there is none.
-  cache.OnDeviceFailure(0, w.latency);
-  cache.OnDeviceFailure(1, w.latency);
-  EXPECT_EQ(cache.stats().dirty_lost, 0u);
-  // Reads hit the clean cached copy and verify.
-  auto r = cache.Get(Oid(1), 3 * kChunk, w.latency);
-  if (r.hit) {
-    EXPECT_EQ(cache.stats().verify_failures, 0u);
-  }
-}
-
-TEST(WritePolicyTest, WriteThroughIsSlowerThanWriteBack) {
-  auto run = [](WritePolicy policy) {
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = 1 << 20;
-    FlashArray array(5, dev);
-    StripeManager stripes(array, {.chunk_logical_bytes = kChunk, .scale_shift = 0});
-    ReoDataPlane plane(stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                                  .reo_reserve_fraction = 0.3}));
-    OsdTarget target(plane);
-    BackendStore backend(HddConfig{}, NetworkLinkConfig{});
-    CacheManagerConfig cfg;
-    cfg.write_policy = policy;
-    CacheManager cache(target, plane, backend, cfg);
-    cache.Initialize(0);
-    backend.RegisterObject(Oid(1), 3 * kChunk, stripes.PhysicalSize(3 * kChunk));
-    return cache.Put(Oid(1), 3 * kChunk, 0).latency;
-  };
-  // Write-back absorbs at flash speed; write-through pays the HDD seek.
-  EXPECT_GT(run(WritePolicy::kWriteThrough), run(WritePolicy::kWriteBack));
 }
 
 }  // namespace

@@ -498,15 +498,23 @@ EOF
 
 # Figure byte-diff: the simulator's output must not move. Runs the paper
 # figures (fig5-9, space_efficiency) and the fault sweep at
-# REO_SCALE_SHIFT=10, then one traced reo_cli run (a device failure, a
-# spare, the wire transport, every 4th request sampled), from BUILD and
-# from PARENT_BUILD, two at a time, and fails unless each pair of outputs
-# is byte-identical: the stdouts (the printed telemetry snapshot is part
-# of the compared bytes) and reo_cli's trace and event log. The runs use
-# virtual time, so they repeat exactly. About 220 s per build on 4 vCPUs.
+# REO_SCALE_SHIFT=10, then two reo_cli runs, from BUILD and from
+# PARENT_BUILD, two at a time, and fails unless each pair of outputs is
+# byte-identical: the stdouts (the printed telemetry snapshot is part of
+# the compared bytes) and reo_cli's trace and event logs. The traced run
+# fails and spares a device over the wire transport, sampling every 4th
+# request. The fail-slow run covers what no figure reaches: device 1
+# serves 30x slow until the detector flags it and it is demoted, latent
+# faults keep the scrub passes repairing, and writes keep objects dirty.
+# It fails unless a demotion shows in its event log. The runs use virtual
+# time, so they repeat exactly. About 220 s per build on 4 vCPUs.
 FIGURES="fig5_weak fig6_medium fig7_strong fig8_failure fig9_dirty space_efficiency fault_sweep"
 TRACED_RUN="--workload weak --scale-shift 8 --fail 2000:0 --spare 4000:0
   --wire --trace-sample 4 --trace-out trace.json --events-out events.txt"
+FAILSLOW_RUN="--workload weak --scale-shift 8 --write-ratio 0.3 --fail 6000:0
+  --spare 9000:0 --fault-spec failslow.json --failslow-demote
+  --scrub-every 5000 --verify --events-out events.txt stats"
+FAILSLOW_SPEC='{"seed": 7, "rules": [{"site": "flash.failslow", "device": 1, "probability": 1.0, "slow_factor": 30.0, "window": [0, 2000]}, {"site": "flash.latent", "probability": 0.001}]}'
 scenario_figures() {
   if [ -z "$PARENT_BUILD" ]; then
     echo "usage: $0 figures <build-dir> <parent-build-dir>" >&2
@@ -537,6 +545,22 @@ scenario_figures() {
   for f in stdout.txt trace.json events.txt; do
     same "cli.parent/$f" "cli/$f"
   done
+  mkdir failslow failslow.parent
+  echo "$FAILSLOW_SPEC" > failslow/failslow.json
+  echo "$FAILSLOW_SPEC" > failslow.parent/failslow.json
+  (cd failslow && "$BUILD/examples/reo_cli" $FAILSLOW_RUN > stdout.txt) &
+  pid=$!
+  (cd failslow.parent &&
+    "$PARENT_BUILD/examples/reo_cli" $FAILSLOW_RUN > stdout.txt)
+  wait "$pid"
+  for f in stdout.txt events.txt; do
+    same "failslow.parent/$f" "failslow/$f"
+  done
+  if ! grep -q device.failslow_demoted failslow/events.txt \
+      failslow.parent/events.txt; then
+    echo "the fail-slow run demoted no device" >&2
+    exit 1
+  fi
   if [ -n "$differ" ]; then
     echo "stdout differs from the parent build:$differ" >&2
     exit 1
