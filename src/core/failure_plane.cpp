@@ -26,12 +26,12 @@ void FailurePlane::AttachTracing(Tracer& tracer) {
   trace_root_ = &tracer.RecorderFor(TraceComponent::kCacheManager);
 }
 
-void FailurePlane::OnDeviceFailure(DeviceIndex device, SimTime now) {
+bool FailurePlane::OnDeviceFailure(DeviceIndex device, SimTime now) {
   auto& stripes = data_.stripes();
   auto& array = stripes.array();
   // No such device, or one already down: nothing new failed, so there is
   // nothing to log or recover.
-  if (!array.FailDevice(device).ok()) return;
+  if (!array.FailDevice(device).ok()) return false;
   // Failure handling is always traced (force): it is rare and is exactly
   // what the recovery timeline exists to explain.
   RequestTrace trace(tracer_, trace_root_, TraceOp::kFailureHandling, now,
@@ -60,7 +60,7 @@ void FailurePlane::OnDeviceFailure(DeviceIndex device, SimTime now) {
       owner_.lose_all(now);
       recovery_.Clear();
       data_.set_recovery_active(false);
-      return;
+      return true;
     }
   }
 
@@ -90,6 +90,7 @@ void FailurePlane::OnDeviceFailure(DeviceIndex device, SimTime now) {
   // synchronously at failure time; classes 2/3 recover at the background
   // pace.
   trace.Cover(RunRecovery(now, DataClass::kDirty, UINT64_MAX));
+  return true;
 }
 
 void FailurePlane::OnSpareInserted(DeviceIndex device, SimTime now) {

@@ -59,8 +59,8 @@ class FailurePlane {
   /// Device shootdown (paper §VI.C): lost objects go to the owner,
   /// recoverable ones are queued, and classes 0/1 are rebuilt before this
   /// returns. A device the array lacks or that has already failed does
-  /// nothing.
-  void OnDeviceFailure(DeviceIndex device, SimTime now);
+  /// nothing. Returns whether the device failed here.
+  bool OnDeviceFailure(DeviceIndex device, SimTime now);
 
   /// Swaps a fresh spare in for a failed device and queues what must be
   /// rebuilt onto it. A device the array lacks or that has not failed does

@@ -1,6 +1,7 @@
 #include "flash/flash_device.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/crc32c.h"
 
@@ -49,8 +50,6 @@ Result<SlotId> FlashDevice::AllocateSlot(uint64_t logical_bytes) {
   Slot& s = slots_[id];
   s.allocated = true;
   s.logical_bytes = logical_bytes;
-  s.crc = 0;
-  s.payload.clear();
   used_bytes_ += logical_bytes;
   ++live_slots_;
   return id;
@@ -63,6 +62,7 @@ Status FlashDevice::FreeSlot(SlotId slot) {
   Slot& s = slots_[slot];
   used_bytes_ -= s.logical_bytes;
   --live_slots_;
+  if (s.frame != nullptr) frames_.Give(s.frame, s.payload_bytes);
   s = Slot{};
   free_list_.push_back(slot);
   return Status::Ok();
@@ -82,16 +82,23 @@ Status FlashDevice::WriteSlot(SlotId slot, std::span<const uint8_t> payload) {
     // Before any mutation, so the caller's rollback sees the old contents.
     return {ErrorCode::kIoError, "injected transient write error"};
   }
-  s.payload.assign(payload.begin(), payload.end());
+  if (payload.size() != s.payload_bytes) {
+    // Take before giving back, so a failed mapping leaves the slot as is.
+    uint8_t* frame = payload.empty() ? nullptr : frames_.Take(payload.size());
+    if (s.frame != nullptr) frames_.Give(s.frame, s.payload_bytes);
+    s.frame = frame;
+    s.payload_bytes = payload.size();
+  }
+  if (!payload.empty()) std::memcpy(s.frame, payload.data(), payload.size());
   s.crc = Crc32c(payload);
   if (faults_ && faults_->enabled(FaultSite::kFlashLatent) &&
       faults_
           ->Roll(FaultSite::kFlashLatent, static_cast<int32_t>(fault_index_))
           .fire &&
-      !s.payload.empty()) {
+      s.payload_bytes > 0) {
     // Latent sector error: damage the stored bytes but not the CRC, so the
     // corruption stays silent until the slot is read or scrubbed.
-    s.payload[0] ^= 0xFF;
+    s.frame[0] ^= 0xFF;
   }
   ++wear_.io_writes;
   Inc(tel_writes_);
@@ -123,9 +130,9 @@ Result<std::span<const uint8_t>> FlashDevice::CheckedRead(
           .fire) {
     return Status{ErrorCode::kIoError, "injected transient read error"};
   }
-  const uint32_t crc = out.size() == s.payload.size()
-                           ? Crc32cCopy(out, s.payload)
-                           : Crc32c(s.payload);
+  const uint32_t crc = out.size() == s.payload_bytes
+                           ? Crc32cCopy(out, s.payload())
+                           : Crc32c(s.payload());
   if (crc != s.crc) {
     return Status{ErrorCode::kCorrupted, "slot CRC mismatch"};
   }
@@ -133,7 +140,7 @@ Result<std::span<const uint8_t>> FlashDevice::CheckedRead(
   ++wear_.io_reads;
   Inc(tel_reads_);
   Set(tel_bytes_read_, static_cast<double>(wear_.bytes_read));
-  return std::span<const uint8_t>(s.payload);
+  return s.payload();
 }
 
 Result<std::span<const uint8_t>> FlashDevice::ReadSlot(SlotId slot) {
@@ -185,8 +192,10 @@ Status FlashDevice::CorruptSlot(SlotId slot, uint32_t byte_index) {
     return {ErrorCode::kNotFound, "no such slot"};
   }
   Slot& s = slots_[slot];
-  if (s.payload.empty()) return {ErrorCode::kInvalidArgument, "slot never written"};
-  s.payload[byte_index % s.payload.size()] ^= 0xFF;
+  if (s.payload_bytes == 0) {
+    return {ErrorCode::kInvalidArgument, "slot never written"};
+  }
+  s.frame[byte_index % s.payload_bytes] ^= 0xFF;
   return Status::Ok();
 }
 
@@ -195,12 +204,14 @@ void FlashDevice::Fail() {
   // Payload is gone; metadata (slot sizes) is retained by the array layer
   // for accounting, but this device can never serve those bytes again.
   for (auto& s : slots_) {
-    s.payload.clear();
-    s.payload.shrink_to_fit();
+    s.frame = nullptr;
+    s.payload_bytes = 0;
   }
+  frames_.Release();
 }
 
 void FlashDevice::Replace() {
+  frames_.Release();
   slots_.clear();
   free_list_.clear();
   used_bytes_ = 0;

@@ -8,7 +8,9 @@
 //
 // Two byte quantities per slot: the *logical* size (full paper-scale bytes,
 // used for capacity and timing) and the *physical* payload actually held in
-// memory (logical >> scale_shift; see DESIGN.md "Scaling").
+// memory (logical >> scale_shift; see DESIGN.md "Scaling"). Physical
+// payloads live in recycled frames of the device's SlotFrames
+// (slot_frames.h), not in one heap buffer per slot.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include "common/status.h"
 #include "fault/failslow.h"
 #include "fault/fault_injector.h"
+#include "flash/slot_frames.h"
 #include "telemetry/metric_registry.h"
 #include "trace/tracer.h"
 
@@ -83,12 +86,16 @@ class FlashDevice {
   /// Releases a slot and its bytes.
   Status FreeSlot(SlotId slot);
 
-  /// Stores the physical payload for a previously allocated slot.
+  /// Stores the physical payload for a previously allocated slot: a copy
+  /// into the slot's frame, then the CRC of the source. A rewrite of the
+  /// same size reuses the frame in place. (A fused copy-and-CRC lost to
+  /// this on cold destination lines, so writes keep the two passes.)
   Status WriteSlot(SlotId slot, std::span<const uint8_t> payload);
 
-  /// Returns a view of the physical payload. Fails with kUnavailable if the
-  /// device is down and kCorrupted if the payload fails its CRC. Non-const:
-  /// reads advance the wear/traffic counters.
+  /// Returns a view of the physical payload, valid until the slot is next
+  /// written or freed or the device fails or is replaced. Fails with
+  /// kUnavailable if the device is down and kCorrupted if the payload fails
+  /// its CRC. Non-const: reads advance the wear/traffic counters.
   Result<std::span<const uint8_t>> ReadSlot(SlotId slot);
 
   /// ReadSlot that copies the payload into `out` in the same pass that
@@ -102,6 +109,9 @@ class FlashDevice {
   uint64_t used_bytes() const { return used_bytes_; }
   uint64_t free_bytes() const { return config_.capacity_bytes - used_bytes_; }
   size_t live_slots() const { return live_slots_; }
+  /// Memory mapped for slot payloads (SlotFrames::mapped_bytes): held
+  /// until Fail or Replace, however many slots are freed meanwhile.
+  size_t payload_bytes_mapped() const { return frames_.mapped_bytes(); }
 
   // --- Timing --------------------------------------------------------------
 
@@ -118,7 +128,8 @@ class FlashDevice {
 
   // --- Failure & wear --------------------------------------------------------
 
-  /// Shoot the device down: every resident payload is lost.
+  /// Shoot the device down: every resident payload is lost and its
+  /// memory unmapped.
   void Fail();
 
   /// Injects latent (silent) corruption: flips one payload byte without
@@ -154,9 +165,11 @@ class FlashDevice {
  private:
   struct Slot {
     bool allocated = false;
-    uint64_t logical_bytes = 0;
     uint32_t crc = 0;
-    std::vector<uint8_t> payload;
+    uint64_t logical_bytes = 0;
+    uint8_t* frame = nullptr;  ///< null until written, and after Fail
+    size_t payload_bytes = 0;
+    std::span<const uint8_t> payload() const { return {frame, payload_bytes}; }
   };
 
   /// The read shared by ReadSlot and ReadSlotInto: device state, slot, the
@@ -167,6 +180,7 @@ class FlashDevice {
 
   FlashDeviceConfig config_;
   DeviceState state_ = DeviceState::kHealthy;
+  SlotFrames frames_;
   std::vector<Slot> slots_;
   std::vector<SlotId> free_list_;
   uint64_t used_bytes_ = 0;

@@ -83,22 +83,59 @@ class Reader {
   size_t pos_ = 0;
 };
 
+// A message whose bulk data field sits between two small parts: `head`
+// ends with the data's length prefix and `tail` holds the fields after it.
+// head‖data‖tail is the flat encoding, joined into one buffer sized once.
+std::vector<uint8_t> Join(std::span<const uint8_t> head,
+                          std::span<const uint8_t> data,
+                          std::span<const uint8_t> tail) {
+  std::vector<uint8_t> out;
+  out.reserve(head.size() + data.size() + tail.size());
+  out.insert(out.end(), head.begin(), head.end());
+  out.insert(out.end(), data.begin(), data.end());
+  out.insert(out.end(), tail.begin(), tail.end());
+  return out;
+}
+
+std::vector<uint8_t> ResponseHead(const OsdResponse& r) {
+  Writer w;
+  w.U32(kResponseMagic);
+  w.U32(static_cast<uint32_t>(r.sense));
+  w.U64(r.complete);
+  w.U8(r.degraded ? 1 : 0);
+  w.U64(r.data.size());  // Bytes() length prefix
+  return w.Take();
+}
+
+std::vector<uint8_t> ResponseTail(const OsdResponse& r) {
+  Writer w;
+  w.Bytes(r.attr_value);
+  w.U64Vec(r.list);
+  return w.Take();
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeCommand(const OsdCommand& c) {
-  Writer w;
-  w.U32(kCommandMagic);
-  w.U8(static_cast<uint8_t>(c.op));
-  w.U64(c.id.pid);
-  w.U64(c.id.oid);
-  w.U64(c.logical_size);
-  w.U64(c.capacity_bytes);
-  w.U64(c.now);
-  w.U32(c.attr.page);
-  w.U32(c.attr.number);
-  w.Bytes(c.data);
-  w.Bytes(c.attr_value);
-  return w.Take();
+  const EncodedCommandParts parts = EncodeCommandParts(c);
+  return Join(parts.head, c.data, parts.tail);
+}
+
+EncodedCommandParts EncodeCommandParts(const OsdCommand& c) {
+  Writer head;
+  head.U32(kCommandMagic);
+  head.U8(static_cast<uint8_t>(c.op));
+  head.U64(c.id.pid);
+  head.U64(c.id.oid);
+  head.U64(c.logical_size);
+  head.U64(c.capacity_bytes);
+  head.U64(c.now);
+  head.U32(c.attr.page);
+  head.U32(c.attr.number);
+  head.U64(c.data.size());  // Bytes() length prefix
+  Writer tail;
+  tail.Bytes(c.attr_value);
+  return {head.Take(), tail.Take()};
 }
 
 Result<OsdCommand> DecodeCommand(std::span<const uint8_t> wire) {
@@ -123,31 +160,14 @@ Result<OsdCommand> DecodeCommand(std::span<const uint8_t> wire) {
 }
 
 std::vector<uint8_t> EncodeResponse(const OsdResponse& resp) {
-  Writer w;
-  w.U32(kResponseMagic);
-  w.U32(static_cast<uint32_t>(resp.sense));
-  w.U64(resp.complete);
-  w.U8(resp.degraded ? 1 : 0);
-  w.Bytes(resp.data);
-  w.Bytes(resp.attr_value);
-  w.U64Vec(resp.list);
-  return w.Take();
+  return Join(ResponseHead(resp), resp.data, ResponseTail(resp));
 }
 
 EncodedResponseParts EncodeResponseParts(OsdResponse&& resp) {
   EncodedResponseParts out;
-  Writer head;
-  head.U32(kResponseMagic);
-  head.U32(static_cast<uint32_t>(resp.sense));
-  head.U64(resp.complete);
-  head.U8(resp.degraded ? 1 : 0);
-  head.U64(resp.data.size());  // Bytes() length prefix; the bytes ride in body
-  out.head = head.Take();
-  out.body = std::move(resp.data);
-  Writer tail;
-  tail.Bytes(resp.attr_value);
-  tail.U64Vec(resp.list);
-  out.tail = tail.Take();
+  out.head = ResponseHead(resp);
+  out.body = std::move(resp.data);  // the bytes the head's prefix announces
+  out.tail = ResponseTail(resp);
   return out;
 }
 

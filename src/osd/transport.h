@@ -25,6 +25,17 @@ namespace reo {
 std::vector<uint8_t> EncodeCommand(const OsdCommand& command);
 Result<OsdCommand> DecodeCommand(std::span<const uint8_t> wire);
 
+/// Scatter-gather encoding of a command: head‖command.data‖tail is
+/// byte-identical to EncodeCommand(command), but the bulk `data` payload
+/// is not copied at all. SocketInitiator gathers the three (plus the frame
+/// header and trailer) into one sendmsg, so a WRITE's payload goes to the
+/// kernel from the caller's buffer.
+struct EncodedCommandParts {
+  std::vector<uint8_t> head;  ///< magic..attr number + data length prefix
+  std::vector<uint8_t> tail;  ///< attr_value encoding
+};
+EncodedCommandParts EncodeCommandParts(const OsdCommand& command);
+
 std::vector<uint8_t> EncodeResponse(const OsdResponse& response);
 Result<OsdResponse> DecodeResponse(std::span<const uint8_t> wire);
 

@@ -16,9 +16,17 @@
 #include <cstring>
 #include <utility>
 
+#include "common/crc32c.h"
 #include "common/flags.h"
 
 namespace reo {
+namespace {
+
+/// Most payload parts one frame is gathered from: a command's head, data
+/// and tail.
+constexpr size_t kMaxPayloadParts = 3;
+
+}  // namespace
 
 SocketInitiator::~SocketInitiator() { Close(); }
 
@@ -148,17 +156,28 @@ Status SocketInitiator::Connect(const std::string& host, uint16_t port) {
   return Status::Ok();
 }
 
-Status SocketInitiator::SendFramed(std::span<const uint8_t> payload) {
+Status SocketInitiator::SendFramed(
+    std::initializer_list<std::span<const uint8_t>> parts) {
+  constexpr size_t kMaxIov = 2 + kMaxPayloadParts;
+  REO_CHECK(parts.size() <= kMaxPayloadParts);
   uint8_t header[kFrameHeaderBytes];
   uint8_t trailer[kFrameTrailerBytes];
-  EncodeFrameHeader(header, payload.size());
-  EncodeFrameTrailer(trailer, payload);
-  iovec iov[3] = {
-      {header, sizeof(header)},
-      {const_cast<uint8_t*>(payload.data()), payload.size()},
-      {trailer, sizeof(trailer)},
-  };
-  size_t total = FramedSize(payload.size());
+  iovec iov[kMaxIov];
+  size_t n_total = 0;
+  size_t payload_bytes = 0;
+  uint32_t crc = 0;
+  iov[n_total++] = {header, sizeof(header)};
+  for (std::span<const uint8_t> part : parts) {
+    // The CRC continues across the parts: Crc32c(b, Crc32c(a)) ==
+    // Crc32c(a‖b), so the trailer matches one contiguous payload.
+    crc = Crc32c(part, crc);
+    payload_bytes += part.size();
+    iov[n_total++] = {const_cast<uint8_t*>(part.data()), part.size()};
+  }
+  iov[n_total++] = {trailer, sizeof(trailer)};
+  EncodeFrameHeader(header, payload_bytes);
+  EncodeFrameTrailerFromCrc(trailer, crc);
+  size_t total = FramedSize(payload_bytes);
   size_t off = 0;
   size_t first = 0;
   while (off < total) {
@@ -169,9 +188,9 @@ Status SocketInitiator::SendFramed(std::span<const uint8_t> payload) {
       skip -= iov[first].iov_len;
       ++first;
     }
-    iovec window[3];
+    iovec window[kMaxIov];
     size_t n_iov = 0;
-    for (size_t i = first; i < 3; ++i, ++n_iov) window[n_iov] = iov[i];
+    for (size_t i = first; i < n_total; ++i, ++n_iov) window[n_iov] = iov[i];
     window[0].iov_base = static_cast<uint8_t*>(window[0].iov_base) + skip;
     window[0].iov_len -= skip;
     msghdr msg{};
@@ -195,7 +214,8 @@ Status SocketInitiator::Send(const OsdCommand& command) {
   if (fd_ < 0) return Status{ErrorCode::kUnavailable, "not connected"};
   ++stats_.commands;
   Inc(tel_commands_);
-  REO_RETURN_IF_ERROR(SendFramed(EncodeCommand(command)));
+  EncodedCommandParts parts = EncodeCommandParts(command);
+  REO_RETURN_IF_ERROR(SendFramed({parts.head, command.data, parts.tail}));
   ++stats_.frames_sent;
   return Status::Ok();
 }
@@ -263,7 +283,7 @@ Result<AdminResponse> SocketInitiator::AdminRoundtrip(AdminOp op,
                                                       uint32_t arg) {
   if (fd_ < 0) return Status{ErrorCode::kUnavailable, "not connected"};
   ++stats_.admin_commands;
-  REO_RETURN_IF_ERROR(SendFramed(EncodeAdminCommand(AdminCommand{op, arg})));
+  REO_RETURN_IF_ERROR(SendFramed({EncodeAdminCommand(AdminCommand{op, arg})}));
   ++stats_.frames_sent;
   auto payload = ReceiveFrame();
   if (!payload.ok()) return payload.status();

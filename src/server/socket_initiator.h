@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -110,10 +111,10 @@ class SocketInitiator final : public OsdSession {
   void AttachTelemetry(MetricRegistry& registry);
 
  private:
-  /// One gathered sendmsg of header + payload + CRC trailer: the frame
-  /// goes out of the encode buffer in place, never copied into a staging
-  /// vector.
-  Status SendFramed(std::span<const uint8_t> payload);
+  /// One gathered sendmsg of header + payload parts + CRC trailer, the CRC
+  /// continued across the parts: each part goes out of its own buffer in
+  /// place, never copied into a staging vector.
+  Status SendFramed(std::initializer_list<std::span<const uint8_t>> parts);
 
   /// Blocks for the next intact framed payload. The returned view stays
   /// valid until the decoder's next Feed() (i.e. the next receive).

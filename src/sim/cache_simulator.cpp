@@ -105,17 +105,21 @@ RunReport CacheSimulator::Run() {
            "scripted device failure",
            {{"device", std::to_string(config_.failures[next_failure].device)},
             {"request", std::to_string(i)}});
-      stack_.failure->OnDeviceFailure(config_.failures[next_failure].device,
-                                      clock_.now());
-      ++failed_so_far;
-      char label[48];
-      if (config_.probe_window_requests > 0) {
-        std::snprintf(label, sizeof(label), "%zu-failures-early", failed_so_far);
-        probe_until = i + config_.probe_window_requests;
-      } else {
-        std::snprintf(label, sizeof(label), "%zu-failures", failed_so_far);
+      // A failure the array refuses (the device is already down) changes
+      // nothing, so it opens no window.
+      if (stack_.failure->OnDeviceFailure(
+              config_.failures[next_failure].device, clock_.now())) {
+        ++failed_so_far;
+        char label[48];
+        if (config_.probe_window_requests > 0) {
+          std::snprintf(label, sizeof(label), "%zu-failures-early",
+                        failed_so_far);
+          probe_until = i + config_.probe_window_requests;
+        } else {
+          std::snprintf(label, sizeof(label), "%zu-failures", failed_so_far);
+        }
+        metrics.StartWindow(label, clock_.now());
       }
-      metrics.StartWindow(label, clock_.now());
       ++next_failure;
     }
     if (probe_until != 0 && i == probe_until) {

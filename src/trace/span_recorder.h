@@ -6,9 +6,11 @@
 //     a single branch, nothing else;
 //   * attached but the current request is unsampled: one extra load
 //     (Tracer::active() returns null);
-//   * sampled: fill a 40-byte record, bump two ints. No allocation, no
-//     map lookup, no lock; the ring overwrites its oldest record when full
-//     and counts the drop.
+//   * sampled: fill a 40-byte record, bump two ints. No map lookup, no
+//     lock; the ring overwrites its oldest record when full and counts the
+//     drop. A ring grows as it is used, up to its capacity, so a track
+//     that records nothing holds no memory (the only allocations are its
+//     geometric growth steps).
 #pragma once
 
 #include <cstdint>
@@ -37,8 +39,9 @@ struct SpanRecord {
 };
 static_assert(sizeof(SpanRecord) <= 56, "span records must stay ring-friendly");
 
-/// Ring buffer of spans for one component (one exporter track). Owned by
-/// the Tracer; components cache a raw pointer at AttachTracing time.
+/// Ring buffer of spans for one component (one exporter track), grown on
+/// use up to `capacity` records. Owned by the Tracer; components cache a
+/// raw pointer at AttachTracing time.
 class SpanRecorder {
  public:
   SpanRecorder(Tracer& tracer, TraceComponent component, uint8_t instance,
@@ -55,18 +58,15 @@ class SpanRecorder {
   /// Spans recorded over the recorder's lifetime (including overwritten).
   uint64_t total() const { return total_; }
   /// Spans lost to ring overflow.
-  uint64_t dropped() const {
-    return total_ > ring_.size() ? total_ - ring_.size() : 0;
-  }
-  size_t size() const { return total_ < ring_.size() ? total_ : ring_.size(); }
+  uint64_t dropped() const { return total_ - ring_.size(); }
+  size_t size() const { return ring_.size(); }
 
   /// Visits retained records oldest-first.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    size_t n = size();
-    size_t first = total_ > ring_.size() ? head_ : 0;
-    for (size_t i = 0; i < n; ++i) {
-      fn(ring_[(first + i) % ring_.size()]);
+    // head_ stays 0 until the ring is full; then it marks the oldest.
+    for (size_t i = 0; i < ring_.size(); ++i) {
+      fn(ring_[(head_ + i) % ring_.size()]);
     }
   }
 
@@ -80,8 +80,9 @@ class SpanRecorder {
   void Push(const SpanRecord& r);
 
   Tracer& tracer_;
-  std::vector<SpanRecord> ring_;
-  size_t head_ = 0;      ///< next write position
+  std::vector<SpanRecord> ring_;  ///< grows to capacity_, then wraps
+  size_t capacity_;
+  size_t head_ = 0;      ///< next overwrite position once the ring is full
   uint64_t total_ = 0;
   TraceComponent component_;
   uint8_t instance_;

@@ -5,13 +5,17 @@ namespace reo {
 SpanRecorder::SpanRecorder(Tracer& tracer, TraceComponent component,
                            uint8_t instance, size_t capacity)
     : tracer_(tracer),
-      ring_(capacity > 0 ? capacity : 1),
+      capacity_(capacity > 0 ? capacity : 1),
       component_(component),
       instance_(instance) {}
 
 void SpanRecorder::Push(const SpanRecord& r) {
-  ring_[head_] = r;
-  head_ = (head_ + 1) % ring_.size();
+  if (ring_.size() < capacity_) {
+    ring_.push_back(r);
+  } else {
+    ring_[head_] = r;
+    head_ = (head_ + 1) % capacity_;
+  }
   ++total_;
   tracer_.ObserveSpan(r);
 }

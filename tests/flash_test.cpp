@@ -2,6 +2,7 @@
 // failure & replacement, and the array wrapper.
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "flash/flash_array.h"
 #include "flash/flash_device.h"
 
@@ -182,6 +183,161 @@ TEST(FlashDeviceTest, ReadSlotIntoRefusesAnotherSize) {
   EXPECT_EQ(dev.ReadSlotInto(7, out).code(), ErrorCode::kNotFound);
   dev.Fail();
   EXPECT_EQ(dev.ReadSlotInto(*slot, out).code(), ErrorCode::kUnavailable);
+}
+
+// --- Slot frames (slot_frames.h) ---------------------------------------------
+
+/// 256 KiB over three data chunks: the chunk size of a 3+2 class-2 object.
+constexpr size_t kChunkBytes = (256 << 10) / 3;
+
+std::vector<uint8_t> Pattern(size_t n, uint8_t seed) {
+  std::vector<uint8_t> v(n);
+  for (size_t i = 0; i < n; ++i) v[i] = static_cast<uint8_t>(i * 31 + seed);
+  return v;
+}
+
+bool Holds(FlashDevice& dev, SlotId slot, const std::vector<uint8_t>& want) {
+  auto read = dev.ReadSlot(slot);
+  return read.ok() &&
+         std::equal(read->begin(), read->end(), want.begin(), want.end());
+}
+
+TEST(FlashDeviceTest, FreedFrameIsReusedByNextWriteOfThatSize) {
+  FlashDevice dev(SmallDevice());
+  auto a = dev.AllocateSlot(1000);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(dev.WriteSlot(*a, Pattern(kChunkBytes, 1)).ok());
+  const uint8_t* frame = dev.ReadSlot(*a)->data();
+  const size_t mapped = dev.payload_bytes_mapped();
+  ASSERT_TRUE(dev.FreeSlot(*a).ok());
+  auto b = dev.AllocateSlot(1000);
+  ASSERT_TRUE(b.ok());
+  auto payload = Pattern(kChunkBytes, 2);
+  ASSERT_TRUE(dev.WriteSlot(*b, payload).ok());
+  EXPECT_EQ(dev.ReadSlot(*b)->data(), frame);
+  EXPECT_TRUE(Holds(dev, *b, payload));
+  EXPECT_EQ(dev.payload_bytes_mapped(), mapped);
+}
+
+TEST(FlashDeviceTest, SameSizeRewriteKeepsFrameBytesAndCrc) {
+  FlashDevice dev(SmallDevice());
+  auto slot = dev.AllocateSlot(1000);
+  ASSERT_TRUE(slot.ok());
+  ASSERT_TRUE(dev.WriteSlot(*slot, Pattern(4099, 1)).ok());
+  const uint8_t* frame = dev.ReadSlot(*slot)->data();
+  auto second = Pattern(4099, 9);
+  ASSERT_TRUE(dev.WriteSlot(*slot, second).ok());
+  EXPECT_EQ(dev.ReadSlot(*slot)->data(), frame);  // rewritten in place
+  EXPECT_TRUE(Holds(dev, *slot, second));         // and its CRC matches
+  // A rewrite of another size moves to a frame of that size.
+  auto third = Pattern(5000, 4);
+  ASSERT_TRUE(dev.WriteSlot(*slot, third).ok());
+  EXPECT_TRUE(Holds(dev, *slot, third));
+  ASSERT_TRUE(dev.CorruptSlot(*slot, 4321).ok());
+  EXPECT_EQ(dev.ReadSlot(*slot).code(), ErrorCode::kCorrupted);
+}
+
+TEST(FlashDeviceTest, PayloadsFromOneByteToThreeMiBShareADevice) {
+  FlashDeviceConfig cfg = SmallDevice();
+  cfg.capacity_bytes = 1ull << 30;
+  FlashDevice dev(cfg);
+  // Past 2 MiB a frame gets an extent of its own.
+  const std::vector<size_t> sizes = {
+      1, 63, 64, 65, 4095, 4096, kChunkBytes, 1 << 20, 3, kChunkBytes,
+      (1 << 20) + 1, (3 << 20) + 5, 777};
+  std::vector<std::pair<SlotId, std::vector<uint8_t>>> written;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    auto slot = dev.AllocateSlot(4096);
+    ASSERT_TRUE(slot.ok());
+    auto payload = Pattern(sizes[i], static_cast<uint8_t>(i));
+    ASSERT_TRUE(dev.WriteSlot(*slot, payload).ok());
+    written.emplace_back(*slot, std::move(payload));
+  }
+  // Every payload intact after all the writes: no two frames overlap.
+  for (const auto& [slot, payload] : written) {
+    EXPECT_TRUE(Holds(dev, slot, payload)) << payload.size() << " bytes";
+  }
+}
+
+TEST(FlashDeviceTest, FailReleasesFrameExtents) {
+  FlashDevice dev(SmallDevice());
+  std::vector<SlotId> slots;
+  for (uint8_t i = 0; i < 4; ++i) {
+    auto slot = dev.AllocateSlot(1000);
+    ASSERT_TRUE(slot.ok());
+    ASSERT_TRUE(dev.WriteSlot(*slot, Pattern(kChunkBytes, i)).ok());
+    slots.push_back(*slot);
+  }
+  ASSERT_TRUE(dev.FreeSlot(slots.back()).ok());  // one frame on a free list
+  slots.pop_back();
+  EXPECT_GT(dev.payload_bytes_mapped(), 0u);
+  dev.Fail();
+  EXPECT_EQ(dev.payload_bytes_mapped(), 0u);
+  std::vector<uint8_t> out(kChunkBytes);
+  for (SlotId slot : slots) {
+    EXPECT_EQ(dev.ReadSlot(slot).code(), ErrorCode::kUnavailable);
+    EXPECT_EQ(dev.ReadSlotInto(slot, out).code(), ErrorCode::kUnavailable);
+  }
+  // The array may still free a failed device's slots; no frame goes back.
+  EXPECT_TRUE(dev.FreeSlot(slots.front()).ok());
+  EXPECT_EQ(dev.payload_bytes_mapped(), 0u);
+}
+
+TEST(FlashDeviceTest, ReplacedDeviceIsEmptyAndWritable) {
+  FlashDevice dev(SmallDevice());
+  auto slot = dev.AllocateSlot(1000);
+  ASSERT_TRUE(slot.ok());
+  ASSERT_TRUE(dev.WriteSlot(*slot, Pattern(kChunkBytes, 1)).ok());
+  dev.Fail();
+  dev.Replace();
+  EXPECT_EQ(dev.payload_bytes_mapped(), 0u);
+  EXPECT_EQ(dev.live_slots(), 0u);
+  auto fresh = dev.AllocateSlot(1000);
+  ASSERT_TRUE(fresh.ok());
+  auto payload = Pattern(kChunkBytes, 5);
+  ASSERT_TRUE(dev.WriteSlot(*fresh, payload).ok());
+  EXPECT_TRUE(Holds(dev, *fresh, payload));
+  // Replacing a device that never failed drops its frames too.
+  dev.Replace();
+  EXPECT_EQ(dev.payload_bytes_mapped(), 0u);
+  EXPECT_EQ(dev.ReadSlot(*fresh).code(), ErrorCode::kNotFound);
+}
+
+TEST(FlashDeviceTest, CorruptingAnUnwrittenSlotIsRefused) {
+  FlashDevice dev(SmallDevice());
+  auto slot = dev.AllocateSlot(1000);
+  ASSERT_TRUE(slot.ok());
+  EXPECT_EQ(dev.CorruptSlot(*slot).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(dev.CorruptSlot(*slot + 1).code(), ErrorCode::kNotFound);
+  ASSERT_TRUE(dev.WriteSlot(*slot, Pattern(100, 1)).ok());
+  EXPECT_TRUE(dev.CorruptSlot(*slot).ok());
+}
+
+TEST(FlashDeviceTest, WriteFreeRoundsStayWithinOneExtentOfPeakLiveBytes) {
+  // 32 KiB logical slots on a 1 MiB device: at most 32 live chunks.
+  FlashDevice dev(SmallDevice());
+  Pcg32 rng(11);
+  std::vector<SlotId> live;
+  size_t peak_live = 0;
+  const auto payload = Pattern(kChunkBytes, 3);
+  for (int round = 0; round < 10000; ++round) {
+    if (live.empty() || (live.size() < 32 && rng.NextBounded(2) == 0)) {
+      auto slot = dev.AllocateSlot(32 << 10);
+      ASSERT_TRUE(slot.ok());
+      ASSERT_TRUE(dev.WriteSlot(*slot, payload).ok());
+      live.push_back(*slot);
+      peak_live = std::max(peak_live, live.size());
+    } else {
+      size_t victim = rng.NextBounded(static_cast<uint32_t>(live.size()));
+      ASSERT_TRUE(dev.FreeSlot(live[victim]).ok());
+      live[victim] = live.back();
+      live.pop_back();
+    }
+  }
+  EXPECT_EQ(peak_live, 32u);
+  EXPECT_LE(dev.payload_bytes_mapped(),
+            peak_live * kChunkBytes + SlotFrames::kHugeExtentBytes);
+  for (SlotId slot : live) EXPECT_TRUE(Holds(dev, slot, payload));
 }
 
 // --- FlashArray ----------------------------------------------------------------

@@ -184,6 +184,32 @@ TEST_F(ServerTest, TypedInitiatorRunsOverSocketSession) {
             0u);
 }
 
+TEST_F(ServerTest, LargeUnalignedWriteIsGatheredIntactOverSocket) {
+  // 300 KiB + 7: more than one socket buffer, so the gathered send of
+  // header, head, data, tail and trailer resumes mid-part, and no size a
+  // chunk or page divides.
+  StartServer();
+  SocketInitiator client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  OsdInitiator initiator(client);
+  ASSERT_TRUE(initiator.FormatOsd(1 << 20).ok());
+  std::vector<uint8_t> payload((300 << 10) + 7);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 131 + (i >> 9));
+  }
+  ASSERT_TRUE(initiator.CreateObject(kTestObject, payload.size(), 0).ok());
+  ASSERT_TRUE(
+      initiator.WriteObject(kTestObject, payload, payload.size(), 0).ok());
+  OsdResponse got = initiator.ReadObject(kTestObject, 0);
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(got.data == payload);
+  DrainAndJoin();
+  EXPECT_EQ(server_->stats().crc_errors, 0u);
+  EXPECT_EQ(client.stats().crc_errors + client.stats().frame_errors +
+                client.stats().decode_errors,
+            0u);
+}
+
 TEST_F(ServerTest, PipelinedRequestsAllAnswerInOrder) {
   StartServer();
   SocketInitiator client;

@@ -136,6 +136,26 @@ TEST(CacheSimulatorTest, WindowPerFailureEvent) {
   EXPECT_EQ(report.total.requests, 600u);
 }
 
+TEST(CacheSimulatorTest, RefusedFailureOpensNoWindow) {
+  // The second failure names a device that is already down: the array
+  // refuses it, so one device has failed and one failure window is open.
+  auto trace = GenerateMediSyn(TinyWorkload());
+  SimulationConfig cfg;
+  cfg.policy = {.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.2};
+  cfg.cache_fraction = 0.2;
+  cfg.chunk_logical_bytes = 8 * 1024;
+  cfg.scale_shift = 0;
+  cfg.failures = {{.at_request = 200, .device = 2},
+                  {.at_request = 300, .device = 2}};
+  CacheSimulator sim(trace, cfg);
+  auto report = sim.Run();
+  ASSERT_EQ(report.windows.size(), 2u);
+  EXPECT_EQ(report.windows[0].label, "0-failures");
+  EXPECT_EQ(report.windows[0].requests, 200u);
+  EXPECT_EQ(report.windows[1].label, "1-failures");
+  EXPECT_EQ(report.windows[1].requests, 400u);
+}
+
 TEST(CacheSimulatorDeathTest, ScheduleMustNameArrayDevices) {
   auto trace = GenerateMediSyn(TinyWorkload());
   SimulationConfig cfg;

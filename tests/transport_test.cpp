@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "common/rng.h"
 #include "core/cache_manager.h"
@@ -97,6 +99,77 @@ TEST(TransportWireTest, ResponsePartsConcatenateToFlatEncoding) {
   bare_joined.insert(bare_joined.end(), bare_parts.tail.begin(),
                      bare_parts.tail.end());
   EXPECT_EQ(bare_joined, bare_flat);
+}
+
+TEST(TransportWireTest, CommandPartsAroundDataMatchFlatEncoding) {
+  // head‖command.data‖tail must be EncodeCommand's bytes, with and without
+  // the data and attr_value fields.
+  auto joined = [](const OsdCommand& c) {
+    EncodedCommandParts parts = EncodeCommandParts(c);
+    std::vector<uint8_t> out = parts.head;
+    out.insert(out.end(), c.data.begin(), c.data.end());
+    out.insert(out.end(), parts.tail.begin(), parts.tail.end());
+    return out;
+  };
+  OsdCommand full = SampleCommand();
+  full.data.resize(3000);
+  for (size_t i = 0; i < full.data.size(); ++i) {
+    full.data[i] = static_cast<uint8_t>(i * 13 + 1);
+  }
+  OsdCommand no_data = SampleCommand();
+  no_data.data.clear();
+  OsdCommand no_attr = SampleCommand();
+  no_attr.attr_value.clear();
+  OsdCommand bare;
+  for (const OsdCommand& c : {full, no_data, no_attr, bare}) {
+    EXPECT_EQ(joined(c), EncodeCommand(c))
+        << c.data.size() << " data bytes, " << c.attr_value.size()
+        << " attr bytes";
+  }
+}
+
+std::vector<uint8_t> FromHex(std::string_view hex) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<uint8_t>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST(TransportWireTest, FlatEncodingsArePinnedByteForByte) {
+  // The flat encoders and the parts encoders share their head and tail
+  // writers, so the tests above cannot see a field moved or resized in
+  // both. These bytes can: the sample command and response, field by
+  // field, little-endian.
+  EXPECT_EQ(EncodeCommand(SampleCommand()),
+            FromHex("434f4552"            // magic "REOC"
+                    "03"                  // op kWrite
+                    "0000010000000000"    // pid
+                    "0700020000000000"    // oid
+                    "3930000000000000"    // logical_size 12345
+                    "0000100000000000"    // capacity_bytes 1 MiB
+                    "b168de3a00000000"    // now 987654321
+                    "0000002f" "01000000"  // kAttrClassId page, number
+                    "0500000000000000" "0102030405"  // data
+                    "0200000000000000" "0909"));     // attr_value
+  OsdResponse r;
+  r.sense = SenseCode::kRedundancyFull;
+  r.complete = 42424242;
+  r.degraded = true;
+  r.data = {7, 8, 9};
+  r.attr_value = {1};
+  r.list = {0x10000, 0x10004, 0x20000};
+  EXPECT_EQ(EncodeResponse(r),
+            FromHex("524f4552"          // magic "REOR"
+                    "67000000"          // sense
+                    "b257870200000000"  // complete 42424242
+                    "01"                // degraded
+                    "0300000000000000" "070809"  // data
+                    "0100000000000000" "01"      // attr_value
+                    "0300000000000000"           // list
+                    "0000010000000000" "0400010000000000"
+                    "0000020000000000"));
 }
 
 TEST(TransportWireTest, NegativeSenseSurvivesWire) {
