@@ -23,6 +23,7 @@
 #include <signal.h>
 
 #include <cstdio>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,6 @@ int main(int argc, char** argv) {
                       .reo_reserve_fraction = 0.2};
   size_t num_shards = 1;
   std::string port_file, stats_out, events_out;
-  bool telemetry_on = true;
   uint64_t trace_sample = 64;
   uint64_t series_window_ms = 1000;
   size_t series_windows = 300;
@@ -77,8 +77,7 @@ int main(int argc, char** argv) {
   flags.Uint("--shards", "N",
              "serving shards, one thread and one stack each, over a\n"
              "hash partition of the objects; they split capacity and\n"
-             "DRAM, --devices is per shard, and per-stage tracing\n"
-             "needs 1 shard (default 1)",
+             "DRAM, and --devices is per shard (default 1)",
              &num_shards, {.min = 1, .max = kMaxShards});
   flags.Choice("--policy", "reo|0-parity|1-parity|2-parity|full-repl",
                "protection policy (default reo)", &stack_cfg.policy.mode,
@@ -106,13 +105,6 @@ int main(int argc, char** argv) {
                &stats_out);
   flags.String("--events-out", "PATH", "write the event log text on exit",
                &events_out);
-  flags.Choice("--telemetry", "on|off",
-               "metrics, time series and in-band STATS/SERIES\n"
-               "(default on; off leaves HEALTH/EVENTS)",
-               &telemetry_on, [](std::string_view v, bool* on) {
-                 *on = v == "on";
-                 return v == "on" || v == "off";
-               });
   flags.Uint("--trace-sample", "N",
              "trace 1 in N requests into the per-stage\n"
              "latency histograms; 0 disables (default 64)",
@@ -150,19 +142,24 @@ int main(int argc, char** argv) {
   flags.ParseOrExit(argc, argv);
   if (flags.Given("--node-id")) stack_cfg.node_id = node_id;
 
-  // Per-stage tracing assumes a single-threaded stack; with shards it
-  // would need one tracer per shard and per-shard span merge. Off for now.
-  bool tracing_on = telemetry_on && trace_sample > 0 && num_shards == 1;
-
-  EventLog events;  // shared: thread-safe, global ticket order across shards
+  EventLog events;  // shared: thread-safe, emission order across shards
   TimeSeriesRing series(TimeSeriesConfig{
       .window_ns = series_window_ms * 1'000'000, .capacity = series_windows});
-  Tracer tracer(TracerConfig{.sample_every = trace_sample});
 
-  // One registry per shard; --telemetry off registers nothing in them.
+  // One registry per shard, and with --trace-sample > 0 one tracer per
+  // shard: only the thread holding a shard's lock runs its stack, so
+  // neither needs a lock of its own. Each tracer's per-stage histograms
+  // (stage.<component>.span_us) land in its shard's registry.
   std::vector<MetricRegistry> telemetry(num_shards);
   std::vector<MetricRegistry*> registries;
   for (MetricRegistry& r : telemetry) registries.push_back(&r);
+  std::deque<Tracer> tracers;
+  if (trace_sample > 0) {
+    for (MetricRegistry& r : telemetry) {
+      tracers.emplace_back(TracerConfig{.sample_every = trace_sample})
+          .AttachStageMetrics(r);
+    }
+  }
 
   // The production stacks: every byte a client writes lands in a striped
   // flash array under the selected protection policy. Each shard is an
@@ -171,9 +168,9 @@ int main(int argc, char** argv) {
   std::vector<ServedShard> shards;
   stacks.reserve(num_shards);
   for (size_t k = 0; k < num_shards; ++k) {
-    NodeStackSinks sinks{.registry = telemetry_on ? registries[k] : nullptr,
+    NodeStackSinks sinks{.registry = registries[k],
                          .events = &events,
-                         .tracer = tracing_on ? &tracer : nullptr};
+                         .tracer = tracers.empty() ? nullptr : &tracers[k]};
     auto built = NodeStack::Build(stack_cfg, k, num_shards, sinks);
     if (!built.ok()) {
       if (built.status().code() == ErrorCode::kCorrupted) {
@@ -192,6 +189,7 @@ int main(int argc, char** argv) {
     NodeStack& s = stacks.back();
     shards.push_back({.target = s.target.get(),
                       .registry = sinks.registry,
+                      .tracer = sinks.tracer,
                       .cluster = s.cluster.get(),
                       .persist = s.persist.get()});
     if (!s.persist) continue;
@@ -225,21 +223,12 @@ int main(int argc, char** argv) {
   ShardedServer server(shards, server_cfg);
   server.AttachEvents(events);
   // Live observability: per-window time series over the serving metrics,
-  // plus the in-band STATS/SERIES admin plane. HEALTH and EVENTS answer
-  // even with --telemetry off.
-  if (telemetry_on) {
-    // One whole-process ring: every column sums the same-named metric
-    // across shard registries, so reo_top's ratios stay correct.
-    TrackServingDefaults(std::span<MetricRegistry* const>(registries), series,
-                         stack_cfg.num_devices);
-    server.AttachSeries(series);
-  }
-  // Per-stage latency attribution: sampled request traces feed
-  // stage.<component>.span_us histograms. --trace-sample 0 turns it off.
-  if (tracing_on) {
-    tracer.AttachStageMetrics(telemetry[0]);
-    server.AttachTracing(tracer);
-  }
+  // plus the in-band STATS/SERIES admin plane. One whole-process ring:
+  // every column sums the same-named metric across shard registries, so
+  // reo_top's ratios stay correct.
+  TrackServingDefaults(std::span<MetricRegistry* const>(registries), series,
+                       stack_cfg.num_devices);
+  server.AttachSeries(series);
   Status st = server.Listen();
   if (!st.ok()) {
     std::fprintf(stderr, "listen failed: %s\n", st.to_string().c_str());

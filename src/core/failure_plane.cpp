@@ -176,9 +176,9 @@ void FailurePlane::CheckFailSlow(SimTime now) {
 }
 
 void FailurePlane::AdvanceRecovery(SimTime now) {
-  if (!recovery_.empty()) {
-    RunRecovery(now, DataClass::kColdClean, kRecoveryBytesPerRequest);
-  }
+  // Runs even on an empty queue: the owner's Forget can drain it between
+  // slices, and only RunRecovery ends the recovery it leaves behind.
+  RunRecovery(now, DataClass::kColdClean, kRecoveryBytesPerRequest);
 }
 
 SimTime FailurePlane::DrainRecovery(SimTime now) {

@@ -79,8 +79,9 @@ struct ReplayStats {
 /// Steady-clock microseconds (replay and restore durations).
 uint64_t SteadyMicros();
 
-/// Owner of the durable state for one OSD. Single-threaded, like the rest
-/// of the stack (the server runs everything on one event-loop thread).
+/// Owner of the durable state for one OSD. Not thread-safe, like the rest
+/// of the stack: the server calls it only under its shard's stack lock
+/// (any loop may execute for a shard, one at a time).
 class PersistenceManager {
  public:
   /// Opens `config.data_dir` (created if needed) and runs recovery:

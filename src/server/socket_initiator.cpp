@@ -37,15 +37,7 @@ SocketInitiator::SocketInitiator(SocketInitiator&& other) noexcept
       host_(std::move(other.host_)),
       port_(other.port_),
       decoder_(std::move(other.decoder_)),
-      stats_(other.stats_),
-      tel_commands_(other.tel_commands_),
-      tel_bytes_sent_(other.tel_bytes_sent_),
-      tel_bytes_received_(other.tel_bytes_received_),
-      tel_decode_errors_(other.tel_decode_errors_),
-      tel_crc_errors_(other.tel_crc_errors_),
-      tel_frame_errors_(other.tel_frame_errors_),
-      tel_timeouts_(other.tel_timeouts_),
-      tel_reconnects_(other.tel_reconnects_) {}
+      stats_(other.stats_) {}
 
 SocketInitiator& SocketInitiator::operator=(SocketInitiator&& other) noexcept {
   if (this != &other) {
@@ -57,14 +49,6 @@ SocketInitiator& SocketInitiator::operator=(SocketInitiator&& other) noexcept {
     port_ = other.port_;
     decoder_ = std::move(other.decoder_);
     stats_ = other.stats_;
-    tel_commands_ = other.tel_commands_;
-    tel_bytes_sent_ = other.tel_bytes_sent_;
-    tel_bytes_received_ = other.tel_bytes_received_;
-    tel_decode_errors_ = other.tel_decode_errors_;
-    tel_crc_errors_ = other.tel_crc_errors_;
-    tel_frame_errors_ = other.tel_frame_errors_;
-    tel_timeouts_ = other.tel_timeouts_;
-    tel_reconnects_ = other.tel_reconnects_;
   }
   return *this;
 }
@@ -74,17 +58,6 @@ void SocketInitiator::Close() {
     close(fd_);
     fd_ = -1;
   }
-}
-
-void SocketInitiator::AttachTelemetry(MetricRegistry& registry) {
-  tel_commands_ = &registry.GetCounter("initiator.commands");
-  tel_bytes_sent_ = &registry.GetCounter("initiator.bytes_sent");
-  tel_bytes_received_ = &registry.GetCounter("initiator.bytes_received");
-  tel_decode_errors_ = &registry.GetCounter("initiator.decode_errors");
-  tel_crc_errors_ = &registry.GetCounter("initiator.crc_errors");
-  tel_frame_errors_ = &registry.GetCounter("initiator.frame_errors");
-  tel_timeouts_ = &registry.GetCounter("initiator.timeouts");
-  tel_reconnects_ = &registry.GetCounter("initiator.reconnects");
 }
 
 Status SocketInitiator::Connect(const std::string& host, uint16_t port) {
@@ -113,7 +86,6 @@ Status SocketInitiator::Connect(const std::string& host, uint16_t port) {
       int pr = poll(&pfd, 1, static_cast<int>(config_.connect_timeout_ms));
       if (pr == 0) {
         ++stats_.timeouts;
-        Inc(tel_timeouts_);
         Close();
         return Status{ErrorCode::kIoError, "connect timed out"};
       }
@@ -206,14 +178,12 @@ Status SocketInitiator::SendFramed(
                   std::string("send: ") + std::strerror(errno)};
   }
   stats_.bytes_sent += total;
-  Inc(tel_bytes_sent_, total);
   return Status::Ok();
 }
 
 Status SocketInitiator::Send(const OsdCommand& command) {
   if (fd_ < 0) return Status{ErrorCode::kUnavailable, "not connected"};
   ++stats_.commands;
-  Inc(tel_commands_);
   EncodedCommandParts parts = EncodeCommandParts(command);
   REO_RETURN_IF_ERROR(SendFramed({parts.head, command.data, parts.tail}));
   ++stats_.frames_sent;
@@ -230,13 +200,11 @@ Result<std::span<const uint8_t>> SocketInitiator::ReceiveFrame() {
     if (st == FrameStatus::kFrame) break;
     if (st == FrameStatus::kCrcMismatch) {
       ++stats_.crc_errors;
-      Inc(tel_crc_errors_);
       Close();
       return Status{ErrorCode::kCorrupted, "response frame failed CRC32C"};
     }
     if (st != FrameStatus::kNeedMore) {
       ++stats_.frame_errors;
-      Inc(tel_frame_errors_);
       Close();
       return Status{ErrorCode::kCorrupted, "response stream lost framing"};
     }
@@ -244,7 +212,6 @@ Result<std::span<const uint8_t>> SocketInitiator::ReceiveFrame() {
     ssize_t n = recv(fd_, buf, sizeof(buf), 0);
     if (n > 0) {
       stats_.bytes_received += static_cast<uint64_t>(n);
-      Inc(tel_bytes_received_, static_cast<uint64_t>(n));
       decoder_.Feed({buf, static_cast<size_t>(n)});
       continue;
     }
@@ -253,7 +220,6 @@ Result<std::span<const uint8_t>> SocketInitiator::ReceiveFrame() {
       // SO_RCVTIMEO deadline expired: the session state is unknown (a
       // response may still be in flight), so drop the connection.
       ++stats_.timeouts;
-      Inc(tel_timeouts_);
       Close();
       return Status{ErrorCode::kIoError, "receive timed out"};
     }
@@ -272,7 +238,6 @@ Result<OsdResponse> SocketInitiator::Receive() {
   auto resp = DecodeResponse(*payload);
   if (!resp.ok()) {
     ++stats_.decode_errors;
-    Inc(tel_decode_errors_);
     Close();
     return resp.status();
   }
@@ -290,7 +255,6 @@ Result<AdminResponse> SocketInitiator::AdminRoundtrip(AdminOp op,
   auto resp = DecodeAdminResponse(*payload);
   if (!resp.ok()) {
     ++stats_.decode_errors;
-    Inc(tel_decode_errors_);
     Close();
     return resp.status();
   }
@@ -338,7 +302,6 @@ OsdResponse SocketInitiator::Roundtrip(const OsdCommand& command) {
       if (sleep_ms > 0) (void)poll(nullptr, 0, static_cast<int>(sleep_ms));
       if (!Connect(host_, port_).ok()) continue;
       ++stats_.reconnects;
-      Inc(tel_reconnects_);
       resp = attempt();
     }
   }

@@ -20,7 +20,6 @@
 #include "osd/transport.h"
 #include "server/admin_protocol.h"
 #include "server/frame.h"
-#include "telemetry/metric_registry.h"
 
 namespace reo {
 
@@ -107,9 +106,6 @@ class SocketInitiator final : public OsdSession {
 
   const SocketInitiatorStats& stats() const { return stats_; }
 
-  /// Registers wire-level metrics ("initiator.*").
-  void AttachTelemetry(MetricRegistry& registry);
-
  private:
   /// One gathered sendmsg of header + payload parts + CRC trailer, the CRC
   /// continued across the parts: each part goes out of its own buffer in
@@ -127,16 +123,6 @@ class SocketInitiator final : public OsdSession {
   uint16_t port_ = 0;
   FrameDecoder decoder_;
   SocketInitiatorStats stats_;
-
-  // Telemetry (null when un-attached).
-  Counter* tel_commands_ = nullptr;
-  Counter* tel_bytes_sent_ = nullptr;
-  Counter* tel_bytes_received_ = nullptr;
-  Counter* tel_decode_errors_ = nullptr;
-  Counter* tel_crc_errors_ = nullptr;
-  Counter* tel_frame_errors_ = nullptr;
-  Counter* tel_timeouts_ = nullptr;
-  Counter* tel_reconnects_ = nullptr;
 };
 
 }  // namespace reo

@@ -51,37 +51,39 @@ FramePayload EncodeResponsePayload(OsdResponse&& resp) {
 
 /// One shard: an EventLoop thread owning its connections, and the stack
 /// behind its OsdTarget. The connections are confined to the loop
-/// thread; the stack (target and journal) is guarded by mu_, which
-/// whichever thread executes for this shard takes. The counters are
-/// relaxed atomics, so HEALTH on any shard can sum them.
+/// thread; the stack (target, journal and tracer) is guarded by mu_,
+/// which whichever thread executes for this shard takes. The counters
+/// are relaxed atomics, so HEALTH on any shard can sum them.
 class ShardWorker final : private ConnectionHost {
  public:
   ShardWorker(ShardedServer& owner, size_t index, const ServedShard& parts)
       : owner_(owner),
         index_(index),
         target_(*parts.target),
-        registry_(parts.registry),
-        persist_(parts.persist) {
-    MetricRegistry& registry =
-        registry_ != nullptr ? *registry_ : own_counters_;
-    tel_accepted_ = &registry.GetCounter("server.connections.accepted");
-    tel_closed_ = &registry.GetCounter("server.connections.closed");
-    tel_rejected_ = &registry.GetCounter("server.connections.rejected");
-    tel_requests_ = &registry.GetCounter("server.requests");
-    tel_responses_ = &registry.GetCounter("server.responses");
-    tel_bytes_in_ = &registry.GetCounter("server.bytes_in");
-    tel_bytes_out_ = &registry.GetCounter("server.bytes_out");
-    tel_frame_errors_ = &registry.GetCounter("server.frame_errors");
-    tel_crc_errors_ = &registry.GetCounter("server.crc_errors");
-    tel_decode_errors_ = &registry.GetCounter("server.decode_errors");
-    tel_admin_requests_ = &registry.GetCounter("server.admin.requests");
-    tel_admin_errors_ = &registry.GetCounter("server.admin.errors");
-    tel_forwarded_ = &registry.GetCounter("server.forwarded");
-    tel_forward_executed_ = &registry.GetCounter("server.forward_executed");
-    tel_active_ = &registry.GetGauge("server.connections.active");
-    tel_lat_read_ = &registry.GetHistogram("server.latency.read_us");
-    tel_lat_write_ = &registry.GetHistogram("server.latency.write_us");
-    tel_lat_other_ = &registry.GetHistogram("server.latency.other_us");
+        registry_(*parts.registry),
+        persist_(parts.persist),
+        tracer_(parts.tracer) {
+    if (tracer_ != nullptr) {
+      trace_root_ = &tracer_->RecorderFor(TraceComponent::kTransport);
+    }
+    tel_accepted_ = &registry_.GetCounter("server.connections.accepted");
+    tel_closed_ = &registry_.GetCounter("server.connections.closed");
+    tel_rejected_ = &registry_.GetCounter("server.connections.rejected");
+    tel_requests_ = &registry_.GetCounter("server.requests");
+    tel_responses_ = &registry_.GetCounter("server.responses");
+    tel_bytes_in_ = &registry_.GetCounter("server.bytes_in");
+    tel_bytes_out_ = &registry_.GetCounter("server.bytes_out");
+    tel_frame_errors_ = &registry_.GetCounter("server.frame_errors");
+    tel_crc_errors_ = &registry_.GetCounter("server.crc_errors");
+    tel_decode_errors_ = &registry_.GetCounter("server.decode_errors");
+    tel_admin_requests_ = &registry_.GetCounter("server.admin.requests");
+    tel_admin_errors_ = &registry_.GetCounter("server.admin.errors");
+    tel_forwarded_ = &registry_.GetCounter("server.forwarded");
+    tel_forward_executed_ = &registry_.GetCounter("server.forward_executed");
+    tel_active_ = &registry_.GetGauge("server.connections.active");
+    tel_lat_read_ = &registry_.GetHistogram("server.latency.read_us");
+    tel_lat_write_ = &registry_.GetHistogram("server.latency.write_us");
+    tel_lat_other_ = &registry_.GetHistogram("server.latency.other_us");
   }
 
   EventLoop& loop() { return loop_; }
@@ -147,17 +149,30 @@ class ShardWorker final : private ConnectionHost {
     ReportIfEmpty();
   }
 
-  /// Executes `cmd` on `shard`'s stack under its lock, from this loop.
+  /// Executes `cmd` on `shard`'s stack under its lock, from this loop,
+  /// inside a root span (the transport track) on that shard's tracer. The
+  /// span runs from cmd.now to `*end`, a stamp taken under the lock, which
+  /// the loop also feeds to server.latency.* — so with sample_every == 1
+  /// the stage.transport totals match the latency totals exactly.
   /// Execution on another shard counts on both sides while the lock is
   /// held, so a STATS snapshot taken under every lock sees both or
   /// neither.
-  OsdResponse ExecuteOn(ShardWorker& shard, const OsdCommand& cmd) {
+  OsdResponse ExecuteOn(ShardWorker& shard, const OsdCommand& cmd,
+                        SimTime* end) {
     std::lock_guard<std::mutex> lock(shard.mu_);
     if (&shard != this) {
       tel_forwarded_->Inc();
       shard.tel_forward_executed_->Inc();
     }
-    return shard.target_.Execute(cmd);
+    TraceOp op = cmd.op == OsdOp::kRead    ? TraceOp::kGet
+                 : cmd.op == OsdOp::kWrite ? TraceOp::kPut
+                                           : TraceOp::kOsdCommand;
+    RequestTrace root(shard.tracer_, shard.trace_root_, op, cmd.now,
+                      cmd.id.oid);
+    OsdResponse resp = shard.target_.Execute(cmd);
+    *end = ShardedServer::NowNs();
+    root.set_end(*end);
+    return resp;
   }
 
  private:
@@ -183,18 +198,10 @@ class ShardWorker final : private ConnectionHost {
     }
     SimTime start = ShardedServer::NowNs();
     decoded->now = start;
-    // Execute here, on whichever shard owns the command. The root span
-    // and the latency histogram share the same two clock stamps, so
-    // stage.transport sums equal server.latency sums under sample_every=1.
-    TraceOp root_op = decoded->op == OsdOp::kRead    ? TraceOp::kGet
-                      : decoded->op == OsdOp::kWrite ? TraceOp::kPut
-                                                     : TraceOp::kOsdCommand;
-    RequestTrace root(owner_.tracer_, owner_.trace_root_, root_op, start,
-                      decoded->id.oid);
-    OsdResponse resp = owner_.Execute(index_, *decoded);
-    SimTime end = ShardedServer::NowNs();
-    root.set_end(end);
-    root.Finish();
+    // Execute here, on whichever shard owns the command. Its root span
+    // and the latency histogram share the same two clock stamps.
+    SimTime end = start;
+    OsdResponse resp = owner_.Execute(index_, *decoded, &end);
     ObserveLatency(decoded->op, start, end);
     tel_responses_->Inc();
     // The bulk data buffer is moved through EncodeResponseParts into the
@@ -261,16 +268,17 @@ class ShardWorker final : private ConnectionHost {
   size_t index_;
   std::mutex mu_;  ///< the stack lock: held for every target_.Execute
   OsdTarget& target_;
-  MetricRegistry* registry_;
+  MetricRegistry& registry_;
   PersistenceManager* persist_;
+  Tracer* tracer_;                       ///< null: untraced
+  SpanRecorder* trace_root_ = nullptr;  ///< tracer_'s transport track
   EventLoop loop_;
   FrameMetaPool pool_;
   std::map<uint64_t, std::unique_ptr<Connection>> connections_;
   bool draining_ = false;
   bool reported_empty_ = false;
 
-  /// Serving counters: in the attached registry, else in own_counters_.
-  MetricRegistry own_counters_;
+  /// Serving counters, in registry_.
   Counter* tel_accepted_ = nullptr;
   Counter* tel_closed_ = nullptr;
   Counter* tel_rejected_ = nullptr;  ///< counted on shard 0 (the acceptor)
@@ -300,8 +308,8 @@ ShardedServer::ShardedServer(std::span<const ServedShard> shards,
   workers_.reserve(shards.size());
   for (size_t i = 0; i < shards.size(); ++i) {
     const ServedShard& s = shards[i];
+    REO_CHECK(s.target != nullptr && s.registry != nullptr);
     workers_.push_back(std::make_unique<ShardWorker>(*this, i, s));
-    if (s.registry == nullptr) every_shard_registry_ = false;
     if (s.cluster != nullptr) cluster_dirs_.push_back(s.cluster);
   }
 }
@@ -348,12 +356,6 @@ Status ShardedServer::Listen() {
   }
   port_ = ntohs(addr.sin_port);
   return Status::Ok();
-}
-
-void ShardedServer::AttachTracing(Tracer& tracer) {
-  REO_CHECK(workers_.size() == 1);
-  tracer_ = &tracer;
-  trace_root_ = &tracer.RecorderFor(TraceComponent::kTransport);
 }
 
 EventLoop& ShardedServer::main_loop() { return workers_[0]->loop(); }
@@ -510,13 +512,18 @@ void ShardedServer::OnAcceptReady() {
   }
 }
 
-OsdResponse ShardedServer::Execute(size_t home_index, const OsdCommand& cmd) {
+OsdResponse ShardedServer::Execute(size_t home_index, const OsdCommand& cmd,
+                                   SimTime* end) {
+  SimTime unused = 0;
+  if (end == nullptr) end = &unused;
   REO_CHECK(home_index < workers_.size());
   ShardWorker& home = *workers_[home_index];
   ShardRoute route = router_.RouteOf(cmd);
-  if (!route.fan_out) return home.ExecuteOn(*workers_[route.shard], cmd);
+  if (!route.fan_out) {
+    return home.ExecuteOn(*workers_[route.shard], cmd, end);
+  }
   size_t n = workers_.size();
-  if (n == 1) return home.ExecuteOn(home, cmd);
+  if (n == 1) return home.ExecuteOn(home, cmd, end);
   // Fan-out: one shard lock at a time, never two, so fan-outs from
   // different threads cannot deadlock. A loop runs one frame at a time,
   // so the connection's later frames wait for the merged answer.
@@ -529,7 +536,7 @@ OsdResponse ShardedServer::Execute(size_t home_index, const OsdCommand& cmd) {
       // even slice, mirroring the boot-time capacity partitioning.
       part.capacity_bytes = cmd.capacity_bytes / n;
     }
-    parts.push_back(home.ExecuteOn(*workers_[k], part));
+    parts.push_back(home.ExecuteOn(*workers_[k], part, end));
   }
   return MergeFanOutResponses(parts);
 }
@@ -541,7 +548,7 @@ MetricSnapshot ShardedServer::MergedStats() const {
   std::vector<std::unique_lock<std::mutex>> held;
   for (const auto& w : workers_) {
     held.emplace_back(w->mu_);
-    regs.push_back(w->registry_);
+    regs.push_back(&w->registry_);
   }
   return MetricRegistry::Merged(regs);
 }
@@ -617,13 +624,10 @@ FramePayload ShardedServer::HandleAdminFrame(
   } else {
     switch (cmd->op) {
       case AdminOp::kStats:
-        if (!every_shard_registry_) {
-          out.status = 1;
-          out.json = "{\"error\":\"no metric registry attached\"}";
-        } else if (cmd->arg == 0) {
+        if (cmd->arg == 0) {
           out.json = MergedStats().ToJson();
         } else if (cmd->arg <= workers_.size()) {
-          out.json = workers_[cmd->arg - 1]->registry_->Snapshot().ToJson();
+          out.json = workers_[cmd->arg - 1]->registry_.Snapshot().ToJson();
         } else {
           out.status = 1;
           out.json = "{\"error\":\"shard " + std::to_string(cmd->arg - 1) +

@@ -8,7 +8,11 @@
 // the single-threaded server: one loop on the calling thread and one
 // lock it never contends for.
 //
-// Each shard's stack has a lock, so one thread at a time executes on it:
+// Each shard's stack has a lock, so one thread at a time executes on it.
+// The same lock keeps telemetry writers apart: a stack's tracer and the
+// metrics its stack writes are touched only under it, and the serving
+// counters ("server.*") only by the shard's own loop. Metrics stay
+// relaxed atomics, so any other writer still counts exactly.
 //   * Shard 0's loop also owns the listening socket and hands each new
 //     connection to a shard round-robin (connections are not pinned to
 //     the shard of any object — clients multiplex objects of every shard
@@ -74,10 +78,12 @@ class ShardWorker;
 /// execute on them, under the shard's lock).
 struct ServedShard {
   OsdTarget* target = nullptr;
-  /// Holds the serving counters ("server.*") and answers STATS. Null:
-  /// the shard counts privately; STATS answers only when every shard
-  /// has a registry, else "no metric registry attached".
+  /// Holds the serving counters ("server.*") and answers STATS. Required.
   MetricRegistry* registry = nullptr;
+  /// The stack's tracer: the transport root span of every command part
+  /// this shard executes opens on it, under the shard's lock, so the
+  /// stack's nested spans join it. Null: the shard is not traced.
+  Tracer* tracer = nullptr;
   /// This shard's slice of the node's hint space: ADMIN OWNERS answers
   /// the merge of every shard's directory, HEALTH names the node id.
   const ClusterDirectory* cluster = nullptr;
@@ -142,15 +148,19 @@ class ShardedServer {
 
   /// Executes one command as shard `home`'s loop executes a decoded
   /// frame: on the owning shard under its lock, or, fanned out, on every
-  /// shard in turn, merged. Thread-safe; needs neither Listen() nor Run().
-  OsdResponse Execute(size_t home, const OsdCommand& cmd);
+  /// shard in turn, merged. Each part runs inside a root span on its
+  /// executing shard's tracer, from cmd.now to a clock stamp taken under
+  /// that shard's lock; `end`, when given, receives the last part's
+  /// stamp. Thread-safe; needs neither Listen() nor Run().
+  OsdResponse Execute(size_t home, const OsdCommand& cmd,
+                      SimTime* end = nullptr);
 
   /// STATS arg 0: the bucket-level merge of every shard's registry, with
   /// every shard lock held (index order). Thread-safe, like Execute().
   MetricSnapshot MergedStats() const;
 
   /// Shared structured event sink (EventLog is thread-safe; events from
-  /// every shard interleave in global ticket order): accept/close at
+  /// every shard interleave in emission order): accept/close at
   /// debug, wire corruption and accept pauses at warn, drain milestones
   /// at info.
   void AttachEvents(EventLog& events) { events_ = &events; }
@@ -158,13 +168,6 @@ class ShardedServer {
   /// The single whole-process ring ADMIN SERIES answers from; Run()
   /// rolls its windows on a loop timer at the ring's own interval.
   void AttachSeries(TimeSeriesRing& series) { series_ = &series; }
-
-  /// Opens a sampled root span (the transport track) around every data
-  /// command, with the same clock stamps the service-latency histograms
-  /// observe — so with sample_every == 1 the stage.transport totals match
-  /// server.latency.* exactly (the attribution invariant tests pin).
-  /// One shard only: a Tracer is single-threaded.
-  void AttachTracing(Tracer& tracer);
 
   /// Counters summed across every shard (safe to call after Run()
   /// returns, or concurrently — per-shard counters are relaxed atomics).
@@ -206,11 +209,8 @@ class ShardedServer {
   SimTime started_ns_ = 0;  ///< Run() entry stamp, for health uptime
 
   EventLog* events_ = nullptr;
-  bool every_shard_registry_ = true;  ///< STATS answers only when set
   TimeSeriesRing* series_ = nullptr;
   std::vector<const ClusterDirectory*> cluster_dirs_;  ///< non-null only
-  Tracer* tracer_ = nullptr;
-  SpanRecorder* trace_root_ = nullptr;
 };
 
 }  // namespace reo

@@ -27,57 +27,28 @@ std::string CsvField(std::string_view s) {
 
 }  // namespace
 
-size_t CurrentMetricDomain() {
-  static std::atomic<size_t> next{0};
-  thread_local size_t mine =
-      next.fetch_add(1, std::memory_order_relaxed) % kMetricDomains;
-  return mine;
-}
-
 void ShardedHistogram::Merge(const Histogram& other) {
-  Shard& s = shards_[CurrentMetricDomain()];
   for (int b = 0; b < Histogram::kBuckets; ++b) {
-    uint64_t n = other.bucket_count(b);
-    if (n) {
-      s.buckets[static_cast<size_t>(b)].fetch_add(n,
-                                                  std::memory_order_relaxed);
+    if (uint64_t n = other.bucket_count(b)) {
+      buckets_[static_cast<size_t>(b)].fetch_add(n, std::memory_order_relaxed);
     }
   }
-  s.count.fetch_add(other.count(), std::memory_order_relaxed);
-  s.sum.fetch_add(other.sum(), std::memory_order_relaxed);
-  double m = s.max.load(std::memory_order_relaxed);
-  double om = other.max();
-  while (om > m &&
-         !s.max.compare_exchange_weak(m, om, std::memory_order_relaxed)) {
-  }
+  count_.fetch_add(other.count(), std::memory_order_relaxed);
+  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
+  RaiseMax(other.max());
 }
 
 Histogram ShardedHistogram::Merged() const {
-  Histogram out;
   uint64_t counts[Histogram::kBuckets];
-  for (const Shard& s : shards_) {
-    uint64_t total = 0;
-    for (int b = 0; b < Histogram::kBuckets; ++b) {
-      counts[b] = s.buckets[static_cast<size_t>(b)].load(
-          std::memory_order_relaxed);
-      total += counts[b];
-    }
-    out.MergeBuckets(counts, total, s.sum.load(std::memory_order_relaxed),
-                     s.max.load(std::memory_order_relaxed));
+  uint64_t total = 0;
+  for (int b = 0; b < Histogram::kBuckets; ++b) {
+    counts[b] =
+        buckets_[static_cast<size_t>(b)].load(std::memory_order_relaxed);
+    total += counts[b];
   }
+  Histogram out;
+  out.MergeBuckets(counts, total, sum(), max());
   return out;
-}
-
-uint64_t ShardedHistogram::count() const {
-  uint64_t n = 0;
-  for (const Shard& s : shards_) n += s.count.load(std::memory_order_relaxed);
-  return n;
-}
-
-double ShardedHistogram::sum() const {
-  double v = 0.0;
-  for (const Shard& s : shards_) v += s.sum.load(std::memory_order_relaxed);
-  return v;
 }
 
 double ShardedHistogram::mean() const {
@@ -85,21 +56,11 @@ double ShardedHistogram::mean() const {
   return n ? sum() / static_cast<double>(n) : 0.0;
 }
 
-double ShardedHistogram::max() const {
-  double m = 0.0;
-  for (const Shard& s : shards_) {
-    m = std::max(m, s.max.load(std::memory_order_relaxed));
-  }
-  return m;
-}
-
 void ShardedHistogram::Reset() {
-  for (Shard& s : shards_) {
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0.0, std::memory_order_relaxed);
-    s.max.store(0.0, std::memory_order_relaxed);
-  }
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+  max_.store(0.0, std::memory_order_relaxed);
 }
 
 const MetricSnapshot::Entry* MetricSnapshot::Find(std::string_view name) const {

@@ -7,18 +7,19 @@
 //      AttachTelemetry time) into raw pointers; per-event cost is a single
 //      relaxed atomic increment / store with no map lookup, lock, or
 //      allocation.
-//   2. Thread-safe by construction. Counters and histogram buffers are
-//      striped across kMetricDomains cache-line-padded domains (each
-//      writer thread picks a stable domain, so concurrent shards of a
-//      future multi-threaded server never contend on one line), updates
-//      are relaxed atomics, and Snapshot() aggregates across domains
-//      instead of mutating shared state — readers never perturb writers.
+//   2. Thread-safe by construction, without striping. Each metric is its
+//      own relaxed atomics, cache-line aligned so no two metrics share a
+//      line. The server gives each shard its own registry and runs each
+//      shard's stack under that shard's lock, so a metric's writers
+//      already take turns; the atomics keep any other writer exact, and
+//      Snapshot() reads them without mutating shared state — readers
+//      never perturb writers.
 //   3. Optional. Components run un-attached (null pointers) with zero
 //      telemetry overhead beyond a predictable branch; the Inc/Set/Observe
 //      helpers below fold the null check away from call sites.
 //   4. Mergeable & exportable. Histograms reuse common/histogram.h's
-//      fixed log-bucket layout (merged across domains at snapshot time);
-//      the registry renders one consistent JSON or CSV snapshot.
+//      fixed log-bucket layout (merged across registries at the bucket
+//      level); the registry renders one consistent JSON or CSV snapshot.
 //
 // Metric naming scheme: dot-separated lowercase path,
 //   <subsystem>[.<instance>][.<group>].<metric>[_<unit>]
@@ -42,46 +43,25 @@
 
 namespace reo {
 
-/// Update-side striping width. One domain per concurrently-writing thread
-/// is the target shape (ROADMAP item 1 plans N serving shards); threads
-/// beyond the width share domains correctly (updates stay atomic), they
-/// just contend. Power of two so future shard-id masking stays cheap.
-inline constexpr size_t kMetricDomains = 8;
-
-/// Stable per-thread domain index in [0, kMetricDomains): assigned
-/// round-robin on a thread's first metric update and cached thread-local.
-size_t CurrentMetricDomain();
-
 /// Destination cache-line size for the padding below (std::
 /// hardware_destructive_interference_size is 64 on every target we build).
 inline constexpr size_t kMetricCacheLine = 64;
 
-/// Monotonically increasing event count. Writers add into their own
-/// domain's line with relaxed ordering; value() folds the stripes.
+/// Monotonically increasing event count: one relaxed atomic on its own
+/// cache line.
 class Counter {
  public:
-  void Inc(uint64_t n = 1) {
-    shards_[CurrentMetricDomain()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-  uint64_t value() const {
-    uint64_t sum = 0;
-    for (const Shard& s : shards_) sum += s.v.load(std::memory_order_relaxed);
-    return sum;
-  }
-  void Reset() {
-    for (Shard& s : shards_) s.v.store(0, std::memory_order_relaxed);
-  }
+  void Inc(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void Reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  struct alignas(kMetricCacheLine) Shard {
-    std::atomic<uint64_t> v{0};
-  };
-  std::array<Shard, kMetricDomains> shards_;
+  alignas(kMetricCacheLine) std::atomic<uint64_t> v_{0};
 };
 
-/// Point-in-time level (last write wins). A single relaxed atomic: striping
-/// cannot compose last-write-wins semantics, and gauges are updated rarely
-/// (per accept/close, per wear recalculation), never per-op.
+/// Point-in-time level (last write wins). A single relaxed atomic; gauges
+/// are updated rarely (per accept/close, per wear recalculation), never
+/// per-op.
 class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
@@ -92,10 +72,13 @@ class Gauge {
   alignas(kMetricCacheLine) std::atomic<double> value_{0.0};
 };
 
-/// Thread-safe log-bucketed histogram: per-domain atomic bucket buffers
-/// sharing common/histogram.h's bucket layout, folded into a plain
-/// Histogram on demand. Add() is wait-free (two relaxed fetch_adds, one
-/// relaxed float accumulate, one bounded CAS loop for the max).
+/// The registry's histogram: one atomic bucket array in common/
+/// histogram.h's layout plus count, sum and max, all relaxed, folded into
+/// a plain Histogram on demand. One array per metric, not one per writer
+/// thread: the server keeps a registry per shard, so a shard's writers
+/// already take turns under its lock. Add() is wait-free (two relaxed
+/// fetch_adds, one relaxed float accumulate, one bounded CAS loop for the
+/// max).
 class ShardedHistogram {
  public:
   ShardedHistogram() = default;
@@ -104,45 +87,45 @@ class ShardedHistogram {
 
   void Add(double v) {
     if (v < 0) v = 0;
-    Shard& s = shards_[CurrentMetricDomain()];
-    s.buckets[static_cast<size_t>(Histogram::BucketFor(v))].fetch_add(
+    buckets_[static_cast<size_t>(Histogram::BucketFor(v))].fetch_add(
         1, std::memory_order_relaxed);
-    s.count.fetch_add(1, std::memory_order_relaxed);
-    s.sum.fetch_add(v, std::memory_order_relaxed);
-    double m = s.max.load(std::memory_order_relaxed);
-    while (v > m && !s.max.compare_exchange_weak(m, v,
-                                                 std::memory_order_relaxed)) {
-    }
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(v, std::memory_order_relaxed);
+    RaiseMax(v);
   }
 
-  /// Bulk-merges a plain (thread-local) histogram into the caller's
-  /// domain — the load generator's per-worker rollup path.
+  /// Bulk-merges a plain (thread-local) histogram in — the load
+  /// generator's per-worker rollup path.
   void Merge(const Histogram& other);
 
-  /// Folds every domain into one plain Histogram. Concurrent Add()s are
-  /// fine: each shard's fields are read relaxed, so the fold is a
-  /// consistent-enough instant (a racing sample may appear in the bucket
-  /// array but not yet in the count, skewing one summary by one sample).
+  /// Reads the buckets into one plain Histogram. Concurrent Add()s are
+  /// fine: each field is read relaxed, so the fold is a consistent-enough
+  /// instant (a racing sample may appear in the bucket array but not yet
+  /// in the sum, skewing one summary by one sample).
   Histogram Merged() const;
 
-  // Convenience passthroughs (fold on demand; snapshot-path cost only).
-  uint64_t count() const;
-  double sum() const;
+  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  double sum() const { return sum_.load(std::memory_order_relaxed); }
   double mean() const;
-  double max() const;
+  double max() const { return max_.load(std::memory_order_relaxed); }
   double Percentile(double q) const { return Merged().Percentile(q); }
   std::string Summary() const { return Merged().Summary(); }
 
   void Reset();
 
  private:
-  struct alignas(kMetricCacheLine) Shard {
-    std::array<std::atomic<uint64_t>, Histogram::kBuckets> buckets{};
-    std::atomic<uint64_t> count{0};
-    std::atomic<double> sum{0.0};
-    std::atomic<double> max{0.0};
-  };
-  std::array<Shard, kMetricDomains> shards_;
+  void RaiseMax(double v) {
+    double m = max_.load(std::memory_order_relaxed);
+    while (v > m &&
+           !max_.compare_exchange_weak(m, v, std::memory_order_relaxed)) {
+    }
+  }
+
+  alignas(kMetricCacheLine)
+      std::array<std::atomic<uint64_t>, Histogram::kBuckets> buckets_{};
+  std::atomic<uint64_t> count_{0};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> max_{0.0};
 };
 
 /// Null-tolerant hot-path helpers: un-attached components pass nullptr.

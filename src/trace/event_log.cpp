@@ -1,6 +1,5 @@
 #include "trace/event_log.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 
@@ -44,16 +43,13 @@ void EventLog::Emit(
     SimTime time, EventSeverity severity, std::string_view category,
     std::string_view message,
     std::initializer_list<std::pair<std::string_view, std::string>> fields) {
-  // Claim a ticket first: the bound is enforced globally, not per shard,
-  // so single-threaded behavior matches the old flat log exactly (first
-  // `capacity_` events kept, later ones counted as dropped).
-  uint64_t seq = stored_.fetch_add(1, std::memory_order_relaxed);
-  if (seq >= capacity_) {
-    stored_.fetch_sub(1, std::memory_order_relaxed);
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  // The first `capacity_` events are kept; later ones are only counted.
+  if (events_.size() >= capacity_) {
+    ++dropped_;
     return;
   }
-  LoggedEvent e;
+  LoggedEvent& e = events_.emplace_back();
   e.time = time;
   e.severity = severity;
   e.category = std::string(category);
@@ -62,72 +58,51 @@ void EventLog::Emit(
   for (const auto& [k, v] : fields) {
     e.fields.emplace_back(std::string(k), v);
   }
-  Shard& shard = shards_[CurrentMetricDomain()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.events.emplace_back(seq, std::move(e));
 }
 
-std::vector<LoggedEvent> EventLog::Merged() const {
-  std::vector<std::pair<uint64_t, const LoggedEvent*>> order;
-  // Hold every shard lock across the copy so the merge is one consistent
-  // cut (events are rare; these locks are all but uncontended).
-  std::array<std::unique_lock<std::mutex>, kMetricDomains> locks;
-  for (size_t d = 0; d < kMetricDomains; ++d) {
-    locks[d] = std::unique_lock<std::mutex>(shards_[d].mu);
-  }
-  size_t total = 0;
-  for (const Shard& s : shards_) total += s.events.size();
-  order.reserve(total);
-  for (const Shard& s : shards_) {
-    for (const auto& [seq, e] : s.events) order.emplace_back(seq, &e);
-  }
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<LoggedEvent> out;
-  out.reserve(order.size());
-  for (const auto& [seq, e] : order) out.push_back(*e);
-  return out;
+std::vector<LoggedEvent> EventLog::events() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return events_;
 }
 
-const std::vector<LoggedEvent>& EventLog::events() const {
-  std::lock_guard<std::mutex> lock(merged_mu_);
-  merged_ = Merged();
-  return merged_;
+uint64_t EventLog::dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dropped_;
+}
+
+size_t EventLog::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return events_.size();
 }
 
 void EventLog::Clear() {
-  std::array<std::unique_lock<std::mutex>, kMetricDomains> locks;
-  for (size_t d = 0; d < kMetricDomains; ++d) {
-    locks[d] = std::unique_lock<std::mutex>(shards_[d].mu);
-  }
-  for (size_t d = 0; d < kMetricDomains; ++d) {
-    shards_[d].events.clear();
-  }
-  stored_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  events_.clear();
+  dropped_ = 0;
 }
 
 std::string EventLog::ToText() const {
-  std::vector<LoggedEvent> all = Merged();
+  std::lock_guard<std::mutex> lock(mu_);
   std::string out;
-  for (const auto& e : all) AppendLine(out, e);
-  if (uint64_t d = dropped(); d > 0) {
-    out += "... " + std::to_string(d) + " later events dropped (log full)\n";
+  for (const auto& e : events_) AppendLine(out, e);
+  if (dropped_ > 0) {
+    out += "... " + std::to_string(dropped_) +
+           " later events dropped (log full)\n";
   }
   return out;
 }
 
 std::string EventLog::ToJson(size_t max_events) const {
-  std::vector<LoggedEvent> all = Merged();
-  size_t n = all.size();
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t n = events_.size();
   if (max_events && max_events < n) n = max_events;
-  size_t first = all.size() - n;
+  size_t first = events_.size() - n;
 
   std::string out = "{\"schema\":\"reo.events.v1\",\"dropped\":";
-  out += JsonNum(static_cast<double>(dropped()));
+  out += JsonNum(static_cast<double>(dropped_));
   out += ",\"events\":[";
-  for (size_t i = first; i < all.size(); ++i) {
-    const LoggedEvent& e = all[i];
+  for (size_t i = first; i < events_.size(); ++i) {
+    const LoggedEvent& e = events_[i];
     if (i != first) out.push_back(',');
     out += "{\"t_ms\":" + JsonNum(ToMs(e.time));
     out += ",\"severity\":";
@@ -150,7 +125,7 @@ std::string EventLog::ToJson(size_t max_events) const {
 }
 
 std::string EventLog::RecoveryTimeline() const {
-  std::vector<LoggedEvent> all = Merged();
+  std::lock_guard<std::mutex> lock(mu_);
   std::string out = "== Recovery timeline ==\n";
   // Per-class on-demand/background rebuild roll-up, filled as we walk.
   struct ClassTally {
@@ -169,7 +144,7 @@ std::string EventLog::RecoveryTimeline() const {
            e.category.starts_with("sim.spare");
   };
 
-  for (const auto& e : all) {
+  for (const auto& e : events_) {
     if (!relevant(e)) continue;
     if (e.category == "recovery.rebuild") {
       int cls = 0;

@@ -9,19 +9,13 @@
 // held, later ones are counted but not stored (the earliest events are
 // the ones a post-mortem timeline needs).
 //
-// Threading (the MetricRegistry treatment): writers append to per-domain
-// buffers striped across cache-line-padded shards keyed by
-// CurrentMetricDomain(), so concurrent emitters on different threads touch
-// different mutexes; a global atomic ticket enforces the capacity bound
-// and gives every event a total emission order. Readers aggregate the
-// shards on demand — ToText/ToJson/RecoveryTimeline/size/dropped are safe
-// against concurrent Emit. events() (the reference-returning accessor)
-// merges into an internal buffer and, like MetricRegistry's resolve-once
-// pointers, expects no concurrent *reader* of the same log.
+// Threading: one vector under one mutex, in emission order. Emit checks
+// the bound under the lock before it builds the event's strings, so a full
+// log costs a dropped event one lock and no allocation. Readers copy under
+// the same lock: events/ToText/ToJson/RecoveryTimeline/size/dropped are
+// safe against concurrent Emit.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <mutex>
@@ -31,7 +25,6 @@
 #include <vector>
 
 #include "common/sim_clock.h"
-#include "telemetry/metric_registry.h"
 
 namespace reo {
 
@@ -69,12 +62,10 @@ class EventLog {
             std::initializer_list<std::pair<std::string_view, std::string>>
                 fields = {});
 
-  /// All stored events in emission order. Aggregates the shards into an
-  /// internal buffer; do not call from concurrent readers (writers are
-  /// fine — anything emitted during the merge lands in the next call).
-  const std::vector<LoggedEvent>& events() const;
-  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  size_t size() const { return stored_.load(std::memory_order_relaxed); }
+  /// A copy of every stored event, in emission order.
+  std::vector<LoggedEvent> events() const;
+  uint64_t dropped() const;
+  size_t size() const;
   void Clear();
 
   /// Full log, one line per event:
@@ -92,24 +83,10 @@ class EventLog {
   std::string RecoveryTimeline() const;
 
  private:
-  /// One writer stripe: events interleave across shards; the `seq` ticket
-  /// recovers the global emission order at aggregation time.
-  struct alignas(64) Shard {
-    mutable std::mutex mu;
-    std::vector<std::pair<uint64_t, LoggedEvent>> events;  // (seq, event)
-  };
-
-  /// Snapshot of every shard, merged back into emission order.
-  std::vector<LoggedEvent> Merged() const;
-
-  std::array<Shard, kMetricDomains> shards_;
+  mutable std::mutex mu_;
+  std::vector<LoggedEvent> events_;  ///< at most capacity_
   size_t capacity_;
-  /// Tickets: total events stored across shards (bounded by capacity_).
-  std::atomic<uint64_t> stored_{0};
-  std::atomic<uint64_t> dropped_{0};
-  /// events() scratch; rebuilt per call under merged_mu_.
-  mutable std::mutex merged_mu_;
-  mutable std::vector<LoggedEvent> merged_;
+  uint64_t dropped_ = 0;
 };
 
 /// Null-tolerant emit helper, mirroring telemetry's Inc/Set/Observe: a

@@ -268,6 +268,35 @@ TEST(CacheManagerTest, FailedRepairOnReadKeepsObjectQueued) {
   EXPECT_EQ(fx.stripes->SurvivalOf(Oid(1)), ObjectSurvival::kIntact);
 }
 
+TEST(CacheManagerTest, OverwriteThatEmptiesTheRecoveryQueueEndsRecovery) {
+  // An overwrite forgets the one queued object, which empties the
+  // recovery queue between background slices. The next slice must still
+  // end recovery: once, and so that the control object stops answering
+  // 0x65 (recovery in progress).
+  CacheFixture fx(ProtectionMode::kReo, 256 * kChunk, 0.25);
+  EventLog events;
+  fx.failure->AttachEvents(events);
+  fx.Register(1, 8 * kChunk);
+  for (int i = 0; i < 12; ++i) fx.Get(1);
+  ASSERT_EQ(*fx.stripes->LevelOf(Oid(1)), RedundancyLevel::kParity2);
+
+  fx.failure->OnDeviceFailure(0, fx.clock.now());
+  ASSERT_EQ(fx.failure->backlog(), 1u);  // the class-2 object
+  ASSERT_TRUE(fx.plane->recovery_active());
+
+  fx.Put(1);
+  fx.cache->AdvanceBackground(fx.clock.now());
+  EXPECT_EQ(fx.failure->backlog(), 0u);
+  EXPECT_FALSE(fx.plane->recovery_active());
+  size_t completes = 0;
+  for (const LoggedEvent& ev : events.events()) {
+    if (ev.category == "recovery.complete") ++completes;
+  }
+  EXPECT_EQ(completes, 1u);
+  EXPECT_NE(fx.cache->QueryObject(kControlObject, false, 0, fx.clock.now()),
+            SenseCode::kRecoveryStarts);
+}
+
 TEST(CacheManagerTest, RepairedLatentChunkIsNotRebuiltAgain) {
   // A latent CRC error under a redundant object: the data plane repairs it
   // in place and still answers degraded. Repair-on-read then has nothing

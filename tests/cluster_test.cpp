@@ -25,6 +25,7 @@
 #include "osd/osd_initiator.h"
 #include "osd/osd_target.h"
 #include "shard/sharded_server.h"
+#include "telemetry/metric_registry.h"
 #include "trace/event_log.h"
 
 namespace reo {
@@ -315,7 +316,9 @@ std::vector<uint8_t> DrillPayload(uint32_t rank) {
   OsdTarget target(plane);
   ClusterDirectory directory(node_id);
   target.AttachCluster(directory);
-  ServedShard shards[] = {{.target = &target, .cluster = &directory}};
+  MetricRegistry registry;
+  ServedShard shards[] = {
+      {.target = &target, .registry = &registry, .cluster = &directory}};
   ShardedServer server(shards);
   if (!server.Listen().ok()) _exit(2);
   uint16_t port = static_cast<uint16_t>(server.port());

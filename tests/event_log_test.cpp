@@ -1,5 +1,5 @@
-// EventLog's thread-safety contract (the MetricRegistry treatment): many
-// writers emit concurrently across the domain shards while readers snapshot.
+// EventLog's thread-safety contract: many writers emit concurrently into
+// the one mutex-guarded log while readers snapshot.
 // Run under TSan (the dedicated CI job builds this binary with
 // -fsanitize=thread); the exactness assertions below catch lost updates and
 // broken ordering even without it.
@@ -35,8 +35,8 @@ TEST(EventLogConcurrencyTest, ConcurrentEmitsAreExactAndBounded) {
   EXPECT_EQ(log.size(), kThreads * kPerThread);
   EXPECT_EQ(log.dropped(), 0u);
 
-  // Per-thread program order survives the shard merge: each writer's own
-  // events appear in increasing sequence in the aggregated view.
+  // Per-thread program order survives: each writer's own events appear
+  // in increasing sequence in the log.
   const auto& events = log.events();
   ASSERT_EQ(events.size(), kThreads * kPerThread);
   std::vector<uint64_t> next(kThreads, 0);
@@ -96,8 +96,8 @@ TEST(EventLogConcurrencyTest, ReadersAreSafeAgainstConcurrentEmit) {
       EXPECT_GE(n, prev);
       EXPECT_LE(n, kWriters * kPerThread);
       prev = n;
-      // A ticket can be claimed but not yet pushed, so no count assertion
-      // on the rendered views — exercising them race-free is the contract.
+      // Writers keep emitting between reads, so no count assertion on
+      // the rendered views — exercising them race-free is the contract.
       std::string text = log.ToText();
       std::string json = log.ToJson(16);
       EXPECT_NE(json.find("\"schema\":\"reo.events.v1\""), std::string::npos);

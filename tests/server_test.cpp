@@ -67,12 +67,12 @@ class ServerTest : public ::testing::Test {
   /// tracing into the per-stage histograms (sample_every = 1, so the
   /// attribution-equality assertions are exact, not statistical).
   void StartAdminServer() {
-    ServedShard shards[] = {{.target = &target_, .registry = &telemetry_}};
-    server_ = std::make_unique<ShardedServer>(shards);
-    server_->AttachEvents(events_);
     tracer_.AttachStageMetrics(telemetry_);
     target_.AttachTracing(tracer_);
-    server_->AttachTracing(tracer_);
+    ServedShard shards[] = {
+        {.target = &target_, .registry = &telemetry_, .tracer = &tracer_}};
+    server_ = std::make_unique<ShardedServer>(shards);
+    server_->AttachEvents(events_);
     TrackServingDefaults(telemetry_, series_, /*num_devices=*/0);
     server_->AttachSeries(series_);
     ASSERT_TRUE(server_->Listen().ok());
@@ -690,7 +690,8 @@ TEST(ServerFdExhaustionTest, AcceptPausesInsteadOfSpinning) {
     if (setrlimit(RLIMIT_NOFILE, &lim) != 0) _exit(2);
     MapDataPlane plane;
     OsdTarget target(plane);
-    ServedShard shards[] = {{.target = &target}};
+    MetricRegistry registry;
+    ServedShard shards[] = {{.target = &target, .registry = &registry}};
     ShardedServer server(shards);
     if (!server.Listen().ok()) _exit(3);
     uint16_t port = server.port();

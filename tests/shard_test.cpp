@@ -4,9 +4,10 @@
 // round trips and pipelining on one connection, FORMAT ordering under
 // live pipelined traffic, graceful drain with in-flight requests on
 // every shard, multi-shard ADMIN aggregation, real NodeStack stacks
-// driven from four client threads at once, fan-out racing cross-shard
-// traffic on other connections, and the same stacks driven without
-// sockets through Execute() while MergedStats() is polled.
+// driven from four client threads at once (also traced, one tracer per
+// stack), fan-out racing cross-shard traffic on other connections, and
+// the same stacks driven without sockets through Execute() while
+// MergedStats() is polled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -35,6 +37,7 @@
 #include "telemetry/metric_registry.h"
 #include "telemetry/time_series.h"
 #include "trace/event_log.h"
+#include "trace/tracer.h"
 
 namespace reo {
 namespace {
@@ -199,20 +202,29 @@ class ShardedServerTest : public ::testing::Test {
   void Start(ShardedServerConfig cfg = {}) { Serve(MapShards(), cfg); }
 
   /// Four real stacks, wired by NodeStack::Build as reo_server wires
-  /// them, each reporting into its shard's registry.
+  /// them, each reporting into its shard's registry. `traced` gives each
+  /// stack its own every-request tracer, feeding that registry's
+  /// stage.* histograms, as reo_server does under --trace-sample 1.
   void BuildNodeStacks(const NodeStackConfig& config,
-                       std::vector<ServedShard>* shards) {
+                       std::vector<ServedShard>* shards, bool traced = false) {
     stacks_.reserve(kShards);
     for (size_t k = 0; k < kShards; ++k) {
       registries_.push_back(std::make_unique<MetricRegistry>());
+      Tracer* tracer = nullptr;
+      if (traced) {
+        tracer = &tracers_.emplace_back(TracerConfig{.sample_every = 1});
+        tracer->AttachStageMetrics(*registries_.back());
+      }
       NodeStackSinks sinks{.registry = registries_.back().get(),
-                           .events = &events_};
+                           .events = &events_,
+                           .tracer = tracer};
       auto built = NodeStack::Build(config, k, kShards, sinks);
       ASSERT_TRUE(built.ok()) << built.status().to_string();
       stacks_.push_back(std::move(*built));
       const NodeStack& s = stacks_.back();
       shards->push_back({.target = s.target.get(),
                          .registry = registries_.back().get(),
+                         .tracer = tracer,
                          .cluster = s.cluster.get(),
                          .persist = s.persist.get()});
     }
@@ -263,6 +275,7 @@ class ShardedServerTest : public ::testing::Test {
   }
 
   std::vector<std::unique_ptr<MetricRegistry>> registries_;
+  std::deque<Tracer> tracers_;  ///< outlive the stacks that point at them
   EventLog events_;
   std::vector<std::unique_ptr<MapDataPlane>> planes_;
   std::vector<std::unique_ptr<OsdTarget>> targets_;
@@ -522,6 +535,102 @@ TEST_F(ShardedServerTest, DrainHookRunsOncePerShardAfterQuiesce) {
     EXPECT_EQ(checkpoints->value, 1.0) << "shard " << k;
   }
   fs::remove_all(dir);
+}
+
+// The attribution invariant at four shards, with four clients at once:
+// every executed command part opens its transport root span on the
+// executing shard's tracer, under that shard's lock, and the stack's
+// nested spans join it. So the merged stage.transport count is the
+// number of executed parts (one per single-shard command, four per
+// fan-out), stage.osd_target has the same count, and a single-shard
+// command's root spans exactly the stamps its latency observes.
+TEST_F(ShardedServerTest, StageLatencyAttributionMatchesEndToEnd) {
+  NodeStackConfig config;
+  config.policy = {.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.2};
+  config.capacity_bytes = 64ull << 20;
+  std::vector<ServedShard> shards;
+  ASSERT_NO_FATAL_FAILURE(BuildNodeStacks(config, &shards, /*traced=*/true));
+  Serve(shards, {});
+  {
+    SocketInitiator setup;
+    ASSERT_TRUE(setup.Connect("127.0.0.1", server_->port()).ok());
+    OsdCommand format = FormatCmd();
+    format.capacity_bytes = config.capacity_bytes;
+    ASSERT_TRUE(setup.Roundtrip(format).ok());
+  }
+
+  constexpr uint32_t kClients = 4;
+  constexpr uint32_t kOps = 24;  // per client, spread over every shard
+  std::vector<std::string> errors(kClients);
+  auto run_client = [&](uint32_t c) {
+    SocketInitiator client;
+    if (!client.Connect("127.0.0.1", server_->port()).ok()) {
+      errors[c] = "connect failed";
+      return;
+    }
+    for (uint32_t i = 0; i < kOps; ++i) {
+      uint32_t rank = c * kOps + i;
+      std::vector<uint8_t> payload = PayloadFor(rank);
+      OsdCommand create;
+      create.op = OsdOp::kCreate;
+      create.id = IdOnShard(i % kShards, 2000 + rank);
+      create.logical_size = payload.size();
+      OsdCommand write;
+      write.op = OsdOp::kWrite;
+      write.id = create.id;
+      write.logical_size = payload.size();
+      write.data = payload;
+      OsdCommand read;
+      read.op = OsdOp::kRead;
+      read.id = create.id;
+      for (const OsdCommand* cmd : {&create, &write, &read}) {
+        if (!client.Roundtrip(*cmd).ok()) {
+          errors[c] = "rank " + std::to_string(rank) + " failed";
+          return;
+        }
+      }
+    }
+  };
+  std::vector<std::thread> clients;
+  for (uint32_t c = 0; c < kClients; ++c) clients.emplace_back(run_client, c);
+  for (std::thread& t : clients) t.join();
+  for (const std::string& e : errors) EXPECT_EQ(e, "");
+  DrainAndJoin();
+
+  MetricSnapshot snap = server_->MergedStats();
+  const MetricSnapshot::Entry* transport =
+      snap.Find("stage.transport.span_us");
+  const MetricSnapshot::Entry* target_stage =
+      snap.Find("stage.osd_target.span_us");
+  const MetricSnapshot::Entry* lat_read = snap.Find("server.latency.read_us");
+  const MetricSnapshot::Entry* lat_write =
+      snap.Find("server.latency.write_us");
+  const MetricSnapshot::Entry* lat_other =
+      snap.Find("server.latency.other_us");
+  ASSERT_NE(transport, nullptr);
+  ASSERT_NE(target_stage, nullptr);
+  ASSERT_NE(lat_read, nullptr);
+  ASSERT_NE(lat_write, nullptr);
+  ASSERT_NE(lat_other, nullptr);
+
+  constexpr uint64_t kSingleShard = 3ull * kClients * kOps;
+  EXPECT_EQ(lat_read->count + lat_write->count + lat_other->count,
+            1 + kSingleShard);
+  EXPECT_EQ(transport->count, kSingleShard + kShards);
+  EXPECT_EQ(target_stage->count, transport->count);
+  // Each FORMAT part's root runs from the frame's stamp to its own end,
+  // the last of which is the latency's end; every other root equals its
+  // command's latency.
+  double end_to_end_sum = lat_read->sum + lat_write->sum + lat_other->sum;
+  EXPECT_GE(transport->sum, end_to_end_sum * (1 - 1e-9));
+  // Every shard traced its own parts into its own registry.
+  for (size_t k = 0; k < kShards; ++k) {
+    MetricSnapshot shard_snap = registries_[k]->Snapshot();
+    const MetricSnapshot::Entry* own =
+        shard_snap.Find("stage.transport.span_us");
+    ASSERT_NE(own, nullptr) << "shard " << k;
+    EXPECT_GT(own->count, 1u) << "shard " << k;
+  }
 }
 
 TEST_F(ShardedServerTest, AdminAggregatesAcrossShards) {

@@ -5,7 +5,9 @@
 // it parses, and optionally asserts on it — the CI smoke job's probe. With
 // --endpoints it probes every node of a cluster: each reply prints
 // under a per-node header, assertions apply to every node, and a
-// merged view (numeric fields summed across nodes) prints last.
+// merged view prints last: numeric fields sum across nodes, except that
+// a histogram's max is the largest, its mean is sum / count, and its
+// percentiles list each node's value.
 // Examples:
 //
 //   admin_probe --port 9555 health
@@ -17,6 +19,7 @@
 // Exit codes: 0 ok; 1 an --expect-zero value was nonzero; 2 usage /
 // connect / protocol error (including status!=0 replies); 3 a reply is
 // not valid JSON.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -88,18 +91,84 @@ void EmitNode(const JsonDoc& doc, int node, std::string& out) {
   }
 }
 
+/// Emits the same position of every node that has it as one array, a
+/// per-node column.
+void EmitColumn(const std::vector<JsonDoc>& docs, const std::vector<int>& nodes,
+                std::string& out) {
+  out += '[';
+  bool first = true;
+  for (size_t i = 0; i < docs.size(); ++i) {
+    if (nodes[i] == JsonDoc::kInvalid) continue;
+    if (!first) out += ',';
+    first = false;
+    EmitNode(docs[i], nodes[i], out);
+  }
+  out += ']';
+}
+
+/// True for a STATS histogram summary ({count,mean,p50,p99,p999,max,sum}).
+bool IsHistogram(const JsonDoc& doc, int node) {
+  if (!doc.is(node, JsonDoc::Type::kObject)) return false;
+  for (const char* key : {"count", "sum", "max", "mean", "p50"}) {
+    if (!doc.is(doc.member(node, key), JsonDoc::Type::kNumber)) return false;
+  }
+  return true;
+}
+
+/// Sum of member `key` over every node that has it.
+double SumMember(const std::vector<JsonDoc>& docs,
+                 const std::vector<int>& nodes, const char* key) {
+  double sum = 0;
+  for (size_t i = 0; i < docs.size(); ++i) {
+    if (nodes[i] != JsonDoc::kInvalid) {
+      sum += docs[i].number(docs[i].member(nodes[i], key));
+    }
+  }
+  return sum;
+}
+
+/// One field of a histogram summary, merged as the union of the nodes'
+/// samples would read: count and sum add, max is the largest and mean is
+/// sum / count. Percentiles do not merge from summaries, so p50, p99 and
+/// p999 stay per node, as a column.
+void MergeHistogramField(const std::vector<JsonDoc>& docs,
+                         const std::vector<int>& histograms,
+                         const std::vector<int>& fields, const std::string& key,
+                         std::string& out) {
+  if (key == "count" || key == "sum") {
+    AppendJsonNumber(out, SumMember(docs, histograms, key.c_str()));
+  } else if (key == "mean") {
+    double count = SumMember(docs, histograms, "count");
+    double sum = SumMember(docs, histograms, "sum");
+    AppendJsonNumber(out, count > 0 ? sum / count : 0);
+  } else if (key == "max") {
+    double max = 0;
+    for (size_t i = 0; i < docs.size(); ++i) {
+      if (fields[i] != JsonDoc::kInvalid) {
+        max = std::max(max, docs[i].number(fields[i]));
+      }
+    }
+    AppendJsonNumber(out, max);
+  } else {
+    EmitColumn(docs, fields, out);
+  }
+}
+
 /// Merges the same position across per-node replies: numbers sum,
+/// histogram summaries merge field by field (MergeHistogramField),
 /// objects recurse over the union of keys, scalars all nodes agree on
 /// pass through, and anything else (arrays, disagreeing strings) emits
 /// as a per-node column array so nothing is silently dropped.
 void MergeEmit(const std::vector<JsonDoc>& docs, const std::vector<int>& nodes,
                std::string& out) {
   bool all_number = true, all_object = true, all_scalar_equal = true;
+  bool all_histogram = true;
   for (size_t i = 0; i < docs.size(); ++i) {
     if (nodes[i] == JsonDoc::kInvalid) continue;
     JsonDoc::Type t = docs[i].type(nodes[i]);
     if (t != JsonDoc::Type::kNumber) all_number = false;
     if (t != JsonDoc::Type::kObject) all_object = false;
+    if (!IsHistogram(docs[i], nodes[i])) all_histogram = false;
     if (t == JsonDoc::Type::kArray || t == JsonDoc::Type::kObject) {
       all_scalar_equal = false;
     }
@@ -138,7 +207,11 @@ void MergeEmit(const std::vector<JsonDoc>& docs, const std::vector<int>& nodes,
           children[i] = docs[i].member(nodes[i], keys[k]);
         }
       }
-      MergeEmit(docs, children, out);
+      if (all_histogram) {
+        MergeHistogramField(docs, nodes, children, keys[k], out);
+      } else {
+        MergeEmit(docs, children, out);
+      }
     }
     out += '}';
     return;
@@ -167,15 +240,7 @@ void MergeEmit(const std::vector<JsonDoc>& docs, const std::vector<int>& nodes,
       return;
     }
   }
-  out += '[';
-  bool first = true;
-  for (size_t i = 0; i < docs.size(); ++i) {
-    if (nodes[i] == JsonDoc::kInvalid) continue;
-    if (!first) out += ',';
-    first = false;
-    EmitNode(docs[i], nodes[i], out);
-  }
-  out += ']';
+  EmitColumn(docs, nodes, out);
 }
 
 }  // namespace
@@ -212,7 +277,7 @@ int main(int argc, char** argv) {
                "read the port from PATH (reo_server --port-file)", &port_file);
   flags.String("--endpoints", "LIST",
                "probe every node of host:port,...: per-node replies,\n"
-               "a merged (summed) view, --expect-* on every node",
+               "a merged view, --expect-* on every node",
                &endpoints_arg);
   flags.Uint("--arg", "N",
              "stats: shard N-1 alone (0 = merged); series:\n"

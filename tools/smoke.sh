@@ -285,7 +285,7 @@ scenario_chaos() {
 # plane, and a scaling report against a one-shard reference.
 scenario_shard() {
   chaos_spec 0.02 failslow
-  start server --shards 4 --capacity-mb 128 --telemetry on \
+  start server --shards 4 --capacity-mb 128 \
     --fault-spec chaos.json --stats-out server-stats.json \
     --events-out server.events
   # Each client connection pipelines objects of all four shards, so its
@@ -303,6 +303,14 @@ scenario_shard() {
     --expect-zero counters.fault.crc_unrepaired \
     --expect-sum 'counters.server.forwarded=counters.server.forward_executed' \
     stats | tee stats.json
+  # Each shard's stack has its own tracer, so the merged STATS attributes
+  # sampled requests to stages at four shards too.
+  python3 - <<'EOF'
+import json
+h = json.load(open("stats.json"))["histograms"]
+assert h["stage.transport.span_us"]["count"] > 0, "no sampled transport span"
+assert h["stage.osd_target.span_us"]["count"] > 0, "no sampled target span"
+EOF
   probe --port-file server.port health | tee health.json
   grep -q '"shards":4' health.json
   # arg k = shard k-1 alone; an out-of-range arg must error in-band.
@@ -379,9 +387,39 @@ scenario_cluster() {
     | tee health.log
   grep -q -- "--- node 1 " health.log
   grep -q -- "--- merged (2 nodes) ---" health.log
-  probe --endpoints "$surv" --quiet \
+  probe --endpoints "$surv" \
     --expect-zero counters.server.crc_errors \
-    --expect-zero counters.fault.crc_unrepaired stats
+    --expect-zero counters.fault.crc_unrepaired stats > stats.log
+  # The merged view combines histograms as the union of the nodes'
+  # samples: count and sum add, max is the largest, mean is sum / count,
+  # and each percentile lists the nodes' own values.
+  python3 - <<'EOF'
+import json, math
+nodes, merged, target = [], None, None
+for line in open("stats.log"):
+    if line.startswith("--- node "):
+        target = "node"
+    elif line.startswith("--- merged "):
+        target = "merged"
+    elif target == "node":
+        nodes.append(json.loads(line)["histograms"])
+    elif target == "merged":
+        merged = json.loads(line)["histograms"]
+assert len(nodes) == 2 and merged, "probe printed no merged histograms"
+close = lambda a, b: math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+for name, m in merged.items():
+    parts = [n[name] for n in nodes if name in n]
+    count = sum(p["count"] for p in parts)
+    total = sum(p["sum"] for p in parts)
+    assert m["count"] == count, (name, m, parts)
+    assert close(m["sum"], total), (name, m, parts)
+    assert m["max"] == max(p["max"] for p in parts), (name, m, parts)
+    assert close(m["mean"], total / count if count else 0), (name, m, parts)
+    for q in ("p50", "p99", "p999"):
+        assert m[q] == [p[q] for p in parts], (name, q, m, parts)
+assert merged["server.latency.write_us"]["count"] > 0, "no merged writes"
+print(f"{len(merged)} merged histograms match their nodes")
+EOF
   drain n0 n2
 
   # Each survivor logged cluster.node_down once and a cluster.refetch per
@@ -425,7 +463,7 @@ EOF
 # The in-band admin plane must answer live, with zero wire corruption,
 # while the data path is saturated.
 scenario_admin() {
-  start server --capacity-mb 128 --telemetry on --trace-sample 16 \
+  start server --capacity-mb 128 --trace-sample 16 \
     --series-window-ms 200 --series-windows 120 \
     --stats-out server-stats.json
   "$BUILD/tools/reo_loadgen" --port "$(port server)" --connections 4 \
